@@ -15,7 +15,7 @@ forced by it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParameterError, ParseError
 from .grading import PrimeContext, Tridegree, ZERO_DEGREE, generator_tridegree
@@ -79,12 +79,6 @@ class Monomial:
     factors: tuple[tuple[Generator, int], ...]
     tridegree: Tridegree
 
-    def units(self) -> Iterator[Generator]:
-        """The factors expanded with multiplicity, in canonical order."""
-        for g, e in self.factors:
-            for _ in range(e):
-                yield g
-
     @property
     def factor_count(self) -> int:
         """Number of factors counted with multiplicity (a b-factor counts once)."""
@@ -123,8 +117,24 @@ def canonicalize(gens: Sequence[Generator], ctx: PrimeContext) -> tuple[int, Mon
     contains a repeated exterior generator (exterior square, so the product
     is zero).  Non-exterior generators move freely.
     """
-    items = list(gens)
-    ext = [g.sort_key() for g in items if g.is_exterior]
+    return _canonicalize_factors([(g, 1) for g in gens], ctx)
+
+
+def _canonicalize_factors(factors: Iterable[tuple[Generator, int]],
+                          ctx: PrimeContext) -> tuple[int, Monomial] | None:
+    """canonicalize for a word of (generator, exponent) powers in written order.
+
+    Each power stays one item, so g^e costs the same for every e.  An
+    exterior power above 1 or a repeated exterior generator gives None.
+    """
+    ext = []
+    counts: dict[Generator, int] = {}
+    for g, e in factors:
+        if g.is_exterior:
+            if e > 1:
+                return None
+            ext.append(g.sort_key())
+        counts[g] = counts.get(g, 0) + e
     inv = 0
     for x in range(len(ext)):
         kx = ext[x]
@@ -133,14 +143,11 @@ def canonicalize(gens: Sequence[Generator], ctx: PrimeContext) -> tuple[int, Mon
                 inv += 1
             elif kx == ext[y]:
                 return None
-    counts: dict[Generator, int] = {}
-    for g in items:
-        counts[g] = counts.get(g, 0) + 1
-    factors = tuple(sorted(counts.items(), key=lambda it: it[0].sort_key()))
+    canon = tuple(sorted(counts.items(), key=lambda it: it[0].sort_key()))
     deg = ZERO_DEGREE
-    for g, e in factors:
+    for g, e in canon:
         deg = deg + g.tridegree(ctx).scaled(e)
-    return (-1 if inv % 2 else 1, Monomial(factors=factors, tridegree=deg))
+    return (-1 if inv % 2 else 1, Monomial(factors=canon, tridegree=deg))
 
 
 def monomial_from_factors(factors: Iterable[tuple[Generator, int]], ctx: PrimeContext) -> Monomial:
@@ -389,8 +396,8 @@ def _parse_factor(tk: _Tokens) -> tuple[Generator, int]:
     return g, e
 
 
-def _parse_term(tk: _Tokens, ctx: PrimeContext) -> tuple[int, list[Generator]]:
-    """One term as (coefficient, raw generator word)."""
+def _parse_term(tk: _Tokens, ctx: PrimeContext) -> tuple[int, list[tuple[Generator, int]]]:
+    """One term as (coefficient, raw word of (generator, exponent) powers)."""
     coeff = 1
     tk.skip_ws()
     if tk.peek().isdigit():
@@ -402,15 +409,12 @@ def _parse_term(tk: _Tokens, ctx: PrimeContext) -> tuple[int, list[Generator]]:
             tk.pos += 1
         else:
             return coeff, []  # bare coefficient: a multiple of the unit monomial
-    word: list[Generator] = []
-    g, e = _parse_factor(tk)
-    word.extend([g] * e)
+    word = [_parse_factor(tk)]
     while True:
         save = tk.pos
         tk.skip_ws()
         if tk.peek() in ("a", "h", "b") and tk.pos > save:
-            g, e = _parse_factor(tk)
-            word.extend([g] * e)
+            word.append(_parse_factor(tk))
         else:
             tk.pos = save
             return coeff, word
@@ -430,7 +434,7 @@ def parse_element(text: str, ctx: PrimeContext) -> Element:
         sign = -1
     while True:
         coeff, word = _parse_term(tk, ctx)
-        res = canonicalize(word, ctx)
+        res = _canonicalize_factors(word, ctx)
         if res is not None:
             csign, mon = res
             accum[mon] = accum.get(mon, 0) + sign * csign * coeff

@@ -9,6 +9,7 @@ atomic rename; unreadable or mismatched entries are treated as absent.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from pathlib import Path
@@ -49,6 +50,7 @@ class ResultCache:
         return self.root / ("%s_p%d_s%d_t%d_u%s_%s.txt" % (kind, p, s, t, uu, fingerprint))
 
     def _write(self, path: Path, lines: list[str]) -> None:
+        tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
@@ -56,7 +58,10 @@ class ResultCache:
                 fh.write("\n".join(lines) + "\n")
             os.replace(tmp, path)
         except OSError:
-            pass  # a cache that cannot write is just a cache miss later
+            # a cache that cannot write is just a cache miss later
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
 
     def _read(self, path: Path, header: str) -> list[str] | None:
         try:

@@ -8,7 +8,7 @@ it carries no timing, so repeated runs are byte-identical whatever the
 cache state.  Progress and timing go to stderr only.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage or parameter error.
+2 usage or parameter error, 3 internal error (an engine invariant failed).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .algebra import parse_element, render_element
 from .cache import ENGINE_VERSION, ResultCache, default_cache_root
 from .differential import d1
 from .enumeration import enumerate_basis
-from .errors import ParameterError, ParseError
+from .errors import MayssError, ParameterError, ParseError
 from .grading import make_context, padic_profile
 from .pages import e2_dimension, survives_to_e2
 
@@ -209,10 +209,8 @@ def _run_scenario(args, ctx, cache):
     strict = not args.permissive
     name = args.scenario
     if name == "eq34":
-        _require_scenario_args(args, ("m", "n"))
         return scenarios.verify_critical_differential(
             ctx, args.m, args.n, cache=cache, strict_range=strict)
-    _require_scenario_args(args, ("m", "n", "scase"))
     if name == "lemma31":
         return scenarios.verify_window(ctx, args.m, args.n, args.scase,
                                        cache=cache, strict_range=strict)
@@ -279,12 +277,12 @@ def main(argv=None) -> int:
         else:
             cache = ResultCache(args.cache_dir or default_cache_root())
         out, code = _COMMANDS[args.command](args, ctx, cache)
-    except ParseError as exc:
+    except (ParseError, ParameterError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except ParameterError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except MayssError as exc:
+        print("error: internal: %s" % exc, file=sys.stderr)
+        return 3
     sys.stdout.write(out)
     return code
 

@@ -7,9 +7,17 @@ On generators:
     d1 b(i,j) = 0
 
 extended to products by the Leibniz rule with Koszul sign (-1)^parity(prefix),
-where parity counts exterior factors (see algebra module).  Differentiating
-each expanded unit of a polynomial power separately realizes
-d1(g^e) = e g^(e-1) d1(g); in particular e = p kills the contribution.
+where parity counts exterior factors (see algebra module).
+
+A canonical monomial is differentiated factor by factor: a power g^e gives
+e g^(e-1) d1(g), skipped when p divides e, and each summand of d1(g) is
+merged straight into the other factors.  The sign of a summand is the
+Koszul sign of the exterior factors before g, times the parity of the moves
+that carry each new h to its place among the monomial's other exterior
+factors, times the order of the new h's within the summand.  A new h equal
+to one already present is an exterior square, so the term is zero.  No
+word is expanded or re-sorted, so the cost is linear in the number of
+factors, not in the total exponent.
 
 d1 shifts tridegrees by (+1, 0, -1): it raises filtration, preserves internal
 degree, and drops the weight by one, so it restricts to weight blocks.
@@ -17,72 +25,114 @@ degree, and drops the weight by one, so it restricts to weight blocks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import lru_cache
 from typing import Sequence
 
-from .algebra import Element, Generator, Monomial, a, canonicalize, h
+from .algebra import (Element, Generator, Monomial, _from_accumulator, a,
+                      element_from_monomial, h, monomial_from_factors)
 from .errors import CompletenessError
-from .grading import PrimeContext
-from .linalg import MatrixFp, matrix_from_rows
+from .grading import PrimeContext, Tridegree
+from .linalg import MatrixFp
+
+D1_SHIFT = Tridegree(1, 0, -1)
+
+Factors = tuple[tuple[Generator, int], ...]
 
 
-def _summand_pairs(g: Generator) -> list[tuple[Generator, Generator]]:
-    """The two-generator words of d1(g), in written order, with +1 coefficients."""
+Keyed = tuple[Generator, tuple[int, int, int]]
+
+
+def _keyed(g: Generator) -> Keyed:
+    return g, g.sort_key()
+
+
+@lru_cache(maxsize=None)
+def _summands(g: Generator) -> tuple[tuple[tuple[Keyed, ...], Keyed | None, int], ...]:
+    """The summands of d1(g) as (new h's, new polynomial factor, sign parity),
+    each new generator paired with its sort key.
+
+    The h's are sorted by key and the parity counts the swaps that sorted
+    them from written order.  Independent of the prime, so kept per generator.
+    """
     if g.kind == "h":
-        return [(h(g.i - k, k + g.j), h(k, g.j)) for k in range(1, g.i)]
+        out = []
+        for k in range(1, g.i):
+            x, y = _keyed(h(g.i - k, k + g.j)), _keyed(h(k, g.j))
+            swapped = x[1] > y[1]
+            out.append(((y, x) if swapped else (x, y), None, int(swapped)))
+        return tuple(out)
     if g.kind == "a":
-        return [(h(g.i - k, k), a(k)) for k in range(0, g.i)]
-    return []
+        return tuple(((_keyed(h(g.i - k, k)),), _keyed(a(k)), 0) for k in range(0, g.i))
+    return ()
+
+
+def _multiply_in(out: list, keys: list, g: Generator, key: tuple[int, int, int]) -> None:
+    """Multiply a canonical factor list (with its sort keys) by g, in place."""
+    j = bisect_left(keys, key)
+    if j < len(keys) and keys[j] == key:
+        out[j] = (g, out[j][1] + 1)
+    else:
+        out.insert(j, (g, 1))
+        keys.insert(j, key)
+
+
+def _d1_factors(mon: Monomial, p: int) -> dict[Factors, int]:
+    """d1 of one canonical monomial as canonical factor tuples -> coefficient.
+
+    Coefficients are not reduced mod p.  Every key has the tridegree
+    mon.tridegree + D1_SHIFT.
+    """
+    factors = mon.factors
+    keys = [g.sort_key() for g, _ in factors]
+    ext = [k for (g, _), k in zip(factors, keys) if g.is_exterior]
+    accum: dict[Factors, int] = {}
+    before = 0  # exterior factors ahead of the current one
+    for i, (g, e) in enumerate(factors):
+        here = before
+        if g.is_exterior:
+            before += 1
+        summands = _summands(g)
+        if not summands or e % p == 0:
+            continue
+        others = ext[:here] + ext[here + 1:] if g.is_exterior else ext
+        # the monomial with one g taken out
+        if e == 1:
+            rest, rest_keys = factors[:i] + factors[i + 1:], keys[:i] + keys[i + 1:]
+        else:
+            rest, rest_keys = factors[:i] + ((g, e - 1),) + factors[i + 1:], keys
+        for new_h, poly, parity in summands:
+            # moving one new h to its place among the others costs
+            # (its rank among them) + (slots before g) swaps, mod 2
+            parity += here * (len(new_h) + 1)
+            for _, key in new_h:
+                pos = bisect_left(others, key)
+                if pos < len(others) and others[pos] == key:
+                    break
+                parity += pos
+            else:
+                out, out_keys = list(rest), list(rest_keys)
+                for x in new_h + ((poly,) if poly else ()):
+                    _multiply_in(out, out_keys, *x)
+                term = tuple(out)
+                accum[term] = accum.get(term, 0) + (-e if parity % 2 else e)
+    return accum
 
 
 def d1_generator(g: Generator, ctx: PrimeContext) -> Element:
     """d1 of a single generator as a canonical element."""
-    accum: dict[Monomial, int] = {}
-    for pair in _summand_pairs(g):
-        res = canonicalize(pair, ctx)
-        if res is None:
-            continue
-        sign, mon = res
-        accum[mon] = accum.get(mon, 0) + sign
-    return _reduced(accum, ctx)
-
-
-def _reduced(accum: dict[Monomial, int], ctx: PrimeContext) -> Element:
-    out = {}
-    for mon, c in accum.items():
-        c %= ctx.p
-        if c:
-            out[mon] = c
-    return Element(out)
-
-
-def _d1_monomial(mon: Monomial, ctx: PrimeContext) -> dict[Monomial, int]:
-    """Raw accumulator for d1 of one canonical monomial."""
-    units = list(mon.units())
-    accum: dict[Monomial, int] = {}
-    h_before = 0
-    for pos, g in enumerate(units):
-        pairs = _summand_pairs(g)
-        if pairs:
-            prefix_sign = -1 if h_before % 2 else 1
-            for pair in pairs:
-                raw = units[:pos] + list(pair) + units[pos + 1:]
-                res = canonicalize(raw, ctx)
-                if res is None:
-                    continue
-                sign, out = res
-                accum[out] = accum.get(out, 0) + prefix_sign * sign
-        if g.is_exterior:
-            h_before += 1
-    return accum
+    return d1(element_from_monomial(monomial_from_factors(((g, 1),), ctx), ctx), ctx)
 
 
 def d1(x: Element, ctx: PrimeContext) -> Element:
     """Extend d1 linearly to an element."""
     accum: dict[Monomial, int] = {}
     for mon, c in x.terms.items():
-        for out, c2 in _d1_monomial(mon, ctx).items():
+        deg = mon.tridegree + D1_SHIFT
+        for factors, c2 in _d1_factors(mon, ctx.p).items():
+            out = Monomial(factors=factors, tridegree=deg)
             accum[out] = accum.get(out, 0) + c * c2
-    return _reduced(accum, ctx)
+    return _from_accumulator(accum, ctx)
 
 
 def d1_matrix(domain: Sequence[Monomial], codomain: Sequence[Monomial],
@@ -92,17 +142,20 @@ def d1_matrix(domain: Sequence[Monomial], codomain: Sequence[Monomial],
     The codomain must contain every monomial appearing in any image; a miss
     raises CompletenessError since it means the codomain basis is incomplete.
     """
-    index = {mon: r for r, mon in enumerate(codomain)}
-    rows = [[0] * len(domain) for _ in range(len(codomain))]
+    p = ctx.p
+    cols = len(domain)
+    # factors determine the tridegree, so they alone identify a monomial
+    offset = {mon.factors: r * cols for r, mon in enumerate(codomain)}
+    entries = [0] * (len(codomain) * cols)
     for col, mon in enumerate(domain):
-        for out, c in _d1_monomial(mon, ctx).items():
-            c %= ctx.p
+        for factors, c in _d1_factors(mon, p).items():
+            c %= p
             if not c:
                 continue
-            r = index.get(out)
-            if r is None:
-                raise CompletenessError(
-                    "image monomial %s of %s missing from codomain basis"
-                    % (out.render(), mon.render()))
-            rows[r][col] = (rows[r][col] + c) % ctx.p
-    return matrix_from_rows(rows, ctx.p, cols=len(domain))
+            k = offset.get(factors)
+            if k is None:
+                out = Monomial(factors=factors, tridegree=mon.tridegree + D1_SHIFT)
+                raise CompletenessError("image monomial %s of %s missing from codomain basis"
+                                        % (out.render(), mon.render()))
+            entries[k + col] = c
+    return MatrixFp(modulus=p, rows=len(codomain), cols=cols, entries=tuple(entries))

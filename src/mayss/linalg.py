@@ -1,12 +1,23 @@
-"""Dense exact linear algebra over F_p: rank, kernel, membership.
+"""Exact linear algebra over F_p: rank, kernel, membership.
 
-Matrices are small (bases at a single tridegree), so plain Gauss-Jordan with
-modular inverses is the whole story.  Operations never mutate their inputs.
+A MatrixFp keeps its entries row-major, which is the form the disk cache
+writes.  Every operation runs one sparse elimination on its columns: each
+column is a dict {row: residue}, reduced left to right against the pivots
+found so far, each pivot keyed by its lead (lowest) row and scaled to lead
+coefficient 1.  A pivot's entries all lie at or below its lead row, so a
+reduction only moves the lead of the column being reduced downward.
+d1 matrices are a few percent nonzero, so the columns stay short.
+
+A column that reduces to zero is free; the combination of original columns
+that cleared it is a kernel vector, and a target vector that reduces to zero
+gives a solution supported on the pivot columns.  These are the same vectors
+that reduced row echelon form yields.  Operations never mutate their inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .errors import ParameterError
@@ -42,73 +53,74 @@ def matrix_from_rows(rows: Sequence[Sequence[int]], p: int, cols: int | None = N
     return MatrixFp(modulus=p, rows=nrows, cols=cols, entries=tuple(flat))
 
 
-def transpose(m: MatrixFp) -> MatrixFp:
-    rows = [[m.entries[r * m.cols + c] for r in range(m.rows)] for c in range(m.cols)]
-    return MatrixFp(modulus=m.modulus, rows=m.cols, cols=m.rows,
-                    entries=tuple(v for row in rows for v in row))
+def _columns(m: MatrixFp) -> list[dict[int, int]]:
+    out: list[dict[int, int]] = [{} for _ in range(m.cols)]
+    entries = m.entries
+    for k in compress(range(len(entries)), entries):
+        r, c = divmod(k, m.cols)
+        out[c][r] = entries[k]
+    return out
 
 
-def mat_vec(m: MatrixFp, v: Sequence[int]) -> tuple[int, ...]:
-    if len(v) != m.cols:
-        raise ParameterError("vector length %d does not match %d columns" % (len(v), m.cols))
+def _axpy(y: dict[int, int], f: int, x: dict[int, int], p: int) -> None:
+    """y -= f * x in place, dropping entries that cancel."""
+    for k, v in x.items():
+        w = (y.get(k, 0) - f * v) % p
+        if w:
+            y[k] = w
+        else:
+            y.pop(k, None)
+
+
+def _reduce(vec: dict[int, int], combo: dict[int, int] | None, pivots: dict, p: int) -> int | None:
+    """Reduce vec in place against the pivots, applying the same steps to
+    combo when given; the lead row left, or None when vec reduced to zero."""
+    while vec:
+        lead = min(vec)
+        piv = pivots.get(lead)
+        if piv is None:
+            return lead
+        f = vec[lead]
+        _axpy(vec, f, piv[0], p)
+        if combo is not None:
+            _axpy(combo, f, piv[1], p)
+    return None
+
+
+def _eliminate(m: MatrixFp, track: bool) -> tuple[dict, list[dict[int, int]]]:
+    """Pivots {lead row: (column, combination)} and, when track is set, the
+    kernel combination of every free column.  Each combination is the set
+    of original columns that sums to its vector."""
     p = m.modulus
-    out = []
-    for r in range(m.rows):
-        row = m.row(r)
-        out.append(sum(row[c] * v[c] for c in range(m.cols)) % p)
-    return tuple(out)
-
-
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form in place on a copy; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((rr for rr in range(r, nrows) if rows[rr][c]), None)
-        if pivot is None:
+    pivots: dict[int, tuple[dict[int, int], dict[int, int] | None]] = {}
+    kernel = []
+    for c, col in enumerate(_columns(m)):
+        combo = {c: 1} if track else None
+        lead = _reduce(col, combo, pivots, p)
+        if lead is None:
+            kernel.append(combo)
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for rr in range(nrows):
-            if rr != r and rows[rr][c]:
-                f = rows[rr][c]
-                rows[rr] = [(rows[rr][k] - f * rows[r][k]) % p for k in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        inv = pow(col[lead], -1, p)
+        pivots[lead] = ({k: v * inv % p for k, v in col.items()},
+                        {k: v * inv % p for k, v in combo.items()} if track else None)
+    return pivots, kernel
+
+
+def _dense(combo: dict[int, int], n: int) -> tuple[int, ...]:
+    v = [0] * n
+    for k, x in combo.items():
+        v[k] = x
+    return tuple(v)
 
 
 def rank(m: MatrixFp) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots = _rref(m.to_rows(), m.modulus)
-    return len(pivots)
+    return len(_eliminate(m, track=False)[0])
 
 
 def kernel_basis(m: MatrixFp) -> list[tuple[int, ...]]:
-    """Basis vectors of the null space, one per free column."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [tuple(1 if c == f else 0 for c in range(m.cols)) for f in range(m.cols)]
-    p = m.modulus
-    rref, pivots = _rref(m.to_rows(), p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[free] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rref[r][free]) % p
-        basis.append(tuple(v))
-    return basis
+    """Basis vectors of the null space, one per free column: the free column
+    with coefficient 1 plus a combination of the pivot columns before it."""
+    return [_dense(combo, m.cols) for combo in _eliminate(m, track=True)[1]]
 
 
 def in_span(m: MatrixFp, v: Sequence[int]) -> tuple[int, ...] | None:
@@ -116,15 +128,9 @@ def in_span(m: MatrixFp, v: Sequence[int]) -> tuple[int, ...] | None:
     if len(v) != m.rows:
         raise ParameterError("vector length %d does not match %d rows" % (len(v), m.rows))
     p = m.modulus
-    if m.cols == 0:
-        return () if all(x % p == 0 for x in v) else None
-    aug = [list(m.row(r)) + [v[r] % p] for r in range(m.rows)]
-    if not aug:
-        return (0,) * m.cols
-    rref, pivots = _rref(aug, p)
-    if m.cols in pivots:
+    pivots, _ = _eliminate(m, track=True)
+    # reducing v to zero leaves v + m @ combo = 0
+    combo: dict[int, int] = {}
+    if _reduce({r: x % p for r, x in enumerate(v) if x % p}, combo, pivots, p) is not None:
         return None
-    sol = [0] * m.cols
-    for r, pc in enumerate(pivots):
-        sol[pc] = rref[r][m.cols]
-    return tuple(sol)
+    return _dense({k: -x % p for k, x in combo.items()}, m.cols)

@@ -2,13 +2,16 @@
 
 The oracles here deliberately re-derive results through the dumbest route
 available (selection sort for signs, raw multiset search for bases, span
-counting for ranks) so that engine bugs cannot hide in shared code paths.
+counting for ranks, d1 of every expanded unit, dense Gauss-Jordan) so that
+engine bugs cannot hide in shared code paths.
 """
 
 import itertools
 
 from mayss import (Element, a, add, b, canonicalize, element_from_monomial,
                    generator_universe, h, scale)
+from mayss.errors import ParameterError
+from mayss.linalg import MatrixFp
 
 
 def random_generator(rng, max_i=4, max_j=3):
@@ -103,3 +106,114 @@ def span_rank(rows, p):
         k += 1
     assert p ** k == size
     return k
+
+
+def units(mon):
+    """The factors of a monomial expanded with multiplicity, in canonical order."""
+    return [g for g, e in mon.factors for _ in range(e)]
+
+
+def unit_summand_pairs(g):
+    """The two-generator words of d1(g), in written order, with +1 coefficients."""
+    if g.kind == "h":
+        return [(h(g.i - k, k + g.j), h(k, g.j)) for k in range(1, g.i)]
+    if g.kind == "a":
+        return [(h(g.i - k, k), a(k)) for k in range(0, g.i)]
+    return []
+
+
+def unit_d1_monomial(mon, ctx):
+    """d1 of a canonical monomial by the Leibniz rule on every expanded unit:
+    substitute each summand pair into the word and canonicalize the result.
+    Raw (unreduced) coefficients keyed by monomial."""
+    word = units(mon)
+    accum = {}
+    h_before = 0
+    for pos, g in enumerate(word):
+        prefix_sign = -1 if h_before % 2 else 1
+        for pair in unit_summand_pairs(g):
+            res = canonicalize(word[:pos] + list(pair) + word[pos + 1:], ctx)
+            if res is None:
+                continue
+            sign, out = res
+            accum[out] = accum.get(out, 0) + prefix_sign * sign
+        if g.is_exterior:
+            h_before += 1
+    return accum
+
+
+def transpose(m):
+    rows = [[m.entries[r * m.cols + c] for r in range(m.rows)] for c in range(m.cols)]
+    return MatrixFp(modulus=m.modulus, rows=m.cols, cols=m.rows,
+                    entries=tuple(v for row in rows for v in row))
+
+
+def mat_vec(m, v):
+    if len(v) != m.cols:
+        raise ParameterError("vector length %d does not match %d columns" % (len(v), m.cols))
+    return tuple(sum(x * y for x, y in zip(m.row(r), v)) % m.modulus for r in range(m.rows))
+
+
+def dense_rref(rows, p):
+    """Reduced row echelon form of a copy of rows: (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((rr for rr in range(r, nrows) if rows[rr][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [(v * inv) % p for v in rows[r]]
+        for rr in range(nrows):
+            if rr != r and rows[rr][c]:
+                f = rows[rr][c]
+                rows[rr] = [(rows[rr][k] - f * rows[r][k]) % p for k in range(ncols)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def dense_rank(m):
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return len(dense_rref(m.to_rows(), m.modulus)[1])
+
+
+def dense_kernel_basis(m):
+    """One null-space vector per free column of the reduced row echelon form."""
+    if m.rows == 0:
+        return [tuple(1 if c == f else 0 for c in range(m.cols)) for f in range(m.cols)]
+    p = m.modulus
+    rref, pivots = dense_rref(m.to_rows(), p)
+    basis = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = [0] * m.cols
+        v[free] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-rref[r][free]) % p
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_in_span(m, v):
+    """Solve m @ c = v through the augmented echelon form, or None."""
+    p = m.modulus
+    if m.cols == 0:
+        return () if all(x % p == 0 for x in v) else None
+    if m.rows == 0:
+        return (0,) * m.cols
+    rref, pivots = dense_rref([list(m.row(r)) + [v[r] % p] for r in range(m.rows)], p)
+    if m.cols in pivots:
+        return None
+    sol = [0] * m.cols
+    for r, pc in enumerate(pivots):
+        sol[pc] = rref[r][m.cols]
+    return tuple(sol)

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import brute_sign, random_element, random_monomial, random_word
+from helpers import brute_sign, random_element, random_monomial, random_word, units
 from mayss import (Element, ParameterError, ParseError, Tridegree, UNIT, a, add,
                    b, canonicalize, element_from_monomial, element_tridegree, h,
                    monomial_from_factors, monomial_mul, multiply, parse_element,
@@ -44,7 +44,7 @@ def test_canonicalize_sign_matches_selection_sort_oracle(rng, ctx5):
         sign, mon = res
         assert sign == want
         # same multiset of units either way
-        got = sorted(g.sort_key() for g in mon.units())
+        got = sorted(g.sort_key() for g in units(mon))
         assert got == sorted(g.sort_key() for g in word)
         checked += 1
     assert checked > 100
@@ -74,7 +74,7 @@ def test_monomial_tridegree_adds_up(rng, ctx5):
     for _ in range(100):
         mon = random_monomial(rng, ctx5)
         total = Tridegree(0, 0, 0)
-        for g in mon.units():
+        for g in units(mon):
             total = total + g.tridegree(ctx5)
         assert mon.tridegree == total
 
@@ -188,3 +188,23 @@ def test_unit_monomial_properties(ctx5):
     assert UNIT.render() == ""
     assert UNIT.tridegree == Tridegree(0, 0, 0)
     assert UNIT.factor_count == 0
+
+
+def test_parse_huge_power_roundtrips(ctx5):
+    x = parse_element("a(1)^1000000", ctx5)
+    (mon,) = x.terms
+    assert mon.factors == ((a(1), 1000000),)
+    assert render_element(x, ctx5) == "a(1)^1000000"
+    assert parse_element("2*b(1,0)^999999 h(1,1) h(1,0)", ctx5) == scale(
+        -2, parse_element("h(1,0) h(1,1) b(1,0)^999999", ctx5), ctx5)
+
+
+def test_parse_powers_match_expanded_word(rng, ctx5, ctx7):
+    # a power parses like the word with its units written out
+    for ctx in (ctx5, ctx7):
+        for _ in range(100):
+            word = [(g, rng.randint(1, 3)) for g in random_word(rng, max_factors=5)]
+            text = " ".join("%s^%d" % (g.render(), e) for g, e in word)
+            res = canonicalize([g for g, e in word for _ in range(e)], ctx)
+            expect = Element.zero() if res is None else element_from_monomial(res[1], ctx, res[0])
+            assert parse_element(text, ctx) == expect, text

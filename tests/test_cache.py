@@ -122,3 +122,18 @@ def test_default_root_honors_environment(tmp_path, monkeypatch):
     assert default_cache_root() == tmp_path / "elsewhere"
     monkeypatch.delenv("MAYSS_CACHE_DIR")
     assert str(default_cache_root()).endswith(os.path.join(".cache", "mayss"))
+
+
+def test_failed_replace_leaves_no_temp_file(ctx5, tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    clear_memo()
+    basis = enumerate_basis(ctx5, 2, 49)
+    clear_memo()
+
+    def failing_replace(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    cache.store_basis(basis, ALL_PRUNING)  # must not raise
+    assert not list((tmp_path / ENGINE_VERSION).glob(".tmp-*"))
+    assert cache.load_basis(ctx5, 2, 49, ALL_PRUNING) is None

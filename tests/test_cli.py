@@ -5,8 +5,10 @@ import sys
 import jsonschema
 import pytest
 
+from mayss import cli
 from mayss.cli import MACHINE_SCHEMA, main
 from mayss.enumeration import clear_memo
+from mayss.errors import CompletenessError
 
 
 def run(capsys, argv):
@@ -177,3 +179,14 @@ def test_module_runs_as_script(tmp_path):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "c[-1]=1 c0=2 c1=3\n"
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise CompletenessError("image monomial h(1,0) missing from codomain basis")
+
+    monkeypatch.setattr(cli, "e2_dimension", broken)
+    code, out, err = run(capsys, ["e2", "--prime", "5", "--s", "2", "--t", "49", "--no-cache"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: image monomial h(1,0) missing from codomain basis\n"

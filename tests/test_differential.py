@@ -1,11 +1,13 @@
 import pytest
 
-from helpers import random_element, random_monomial
+from helpers import (random_element, random_generator, random_monomial,
+                     unit_d1_monomial)
 from mayss import (CompletenessError, Element, a, add, b, canonicalize, d1,
                    d1_generator, d1_matrix, element_from_monomial,
-                   element_parity, element_tridegree, h, make_context,
-                   monomial_from_factors, multiply, parse_element,
+                   element_parity, element_tridegree, enumerate_basis, h,
+                   make_context, monomial_from_factors, multiply, parse_element,
                    render_element, scale)
+from mayss.algebra import _from_accumulator
 
 D1_SHIFT = (1, 0, -1)
 
@@ -154,3 +156,54 @@ def test_images_stay_homogeneous(rng, ctx5):
         image = d1(element_from_monomial(mon, ctx5), ctx5)
         if not image.is_zero:
             assert element_tridegree(image) is not None
+
+
+def _oracle_image(mon, ctx):
+    return _from_accumulator(unit_d1_monomial(mon, ctx), ctx)
+
+
+@pytest.mark.parametrize("p,s,t", [(5, 12, 3000), (5, 8, 130194), (5, 6, 1000),
+                                   (5, 9, 5000), (7, 6, 1466)])
+def test_factor_level_d1_matches_unit_oracle_on_bases(p, s, t):
+    ctx = make_context(p)
+    domain = enumerate_basis(ctx, s, t).monomials
+    codomain = enumerate_basis(ctx, s + 1, t).monomials
+    images = {}
+    for mon in domain:
+        images[mon] = _oracle_image(mon, ctx)
+        assert d1(element_from_monomial(mon, ctx), ctx) == images[mon], mon.render()
+    # the matrix of one weight block, column by column
+    weights = sorted({mon.tridegree.u for mon in domain})
+    if weights:
+        w = weights[len(weights) // 2]
+        dom = [mon for mon in domain if mon.tridegree.u == w]
+        cod = [mon for mon in codomain if mon.tridegree.u == w - 1]
+        m = d1_matrix(dom, cod, ctx)
+        for col, mon in enumerate(dom):
+            assert [m.row(r)[col] for r in range(m.rows)] == [
+                images[mon].coefficient(out) for out in cod]
+
+
+def test_factor_level_d1_matches_unit_oracle_on_powers(rng, ctx5, ctx7):
+    # exponents around multiples of p, where whole factors drop out
+    for ctx in (ctx5, ctx7):
+        for _ in range(60):
+            word = [(random_generator(rng), rng.randint(1, 2 * ctx.p + 1))
+                    for _ in range(rng.randint(1, 4))]
+            word = [(g, 1 if g.is_exterior else e) for g, e in word]
+            res = canonicalize([g for g, e in word for _ in range(e)], ctx)
+            if res is None:
+                continue
+            mon = res[1]
+            assert d1(element_from_monomial(mon, ctx), ctx) == _oracle_image(mon, ctx), mon.render()
+
+
+def test_d1_squares_to_zero_on_random_elements(rng, ctx5, ctx7):
+    for ctx in (ctx5, ctx7):
+        for _ in range(40):
+            x = random_element(rng, ctx, max_terms=4, max_factors=5, max_i=5)
+            big = element_from_monomial(monomial_from_factors(
+                [(a(rng.randint(1, 4)), rng.randint(1, 40)), (h(rng.randint(2, 4), 0), 1)],
+                ctx), ctx)
+            for y in (x, add(x, big, ctx)):
+                assert d1(d1(y, ctx), ctx).is_zero, render_element(y, ctx)

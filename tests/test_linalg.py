@@ -1,9 +1,9 @@
 import pytest
 
-from helpers import span_rank, span_vectors
+from helpers import (dense_in_span, dense_kernel_basis, dense_rank, mat_vec,
+                     span_rank, span_vectors, transpose)
 from mayss.errors import ParameterError
-from mayss.linalg import (in_span, kernel_basis, mat_vec, matrix_from_rows,
-                          rank, transpose)
+from mayss.linalg import in_span, kernel_basis, matrix_from_rows, rank
 
 
 def random_matrix(rng, p, max_dim=4):
@@ -115,3 +115,41 @@ def test_rank_known_values():
     assert rank(matrix_from_rows([[1, 2], [2, 4]], p)) == 1
     assert rank(matrix_from_rows([[1, 0], [0, 1]], p)) == 2
     assert rank(matrix_from_rows([[0, 0]], p)) == 0
+
+
+def _oracle_cases(rng, p):
+    """Random matrices of assorted shapes and densities, plus edge cases."""
+    yield matrix_from_rows([], p, cols=0)
+    yield matrix_from_rows([], p, cols=4)
+    yield matrix_from_rows([[], [], []], p, cols=0)
+    yield matrix_from_rows([[0] * 5 for _ in range(4)], p)
+    yield matrix_from_rows([[rng.randrange(p) for _ in range(7)]], p)
+    yield matrix_from_rows([[rng.randrange(p)] for _ in range(7)], p)
+    yield matrix_from_rows([[1 if r == c else 0 for c in range(6)] for r in range(6)], p)
+    # upper triangular with a nonzero diagonal: full rank
+    yield matrix_from_rows([[rng.randrange(1, p) if r == c else
+                             (rng.randrange(p) if c > r else 0) for c in range(8)]
+                            for r in range(8)], p)
+    for _ in range(80):
+        nrows, ncols = rng.randrange(1, 13), rng.randrange(1, 13)
+        density = rng.choice((0.1, 0.3, 1.0))
+        rows = [[rng.randrange(1, p) if rng.random() < density else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3 and nrows > 1:
+            # a dependent row: a combination of two others
+            i, j = rng.randrange(nrows), rng.randrange(nrows)
+            rows[0] = [(2 * x + 3 * y) % p for x, y in zip(rows[i], rows[j])]
+        yield matrix_from_rows(rows, p, cols=ncols)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_sparse_elimination_matches_dense_oracle(rng, p):
+    for m in _oracle_cases(rng, p):
+        assert rank(m) == dense_rank(m)
+        assert kernel_basis(m) == dense_kernel_basis(m)
+        for _ in range(3):
+            coeffs = [rng.randrange(p) for _ in range(m.cols)]
+            member = list(mat_vec(m, coeffs))
+            other = [rng.randrange(p) for _ in range(m.rows)]
+            for v in (member, other, [0] * m.rows):
+                assert in_span(m, v) == dense_in_span(m, v)

@@ -8,10 +8,9 @@ from .algebra import (Element, Generator, Monomial, UNIT, a, add, b,
 from .cache import ENGINE_VERSION, ResultCache, default_cache_root
 from .differential import d1, d1_generator, d1_matrix
 from .enumeration import (ALL_PRUNING, NO_PRUNING, BidegreeBasis, CarrySolution,
-                          ForcedFactors, carry_solutions, column_sums,
-                          column_sums_impossible, enumerate_basis,
-                          forced_spanning_factors, generator_universe,
-                          vanishes_by_digit_bound, vanishes_by_remainder_bound)
+                          carry_solutions, column_sums, enumerate_basis,
+                          generator_universe, vanishes_by_digit_bound,
+                          vanishes_by_remainder_bound)
 from .errors import (CompletenessError, MayssError, ParameterError, ParseError)
 from .grading import (PAdicProfile, PrimeContext, Tridegree, generator_tridegree,
                       make_context, padic_profile, profile_to_degree, stem)

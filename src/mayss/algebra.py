@@ -22,6 +22,10 @@ from .grading import PrimeContext, Tridegree, ZERO_DEGREE, generator_tridegree
 
 _KIND_RANK = {"a": 0, "h": 1, "b": 2}
 
+#: Largest generator index the parser accepts.  Degrees grow like p**(i+j),
+#: so grading a larger index would take unbounded time and memory.
+MAX_GENERATOR_INDEX = 10_000
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -351,7 +355,18 @@ class _Tokens:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError("integer too long", start) from exc
+
+    def take_index(self) -> int:
+        start = self.pos
+        value = self.take_int()
+        if value > MAX_GENERATOR_INDEX:
+            raise ParseError("generator index %d exceeds %d" % (value, MAX_GENERATOR_INDEX),
+                             start)
+        return value
 
     def expect(self, ch: str):
         if self.peek() != ch:
@@ -366,11 +381,11 @@ def _parse_generator(tk: _Tokens) -> Generator:
         raise ParseError("expected a generator (a, h, or b)", tk.pos)
     tk.pos += 1
     tk.expect("(")
-    i = tk.take_int()
+    i = tk.take_index()
     j = None
     if tk.peek() == ",":
         tk.pos += 1
-        j = tk.take_int()
+        j = tk.take_index()
     tk.expect(")")
     try:
         if kind == "a":

@@ -24,16 +24,30 @@ with the target profile requires nonnegative carries lambda with
 and every cbar_j is at most the number of factors, hence at most the
 remaining filtration.  Feasibility of that system for the residual degree is
 checked by a tiny carry DP at each search node.
+
+The search order also lets a node skip, without testing them, the
+candidates that cannot pass.  Generators heavier than the remaining degree
+form a prefix of the order, so the loop starts past them by bisection.
+Within one filtration f the remaining filtration after a pick is fixed, the
+remaining degree never decreases along the order, and the best
+degree-per-filtration ratio of the remaining suffix never increases; so once
+the degree upper bound fails for a generator of filtration f it fails for
+every later one, and the loop stops when both filtrations are closed.  The
+lower degree bound and the carry test are not monotone along the order and
+are tested per candidate.  With the degree rule off every candidate is
+visited.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Iterable
 
 from .algebra import Generator, Monomial, a, b, h, monomial_from_factors
 from .errors import ParameterError
-from .grading import PAdicProfile, PrimeContext, padic_profile
+from .grading import PAdicProfile, PrimeContext, Tridegree, padic_profile
 
 PRUNE_DEGREE = "degree"
 PRUNE_CARRY = "carry"
@@ -151,75 +165,6 @@ def vanishes_by_remainder_bound(s1: int, t: int, ctx: PrimeContext) -> bool:
     return padic_profile(t, ctx).c_minus1 > s1
 
 
-def column_sums_impossible(cbar: Sequence[int], mprime: int) -> bool:
-    """True when some triple i1 < i2 < i3 has cbar[i1] + cbar[i3] - mprime >
-    cbar[i2].  Factor supports are contiguous, so at least
-    cbar[i1] + cbar[i3] - mprime factors cover both outer columns and hence
-    the middle one; the inequality is therefore unsatisfiable by any
-    monomial with mprime factors.  cbar[0] is the remainder column."""
-    if mprime < 0:
-        raise ParameterError("factor count must be nonnegative, got %d" % mprime)
-    ncols = len(cbar)
-    for x in range(ncols):
-        for z in range(x + 2, ncols):
-            need = cbar[x] + cbar[z] - mprime
-            if need <= 0:
-                continue
-            if any(cbar[y] < need for y in range(x + 1, z)):
-                return True
-    return False
-
-
-@dataclass(frozen=True)
-class ForcedFactors:
-    """Conclusion of the spanning-factor argument for a column-sum vector."""
-
-    generator: Generator | None
-    count: int
-    vanishes: bool
-
-    def describe(self) -> str:
-        if self.count == 0:
-            return "no forced factors"
-        base = "%d cop%s of %s" % (self.count, "y" if self.count == 1 else "ies",
-                                   self.generator.render())
-        if self.vanishes:
-            base += ", hence the monomial is zero"
-        return base
-
-
-def forced_spanning_factors(cbar: Sequence[int], mprime: int,
-                            i1: int, i2: int, i3: int) -> ForcedFactors:
-    """Forced factors of any b-free monomial with column sums cbar.
-
-    Preconditions (violations raise ParameterError): -1 <= i1 < i2 < i3 <=
-    top column, cbar[i1] + cbar[i3] - mprime <= cbar[i2], and cbar vanishes
-    outside [i1, i3].  With k = cbar[i1] + cbar[i3] - mprime > 0, at least k
-    factors cover both ends; their contiguous support pinned inside
-    [i1, i3] forces h(i3-i1+1, i1) when i1 > -1 (k > 1 then kills the
-    monomial, exterior square) and a(i3+1) when i1 = -1.
-    """
-    top = len(cbar) - 2
-    if not (-1 <= i1 < i2 < i3 <= top):
-        raise ParameterError("need -1 <= i1 < i2 < i3 <= %d, got (%d, %d, %d)"
-                             % (top, i1, i2, i3))
-
-    def at(col: int) -> int:
-        return cbar[col + 1]
-
-    k = at(i1) + at(i3) - mprime
-    if k > at(i2):
-        raise ParameterError("column sums already impossible for (%d, %d, %d)" % (i1, i2, i3))
-    for col in range(-1, top + 1):
-        if (col < i1 or col > i3) and at(col) != 0:
-            raise ParameterError("column %d is nonzero outside [i1, i3]" % col)
-    if k <= 0:
-        return ForcedFactors(generator=None, count=0, vanishes=False)
-    if i1 == -1:
-        return ForcedFactors(generator=a(i3 + 1), count=k, vanishes=False)
-    return ForcedFactors(generator=h(i3 - i1 + 1, i1), count=k, vanishes=k > 1)
-
-
 # --- the digit-column carry system ----------------------------------------
 
 
@@ -321,11 +266,21 @@ def _validate_prune(prune: Iterable[str]) -> frozenset[str]:
 
 
 def _search(ctx: PrimeContext, s: int, t: int, prune: frozenset[str]) -> list[Monomial]:
-    universe = generator_universe(ctx, t, s)
-    order = sorted(universe, key=lambda g: (-g.tridegree(ctx).t, g.sort_key()))
-    n = len(order)
-    degs = [g.tridegree(ctx).t for g in order]
-    filts = [g.filtration for g in order]
+    if s == 0:
+        return [monomial_from_factors((), ctx)] if t == 0 else []
+    universe = generator_universe(ctx, t, s)   # canonical (sort_key) order
+    tri = [g.tridegree(ctx) for g in universe]
+    # Search order: decreasing degree, ties in canonical order.  pos[k] is
+    # the canonical position of the k-th generator of the search order.
+    pos = sorted(range(len(universe)), key=lambda c: (-tri[c].t, c))
+    n = len(pos)
+    order = [universe[c] for c in pos]
+    degs = [tri[c].t for c in pos]
+    neg_degs = [-d for d in degs]     # ascending, for bisect
+    filts = [tri[c].s for c in pos]
+    weights = [tri[c].u for c in pos]
+    # An exterior generator is picked at most once, so the search moves past it.
+    nidx = [k + 1 if g.is_exterior else k for k, g in enumerate(order)]
 
     # Per suffix: supported columns, and the extreme degree-per-filtration
     # fractions for the reachability bounds.
@@ -353,13 +308,12 @@ def _search(ctx: PrimeContext, s: int, t: int, prune: frozenset[str]) -> list[Mo
         return []
 
     results: list[Monomial] = []
-    chosen: list[Generator] = []
+    chosen: list[int] = []   # search-order indices, never decreasing
 
     def feasible(idx: int, s_rem: int, t_rem: int) -> bool:
+        """The lower degree bound and the carry system; the upper degree
+        bound is tested in the loop of rec, where it can end the loop."""
         if use_degree:
-            md, mf = max_frac[idx]
-            if t_rem * mf > s_rem * md:
-                return False
             md, mf = min_frac[idx]
             if t_rem * mf < s_rem * md:
                 return False
@@ -367,31 +321,54 @@ def _search(ctx: PrimeContext, s: int, t: int, prune: frozenset[str]) -> list[Mo
             return False
         return True
 
+    def leaf():
+        # Repeats of a generator are adjacent in chosen; canonical position
+        # orders the factors as monomial_from_factors would.
+        runs = sorted((pos[k], k, len(list(grp))) for k, grp in groupby(chosen))
+        results.append(Monomial(
+            factors=tuple((order[k], e) for _, k, e in runs),
+            tridegree=Tridegree(s, t, sum(weights[k] for k in chosen))))
+
     def rec(idx: int, s_rem: int, t_rem: int):
         if s_rem == 0:
             if t_rem == 0:
-                counts: dict[Generator, int] = {}
-                for g in chosen:
-                    counts[g] = counts.get(g, 0) + 1
-                results.append(monomial_from_factors(counts.items(), ctx))
+                leaf()
             return
-        if t_rem <= 0:
-            return
-        for k in range(idx, n):
-            if filts[k] > s_rem or degs[k] > t_rem:
+        # Filtrations (bit f for f in {1, 2}) whose upper bound still holds.
+        open_filts = 3 if s_rem >= 2 else 1
+        # Generators heavier than t_rem (all of them when t_rem is 0) form a
+        # prefix of the order.
+        for k in range(max(idx, bisect_left(neg_degs, -t_rem)), n):
+            f = filts[k]
+            if f > s_rem:
                 continue
-            ns, nt = s_rem - filts[k], t_rem - degs[k]
-            nidx = k + 1 if order[k].is_exterior else k
-            if (ns or nt) and not feasible(nidx, ns, nt):
-                continue
-            chosen.append(order[k])
-            rec(nidx, ns, nt)
+            ns, nt = s_rem - f, t_rem - degs[k]
+            ni = nidx[k]
+            if ns or nt:
+                if use_degree:
+                    md, mf = max_frac[ni]
+                    if nt * mf > ns * md:
+                        # Lossless skip: within filtration f, ns is fixed,
+                        # nt never decreases along the order (degs never
+                        # increases), and max_frac[ni] never increases (ni is
+                        # k or k+1, so never decreases, and the suffix shrinks).
+                        # So the bound fails for every later generator of
+                        # filtration f too.
+                        open_filts &= ~f
+                        if not open_filts:
+                            break
+                        continue
+                if not feasible(ni, ns, nt):
+                    continue
+            chosen.append(k)
+            rec(ni, ns, nt)
             chosen.pop()
 
-    if s == 0:
-        return [monomial_from_factors((), ctx)] if t == 0 else []
     if feasible(0, s, t):
         rec(0, s, t)
+    # rec reaches itself through its closure; unbinding it frees the
+    # per-search lists now instead of at the next full garbage collection.
+    rec = None
     return results
 
 

@@ -70,6 +70,11 @@ def family_degree(ctx: PrimeContext, m: int, n: int, s: int) -> int:
     return ctx.q * (ctx.p ** n + ctx.p ** m + s * ctx.p + s)
 
 
+def _require_family_index(ctx: PrimeContext, s: int) -> None:
+    if not (isinstance(s, int) and 2 <= s < ctx.p):
+        raise ParameterError("family index s must satisfy 2 <= s < p, got s=%r" % (s,))
+
+
 def validate_family_params(ctx: PrimeContext, m: int, n: int, s: int | None = None,
                            strict_range: bool = True) -> None:
     """Gate for the window scenarios: n >= m+2 > 5 and, when given, 2 <= s < p.
@@ -92,8 +97,8 @@ def validate_family_params(ctx: PrimeContext, m: int, n: int, s: int | None = No
             "m=%d is outside the range n >= m+2 > 5 in which the window "
             "results are claimed; checks may legitimately fail" % m,
             stacklevel=2)
-    if s is not None and not (isinstance(s, int) and 2 <= s < ctx.p):
-        raise ParameterError("family index s must satisfy 2 <= s < p, got s=%r" % (s,))
+    if s is not None:
+        _require_family_index(ctx, s)
 
 
 def critical_monomials(ctx: PrimeContext, m: int, n: int) -> tuple[Monomial, ...]:
@@ -150,8 +155,7 @@ def critical_leading_terms(ctx: PrimeContext, m: int, n: int) -> tuple[Monomial,
 
 def s_rep(ctx: PrimeContext, s: int) -> Monomial:
     """The filtration-s family representative a(2)^(s-2) h(2,0) h(1,1)."""
-    if not (isinstance(s, int) and 2 <= s < ctx.p):
-        raise ParameterError("family index s must satisfy 2 <= s < p, got s=%r" % (s,))
+    _require_family_index(ctx, s)
     word = [(h(2, 0), 1), (h(1, 1), 1)]
     if s > 2:
         word.insert(0, (a(2), s - 2))
@@ -167,8 +171,7 @@ def h_triple(ctx: PrimeContext, m: int, n: int) -> Monomial:
 
 def product_class(ctx: PrimeContext, m: int, n: int, s: int) -> Monomial:
     """The candidate surviving class a(2)^(s-2) h(2,0) h(1,1) h(1,0) h(1,n) h(1,m)."""
-    if not (isinstance(s, int) and 2 <= s < ctx.p):
-        raise ParameterError("family index s must satisfy 2 <= s < p, got s=%r" % (s,))
+    _require_family_index(ctx, s)
     if not (isinstance(m, int) and isinstance(n, int) and 2 <= m < n):
         raise ParameterError("need integers 2 <= m < n, got m=%r n=%r" % (m, n))
     word = [(h(2, 0), 1), (h(1, 1), 1), (h(1, 0), 1), (h(1, n), 1), (h(1, m), 1)]
@@ -353,8 +356,7 @@ def verify_upper_window_vanishing(ctx: PrimeContext, m: int, n: int, s: int,
 def verify_representatives(ctx: PrimeContext, m: int, n: int, s: int,
                            prune=ALL_PRUNING, cache=None) -> VerificationReport:
     """Degree bookkeeping for the two factor classes and their product."""
-    if not (isinstance(s, int) and 2 <= s < ctx.p):
-        raise ParameterError("family index s must satisfy 2 <= s < p, got s=%r" % (s,))
+    _require_family_index(ctx, s)
     if not (isinstance(m, int) and isinstance(n, int) and 1 <= m < n):
         raise ParameterError("need integers 1 <= m < n, got m=%r n=%r" % (m, n))
     t0 = time.perf_counter()

@@ -3,12 +3,15 @@
 The oracles here deliberately re-derive results through the dumbest route
 available (selection sort for signs, raw multiset search for bases, span
 counting for ranks, d1 of every expanded unit, dense Gauss-Jordan) so that
-engine bugs cannot hide in shared code paths.
+engine bugs cannot hide in shared code paths.  The column-sum predicates of
+the spanning-factor argument live here too: only tests check them.
 """
 
 import itertools
+from dataclasses import dataclass
+from typing import Sequence
 
-from mayss import (Element, a, add, b, canonicalize, element_from_monomial,
+from mayss import (Element, Generator, a, add, b, canonicalize, element_from_monomial,
                    generator_universe, h, scale)
 from mayss.errors import ParameterError
 from mayss.linalg import MatrixFp
@@ -87,6 +90,75 @@ def reference_basis(ctx, s, t):
     rec(0, s, t, [])
     assert len(set(found)) == len(found)
     return sorted(found)
+
+
+def column_sums_impossible(cbar: Sequence[int], mprime: int) -> bool:
+    """True when some triple i1 < i2 < i3 has cbar[i1] + cbar[i3] - mprime >
+    cbar[i2].  Factor supports are contiguous, so at least
+    cbar[i1] + cbar[i3] - mprime factors cover both outer columns and hence
+    the middle one; the inequality is therefore unsatisfiable by any
+    monomial with mprime factors.  cbar[0] is the remainder column."""
+    if mprime < 0:
+        raise ParameterError("factor count must be nonnegative, got %d" % mprime)
+    ncols = len(cbar)
+    for x in range(ncols):
+        for z in range(x + 2, ncols):
+            need = cbar[x] + cbar[z] - mprime
+            if need <= 0:
+                continue
+            if any(cbar[y] < need for y in range(x + 1, z)):
+                return True
+    return False
+
+
+@dataclass(frozen=True)
+class ForcedFactors:
+    """Conclusion of the spanning-factor argument for a column-sum vector."""
+
+    generator: Generator | None
+    count: int
+    vanishes: bool
+
+    def describe(self) -> str:
+        if self.count == 0:
+            return "no forced factors"
+        base = "%d cop%s of %s" % (self.count, "y" if self.count == 1 else "ies",
+                                   self.generator.render())
+        if self.vanishes:
+            base += ", hence the monomial is zero"
+        return base
+
+
+def forced_spanning_factors(cbar: Sequence[int], mprime: int,
+                            i1: int, i2: int, i3: int) -> ForcedFactors:
+    """Forced factors of any b-free monomial with column sums cbar.
+
+    Preconditions (violations raise ParameterError): -1 <= i1 < i2 < i3 <=
+    top column, cbar[i1] + cbar[i3] - mprime <= cbar[i2], and cbar vanishes
+    outside [i1, i3].  With k = cbar[i1] + cbar[i3] - mprime > 0, at least k
+    factors cover both ends; their contiguous support pinned inside
+    [i1, i3] forces h(i3-i1+1, i1) when i1 > -1 (k > 1 then kills the
+    monomial, exterior square) and a(i3+1) when i1 = -1.
+    """
+    top = len(cbar) - 2
+    if not (-1 <= i1 < i2 < i3 <= top):
+        raise ParameterError("need -1 <= i1 < i2 < i3 <= %d, got (%d, %d, %d)"
+                             % (top, i1, i2, i3))
+
+    def at(col: int) -> int:
+        return cbar[col + 1]
+
+    k = at(i1) + at(i3) - mprime
+    if k > at(i2):
+        raise ParameterError("column sums already impossible for (%d, %d, %d)" % (i1, i2, i3))
+    for col in range(-1, top + 1):
+        if (col < i1 or col > i3) and at(col) != 0:
+            raise ParameterError("column %d is nonzero outside [i1, i3]" % col)
+    if k <= 0:
+        return ForcedFactors(generator=None, count=0, vanishes=False)
+    if i1 == -1:
+        return ForcedFactors(generator=a(i3 + 1), count=k, vanishes=False)
+    return ForcedFactors(generator=h(i3 - i1 + 1, i1), count=k, vanishes=k > 1)
 
 
 def span_vectors(rows, p):

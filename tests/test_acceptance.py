@@ -6,9 +6,9 @@ import json
 import random
 import time
 
-from helpers import random_monomial
+from helpers import column_sums_impossible, random_monomial
 from mayss import (ALL_PRUNING, NO_PRUNING, Tridegree, a, add, b, column_sums,
-                   column_sums_impossible, critical_leading_terms,
+                   critical_leading_terms,
                    critical_monomials, d1, e1_dimension, e2_dimension,
                    element_from_monomial, element_parity, family_degree, h,
                    h_triple, higher_page_hit_analysis, make_context,

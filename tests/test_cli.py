@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from mayss import cli
+from mayss.algebra import Generator
 from mayss.cli import MACHINE_SCHEMA, main
 from mayss.enumeration import clear_memo
 from mayss.errors import CompletenessError
@@ -50,6 +51,19 @@ def test_parse_error_reports_position(capsys):
     code, out, err = run(capsys, ["d1", "h(2,0", "--prime", "5"])
     assert code == 2
     assert err == "error: expected ')' (at position 5)\n"
+
+
+def test_absurd_numbers_are_rejected_before_grading(capsys, monkeypatch):
+    def no_grading(self, ctx):
+        raise AssertionError("graded %s" % self.render())
+
+    monkeypatch.setattr(Generator, "tridegree", no_grading)
+    for text, message in (
+            ("h(1,100000000)", "generator index 100000000 exceeds 10000 (at position 4)"),
+            ("a(1)^" + "1" * 5000, "integer too long (at position 5)")):
+        code, out, err = run(capsys, ["d1", text, "--prime", "5"])
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % message
 
 
 def test_e2_text(capsys):

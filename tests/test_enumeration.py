@@ -1,9 +1,8 @@
 import pytest
 
-from helpers import reference_basis
+from helpers import column_sums_impossible, forced_spanning_factors, reference_basis
 from mayss import (ALL_PRUNING, NO_PRUNING, ParameterError, UNIT, a, b,
-                   carry_solutions, column_sums, column_sums_impossible,
-                   enumerate_basis, forced_spanning_factors,
+                   carry_solutions, column_sums, enumerate_basis, family_degree,
                    generator_universe, h, monomial_from_factors, padic_profile,
                    vanishes_by_digit_bound, vanishes_by_remainder_bound)
 from mayss.enumeration import (PRUNE_CARRY, PRUNE_DEGREE, PRUNE_DIGIT,
@@ -44,6 +43,23 @@ def test_each_single_flag_is_lossless(ctx5):
                 clear_memo()
                 got = [m.render() for m in enumerate_basis(ctx5, s, t, prune=prune).monomials]
                 assert got == want, (s, t, sorted(prune))
+    clear_memo()
+
+
+def test_degree_skip_is_lossless_at_large_degrees(ctx5, ctx7):
+    # Large universes, where the degree-ordered skip fires often; every leaf
+    # must also equal the monomial built through the validating constructor.
+    cases = [(ctx5, 12, 3000), (ctx5, 11, 2988), (ctx5, 8, 130194)]
+    for ctx, (m, n, s), rs in ((ctx5, (4, 6, 4), (1, 2, 3)), (ctx7, (6, 10, 6), (1, 2))):
+        base = family_degree(ctx, m, n, s)
+        cases += [(ctx, s + 3 - r, base + s - r - 1) for r in rs]
+    clear_memo()
+    for ctx, s, t in cases:
+        pruned = enumerate_basis(ctx, s, t).monomials
+        unpruned = enumerate_basis(ctx, s, t, prune=ALL_PRUNING - {PRUNE_DEGREE}).monomials
+        assert pruned == unpruned, (ctx.p, s, t)
+        for mon in pruned:
+            assert mon == monomial_from_factors(mon.factors, ctx), mon.render()
     clear_memo()
 
 

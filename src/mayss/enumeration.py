@@ -22,8 +22,13 @@ with the target profile requires nonnegative carries lambda with
     cbar_j + lambda_{j-1} = c_j + lambda_j p      (no carry out of the top)
 
 and every cbar_j is at most the number of factors, hence at most the
-remaining filtration.  Feasibility of that system for the residual degree is
-checked by a tiny carry DP at each search node.
+remaining filtration.  Each search node checks that system for the residual
+degree, with every column its remaining generators cannot reach capped at 0.
+The carries that can enter a column always form an interval [0, hi]: a
+column of digit d and capacity cap passes on exactly the carries
+0 .. (hi + cap - d) // p, since d >= 0 makes the lower end 0 reachable
+whenever any carry is.  So one integer recurrence over the columns decides
+the system exactly, with the top carry hi >= 0 as its only condition.
 
 The search order also lets a node skip, without testing them, the
 candidates that cannot pass.  Generators heavier than the remaining degree
@@ -55,6 +60,11 @@ PRUNE_DIGIT = "digit"
 PRUNE_REMAINDER = "remainder"
 ALL_PRUNING = frozenset({PRUNE_DEGREE, PRUNE_CARRY, PRUNE_DIGIT, PRUNE_REMAINDER})
 NO_PRUNING: frozenset[str] = frozenset()
+
+# The search recurses once per factor, so up to s levels deep.  Filtrations
+# above this bound are rejected with a ParameterError, well before Python's
+# default recursion limit of 1000 frames.
+MAX_FILTRATION = 512
 
 _memo: dict[tuple, "BidegreeBasis"] = {}
 
@@ -216,42 +226,37 @@ def _carry_feasible(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> bo
     bounded by cap and restricted to the supported columns.
 
     support is a bitmask: bit 0 is the remainder column, bit j+1 is column
-    j.  Pure DP over the carry value; necessary for any completion.
+    j.  Necessary for any completion.
+
+    The reachable carries always form an interval [0, hi], so one integer
+    follows them.  Out of the remainder column they are the lam >= 0 with
+    cm + lam*q <= cap_m1, that is [0, (cap_m1 - cm) // q], which holds 0
+    once cm <= cap_m1 (and never passes cap, since cap_m1 <= cap).  Into
+    column j with digit d and capacity cap_j, a carry out lam >= 0 is
+    reachable iff some carry in c in [0, hi] gives
+    0 <= d + lam*p - c <= cap_j; as d >= 0 that holds iff
+    d + lam*p - cap_j <= hi.  So the carries out are
+    [0, (hi + cap_j - d) // p], empty when that bound is negative.  The top
+    column must carry out 0, which an interval from 0 holds whenever it is
+    non-empty, and past the top digit d = 0 keeps hi >= 0.  So the test is
+    that hi stays >= 0 through the digits of t_rem: time linear in them,
+    memory constant in cap.
     """
-    if t_rem == 0:
-        return True
     p, q = ctx.p, ctx.q
     body, cm = divmod(t_rem, q)
     cap_m1 = cap if support & 1 else 0
     if cm > cap_m1:
         return False
-    carries = set()
-    lam = 0
-    while cm + lam * q <= cap_m1 and lam <= cap:
-        carries.add(lam)
-        lam += 1
-    col = 0
-    while body or (support >> (col + 1)):
-        if not carries:
+    hi = (cap_m1 - cm) // q
+    cols = support >> 1
+    while body:
+        # body % p is this column's digit d, cols & 1 its support bit.
+        hi = (hi + (cap if cols & 1 else 0) - body % p) // p
+        if hi < 0:
             return False
-        body, d = divmod(body, p)
-        cap_j = cap if (support >> (col + 1)) & 1 else 0
-        nxt = set()
-        for carry_in in carries:
-            lam_out = 0
-            while True:
-                c = d + lam_out * p - carry_in
-                if c > cap_j:
-                    break
-                if c >= 0:
-                    nxt.add(lam_out)
-                lam_out += 1
-        carries = nxt
-        col += 1
-    # Any leftover carry must vanish through zero-capacity columns.
-    while carries and 0 not in carries:
-        carries = {lam // p for lam in carries if lam % p == 0}
-    return 0 in carries
+        body //= p
+        cols >>= 1
+    return True
 
 
 # --- the search ------------------------------------------------------------
@@ -307,19 +312,16 @@ def _search(ctx: PrimeContext, s: int, t: int, prune: frozenset[str]) -> list[Mo
     if PRUNE_REMAINDER in prune and 0 < s < ctx.q and vanishes_by_remainder_bound(s, t, ctx):
         return []
 
+    # The root's own lower degree bound and carry test; rec tests every
+    # child, the upper degree bound in its loop where it can end the loop.
+    md, mf = min_frac[0]
+    if use_degree and t * mf < s * md:
+        return []
+    if use_carry and not _carry_feasible(t, s, supp[0], ctx):
+        return []
+
     results: list[Monomial] = []
     chosen: list[int] = []   # search-order indices, never decreasing
-
-    def feasible(idx: int, s_rem: int, t_rem: int) -> bool:
-        """The lower degree bound and the carry system; the upper degree
-        bound is tested in the loop of rec, where it can end the loop."""
-        if use_degree:
-            md, mf = min_frac[idx]
-            if t_rem * mf < s_rem * md:
-                return False
-        if use_carry and not _carry_feasible(t_rem, s_rem, supp[idx], ctx):
-            return False
-        return True
 
     def leaf():
         # Repeats of a generator are adjacent in chosen; canonical position
@@ -358,14 +360,16 @@ def _search(ctx: PrimeContext, s: int, t: int, prune: frozenset[str]) -> list[Mo
                         if not open_filts:
                             break
                         continue
-                if not feasible(ni, ns, nt):
+                    md, mf = min_frac[ni]
+                    if nt * mf < ns * md:
+                        continue
+                if use_carry and not _carry_feasible(nt, ns, supp[ni], ctx):
                     continue
             chosen.append(k)
             rec(ni, ns, nt)
             chosen.pop()
 
-    if feasible(0, s, t):
-        rec(0, s, t)
+    rec(0, s, t)
     # rec reaches itself through its closure; unbinding it frees the
     # per-search lists now instead of at the next full garbage collection.
     rec = None
@@ -379,6 +383,8 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int, u: int | None = None,
     bidegree when u is None.  Sorted by rendered monomial."""
     if s < 0 or t < 0:
         raise ParameterError("filtration and degree must be nonnegative, got (%d, %d)" % (s, t))
+    if s > MAX_FILTRATION:
+        raise ParameterError("filtration %d exceeds %d" % (s, MAX_FILTRATION))
     flags = _validate_prune(prune)
     key = (ctx.p, s, t, None, flags)
     basis = _memo.get(key)

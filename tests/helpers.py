@@ -2,9 +2,10 @@
 
 The oracles here deliberately re-derive results through the dumbest route
 available (selection sort for signs, raw multiset search for bases, span
-counting for ranks, d1 of every expanded unit, dense Gauss-Jordan) so that
-engine bugs cannot hide in shared code paths.  The column-sum predicates of
-the spanning-factor argument live here too: only tests check them.
+counting for ranks, d1 of every expanded unit, dense Gauss-Jordan, the set
+of every reachable carry per digit column) so that engine bugs cannot hide
+in shared code paths.  The column-sum predicates of the spanning-factor
+argument live here too: only tests check them.
 """
 
 import itertools
@@ -159,6 +160,48 @@ def forced_spanning_factors(cbar: Sequence[int], mprime: int,
     if i1 == -1:
         return ForcedFactors(generator=a(i3 + 1), count=k, vanishes=False)
     return ForcedFactors(generator=h(i3 - i1 + 1, i1), count=k, vanishes=k > 1)
+
+
+def set_carry_feasible(t_rem, cap, support, ctx):
+    """The digit-column carry test by dynamic programming over the set of
+    every reachable carry, column by column.  Memory grows with cap.
+
+    support is a bitmask: bit 0 is the remainder column, bit j+1 is column j.
+    """
+    if t_rem == 0:
+        return True
+    p, q = ctx.p, ctx.q
+    body, cm = divmod(t_rem, q)
+    cap_m1 = cap if support & 1 else 0
+    if cm > cap_m1:
+        return False
+    carries = set()
+    lam = 0
+    while cm + lam * q <= cap_m1 and lam <= cap:
+        carries.add(lam)
+        lam += 1
+    col = 0
+    while body or (support >> (col + 1)):
+        if not carries:
+            return False
+        body, d = divmod(body, p)
+        cap_j = cap if (support >> (col + 1)) & 1 else 0
+        nxt = set()
+        for carry_in in carries:
+            lam_out = 0
+            while True:
+                c = d + lam_out * p - carry_in
+                if c > cap_j:
+                    break
+                if c >= 0:
+                    nxt.add(lam_out)
+                lam_out += 1
+        carries = nxt
+        col += 1
+    # Any leftover carry must vanish through zero-capacity columns.
+    while carries and 0 not in carries:
+        carries = {lam // p for lam in carries if lam % p == 0}
+    return 0 in carries
 
 
 def span_vectors(rows, p):

@@ -5,7 +5,7 @@ import sys
 import jsonschema
 import pytest
 
-from mayss import cli
+from mayss import cli, enumeration
 from mayss.algebra import Generator
 from mayss.cli import MACHINE_SCHEMA, main
 from mayss.enumeration import clear_memo
@@ -64,6 +64,20 @@ def test_absurd_numbers_are_rejected_before_grading(capsys, monkeypatch):
         code, out, err = run(capsys, ["d1", text, "--prime", "5"])
         assert (code, out) == (2, "")
         assert err == "error: %s\n" % message
+
+
+def test_filtration_beyond_the_search_depth_is_a_usage_error(capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(enumeration, "_search", no_search)
+    for argv in (["survives", "--prime", "5", "a(1)^3000"],
+                 ["survives", "--prime", "5", "a(1)^100000000000"],
+                 ["basis", "--prime", "5", "--s", "513", "--t", "4617"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.count("error:") == 1 and err.startswith("error: filtration "), err
+        assert "Traceback" not in err
 
 
 def test_e2_text(capsys):

@@ -1,12 +1,14 @@
 import pytest
 
-from helpers import column_sums_impossible, forced_spanning_factors, reference_basis
+from helpers import (column_sums_impossible, forced_spanning_factors, reference_basis,
+                     set_carry_feasible)
 from mayss import (ALL_PRUNING, NO_PRUNING, ParameterError, UNIT, a, b,
                    carry_solutions, column_sums, enumerate_basis, family_degree,
-                   generator_universe, h, monomial_from_factors, padic_profile,
-                   vanishes_by_digit_bound, vanishes_by_remainder_bound)
-from mayss.enumeration import (PRUNE_CARRY, PRUNE_DEGREE, PRUNE_DIGIT,
-                               PRUNE_REMAINDER, clear_memo, digit_span)
+                   generator_universe, h, make_context, monomial_from_factors,
+                   padic_profile, vanishes_by_digit_bound, vanishes_by_remainder_bound)
+from mayss import enumeration
+from mayss.enumeration import (MAX_FILTRATION, PRUNE_CARRY, PRUNE_DEGREE, PRUNE_DIGIT,
+                               PRUNE_REMAINDER, _carry_feasible, clear_memo, digit_span)
 from mayss.grading import PAdicProfile
 
 
@@ -75,6 +77,24 @@ def test_trivial_bidegrees(ctx5):
         enumerate_basis(ctx5, 2, -8)
     with pytest.raises(ParameterError):
         enumerate_basis(ctx5, 2, 49, prune={"bogus"})
+
+
+def test_filtration_limit(ctx5, monkeypatch):
+    # The deepest allowed search recurses MAX_FILTRATION levels without
+    # reaching the interpreter's recursion limit ...
+    clear_memo()
+    top = enumerate_basis(ctx5, MAX_FILTRATION, MAX_FILTRATION)
+    assert [m.render() for m in top.monomials] == ["a(0)^%d" % MAX_FILTRATION]
+    clear_memo()
+
+    # ... and one more is rejected before any search starts.
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(enumeration, "_search", no_search)
+    with pytest.raises(ParameterError, match="filtration %d exceeds %d"
+                       % (MAX_FILTRATION + 1, MAX_FILTRATION)):
+        enumerate_basis(ctx5, MAX_FILTRATION + 1, MAX_FILTRATION + 1)
 
 
 def test_weight_filter_is_posthoc(ctx5):
@@ -226,3 +246,36 @@ def test_carry_solutions_satisfy_the_column_equations(ctx5, ctx7):
                     carry_in = sol.lambdas[j]
                     carry_out = sol.lambdas[j + 1] if j + 1 < len(digits) else 0
                     assert sol.cbar[1 + j] == digits[j] + carry_out * ctx.p - carry_in
+
+
+def test_carry_recurrence_matches_the_set_oracle(ctx5, ctx7, rng):
+    for ctx in (ctx5, ctx7):
+        for t in range(1200):
+            for cap in range(7):
+                for support in range(32):
+                    assert (_carry_feasible(t, cap, support, ctx)
+                            == set_carry_feasible(t, cap, support, ctx)), (ctx.p, t, cap, support)
+    for _ in range(3000):
+        ctx = rng.choice((ctx5, ctx7))
+        t = rng.randint(0, 10**12)
+        cap = rng.randint(0, 40)
+        support = rng.getrandbits(rng.randint(1, 20))
+        assert (_carry_feasible(t, cap, support, ctx)
+                == set_carry_feasible(t, cap, support, ctx)), (ctx.p, t, cap, support)
+
+
+def test_carry_recurrence_is_constant_memory_in_cap(ctx5):
+    # The set oracle would hold about 10**10 carries here.
+    assert _carry_feasible(9 * 10**11, 10**11, (1 << 40) - 1, ctx5)
+
+
+def test_carry_forms_agree(ctx5, ctx7):
+    # The lemma form (every solution, carries bounded too) and the search
+    # form (feasibility over all columns of t) decide the same systems.
+    for ctx in (ctx5, ctx7, make_context(11)):
+        for t in range(4000):
+            target = padic_profile(t, ctx)
+            support = (1 << (len(target.digits) + 1)) - 1
+            for cap in range(9):
+                assert (bool(carry_solutions(target, cap, ctx))
+                        == _carry_feasible(t, cap, support, ctx)), (ctx.p, t, cap)

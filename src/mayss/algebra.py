@@ -42,10 +42,6 @@ class Generator:
     def is_exterior(self) -> bool:
         return self.kind == "h"
 
-    @property
-    def filtration(self) -> int:
-        return 2 if self.kind == "b" else 1
-
     def tridegree(self, ctx: PrimeContext) -> Tridegree:
         return generator_tridegree(self.kind, self.i, self.j, ctx)
 
@@ -83,21 +79,6 @@ class Monomial:
     factors: tuple[tuple[Generator, int], ...]
     tridegree: Tridegree
 
-    @property
-    def factor_count(self) -> int:
-        """Number of factors counted with multiplicity (a b-factor counts once)."""
-        return sum(e for _, e in self.factors)
-
-    @property
-    def exterior_count(self) -> int:
-        return sum(e for g, e in self.factors if g.is_exterior)
-
-    def exponent_of(self, g: Generator) -> int:
-        for g2, e in self.factors:
-            if g2 == g:
-                return e
-        return 0
-
     def render(self) -> str:
         if not self.factors:
             return ""
@@ -108,9 +89,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return self.render() or "1"
-
-
-UNIT = Monomial(factors=(), tridegree=ZERO_DEGREE)
 
 
 def canonicalize(gens: Sequence[Generator], ctx: PrimeContext) -> tuple[int, Monomial] | None:
@@ -155,53 +133,29 @@ def _canonicalize_factors(factors: Iterable[tuple[Generator, int]],
 
 
 def monomial_from_factors(factors: Iterable[tuple[Generator, int]], ctx: PrimeContext) -> Monomial:
-    """Build a canonical monomial from (generator, exponent) pairs.
+    """Build a canonical monomial from (generator, exponent) pairs, dropping
+    the sign of the reordering.
 
-    Raises on nonpositive exponents or an exterior exponent above 1; use
+    Raises on nonpositive exponents or a repeated exterior generator; use
     canonicalize for raw words that may square to zero.
     """
-    counts: dict[Generator, int] = {}
+    factors = list(factors)
     for g, e in factors:
         if e <= 0:
             raise ParameterError("exponent must be positive, got %d for %s" % (e, g.render()))
-        counts[g] = counts.get(g, 0) + e
-    for g, e in counts.items():
-        if g.is_exterior and e > 1:
-            raise ParameterError("exterior generator %s repeated" % g.render())
-    canon = tuple(sorted(counts.items(), key=lambda it: it[0].sort_key()))
-    deg = ZERO_DEGREE
-    for g, e in canon:
-        deg = deg + g.tridegree(ctx).scaled(e)
-    return Monomial(factors=canon, tridegree=deg)
-
-
-def monomial_mul(x: Monomial, y: Monomial, ctx: PrimeContext) -> tuple[int, Monomial] | None:
-    """Product of two canonical monomials: (sign, monomial) or None if zero."""
-    hx = [g for g, _ in x.factors if g.is_exterior]
-    hy = [g for g, _ in y.factors if g.is_exterior]
-    inv = 0
-    for gx in hx:
-        kx = gx.sort_key()
-        for gy in hy:
-            ky = gy.sort_key()
-            if kx > ky:
-                inv += 1
-            elif kx == ky:
-                return None
-    counts: dict[Generator, int] = {g: e for g, e in x.factors}
-    for g, e in y.factors:
-        counts[g] = counts.get(g, 0) + e
-    factors = tuple(sorted(counts.items(), key=lambda it: it[0].sort_key()))
-    return (-1 if inv % 2 else 1,
-            Monomial(factors=factors, tridegree=x.tridegree + y.tridegree))
+    res = _canonicalize_factors(factors, ctx)
+    if res is None:
+        raise ParameterError("exterior generator repeated in %s"
+                             % " ".join(g.render() for g, _ in factors))
+    return res[1]
 
 
 class Element:
     """A finite F_p combination of canonical monomials.
 
     Coefficients are stored as residues in [1, p-1]; the zero element has no
-    terms.  Arithmetic lives in the module-level functions add / scale /
-    multiply, which take the prime context explicitly.
+    terms.  Arithmetic lives in module-level functions such as multiply,
+    which take the prime context explicitly.
     """
 
     __slots__ = ("_terms",)
@@ -254,24 +208,13 @@ def element_from_monomial(mon: Monomial, ctx: PrimeContext, coeff: int = 1) -> E
     return _from_accumulator({mon: coeff}, ctx)
 
 
-def add(x: Element, y: Element, ctx: PrimeContext) -> Element:
-    accum = x.terms
-    for mon, c in y.terms.items():
-        accum[mon] = accum.get(mon, 0) + c
-    return _from_accumulator(accum, ctx)
-
-
-def scale(c: int, x: Element, ctx: PrimeContext) -> Element:
-    if c % ctx.p == 0:
-        return Element.zero()
-    return _from_accumulator({mon: c * cc for mon, cc in x.terms.items()}, ctx)
-
-
 def multiply(x: Element, y: Element, ctx: PrimeContext) -> Element:
     accum: dict[Monomial, int] = {}
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
-            res = monomial_mul(mx, my, ctx)
+            # both are canonical, so the sign is that of moving y's exterior
+            # factors past x's
+            res = _canonicalize_factors(mx.factors + my.factors, ctx)
             if res is None:
                 continue
             sign, mon = res
@@ -288,14 +231,6 @@ def element_tridegree(x: Element) -> Tridegree | None:
         elif deg != mon.tridegree:
             return None
     return deg
-
-
-def element_parity(x: Element) -> int | None:
-    """Koszul parity (s + t) mod 2 of a homogeneous nonzero element."""
-    deg = element_tridegree(x)
-    if deg is None:
-        return None
-    return (deg.s + deg.t) % 2
 
 
 # --- text form -------------------------------------------------------------

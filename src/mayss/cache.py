@@ -1,10 +1,10 @@
 """Persistent cache for enumerated bases and differential matrices.
 
 Layout: one file per entry under <root>/<engine version>/, so a version bump
-invalidates everything at once.  The pruning-flag fingerprint is part of the
-file name, and each file repeats version and query in a header that loads
-verify.  Writes go to a temp file in the same directory followed by an
-atomic rename; unreadable or mismatched entries are treated as absent.
+invalidates everything at once.  Each file repeats version and query in a
+header that loads verify.  Writes go to a temp file in the same directory
+followed by an atomic rename; unreadable or mismatched entries are treated
+as absent.
 """
 
 from __future__ import annotations
@@ -33,21 +33,17 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "mayss"
 
 
-def _fingerprint(flags) -> str:
-    return "+".join(sorted(flags)) if flags else "none"
-
-
 class ResultCache:
-    """File-backed store keyed by (kind, p, s, t, weight, pruning flags)."""
+    """File-backed store keyed by (kind, p, s, t, weight)."""
 
     def __init__(self, root: Path | str):
         self.root = Path(root) / ENGINE_VERSION
 
     # -- paths and atomic IO ------------------------------------------------
 
-    def _path(self, kind: str, p: int, s: int, t: int, u, fingerprint: str) -> Path:
+    def _path(self, kind: str, p: int, s: int, t: int, u) -> Path:
         uu = "all" if u is None else str(u)
-        return self.root / ("%s_p%d_s%d_t%d_u%s_%s.txt" % (kind, p, s, t, uu, fingerprint))
+        return self.root / ("%s_p%d_s%d_t%d_u%s.txt" % (kind, p, s, t, uu))
 
     def _write(self, path: Path, lines: list[str]) -> None:
         tmp = None
@@ -74,13 +70,12 @@ class ResultCache:
 
     # -- bases --------------------------------------------------------------
 
-    def _basis_header(self, p: int, s: int, t: int, fingerprint: str) -> str:
-        return "basis p=%d s=%d t=%d u=all prune=%s" % (p, s, t, fingerprint)
+    def _basis_header(self, p: int, s: int, t: int) -> str:
+        return "basis p=%d s=%d t=%d u=all" % (p, s, t)
 
-    def load_basis(self, ctx: PrimeContext, s: int, t: int, flags) -> BidegreeBasis | None:
-        fp = _fingerprint(flags)
-        body = self._read(self._path("basis", ctx.p, s, t, None, fp),
-                          self._basis_header(ctx.p, s, t, fp))
+    def load_basis(self, ctx: PrimeContext, s: int, t: int) -> BidegreeBasis | None:
+        body = self._read(self._path("basis", ctx.p, s, t, None),
+                          self._basis_header(ctx.p, s, t))
         if body is None:
             return None
         monomials = []
@@ -97,26 +92,23 @@ class ResultCache:
                 monomials.append(mon)
         except Exception:
             return None
-        return BidegreeBasis(p=ctx.p, s=s, t=t, u=None, monomials=tuple(monomials),
-                             universe_bound="deg <= %d, filt <= %d" % (t, s))
+        return BidegreeBasis(p=ctx.p, s=s, t=t, u=None, monomials=tuple(monomials))
 
-    def store_basis(self, basis: BidegreeBasis, flags) -> None:
-        fp = _fingerprint(flags)
+    def store_basis(self, basis: BidegreeBasis) -> None:
         lines = ["%s %s" % (_MAGIC, ENGINE_VERSION),
-                 self._basis_header(basis.p, basis.s, basis.t, fp)]
+                 self._basis_header(basis.p, basis.s, basis.t)]
         lines.extend(mon.render() or "1" for mon in basis.monomials)
-        self._write(self._path("basis", basis.p, basis.s, basis.t, None, fp), lines)
+        self._write(self._path("basis", basis.p, basis.s, basis.t, None), lines)
 
     # -- matrices -----------------------------------------------------------
 
-    def _matrix_header(self, p: int, s: int, t: int, u: int, fingerprint: str) -> str:
-        return "d1mat p=%d s=%d t=%d u=%d prune=%s" % (p, s, t, u, fingerprint)
+    def _matrix_header(self, p: int, s: int, t: int, u: int) -> str:
+        return "d1mat p=%d s=%d t=%d u=%d" % (p, s, t, u)
 
     def load_matrix(self, ctx: PrimeContext, s: int, t: int, u: int,
-                    rows: int, cols: int, flags=()) -> MatrixFp | None:
-        fp = _fingerprint(flags)
-        body = self._read(self._path("d1mat", ctx.p, s, t, u, fp),
-                          self._matrix_header(ctx.p, s, t, u, fp))
+                    rows: int, cols: int) -> MatrixFp | None:
+        body = self._read(self._path("d1mat", ctx.p, s, t, u),
+                          self._matrix_header(ctx.p, s, t, u))
         if body is None:
             return None
         try:
@@ -132,11 +124,9 @@ class ResultCache:
         except (ValueError, IndexError):
             return None
 
-    def store_matrix(self, ctx: PrimeContext, s: int, t: int, u: int, m: MatrixFp,
-                     flags=()) -> None:
-        fp = _fingerprint(flags)
+    def store_matrix(self, ctx: PrimeContext, s: int, t: int, u: int, m: MatrixFp) -> None:
         lines = ["%s %s" % (_MAGIC, ENGINE_VERSION),
-                 self._matrix_header(ctx.p, s, t, u, fp),
+                 self._matrix_header(ctx.p, s, t, u),
                  "%d %d" % (m.rows, m.cols)]
         lines.extend(" ".join(str(v) for v in m.row(r)) for r in range(m.rows))
-        self._write(self._path("d1mat", ctx.p, s, t, u, fp), lines)
+        self._write(self._path("d1mat", ctx.p, s, t, u), lines)

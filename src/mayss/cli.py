@@ -221,8 +221,7 @@ def _run_scenario(args, ctx, cache):
         return scenarios.verify_upper_window_vanishing(
             ctx, args.m, args.n, args.scase, cache=cache, strict_range=strict)
     if name == "reps":
-        return scenarios.verify_representatives(ctx, args.m, args.n, args.scase,
-                                                cache=cache)
+        return scenarios.verify_representatives(ctx, args.m, args.n, args.scase)
     return scenarios.verify_main(ctx, args.m, args.n, args.scase,
                                  cache=cache, strict_range=strict)
 

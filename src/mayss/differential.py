@@ -29,8 +29,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Sequence
 
-from .algebra import (Element, Generator, Monomial, _from_accumulator, a,
-                      element_from_monomial, h, monomial_from_factors)
+from .algebra import Element, Generator, Monomial, _from_accumulator, a, h
 from .errors import CompletenessError
 from .grading import PrimeContext, Tridegree
 from .linalg import MatrixFp
@@ -117,11 +116,6 @@ def _d1_factors(mon: Monomial, p: int) -> dict[Factors, int]:
                 term = tuple(out)
                 accum[term] = accum.get(term, 0) + (-e if parity % 2 else e)
     return accum
-
-
-def d1_generator(g: Generator, ctx: PrimeContext) -> Element:
-    """d1 of a single generator as a canonical element."""
-    return d1(element_from_monomial(monomial_from_factors(((g, 1),), ctx), ctx), ctx)
 
 
 def d1(x: Element, ctx: PrimeContext) -> Element:

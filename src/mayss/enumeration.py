@@ -4,8 +4,8 @@ A monomial of filtration s and internal degree t draws its factors from the
 finite universe of generators with deg <= t and filt <= s.  The search is a
 depth-first multiset selection over that universe in decreasing degree order.
 Every pruning rule here is a necessary condition on any completion of the
-partial selection, so pruned and unpruned runs agree (and a property test
-holds them to that).
+partial selection, so the search always runs all of them; the tests run it
+with fewer rules and hold the results equal.
 
 The strong rule is the digit-column system.  Each generator contributes one
 unit to a contiguous range of base-p digit columns of t/q (the a(i) also
@@ -48,18 +48,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable
 
 from .algebra import Generator, Monomial, a, b, h, monomial_from_factors
 from .errors import ParameterError
-from .grading import PAdicProfile, PrimeContext, Tridegree, padic_profile
+from .grading import PrimeContext, Tridegree, padic_profile
 
 PRUNE_DEGREE = "degree"
 PRUNE_CARRY = "carry"
 PRUNE_DIGIT = "digit"
 PRUNE_REMAINDER = "remainder"
 ALL_PRUNING = frozenset({PRUNE_DEGREE, PRUNE_CARRY, PRUNE_DIGIT, PRUNE_REMAINDER})
-NO_PRUNING: frozenset[str] = frozenset()
 
 # The search recurses once per factor, so up to s levels deep.  Filtrations
 # above this bound are rejected with a ParameterError, well before Python's
@@ -78,7 +76,6 @@ class BidegreeBasis:
     t: int
     u: int | None
     monomials: tuple[Monomial, ...]
-    universe_bound: str
 
     @property
     def dimension(self) -> int:
@@ -86,19 +83,6 @@ class BidegreeBasis:
 
     def weights(self) -> list[int]:
         return [m.tridegree.u for m in self.monomials]
-
-
-@dataclass(frozen=True)
-class CarrySolution:
-    """One solution of the digit-column system for a target profile.
-
-    cbar[0] is the remainder-column sum, cbar[1 + j] the sum for column j.
-    lambdas[0] is the remainder carry, lambdas[1 + j] the carry out of
-    column j; the top column has no carry out.
-    """
-
-    cbar: tuple[int, ...]
-    lambdas: tuple[int, ...]
 
 
 def generator_universe(ctx: PrimeContext, t_max: int, s_max: int) -> list[Generator]:
@@ -140,19 +124,6 @@ def digit_span(g: Generator) -> tuple[int, int]:
     return (g.j + 1, g.i + g.j)
 
 
-def column_sums(mon: Monomial) -> tuple[int, ...]:
-    """Digit-column sums of a monomial, remainder column first."""
-    top = -1
-    for g, _ in mon.factors:
-        top = max(top, digit_span(g)[1])
-    sums = [0] * (top + 2)
-    for g, e in mon.factors:
-        lo, hi = digit_span(g)
-        for col in range(lo, hi + 1):
-            sums[col + 1] += e
-    return tuple(sums)
-
-
 # --- fast vanishing predicates --------------------------------------------
 
 
@@ -176,49 +147,6 @@ def vanishes_by_remainder_bound(s1: int, t: int, ctx: PrimeContext) -> bool:
 
 
 # --- the digit-column carry system ----------------------------------------
-
-
-def carry_solutions(target: PAdicProfile, mprime_max: int,
-                    ctx: PrimeContext) -> list[CarrySolution]:
-    """All solutions of the column system with every cbar and lambda <= mprime_max."""
-    if mprime_max < 0:
-        raise ParameterError("mprime_max must be nonnegative, got %d" % mprime_max)
-    digits = target.digits
-    p, q = ctx.p, ctx.q
-    sols: list[CarrySolution] = []
-    if not digits:
-        if target.c_minus1 <= mprime_max:
-            sols.append(CarrySolution(cbar=(target.c_minus1,), lambdas=()))
-        return sols
-
-    first_states = []
-    lam = 0
-    while True:
-        cm = target.c_minus1 + lam * q
-        if cm > mprime_max or lam > mprime_max:
-            break
-        first_states.append((cm, lam))
-        lam += 1
-
-    def extend(col: int, carry_in: int, cbar: list[int], lams: list[int]):
-        if col == len(digits) - 1:
-            top = digits[col] - carry_in
-            if 0 <= top <= mprime_max:
-                sols.append(CarrySolution(cbar=tuple(cbar + [top]), lambdas=tuple(lams)))
-            return
-        lam_out = 0
-        while lam_out <= mprime_max:
-            c = digits[col] + lam_out * p - carry_in
-            if c > mprime_max:
-                break
-            if c >= 0:
-                extend(col + 1, lam_out, cbar + [c], lams + [lam_out])
-            lam_out += 1
-
-    for cm, lam in first_states:
-        extend(0, lam, [cm], [lam])
-    sols.sort(key=lambda s: s.cbar)
-    return sols
 
 
 def _carry_feasible(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> bool:
@@ -262,15 +190,10 @@ def _carry_feasible(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> bo
 # --- the search ------------------------------------------------------------
 
 
-def _validate_prune(prune: Iterable[str]) -> frozenset[str]:
-    flags = frozenset(prune)
-    unknown = flags - ALL_PRUNING
-    if unknown:
-        raise ParameterError("unknown pruning flags: %s" % ", ".join(sorted(unknown)))
-    return flags
-
-
-def _search(ctx: PrimeContext, s: int, t: int, prune: frozenset[str]) -> list[Monomial]:
+def _search(ctx: PrimeContext, s: int, t: int, flags: frozenset[str]) -> list[Monomial]:
+    """The monomials of bidegree (s, t), in search order, pruned by the named
+    rules.  enumerate_basis always passes ALL_PRUNING; fewer rules give the
+    same monomials, which is how the tests check that each rule is lossless."""
     if s == 0:
         return [monomial_from_factors((), ctx)] if t == 0 else []
     universe = generator_universe(ctx, t, s)   # canonical (sort_key) order
@@ -304,12 +227,12 @@ def _search(ctx: PrimeContext, s: int, t: int, prune: frozenset[str]) -> list[Mo
         md, mf = min_frac[k + 1]
         min_frac[k] = (d, f) if d * mf < md * f else (md, mf)
 
-    use_degree = PRUNE_DEGREE in prune
-    use_carry = PRUNE_CARRY in prune
+    use_degree = PRUNE_DEGREE in flags
+    use_carry = PRUNE_CARRY in flags
 
-    if PRUNE_DIGIT in prune and 0 < s < ctx.p and vanishes_by_digit_bound(s, t, ctx):
+    if PRUNE_DIGIT in flags and 0 < s < ctx.p and vanishes_by_digit_bound(s, t, ctx):
         return []
-    if PRUNE_REMAINDER in prune and 0 < s < ctx.q and vanishes_by_remainder_bound(s, t, ctx):
+    if PRUNE_REMAINDER in flags and 0 < s < ctx.q and vanishes_by_remainder_bound(s, t, ctx):
         return []
 
     # The root's own lower degree bound and carry test; rec tests every
@@ -377,7 +300,6 @@ def _search(ctx: PrimeContext, s: int, t: int, prune: frozenset[str]) -> list[Mo
 
 
 def enumerate_basis(ctx: PrimeContext, s: int, t: int, u: int | None = None,
-                    prune: Iterable[str] = ALL_PRUNING,
                     cache=None) -> BidegreeBasis:
     """The complete basis of tridegree (s, t, u), or of the whole (s, t)
     bidegree when u is None.  Sorted by rendered monomial."""
@@ -385,27 +307,23 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int, u: int | None = None,
         raise ParameterError("filtration and degree must be nonnegative, got (%d, %d)" % (s, t))
     if s > MAX_FILTRATION:
         raise ParameterError("filtration %d exceeds %d" % (s, MAX_FILTRATION))
-    flags = _validate_prune(prune)
-    key = (ctx.p, s, t, None, flags)
+    key = (ctx.p, s, t)
     basis = _memo.get(key)
     if basis is None and cache is not None:
-        basis = cache.load_basis(ctx, s, t, flags)
+        basis = cache.load_basis(ctx, s, t)
         if basis is not None:
             _memo[key] = basis
     if basis is None:
-        found = _search(ctx, s, t, flags)
+        found = _search(ctx, s, t, ALL_PRUNING)
         found.sort(key=Monomial.render)
-        basis = BidegreeBasis(
-            p=ctx.p, s=s, t=t, u=None, monomials=tuple(found),
-            universe_bound="deg <= %d, filt <= %d" % (t, s))
+        basis = BidegreeBasis(p=ctx.p, s=s, t=t, u=None, monomials=tuple(found))
         _memo[key] = basis
         if cache is not None:
-            cache.store_basis(basis, flags)
+            cache.store_basis(basis)
     if u is None:
         return basis
     picked = tuple(m for m in basis.monomials if m.tridegree.u == u)
-    return BidegreeBasis(p=ctx.p, s=s, t=t, u=u, monomials=picked,
-                         universe_bound=basis.universe_bound)
+    return BidegreeBasis(p=ctx.p, s=s, t=t, u=u, monomials=picked)
 
 
 def clear_memo() -> None:

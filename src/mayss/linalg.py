@@ -1,4 +1,4 @@
-"""Exact linear algebra over F_p: rank, kernel, membership.
+"""Exact linear algebra over F_p: rank and membership.
 
 A MatrixFp keeps its entries row-major, which is the form the disk cache
 writes.  Every operation runs one sparse elimination on its columns: each
@@ -8,10 +8,9 @@ coefficient 1.  A pivot's entries all lie at or below its lead row, so a
 reduction only moves the lead of the column being reduced downward.
 d1 matrices are a few percent nonzero, so the columns stay short.
 
-A column that reduces to zero is free; the combination of original columns
-that cleared it is a kernel vector, and a target vector that reduces to zero
-gives a solution supported on the pivot columns.  These are the same vectors
-that reduced row echelon form yields.  Operations never mutate their inputs.
+A target vector that reduces to zero gives a solution supported on the
+pivot columns, the same one reduced row echelon form yields.  Operations
+never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -87,40 +86,24 @@ def _reduce(vec: dict[int, int], combo: dict[int, int] | None, pivots: dict, p: 
     return None
 
 
-def _eliminate(m: MatrixFp, track: bool) -> tuple[dict, list[dict[int, int]]]:
-    """Pivots {lead row: (column, combination)} and, when track is set, the
-    kernel combination of every free column.  Each combination is the set
-    of original columns that sums to its vector."""
+def _eliminate(m: MatrixFp, track: bool) -> dict:
+    """Pivots {lead row: (column, combination)}; when track is set, each
+    combination is the set of original columns that sums to its column."""
     p = m.modulus
     pivots: dict[int, tuple[dict[int, int], dict[int, int] | None]] = {}
-    kernel = []
     for c, col in enumerate(_columns(m)):
         combo = {c: 1} if track else None
         lead = _reduce(col, combo, pivots, p)
         if lead is None:
-            kernel.append(combo)
             continue
         inv = pow(col[lead], -1, p)
         pivots[lead] = ({k: v * inv % p for k, v in col.items()},
                         {k: v * inv % p for k, v in combo.items()} if track else None)
-    return pivots, kernel
-
-
-def _dense(combo: dict[int, int], n: int) -> tuple[int, ...]:
-    v = [0] * n
-    for k, x in combo.items():
-        v[k] = x
-    return tuple(v)
+    return pivots
 
 
 def rank(m: MatrixFp) -> int:
-    return len(_eliminate(m, track=False)[0])
-
-
-def kernel_basis(m: MatrixFp) -> list[tuple[int, ...]]:
-    """Basis vectors of the null space, one per free column: the free column
-    with coefficient 1 plus a combination of the pivot columns before it."""
-    return [_dense(combo, m.cols) for combo in _eliminate(m, track=True)[1]]
+    return len(_eliminate(m, track=False))
 
 
 def in_span(m: MatrixFp, v: Sequence[int]) -> tuple[int, ...] | None:
@@ -128,9 +111,12 @@ def in_span(m: MatrixFp, v: Sequence[int]) -> tuple[int, ...] | None:
     if len(v) != m.rows:
         raise ParameterError("vector length %d does not match %d rows" % (len(v), m.rows))
     p = m.modulus
-    pivots, _ = _eliminate(m, track=True)
+    pivots = _eliminate(m, track=True)
     # reducing v to zero leaves v + m @ combo = 0
     combo: dict[int, int] = {}
     if _reduce({r: x % p for r, x in enumerate(v) if x % p}, combo, pivots, p) is not None:
         return None
-    return _dense({k: -x % p for k, x in combo.items()}, m.cols)
+    sol = [0] * m.cols
+    for k, x in combo.items():
+        sol[k] = -x % p
+    return tuple(sol)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Element, element_tridegree
 from .differential import d1, d1_matrix
-from .enumeration import ALL_PRUNING, BidegreeBasis, enumerate_basis
+from .enumeration import BidegreeBasis, enumerate_basis
 from .errors import CompletenessError, ParameterError
 from .grading import PrimeContext, Tridegree
 from .linalg import MatrixFp, in_span, rank
@@ -51,18 +51,13 @@ def _blocks_by_weight(basis: BidegreeBasis) -> dict[int, list]:
     return dict(sorted(out.items()))
 
 
-def e1_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
-                 prune=ALL_PRUNING, cache=None) -> int:
-    return enumerate_basis(ctx, s, t, u, prune, cache).dimension
-
-
 def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
-                 prune=ALL_PRUNING, cache=None) -> PageQueryResult:
+                 cache=None) -> PageQueryResult:
     """Cycle, boundary, and second-page dimensions at (s, t, u), summed over
     all weights present when u is None."""
-    target = enumerate_basis(ctx, s, t, None, prune, cache)
-    below = enumerate_basis(ctx, s + 1, t, None, prune, cache)
-    above = enumerate_basis(ctx, s - 1, t, None, prune, cache) if s >= 1 else None
+    target = enumerate_basis(ctx, s, t, None, cache)
+    below = enumerate_basis(ctx, s + 1, t, None, cache)
+    above = enumerate_basis(ctx, s - 1, t, None, cache) if s >= 1 else None
 
     tgt_blocks = _blocks_by_weight(target)
     below_blocks = _blocks_by_weight(below)
@@ -72,12 +67,11 @@ def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
     blocks = []
     for w in weights:
         domain = tgt_blocks[w]
-        outgoing = _block_matrix(ctx, s, t, w, domain, below_blocks.get(w - 1, []),
-                                 prune, cache)
+        outgoing = _block_matrix(ctx, s, t, w, domain, below_blocks.get(w - 1, []), cache)
         cycles = len(domain) - rank(outgoing)
         source = above_blocks.get(w + 1, [])
         if source:
-            incoming = _block_matrix(ctx, s - 1, t, w + 1, source, domain, prune, cache)
+            incoming = _block_matrix(ctx, s - 1, t, w + 1, source, domain, cache)
             boundaries = rank(incoming)
         else:
             boundaries = 0
@@ -92,14 +86,14 @@ def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
         blocks=tuple(blocks))
 
 
-def _block_matrix(ctx, s, t, w, domain, codomain, prune, cache) -> MatrixFp:
+def _block_matrix(ctx, s, t, w, domain, codomain, cache) -> MatrixFp:
     if cache is not None:
-        m = cache.load_matrix(ctx, s, t, w, len(codomain), len(domain), prune)
+        m = cache.load_matrix(ctx, s, t, w, len(codomain), len(domain))
         if m is not None:
             return m
     m = d1_matrix(domain, codomain, ctx)
     if cache is not None:
-        cache.store_matrix(ctx, s, t, w, m, prune)
+        cache.store_matrix(ctx, s, t, w, m)
     return m
 
 
@@ -115,15 +109,14 @@ class SurvivalVerdict:
         return self.is_cycle and not self.is_boundary
 
 
-def survives_to_e2(x: Element, ctx: PrimeContext, prune=ALL_PRUNING,
-                   cache=None) -> SurvivalVerdict:
+def survives_to_e2(x: Element, ctx: PrimeContext, cache=None) -> SurvivalVerdict:
     """Whether a homogeneous element is a d1-cycle, a d1-boundary, and hence
     whether its class on the second page is nonzero."""
     pos = element_tridegree(x)
     if pos is None:
         raise ParameterError("survival needs a homogeneous nonzero element")
     is_cycle = d1(x, ctx).is_zero
-    basis = enumerate_basis(ctx, pos.s, pos.t, pos.u, prune, cache)
+    basis = enumerate_basis(ctx, pos.s, pos.t, pos.u, cache)
     index = {mon: k for k, mon in enumerate(basis.monomials)}
     vec = [0] * basis.dimension
     for mon, c in x.terms.items():
@@ -134,7 +127,7 @@ def survives_to_e2(x: Element, ctx: PrimeContext, prune=ALL_PRUNING,
     witness = None
     is_boundary = False
     if pos.s >= 1:
-        source = enumerate_basis(ctx, pos.s - 1, pos.t, pos.u + 1, prune, cache)
+        source = enumerate_basis(ctx, pos.s - 1, pos.t, pos.u + 1, cache)
         if source.dimension:
             m = d1_matrix(source.monomials, basis.monomials, ctx)
             witness = in_span(m, vec)
@@ -164,8 +157,7 @@ class SourcePageReport:
         return all(v == 0 for v in self.higher_source_e2.values())
 
 
-def higher_page_hit_analysis(x: Element, ctx: PrimeContext, prune=ALL_PRUNING,
-                             cache=None) -> SourcePageReport:
+def higher_page_hit_analysis(x: Element, ctx: PrimeContext, cache=None) -> SourcePageReport:
     """For a homogeneous target, inspect the bidegree one filtration below:
     the page-r differential would come from weight u + r there.  Zero
     second-page dimension at every such weight certifies the target cannot
@@ -177,14 +169,14 @@ def higher_page_hit_analysis(x: Element, ctx: PrimeContext, prune=ALL_PRUNING,
     if src_s < 0:
         return SourcePageReport(position=pos, source_filtration=src_s,
                                 source_weights=(), first_page_source_dim=0)
-    src = enumerate_basis(ctx, src_s, pos.t, None, prune, cache)
+    src = enumerate_basis(ctx, src_s, pos.t, None, cache)
     weights = tuple(sorted(src.weights()))
     first_dim = sum(1 for w in weights if w == pos.u + 1)
     higher: dict[int, int] = {}
     for w in sorted(set(weights)):
         r = w - pos.u
         if r >= 2:
-            higher[r] = e2_dimension(ctx, src_s, pos.t, u=w, prune=prune, cache=cache).e2_dim
+            higher[r] = e2_dimension(ctx, src_s, pos.t, u=w, cache=cache).e2_dim
     return SourcePageReport(position=pos, source_filtration=src_s,
                             source_weights=weights, first_page_source_dim=first_dim,
                             higher_source_e2=higher)

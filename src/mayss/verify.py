@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from .algebra import (Monomial, a, element_from_monomial, h, monomial_from_factors,
                       multiply, render_element)
 from .differential import d1
-from .enumeration import ALL_PRUNING, enumerate_basis
+from .enumeration import enumerate_basis
 from .errors import ParameterError
 from .grading import PrimeContext, Tridegree
-from .pages import e1_dimension, e2_dimension, higher_page_hit_analysis, survives_to_e2
+from .pages import e2_dimension, higher_page_hit_analysis, survives_to_e2
 
 
 @dataclass(frozen=True)
@@ -180,8 +180,8 @@ def product_class(ctx: PrimeContext, m: int, n: int, s: int) -> Monomial:
     return monomial_from_factors(word, ctx)
 
 
-def verify_window(ctx: PrimeContext, m: int, n: int, s: int, prune=ALL_PRUNING,
-                  cache=None, strict_range: bool = True) -> VerificationReport:
+def verify_window(ctx: PrimeContext, m: int, n: int, s: int, cache=None,
+                  strict_range: bool = True) -> VerificationReport:
     """Enumerate the window bidegrees (s+3-r, t(s)+s-r-1) for r = 1..s+3.
 
     Every position must be empty except (r=1, s=p-1), which must equal the
@@ -194,7 +194,7 @@ def verify_window(ctx: PrimeContext, m: int, n: int, s: int, prune=ALL_PRUNING,
     for r in range(1, s + 4):
         fs = s + 3 - r
         ft = base + s - r - 1
-        basis = enumerate_basis(ctx, fs, ft, None, prune, cache)
+        basis = enumerate_basis(ctx, fs, ft, None, cache)
         where = "window r=%d, bidegree (%d, %d)" % (r, fs, ft)
         if r == 1 and s == ctx.p - 1:
             try:
@@ -217,8 +217,7 @@ def verify_window(ctx: PrimeContext, m: int, n: int, s: int, prune=ALL_PRUNING,
     return _report("window", {"p": ctx.p, "m": m, "n": n, "s": s}, checks, t0)
 
 
-def verify_critical_differential(ctx: PrimeContext, m: int, n: int,
-                                 prune=ALL_PRUNING, cache=None,
+def verify_critical_differential(ctx: PrimeContext, m: int, n: int, cache=None,
                                  strict_range: bool = True) -> VerificationReport:
     """At s = p-1, the first differential kills the whole window position:
     each critical monomial has nonzero image containing its leading term, the
@@ -254,14 +253,14 @@ def verify_critical_differential(ctx: PrimeContext, m: int, n: int,
             description="d1 of critical monomial #%d contains %s" % (idx, lead.render()),
             expected="nonzero coefficient", observed="coefficient %d" % coeff,
             passed=coeff != 0))
-    basis = enumerate_basis(ctx, s + 2, t, None, prune, cache)
+    basis = enumerate_basis(ctx, s + 2, t, None, cache)
     same = sorted(g.render() for g in gs) == [mon.render() for mon in basis.monomials]
     checks.append(Check(
         description="bidegree (%d, %d) is spanned by the seven critical monomials" % (s + 2, t),
         expected="basis = the seven critical monomials",
         observed="dim=%d, %s" % (basis.dimension, "same set" if same else "different set"),
         passed=same))
-    page = e2_dimension(ctx, s + 2, t, None, prune, cache)
+    page = e2_dimension(ctx, s + 2, t, None, cache)
     rank_total = page.e1_dim - page.cycle_dim
     checks.append(Check(
         description="the seven first-differential images are linearly independent",
@@ -274,8 +273,8 @@ def verify_critical_differential(ctx: PrimeContext, m: int, n: int,
                    checks, t0)
 
 
-def verify_survival(ctx: PrimeContext, m: int, n: int, s: int, prune=ALL_PRUNING,
-                    cache=None, strict_range: bool = True) -> VerificationReport:
+def verify_survival(ctx: PrimeContext, m: int, n: int, s: int, cache=None,
+                    strict_range: bool = True) -> VerificationReport:
     """The product class is a cycle, never a boundary, and no source bidegree
     can hit it on any page."""
     validate_family_params(ctx, m, n, s, strict_range)
@@ -293,7 +292,7 @@ def verify_survival(ctx: PrimeContext, m: int, n: int, s: int, prune=ALL_PRUNING
         description="product class is a d1-cycle", expected="d1 = 0",
         observed="d1 = 0" if image.is_zero else "d1 = %s" % render_element(image, ctx),
         passed=image.is_zero))
-    verdict = survives_to_e2(x, ctx, prune, cache)
+    verdict = survives_to_e2(x, ctx, cache)
     checks.append(Check(
         description="product class is not a d1-boundary", expected="not a boundary",
         observed="a boundary" if verdict.is_boundary else "not a boundary",
@@ -302,7 +301,7 @@ def verify_survival(ctx: PrimeContext, m: int, n: int, s: int, prune=ALL_PRUNING
         description="product class is nonzero on the second page",
         expected="nonzero", observed="nonzero" if verdict.e2_nonzero else "zero",
         passed=verdict.e2_nonzero))
-    audit = higher_page_hit_analysis(x, ctx, prune, cache)
+    audit = higher_page_hit_analysis(x, ctx, cache)
     src_dim = len(audit.source_weights)
     if s == ctx.p - 1:
         w_top = (2 * n + 1) * ctx.p - 2 * n - 3
@@ -336,8 +335,7 @@ def verify_survival(ctx: PrimeContext, m: int, n: int, s: int, prune=ALL_PRUNING
 
 
 def verify_upper_window_vanishing(ctx: PrimeContext, m: int, n: int, s: int,
-                                  prune=ALL_PRUNING, cache=None,
-                                  strict_range: bool = True) -> VerificationReport:
+                                  cache=None, strict_range: bool = True) -> VerificationReport:
     """First-page vanishing at (s+3-r, t(s)+s-r-1) for every r in 2..s+3."""
     validate_family_params(ctx, m, n, s, strict_range)
     t0 = time.perf_counter()
@@ -346,15 +344,14 @@ def verify_upper_window_vanishing(ctx: PrimeContext, m: int, n: int, s: int,
     for r in range(2, s + 4):
         fs = s + 3 - r
         ft = base + s - r - 1
-        dim = e1_dimension(ctx, fs, ft, None, prune, cache)
+        dim = enumerate_basis(ctx, fs, ft, None, cache).dimension
         checks.append(Check(
             description="upper window r=%d, bidegree (%d, %d) is empty" % (r, fs, ft),
             expected="dim=0", observed="dim=%d" % dim, passed=dim == 0))
     return _report("upper-vanishing", {"p": ctx.p, "m": m, "n": n, "s": s}, checks, t0)
 
 
-def verify_representatives(ctx: PrimeContext, m: int, n: int, s: int,
-                           prune=ALL_PRUNING, cache=None) -> VerificationReport:
+def verify_representatives(ctx: PrimeContext, m: int, n: int, s: int) -> VerificationReport:
     """Degree bookkeeping for the two factor classes and their product."""
     _require_family_index(ctx, s)
     if not (isinstance(m, int) and isinstance(n, int) and 1 <= m < n):
@@ -401,18 +398,18 @@ _CONVERGENCE_NOTE = ("convergence of the ambient spectral sequences is an input 
                      "checked here")
 
 
-def verify_main(ctx: PrimeContext, m: int, n: int, s: int, prune=ALL_PRUNING,
-                cache=None, strict_range: bool = True) -> VerificationReport:
+def verify_main(ctx: PrimeContext, m: int, n: int, s: int, cache=None,
+                strict_range: bool = True) -> VerificationReport:
     """Composite scenario: window, critical differential (when s = p-1),
     survival, upper-window vanishing, and representative bookkeeping."""
     validate_family_params(ctx, m, n, s, strict_range)
     t0 = time.perf_counter()
-    parts = [verify_window(ctx, m, n, s, prune, cache, strict_range)]
+    parts = [verify_window(ctx, m, n, s, cache, strict_range)]
     if s == ctx.p - 1:
-        parts.append(verify_critical_differential(ctx, m, n, prune, cache, strict_range))
-    parts.append(verify_survival(ctx, m, n, s, prune, cache, strict_range))
-    parts.append(verify_upper_window_vanishing(ctx, m, n, s, prune, cache, strict_range))
-    parts.append(verify_representatives(ctx, m, n, s, prune, cache))
+        parts.append(verify_critical_differential(ctx, m, n, cache, strict_range))
+    parts.append(verify_survival(ctx, m, n, s, cache, strict_range))
+    parts.append(verify_upper_window_vanishing(ctx, m, n, s, cache, strict_range))
+    parts.append(verify_representatives(ctx, m, n, s))
     checks = []
     notes: list[str] = []
     for part in parts:

@@ -3,19 +3,75 @@
 The oracles here deliberately re-derive results through the dumbest route
 available (selection sort for signs, raw multiset search for bases, span
 counting for ranks, d1 of every expanded unit, dense Gauss-Jordan, the set
-of every reachable carry per digit column) so that engine bugs cannot hide
-in shared code paths.  The column-sum predicates of the spanning-factor
-argument live here too: only tests check them.
+of every reachable carry per digit column, every solution of the column
+system) so that engine bugs cannot hide in shared code paths.  The
+column-sum predicates of the spanning-factor argument and the element
+arithmetic the engine itself never needs (add, scale) live here too: only
+tests use them.
 """
 
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from mayss import (Element, Generator, a, add, b, canonicalize, element_from_monomial,
-                   generator_universe, h, scale)
+from mayss.algebra import (Element, Generator, Monomial, _from_accumulator, a, b,
+                           canonicalize, element_from_monomial, element_tridegree, h,
+                           monomial_from_factors)
+from mayss.differential import d1
+from mayss.enumeration import digit_span, generator_universe
 from mayss.errors import ParameterError
+from mayss.grading import ZERO_DEGREE, PAdicProfile
 from mayss.linalg import MatrixFp
+
+#: The empty monomial.
+UNIT = Monomial(factors=(), tridegree=ZERO_DEGREE)
+
+
+def add(x, y, ctx):
+    accum = x.terms
+    for mon, c in y.terms.items():
+        accum[mon] = accum.get(mon, 0) + c
+    return _from_accumulator(accum, ctx)
+
+
+def scale(c, x, ctx):
+    return _from_accumulator({mon: c * cc for mon, cc in x.terms.items()}, ctx)
+
+
+def element_parity(x):
+    """Koszul parity (s + t) mod 2 of a homogeneous nonzero element."""
+    deg = element_tridegree(x)
+    if deg is None:
+        return None
+    return (deg.s + deg.t) % 2
+
+
+def d1_generator(g, ctx):
+    """d1 of a single generator as a canonical element."""
+    return d1(element_from_monomial(monomial_from_factors(((g, 1),), ctx), ctx), ctx)
+
+
+def factor_count(mon):
+    """Number of factors counted with multiplicity (a b-factor counts once)."""
+    return sum(e for _, e in mon.factors)
+
+
+def profile_to_degree(profile: PAdicProfile, ctx) -> int:
+    """Inverse of padic_profile: t = q*sum(digits[j] * p^j) + c_minus1.
+
+    Validates the digit bounds, so a malformed profile cannot pass as a degree.
+    """
+    if not 0 <= profile.c_minus1 < ctx.q:
+        raise ParameterError("c_minus1=%d out of range [0, %d)" % (profile.c_minus1, ctx.q))
+    for j, c in enumerate(profile.digits):
+        if not 0 <= c < ctx.p:
+            raise ParameterError("digit c_%d=%d out of range [0, %d)" % (j, c, ctx.p))
+    if profile.digits and profile.digits[-1] == 0:
+        raise ParameterError("top digit must be nonzero")
+    body = 0
+    for c in reversed(profile.digits):
+        body = body * ctx.p + c
+    return ctx.q * body + profile.c_minus1
 
 
 def random_generator(rng, max_i=4, max_j=3):
@@ -93,6 +149,19 @@ def reference_basis(ctx, s, t):
     return sorted(found)
 
 
+def column_sums(mon):
+    """Digit-column sums of a monomial, remainder column first."""
+    top = -1
+    for g, _ in mon.factors:
+        top = max(top, digit_span(g)[1])
+    sums = [0] * (top + 2)
+    for g, e in mon.factors:
+        lo, hi = digit_span(g)
+        for col in range(lo, hi + 1):
+            sums[col + 1] += e
+    return tuple(sums)
+
+
 def column_sums_impossible(cbar: Sequence[int], mprime: int) -> bool:
     """True when some triple i1 < i2 < i3 has cbar[i1] + cbar[i3] - mprime >
     cbar[i2].  Factor supports are contiguous, so at least
@@ -160,6 +229,62 @@ def forced_spanning_factors(cbar: Sequence[int], mprime: int,
     if i1 == -1:
         return ForcedFactors(generator=a(i3 + 1), count=k, vanishes=False)
     return ForcedFactors(generator=h(i3 - i1 + 1, i1), count=k, vanishes=k > 1)
+
+
+@dataclass(frozen=True)
+class CarrySolution:
+    """One solution of the digit-column system for a target profile.
+
+    cbar[0] is the remainder-column sum, cbar[1 + j] the sum for column j.
+    lambdas[0] is the remainder carry, lambdas[1 + j] the carry out of
+    column j; the top column has no carry out.
+    """
+
+    cbar: tuple
+    lambdas: tuple
+
+
+def carry_solutions(target, mprime_max, ctx):
+    """All solutions of the column system with every cbar and lambda <=
+    mprime_max, sorted by cbar: the lemma form of the carry test."""
+    if mprime_max < 0:
+        raise ParameterError("mprime_max must be nonnegative, got %d" % mprime_max)
+    digits = target.digits
+    p, q = ctx.p, ctx.q
+    sols = []
+    if not digits:
+        if target.c_minus1 <= mprime_max:
+            sols.append(CarrySolution(cbar=(target.c_minus1,), lambdas=()))
+        return sols
+
+    first_states = []
+    lam = 0
+    while True:
+        cm = target.c_minus1 + lam * q
+        if cm > mprime_max or lam > mprime_max:
+            break
+        first_states.append((cm, lam))
+        lam += 1
+
+    def extend(col, carry_in, cbar, lams):
+        if col == len(digits) - 1:
+            top = digits[col] - carry_in
+            if 0 <= top <= mprime_max:
+                sols.append(CarrySolution(cbar=tuple(cbar + [top]), lambdas=tuple(lams)))
+            return
+        lam_out = 0
+        while lam_out <= mprime_max:
+            c = digits[col] + lam_out * p - carry_in
+            if c > mprime_max:
+                break
+            if c >= 0:
+                extend(col + 1, lam_out, cbar + [c], lams + [lam_out])
+            lam_out += 1
+
+    for cm, lam in first_states:
+        extend(0, lam, [cm], [lam])
+    sols.sort(key=lambda s: s.cbar)
+    return sols
 
 
 def set_carry_feasible(t_rem, cap, support, ctx):
@@ -298,24 +423,6 @@ def dense_rank(m):
     if m.rows == 0 or m.cols == 0:
         return 0
     return len(dense_rref(m.to_rows(), m.modulus)[1])
-
-
-def dense_kernel_basis(m):
-    """One null-space vector per free column of the reduced row echelon form."""
-    if m.rows == 0:
-        return [tuple(1 if c == f else 0 for c in range(m.cols)) for f in range(m.cols)]
-    p = m.modulus
-    rref, pivots = dense_rref(m.to_rows(), p)
-    basis = []
-    for free in range(m.cols):
-        if free in pivots:
-            continue
-        v = [0] * m.cols
-        v[free] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rref[r][free]) % p
-        basis.append(tuple(v))
-    return basis
 
 
 def dense_in_span(m, v):

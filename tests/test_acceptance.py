@@ -6,17 +6,16 @@ import json
 import random
 import time
 
-from helpers import column_sums_impossible, random_monomial
-from mayss import (ALL_PRUNING, NO_PRUNING, Tridegree, a, add, b, column_sums,
-                   critical_leading_terms,
-                   critical_monomials, d1, e1_dimension, e2_dimension,
-                   element_from_monomial, element_parity, family_degree, h,
-                   h_triple, higher_page_hit_analysis, make_context,
-                   monomial_from_factors, multiply, product_class, s_rep, scale,
-                   survives_to_e2, vanishes_by_digit_bound,
-                   vanishes_by_remainder_bound, verify_main, verify_window)
+from helpers import (add, column_sums, column_sums_impossible, element_parity, factor_count,
+                     random_monomial, scale)
+from mayss import (Tridegree, a, b, d1, e2_dimension, element_from_monomial, h,
+                   higher_page_hit_analysis, make_context, monomial_from_factors,
+                   multiply, survives_to_e2, verify_main, verify_window)
 from mayss.cli import main as cli_main
-from mayss.enumeration import clear_memo, enumerate_basis
+from mayss.enumeration import (_search, clear_memo, enumerate_basis, vanishes_by_digit_bound,
+                               vanishes_by_remainder_bound)
+from mayss.verify import (critical_leading_terms, critical_monomials, family_degree,
+                          h_triple, product_class, s_rep)
 
 M, N = 4, 6
 P = 5
@@ -103,7 +102,7 @@ def test_criterion_04_upper_window_vanishing():
     for s in (2, 3, 4):
         base = family_degree(ctx, M, N, s)
         for r in range(2, s + 4):
-            dim = e1_dimension(ctx, s + 3 - r, base + s - r - 1)
+            dim = enumerate_basis(ctx, s + 3 - r, base + s - r - 1).dimension
             if dim != 0:
                 failures.append("s=%d r=%d has dim %d" % (s, r, dim))
     _conclude(4, "upper window vanishing", failures)
@@ -177,12 +176,9 @@ def test_criterion_07_pruning_is_lossless():
     rng = random.Random(0x707)
 
     def compare(s, t):
-        pruned = [m.render() for m in
-                  enumerate_basis(ctx, s, t, prune=ALL_PRUNING).monomials]
+        pruned = [m.render() for m in enumerate_basis(ctx, s, t).monomials]
         clear_memo()
-        plain = [m.render() for m in
-                 enumerate_basis(ctx, s, t, prune=NO_PRUNING).monomials]
-        clear_memo()
+        plain = sorted(m.render() for m in _search(ctx, s, t, frozenset()))
         if pruned != plain:
             failures.append("(s=%d, t=%d): %d pruned vs %d plain"
                             % (s, t, len(pruned), len(plain)))
@@ -222,7 +218,7 @@ def test_criterion_08_vanishing_predicates():
         for t in range(1, 501):
             for mon in enumerate_basis(ctx, s, t).monomials:
                 scanned += 1
-                if column_sums_impossible(column_sums(mon), mon.factor_count):
+                if column_sums_impossible(column_sums(mon), factor_count(mon)):
                     failures.append("triple inequality fails on %s" % mon.render())
     if scanned < 100:
         failures.append("only %d monomials scanned" % scanned)

@@ -1,10 +1,10 @@
 import pytest
 
-from helpers import brute_sign, random_element, random_monomial, random_word, units
-from mayss import (Element, ParameterError, ParseError, Tridegree, UNIT, a, add,
-                   b, canonicalize, element_from_monomial, element_tridegree, h,
-                   monomial_from_factors, monomial_mul, multiply, parse_element,
-                   render_element, scale)
+from helpers import (UNIT, add, brute_sign, random_element, random_monomial, random_word,
+                     scale, units)
+from mayss import (ParameterError, ParseError, Tridegree, a, b, element_from_monomial, h,
+                   monomial_from_factors, multiply, parse_element, render_element)
+from mayss.algebra import Element, canonicalize, element_tridegree
 
 
 def test_generator_factories_validate():
@@ -66,8 +66,10 @@ def test_monomial_from_factors_validates(ctx5):
     with pytest.raises(ParameterError):
         monomial_from_factors([(a(1), 0)], ctx5)
     mon = monomial_from_factors([(a(1), 2), (h(1, 0), 1), (a(1), 1)], ctx5)
-    assert mon.exponent_of(a(1)) == 3
+    assert mon.factors == ((a(1), 3), (h(1, 0), 1))
     assert mon.render() == "a(1)^3 h(1,0)"
+    with pytest.raises(ParameterError):
+        monomial_from_factors([(h(1, 0), 1), (a(1), 1), (h(1, 0), 1)], ctx5)
 
 
 def test_monomial_tridegree_adds_up(rng, ctx5):
@@ -80,17 +82,26 @@ def test_monomial_tridegree_adds_up(rng, ctx5):
 
 
 def test_monomial_mul_koszul_commutation(rng, ctx5):
+    def exterior_count(mon):
+        return sum(e for g, e in mon.factors if g.is_exterior)
+
     for _ in range(300):
         x = random_monomial(rng, ctx5, max_factors=3)
         y = random_monomial(rng, ctx5, max_factors=3)
-        xy = monomial_mul(x, y, ctx5)
-        yx = monomial_mul(y, x, ctx5)
-        if xy is None:
-            assert yx is None
+        xy = multiply(element_from_monomial(x, ctx5), element_from_monomial(y, ctx5), ctx5)
+        yx = multiply(element_from_monomial(y, ctx5), element_from_monomial(x, ctx5), ctx5)
+        sign = (-1) ** (exterior_count(x) * exterior_count(y))
+        assert xy == scale(sign, yx, ctx5)
+        # x and y are canonical, so the sign is the selection-sort sign of x y
+        word = units(x) + units(y)
+        want = brute_sign(word, ctx5)
+        if want is None:
+            assert xy.is_zero
             continue
-        sign = (-1) ** (x.exterior_count * y.exterior_count)
-        assert xy[1] == yx[1]
-        assert xy[0] == sign * yx[0]
+        (prod,) = xy.terms
+        assert xy.coefficient(prod) == want % ctx5.p
+        assert sorted(g.sort_key() for g in units(prod)) == sorted(g.sort_key() for g in word)
+        assert prod.tridegree == x.tridegree + y.tridegree
 
 
 def test_multiply_ring_axioms(rng, ctx5, ctx7):
@@ -187,7 +198,7 @@ def test_parse_rejects_exterior_exponent_via_zero(ctx5):
 def test_unit_monomial_properties(ctx5):
     assert UNIT.render() == ""
     assert UNIT.tridegree == Tridegree(0, 0, 0)
-    assert UNIT.factor_count == 0
+    assert UNIT.factors == ()
 
 
 def test_parse_huge_power_roundtrips(ctx5):

@@ -1,7 +1,7 @@
 import os
 import threading
 
-from mayss import ALL_PRUNING, ResultCache, enumerate_basis, make_context
+from mayss import ResultCache, enumerate_basis
 from mayss.cache import ENGINE_VERSION, default_cache_root
 from mayss.enumeration import clear_memo
 from mayss.linalg import matrix_from_rows
@@ -12,7 +12,7 @@ def test_basis_roundtrip(ctx5, tmp_path):
     clear_memo()
     basis = enumerate_basis(ctx5, 2, 49, cache=cache)
     clear_memo()
-    loaded = cache.load_basis(ctx5, 2, 49, ALL_PRUNING)
+    loaded = cache.load_basis(ctx5, 2, 49)
     assert loaded is not None
     assert [m.render() for m in loaded.monomials] == [m.render() for m in basis.monomials]
     clear_memo()
@@ -24,14 +24,14 @@ def test_empty_basis_roundtrip(ctx5, tmp_path):
     basis = enumerate_basis(ctx5, 3, 1, cache=cache)
     assert basis.dimension == 0
     clear_memo()
-    loaded = cache.load_basis(ctx5, 3, 1, ALL_PRUNING)
+    loaded = cache.load_basis(ctx5, 3, 1)
     assert loaded is not None and loaded.dimension == 0
     clear_memo()
 
 
 def test_missing_entry_is_a_miss(ctx5, tmp_path):
     cache = ResultCache(tmp_path)
-    assert cache.load_basis(ctx5, 9, 999, ALL_PRUNING) is None
+    assert cache.load_basis(ctx5, 9, 999) is None
 
 
 def test_corrupted_entries_are_misses(ctx5, tmp_path):
@@ -40,40 +40,28 @@ def test_corrupted_entries_are_misses(ctx5, tmp_path):
     enumerate_basis(ctx5, 2, 49, cache=cache)
     clear_memo()
     (entry,) = list((tmp_path / ENGINE_VERSION).glob("basis_*"))
-    for garbage in ("", "not a cache file\n", "mayss-cache 9.9.9\nbasis p=5 s=2 t=49 u=all prune=x\n"):
+    for garbage in ("", "not a cache file\n", "mayss-cache 9.9.9\nbasis p=5 s=2 t=49 u=all\n"):
         entry.write_text(garbage)
-        assert cache.load_basis(ctx5, 2, 49, ALL_PRUNING) is None
+        assert cache.load_basis(ctx5, 2, 49) is None
     # mismatched header (wrong query on the second line)
-    entry.write_text("mayss-cache %s\nbasis p=5 s=2 t=50 u=all prune=%s\n" %
-                     (ENGINE_VERSION, "+".join(sorted(ALL_PRUNING))))
-    assert cache.load_basis(ctx5, 2, 49, ALL_PRUNING) is None
+    entry.write_text("mayss-cache %s\nbasis p=5 s=2 t=50 u=all\n" % ENGINE_VERSION)
+    assert cache.load_basis(ctx5, 2, 49) is None
     # unparseable body
-    entry.write_text("mayss-cache %s\nbasis p=5 s=2 t=49 u=all prune=%s\nnot a monomial\n" %
-                     (ENGINE_VERSION, "+".join(sorted(ALL_PRUNING))))
-    assert cache.load_basis(ctx5, 2, 49, ALL_PRUNING) is None
-
-
-def test_flag_fingerprint_separates_entries(ctx5, tmp_path):
-    cache = ResultCache(tmp_path)
-    clear_memo()
-    enumerate_basis(ctx5, 2, 49, cache=cache)
-    clear_memo()
-    assert cache.load_basis(ctx5, 2, 49, frozenset()) is None
-    assert cache.load_basis(ctx5, 2, 49, ALL_PRUNING) is not None
+    entry.write_text("mayss-cache %s\nbasis p=5 s=2 t=49 u=all\nnot a monomial\n" % ENGINE_VERSION)
+    assert cache.load_basis(ctx5, 2, 49) is None
 
 
 def test_matrix_roundtrip_and_dimension_check(ctx5, tmp_path):
     cache = ResultCache(tmp_path)
     m = matrix_from_rows([[4, 1]], 5)
-    cache.store_matrix(ctx5, 3, 49, 3, m, ALL_PRUNING)
-    got = cache.load_matrix(ctx5, 3, 49, 3, 1, 2, ALL_PRUNING)
+    cache.store_matrix(ctx5, 3, 49, 3, m)
+    got = cache.load_matrix(ctx5, 3, 49, 3, 1, 2)
     assert got == m
     # a caller expecting other dimensions must get a miss, not a wrong matrix
-    assert cache.load_matrix(ctx5, 3, 49, 3, 2, 2, ALL_PRUNING) is None
-    assert cache.load_matrix(ctx5, 3, 49, 3, 1, 2, ()) is None
+    assert cache.load_matrix(ctx5, 3, 49, 3, 2, 2) is None
     zero = matrix_from_rows([], 5, cols=3)
-    cache.store_matrix(ctx5, 1, 8, 1, zero, ())
-    back = cache.load_matrix(ctx5, 1, 8, 1, 0, 3, ())
+    cache.store_matrix(ctx5, 1, 8, 1, zero)
+    back = cache.load_matrix(ctx5, 1, 8, 1, 0, 3)
     assert back is not None and back.rows == 0 and back.cols == 3
 
 
@@ -95,7 +83,7 @@ def test_unwritable_root_degrades_to_miss(ctx5, tmp_path):
     basis = enumerate_basis(ctx5, 2, 49, cache=cache)  # must not raise
     assert basis.dimension == 2
     clear_memo()
-    assert cache.load_basis(ctx5, 2, 49, ALL_PRUNING) is None
+    assert cache.load_basis(ctx5, 2, 49) is None
 
 
 def test_concurrent_writers_leave_a_valid_entry(ctx5, tmp_path):
@@ -106,14 +94,14 @@ def test_concurrent_writers_leave_a_valid_entry(ctx5, tmp_path):
 
     def writer():
         for _ in range(30):
-            cache.store_basis(basis, ALL_PRUNING)
+            cache.store_basis(basis)
 
     threads = [threading.Thread(target=writer) for _ in range(4)]
     for th in threads:
         th.start()
     for th in threads:
         th.join()
-    loaded = cache.load_basis(ctx5, 2, 49, ALL_PRUNING)
+    loaded = cache.load_basis(ctx5, 2, 49)
     assert loaded is not None and loaded.dimension == 2
 
 
@@ -134,6 +122,6 @@ def test_failed_replace_leaves_no_temp_file(ctx5, tmp_path, monkeypatch):
         raise OSError("simulated rename failure")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    cache.store_basis(basis, ALL_PRUNING)  # must not raise
+    cache.store_basis(basis)  # must not raise
     assert not list((tmp_path / ENGINE_VERSION).glob(".tmp-*"))
-    assert cache.load_basis(ctx5, 2, 49, ALL_PRUNING) is None
+    assert cache.load_basis(ctx5, 2, 49) is None

@@ -5,7 +5,7 @@ import sys
 import jsonschema
 import pytest
 
-from mayss import cli, enumeration
+from mayss import cli, enumeration, grading
 from mayss.algebra import Generator
 from mayss.cli import MACHINE_SCHEMA, main
 from mayss.enumeration import clear_memo
@@ -32,6 +32,16 @@ def test_bad_prime_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: p=4 is not an odd prime >= 5\n"
+
+
+def test_huge_prime_is_rejected_before_the_primality_test(capsys, monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError("tested %d for primality" % n)
+
+    monkeypatch.setattr(grading, "_is_prime", no_trial_division)
+    code, out, err = run(capsys, ["profile", "--prime", "2305843009213693951", "--t", "5"])
+    assert (code, out) == (2, "")
+    assert err == "error: p=2305843009213693951 exceeds %d\n" % grading.MAX_PRIME
 
 
 def test_basis_text(capsys):

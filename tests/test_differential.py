@@ -1,13 +1,12 @@
 import pytest
 
-from helpers import (random_element, random_generator, random_monomial,
-                     unit_d1_monomial)
-from mayss import (CompletenessError, Element, a, add, b, canonicalize, d1,
-                   d1_generator, d1_matrix, element_from_monomial,
-                   element_parity, element_tridegree, enumerate_basis, h,
+from helpers import (add, d1_generator, element_parity, random_element, random_generator,
+                     random_monomial, scale, unit_d1_monomial)
+from mayss import (CompletenessError, a, b, d1, element_from_monomial, enumerate_basis, h,
                    make_context, monomial_from_factors, multiply, parse_element,
-                   render_element, scale)
-from mayss.algebra import _from_accumulator
+                   render_element)
+from mayss.algebra import Element, _from_accumulator, canonicalize, element_tridegree
+from mayss.differential import d1_matrix
 
 D1_SHIFT = (1, 0, -1)
 

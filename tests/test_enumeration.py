@@ -1,15 +1,23 @@
 import pytest
 
-from helpers import (column_sums_impossible, forced_spanning_factors, reference_basis,
+from helpers import (UNIT, carry_solutions, column_sums, column_sums_impossible,
+                     factor_count, forced_spanning_factors, reference_basis,
                      set_carry_feasible)
-from mayss import (ALL_PRUNING, NO_PRUNING, ParameterError, UNIT, a, b,
-                   carry_solutions, column_sums, enumerate_basis, family_degree,
-                   generator_universe, h, make_context, monomial_from_factors,
-                   padic_profile, vanishes_by_digit_bound, vanishes_by_remainder_bound)
+from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
+                   monomial_from_factors, padic_profile)
 from mayss import enumeration
-from mayss.enumeration import (MAX_FILTRATION, PRUNE_CARRY, PRUNE_DEGREE, PRUNE_DIGIT,
-                               PRUNE_REMAINDER, _carry_feasible, clear_memo, digit_span)
+from mayss.algebra import Monomial
+from mayss.enumeration import (ALL_PRUNING, MAX_FILTRATION, PRUNE_CARRY, PRUNE_DEGREE,
+                               PRUNE_DIGIT, PRUNE_REMAINDER, _carry_feasible, _search,
+                               clear_memo, digit_span, generator_universe,
+                               vanishes_by_digit_bound, vanishes_by_remainder_bound)
 from mayss.grading import PAdicProfile
+from mayss.verify import family_degree
+
+
+def search_renders(ctx, s, t, flags):
+    """The basis searched under the given pruning rules, as sorted renders."""
+    return sorted(m.render() for m in _search(ctx, s, t, frozenset(flags)))
 
 
 def test_universe_hand_check(ctx5):
@@ -28,10 +36,10 @@ def test_engine_matches_reference_on_grid(ctx5, ctx7):
         for s in range(4):
             for t in range(0, 121):
                 want = reference_basis(ctx, s, t)
-                for prune in (ALL_PRUNING, NO_PRUNING):
-                    clear_memo()
-                    got = [m.render() for m in enumerate_basis(ctx, s, t, prune=prune).monomials]
-                    assert got == want, (ctx.p, s, t, sorted(prune))
+                clear_memo()
+                got = [m.render() for m in enumerate_basis(ctx, s, t).monomials]
+                assert got == want, (ctx.p, s, t)
+                assert search_renders(ctx, s, t, ()) == want, (ctx.p, s, t)
     clear_memo()
 
 
@@ -41,11 +49,8 @@ def test_each_single_flag_is_lossless(ctx5):
     for s in range(4):
         for t in range(0, 121, 7):
             want = reference_basis(ctx5, s, t)
-            for prune in singles:
-                clear_memo()
-                got = [m.render() for m in enumerate_basis(ctx5, s, t, prune=prune).monomials]
-                assert got == want, (s, t, sorted(prune))
-    clear_memo()
+            for flags in singles:
+                assert search_renders(ctx5, s, t, flags) == want, (s, t, sorted(flags))
 
 
 def test_degree_skip_is_lossless_at_large_degrees(ctx5, ctx7):
@@ -58,8 +63,8 @@ def test_degree_skip_is_lossless_at_large_degrees(ctx5, ctx7):
     clear_memo()
     for ctx, s, t in cases:
         pruned = enumerate_basis(ctx, s, t).monomials
-        unpruned = enumerate_basis(ctx, s, t, prune=ALL_PRUNING - {PRUNE_DEGREE}).monomials
-        assert pruned == unpruned, (ctx.p, s, t)
+        unpruned = sorted(_search(ctx, s, t, ALL_PRUNING - {PRUNE_DEGREE}), key=Monomial.render)
+        assert list(pruned) == unpruned, (ctx.p, s, t)
         for mon in pruned:
             assert mon == monomial_from_factors(mon.factors, ctx), mon.render()
     clear_memo()
@@ -75,8 +80,6 @@ def test_trivial_bidegrees(ctx5):
         enumerate_basis(ctx5, -1, 10)
     with pytest.raises(ParameterError):
         enumerate_basis(ctx5, 2, -8)
-    with pytest.raises(ParameterError):
-        enumerate_basis(ctx5, 2, 49, prune={"bogus"})
 
 
 def test_filtration_limit(ctx5, monkeypatch):
@@ -162,7 +165,7 @@ def test_predicates_imply_empty_bases(ctx5):
         digit = 0 < s1 < ctx5.p and vanishes_by_digit_bound(s1, t, ctx5)
         rem = 0 < s1 < ctx5.q and vanishes_by_remainder_bound(s1, t, ctx5)
         if digit or rem:
-            assert enumerate_basis(ctx5, s1, t, prune=NO_PRUNING).dimension == 0
+            assert search_renders(ctx5, s1, t, ()) == []
 
 
 def test_column_sums_impossible():
@@ -180,7 +183,7 @@ def test_every_enumerated_monomial_passes_triple_inequality(ctx5):
     for s in range(1, 4):
         for t in range(1, 121):
             for mon in enumerate_basis(ctx5, s, t).monomials:
-                assert not column_sums_impossible(column_sums(mon), mon.factor_count)
+                assert not column_sums_impossible(column_sums(mon), factor_count(mon))
 
 
 def test_forced_spanning_factors_cases(ctx5):

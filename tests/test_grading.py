@@ -1,13 +1,24 @@
 import pytest
 
-from mayss import (PAdicProfile, ParameterError, Tridegree, generator_tridegree,
-                   make_context, padic_profile, profile_to_degree, stem)
+from helpers import profile_to_degree
+from mayss import ParameterError, Tridegree, grading, make_context, padic_profile
+from mayss.grading import PAdicProfile, generator_tridegree
 
 
 def test_context_rejects_non_primes_and_small_values():
     for bad in (-5, 0, 1, 2, 3, 4, 6, 9, 15, 21, 25, 49):
         with pytest.raises(ParameterError):
             make_context(bad)
+
+
+def test_context_rejects_primes_above_the_bound_without_trial_division(monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError("tested %d for primality" % n)
+
+    monkeypatch.setattr(grading, "_is_prime", no_trial_division)
+    for big in (2**61 - 1, grading.MAX_PRIME + 1):
+        with pytest.raises(ParameterError, match="exceeds %d" % grading.MAX_PRIME):
+            make_context(big)
 
 
 def test_context_accepts_odd_primes_from_five():
@@ -86,4 +97,3 @@ def test_tridegree_arithmetic():
     d = Tridegree(1, 2, 3) + Tridegree(4, 5, 6)
     assert d == Tridegree(5, 7, 9)
     assert Tridegree(1, 2, 3).scaled(3) == Tridegree(3, 6, 9)
-    assert stem(Tridegree(3, 10, 1)) == 7

@@ -1,9 +1,10 @@
 import pytest
 
-from mayss import (ParameterError, Tridegree, UNIT, a, add, d1_generator,
-                   e1_dimension, e2_dimension, element_from_monomial, h,
-                   higher_page_hit_analysis, monomial_from_factors,
-                   product_class, survives_to_e2)
+from helpers import UNIT, add, d1_generator
+from mayss import (ParameterError, Tridegree, a, e2_dimension, element_from_monomial, h,
+                   enumerate_basis, higher_page_hit_analysis, monomial_from_factors,
+                   survives_to_e2)
+from mayss.verify import product_class
 
 
 def test_second_page_of_small_bidegree(ctx5):
@@ -13,7 +14,7 @@ def test_second_page_of_small_bidegree(ctx5):
     blk = res.blocks[0]
     assert blk.u == 4 and blk.e2_dim == 0
     # filtration below: a(2) alone
-    assert e1_dimension(ctx5, 1, 49) == 1
+    assert enumerate_basis(ctx5, 1, 49).dimension == 1
 
 
 def test_boundary_class_dies_on_page_two(ctx5):
@@ -74,10 +75,10 @@ def test_hit_analysis_at_filtration_zero(ctx5):
 
 
 def test_weight_filtered_page_queries(ctx5):
-    assert e1_dimension(ctx5, 6, 130194) == 7
-    assert e1_dimension(ctx5, 5, 130194) == 0
-    assert e1_dimension(ctx5, 7, 130194) == 85
-    assert e1_dimension(ctx5, 7, 130194, u=17) == 1
+    assert enumerate_basis(ctx5, 6, 130194).dimension == 7
+    assert enumerate_basis(ctx5, 5, 130194).dimension == 0
+    assert enumerate_basis(ctx5, 7, 130194).dimension == 85
+    assert enumerate_basis(ctx5, 7, 130194, u=17).dimension == 1
     full = e2_dimension(ctx5, 6, 130194)
     assert full.e1_dim == 7 and full.cycle_dim == 0 and full.e2_dim == 0
     assert sorted(b.u for b in full.blocks) == [34, 50]

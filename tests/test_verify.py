@@ -1,11 +1,11 @@
 import pytest
 
-from mayss import (ParameterError, Tridegree, critical_leading_terms,
-                   critical_monomials, d1, element_from_monomial, family_degree,
-                   h_triple, make_context, multiply, product_class, s_rep,
-                   validate_family_params, verify_critical_differential,
-                   verify_main, verify_representatives, verify_survival,
-                   verify_upper_window_vanishing, verify_window)
+from mayss import (ParameterError, Tridegree, d1, element_from_monomial, make_context,
+                   multiply, verify_critical_differential, verify_main,
+                   verify_representatives, verify_survival, verify_upper_window_vanishing,
+                   verify_window)
+from mayss.verify import (critical_leading_terms, critical_monomials, family_degree,
+                          h_triple, product_class, s_rep, validate_family_params)
 
 M, N = 4, 6
 T_CRIT = 130194   # family degree at s = 4 plus (s - 2)

@@ -4,7 +4,9 @@ The algebra over F_p is exterior on the h(i,j), polynomial on the b(i,j) and
 the a(i).  Commutation: two h's anticommute, everything else commutes.  A
 monomial is stored in canonical order (a's, then h's, then b's, each block
 sorted by index) together with its tridegree; an element is a finite F_p
-combination of canonical monomials.
+combination of canonical monomials.  Generators are interned, one object per
+(kind, i, j), and compared by identity, so hashing and comparing monomials
+never looks inside a generator.
 
 Sign bookkeeping uses the parity of the number of exterior factors, which for
 a homogeneous word equals (s + t) mod 2.  That is the grading under which the
@@ -15,7 +17,7 @@ forced by it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ParameterError, ParseError
 from .grading import PrimeContext, Tridegree, ZERO_DEGREE, generator_tridegree
@@ -27,13 +29,30 @@ _KIND_RANK = {"a": 0, "h": 1, "b": 2}
 MAX_GENERATOR_INDEX = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Generator:
-    """One multiplicative generator: kind "a" (j is None), "h", or "b"."""
+    """One multiplicative generator: kind "a" (j is None), "h", or "b".
+
+    Interned: each (kind, i, j) has exactly one instance, which a, h, b,
+    Generator(...), pickle and copy all return, so equality is identity and
+    the hash is object.__hash__.
+    """
 
     kind: str
     i: int
     j: int | None
+
+    def __new__(cls, kind: str, i: int, j: int | None) -> "Generator":
+        g = _INTERNED.get((kind, i, j))
+        if g is None:
+            g = _INTERNED[kind, i, j] = object.__new__(cls)
+            object.__setattr__(g, "kind", kind)
+            object.__setattr__(g, "i", i)
+            object.__setattr__(g, "j", j)
+        return g
+
+    def __reduce__(self):
+        return Generator, (self.kind, self.i, self.j)
 
     def sort_key(self) -> tuple[int, int, int]:
         return (_KIND_RANK[self.kind], self.i, -1 if self.j is None else self.j)
@@ -52,6 +71,9 @@ class Generator:
 
     def __repr__(self) -> str:
         return self.render()
+
+
+_INTERNED: dict[tuple[str, int, int | None], Generator] = {}
 
 
 def a(i: int) -> Generator:
@@ -91,23 +113,16 @@ class Monomial:
         return self.render() or "1"
 
 
-def canonicalize(gens: Sequence[Generator], ctx: PrimeContext) -> tuple[int, Monomial] | None:
-    """Sort a raw generator word into a canonical monomial.
+def canonicalize(factors: Iterable[tuple[Generator, int]],
+                 ctx: PrimeContext) -> tuple[int, Monomial] | None:
+    """Sort a word of (generator, exponent) powers, in written order, into a
+    canonical monomial.
 
     Returns (sign, monomial) where sign in {+1, -1} is the parity of the
-    permutation restricted to the exterior generators, or None when the word
-    contains a repeated exterior generator (exterior square, so the product
-    is zero).  Non-exterior generators move freely.
-    """
-    return _canonicalize_factors([(g, 1) for g in gens], ctx)
-
-
-def _canonicalize_factors(factors: Iterable[tuple[Generator, int]],
-                          ctx: PrimeContext) -> tuple[int, Monomial] | None:
-    """canonicalize for a word of (generator, exponent) powers in written order.
-
-    Each power stays one item, so g^e costs the same for every e.  An
-    exterior power above 1 or a repeated exterior generator gives None.
+    permutation restricted to the exterior generators; non-exterior
+    generators move freely.  Each power stays one item, so g^e costs the
+    same for every e.  An exterior power above 1 or a repeated exterior
+    generator (an exterior square, so the product is zero) gives None.
     """
     ext = []
     counts: dict[Generator, int] = {}
@@ -143,7 +158,7 @@ def monomial_from_factors(factors: Iterable[tuple[Generator, int]], ctx: PrimeCo
     for g, e in factors:
         if e <= 0:
             raise ParameterError("exponent must be positive, got %d for %s" % (e, g.render()))
-    res = _canonicalize_factors(factors, ctx)
+    res = canonicalize(factors, ctx)
     if res is None:
         raise ParameterError("exterior generator repeated in %s"
                              % " ".join(g.render() for g, _ in factors))
@@ -214,7 +229,7 @@ def multiply(x: Element, y: Element, ctx: PrimeContext) -> Element:
         for my, cy in y.terms.items():
             # both are canonical, so the sign is that of moving y's exterior
             # factors past x's
-            res = _canonicalize_factors(mx.factors + my.factors, ctx)
+            res = canonicalize(mx.factors + my.factors, ctx)
             if res is None:
                 continue
             sign, mon = res
@@ -384,7 +399,7 @@ def parse_element(text: str, ctx: PrimeContext) -> Element:
         sign = -1
     while True:
         coeff, word = _parse_term(tk, ctx)
-        res = _canonicalize_factors(word, ctx)
+        res = canonicalize(word, ctx)
         if res is not None:
             csign, mon = res
             accum[mon] = accum.get(mon, 0) + sign * csign * coeff

@@ -118,8 +118,6 @@ class ResultCache:
             data = [[int(v) for v in line.split()] for line in body[1:1 + nrows]]
             if any(len(r) != ncols for r in data):
                 return None
-            if nrows == 0:
-                return MatrixFp(modulus=ctx.p, rows=0, cols=ncols, entries=())
             return matrix_from_rows(data, ctx.p, cols=ncols)
         except (ValueError, IndexError):
             return None

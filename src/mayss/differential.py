@@ -137,19 +137,20 @@ def d1_matrix(domain: Sequence[Monomial], codomain: Sequence[Monomial],
     raises CompletenessError since it means the codomain basis is incomplete.
     """
     p = ctx.p
-    cols = len(domain)
     # factors determine the tridegree, so they alone identify a monomial
-    offset = {mon.factors: r * cols for r, mon in enumerate(codomain)}
-    entries = [0] * (len(codomain) * cols)
-    for col, mon in enumerate(domain):
+    row_of = {mon.factors: r for r, mon in enumerate(codomain)}
+    columns = []
+    for mon in domain:
+        col = {}
         for factors, c in _d1_factors(mon, p).items():
             c %= p
             if not c:
                 continue
-            k = offset.get(factors)
-            if k is None:
+            r = row_of.get(factors)
+            if r is None:
                 out = Monomial(factors=factors, tridegree=mon.tridegree + D1_SHIFT)
                 raise CompletenessError("image monomial %s of %s missing from codomain basis"
                                         % (out.render(), mon.render()))
-            entries[k + col] = c
-    return MatrixFp(modulus=p, rows=len(codomain), cols=cols, entries=tuple(entries))
+            col[r] = c
+        columns.append(col)
+    return MatrixFp(modulus=p, rows=len(codomain), cols=len(domain), columns=tuple(columns))

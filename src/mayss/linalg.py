@@ -1,9 +1,11 @@
 """Exact linear algebra over F_p: rank and membership.
 
-A MatrixFp keeps its entries row-major, which is the form the disk cache
-writes.  Every operation runs one sparse elimination on its columns: each
-column is a dict {row: residue}, reduced left to right against the pivots
-found so far, each pivot keyed by its lead (lowest) row and scaled to lead
+A MatrixFp stores only its columns, each a dict {row: residue} with residues
+in [1, p), which is the form d1 matrices are built in and eliminated on;
+row() and to_rows() derive the dense rows, and the disk cache writes its
+text form through row().  Every operation runs one sparse elimination on a
+copy of the columns, reduced left to right against the pivots found so
+far, each pivot keyed by its lead (lowest) row and scaled to lead
 coefficient 1.  A pivot's entries all lie at or below its lead row, so a
 reduction only moves the lead of the column being reduced downward.
 d1 matrices are a few percent nonzero, so the columns stay short.
@@ -16,7 +18,6 @@ never mutate their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 from .errors import ParameterError
@@ -27,38 +28,40 @@ class MatrixFp:
     modulus: int
     rows: int
     cols: int
-    entries: tuple[int, ...]  # row-major, residues in [0, modulus)
+    columns: tuple[dict[int, int], ...]  # column c as {row: residue in [1, modulus)}
 
     def row(self, r: int) -> tuple[int, ...]:
-        return self.entries[r * self.cols:(r + 1) * self.cols]
+        return tuple(col.get(r, 0) for col in self.columns)
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(r)) for r in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for c, col in enumerate(self.columns):
+            for r, v in col.items():
+                out[r][c] = v
+        return out
 
 
 def matrix_from_rows(rows: Sequence[Sequence[int]], p: int, cols: int | None = None) -> MatrixFp:
     if p < 2:
         raise ParameterError("modulus must be at least 2, got %d" % p)
-    nrows = len(rows)
     if cols is None:
-        if nrows == 0:
+        if not rows:
             raise ParameterError("cannot infer column count of an empty matrix")
         cols = len(rows[0])
-    flat = []
-    for r in rows:
-        if len(r) != cols:
-            raise ParameterError("ragged rows: expected %d columns, got %d" % (cols, len(r)))
-        flat.extend(v % p for v in r)
-    return MatrixFp(modulus=p, rows=nrows, cols=cols, entries=tuple(flat))
+    columns: list[dict[int, int]] = [{} for _ in range(cols)]
+    for r, row in enumerate(rows):
+        if len(row) != cols:
+            raise ParameterError("ragged rows: expected %d columns, got %d" % (cols, len(row)))
+        for c, v in enumerate(row):
+            v %= p
+            if v:
+                columns[c][r] = v
+    return MatrixFp(modulus=p, rows=len(rows), cols=cols, columns=tuple(columns))
 
 
 def _columns(m: MatrixFp) -> list[dict[int, int]]:
-    out: list[dict[int, int]] = [{} for _ in range(m.cols)]
-    entries = m.entries
-    for k in compress(range(len(entries)), entries):
-        r, c = divmod(k, m.cols)
-        out[c][r] = entries[k]
-    return out
+    # _reduce works in place, so eliminate on copies
+    return [dict(col) for col in m.columns]
 
 
 def _axpy(y: dict[int, int], f: int, x: dict[int, int], p: int) -> None:

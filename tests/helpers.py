@@ -21,10 +21,16 @@ from mayss.differential import d1
 from mayss.enumeration import digit_span, generator_universe
 from mayss.errors import ParameterError
 from mayss.grading import ZERO_DEGREE, PAdicProfile
-from mayss.linalg import MatrixFp
+from mayss.linalg import matrix_from_rows
 
 #: The empty monomial.
 UNIT = Monomial(factors=(), tridegree=ZERO_DEGREE)
+
+
+def canonicalize_word(gens, ctx):
+    """algebra.canonicalize for a raw word of generators, each to the first
+    power: (sign, monomial), or None on an exterior square."""
+    return canonicalize([(g, 1) for g in gens], ctx)
 
 
 def add(x, y, ctx):
@@ -91,7 +97,7 @@ def random_word(rng, max_factors=4, max_i=4, max_j=3):
 def random_monomial(rng, ctx, max_factors=4, max_i=4, max_j=3):
     """A random canonical monomial (resampling past exterior squares)."""
     while True:
-        res = canonicalize(random_word(rng, max_factors, max_i, max_j), ctx)
+        res = canonicalize_word(random_word(rng, max_factors, max_i, max_j), ctx)
         if res is not None:
             return res[1]
 
@@ -133,7 +139,7 @@ def reference_basis(ctx, s, t):
     def rec(idx, s_rem, t_rem, word):
         if s_rem == 0:
             if t_rem == 0:
-                res = canonicalize(word, ctx)
+                res = canonicalize_word(word, ctx)
                 assert res is not None, "universe order should never square"
                 found.append(res[1].render())
             return
@@ -372,7 +378,7 @@ def unit_d1_monomial(mon, ctx):
     for pos, g in enumerate(word):
         prefix_sign = -1 if h_before % 2 else 1
         for pair in unit_summand_pairs(g):
-            res = canonicalize(word[:pos] + list(pair) + word[pos + 1:], ctx)
+            res = canonicalize_word(word[:pos] + list(pair) + word[pos + 1:], ctx)
             if res is None:
                 continue
             sign, out = res
@@ -383,9 +389,9 @@ def unit_d1_monomial(mon, ctx):
 
 
 def transpose(m):
-    rows = [[m.entries[r * m.cols + c] for r in range(m.rows)] for c in range(m.cols)]
-    return MatrixFp(modulus=m.modulus, rows=m.cols, cols=m.rows,
-                    entries=tuple(v for row in rows for v in row))
+    rows = m.to_rows()
+    return matrix_from_rows([[row[c] for row in rows] for c in range(m.cols)], m.modulus,
+                            cols=m.rows)
 
 
 def mat_vec(m, v):

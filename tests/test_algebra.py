@@ -1,10 +1,14 @@
+import copy
+import pickle
+
 import pytest
 
-from helpers import (UNIT, add, brute_sign, random_element, random_monomial, random_word,
-                     scale, units)
-from mayss import (ParameterError, ParseError, Tridegree, a, b, element_from_monomial, h,
-                   monomial_from_factors, multiply, parse_element, render_element)
-from mayss.algebra import Element, canonicalize, element_tridegree
+from helpers import (UNIT, add, brute_sign, canonicalize_word, random_element, random_monomial,
+                     random_word, scale, units)
+from mayss import (ParameterError, ParseError, Tridegree, a, b, element_from_monomial,
+                   enumerate_basis, h, monomial_from_factors, multiply, parse_element,
+                   render_element)
+from mayss.algebra import Element, Generator, element_tridegree
 
 
 def test_generator_factories_validate():
@@ -20,23 +24,45 @@ def test_generator_render():
     assert b(3, 2).render() == "b(3,2)"
 
 
+def test_generators_are_interned():
+    assert h(2, 1) is Generator("h", 2, 1)
+    assert a(3) is Generator("a", 3, None)
+    assert b(1, 4) is b(1, 4)
+    assert h(2, 1) is not b(2, 1)
+    assert Generator.__hash__ is object.__hash__
+    assert Generator.__eq__ is object.__eq__
+    for g in (a(2), h(3, 1), b(2, 5)):
+        assert pickle.loads(pickle.dumps(g)) is g
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+
+
+def test_basis_and_parser_share_generator_objects(ctx5):
+    basis = enumerate_basis(ctx5, 12, 3000)
+    assert basis.dimension
+    for mon in basis.monomials:
+        (parsed, coeff), = parse_element(mon.render(), ctx5).terms.items()
+        assert coeff == 1 and parsed == mon
+        assert all(g is pg and e == pe for (g, e), (pg, pe) in zip(mon.factors, parsed.factors))
+
+
 def test_canonicalize_empty_word_is_unit(ctx5):
-    assert canonicalize([], ctx5) == (1, UNIT)
+    assert canonicalize_word([], ctx5) == (1, UNIT)
 
 
 def test_canonicalize_repeated_exterior_is_none(ctx5):
-    assert canonicalize([h(1, 0), h(1, 0)], ctx5) is None
-    assert canonicalize([h(1, 0), a(1), h(2, 1), h(1, 0)], ctx5) is None
+    assert canonicalize_word([h(1, 0), h(1, 0)], ctx5) is None
+    assert canonicalize_word([h(1, 0), a(1), h(2, 1), h(1, 0)], ctx5) is None
     # polynomial repeats are fine
-    assert canonicalize([a(1), a(1)], ctx5) is not None
-    assert canonicalize([b(1, 0), b(1, 0)], ctx5) is not None
+    assert canonicalize_word([a(1), a(1)], ctx5) is not None
+    assert canonicalize_word([b(1, 0), b(1, 0)], ctx5) is not None
 
 
 def test_canonicalize_sign_matches_selection_sort_oracle(rng, ctx5):
     checked = 0
     for _ in range(400):
         word = random_word(rng, max_factors=6)
-        res = canonicalize(word, ctx5)
+        res = canonicalize_word(word, ctx5)
         want = brute_sign(word, ctx5)
         if want is None:
             assert res is None
@@ -51,12 +77,12 @@ def test_canonicalize_sign_matches_selection_sort_oracle(rng, ctx5):
 
 
 def test_canonicalize_swapping_two_exterior_factors_flips_sign(ctx5):
-    plus = canonicalize([h(1, 0), h(1, 1)], ctx5)
-    minus = canonicalize([h(1, 1), h(1, 0)], ctx5)
+    plus = canonicalize_word([h(1, 0), h(1, 1)], ctx5)
+    minus = canonicalize_word([h(1, 1), h(1, 0)], ctx5)
     assert plus[1] == minus[1]
     assert plus[0] == -minus[0]
     # moving past a polynomial factor costs nothing
-    free = canonicalize([a(3), h(1, 0)], ctx5)
+    free = canonicalize_word([a(3), h(1, 0)], ctx5)
     assert free[0] == 1
 
 
@@ -132,7 +158,7 @@ def test_element_basics(ctx5):
 
 
 def test_render_known_forms(ctx5):
-    mon = canonicalize([h(1, 0), h(1, 1)], ctx5)[1]
+    mon = canonicalize_word([h(1, 0), h(1, 1)], ctx5)[1]
     assert render_element(element_from_monomial(mon, ctx5, 4), ctx5) == "-1*h(1,0) h(1,1)"
     assert render_element(element_from_monomial(mon, ctx5, 1), ctx5) == "h(1,0) h(1,1)"
     assert render_element(element_from_monomial(mon, ctx5, 2), ctx5) == "2*h(1,0) h(1,1)"
@@ -156,7 +182,7 @@ def test_parse_known_forms(ctx5):
     assert y.coefficient(mon) == 1
     # written order is respected: h(1,1) h(1,0) = -h(1,0) h(1,1)
     flip = parse_element("h(1,1) h(1,0)", ctx5)
-    target = canonicalize([h(1, 0), h(1, 1)], ctx5)[1]
+    target = canonicalize_word([h(1, 0), h(1, 1)], ctx5)[1]
     assert flip.coefficient(target) == ctx5.p - 1
     # cancelling terms collapse to zero
     assert parse_element("h(1,0) h(1,1) + h(1,1) h(1,0)", ctx5).is_zero
@@ -216,6 +242,6 @@ def test_parse_powers_match_expanded_word(rng, ctx5, ctx7):
         for _ in range(100):
             word = [(g, rng.randint(1, 3)) for g in random_word(rng, max_factors=5)]
             text = " ".join("%s^%d" % (g.render(), e) for g, e in word)
-            res = canonicalize([g for g, e in word for _ in range(e)], ctx)
+            res = canonicalize_word([g for g, e in word for _ in range(e)], ctx)
             expect = Element.zero() if res is None else element_from_monomial(res[1], ctx, res[0])
             assert parse_element(text, ctx) == expect, text

@@ -1,11 +1,11 @@
 import pytest
 
-from helpers import (add, d1_generator, element_parity, random_element, random_generator,
-                     random_monomial, scale, unit_d1_monomial)
+from helpers import (add, canonicalize_word, d1_generator, element_parity, random_element,
+                     random_generator, random_monomial, scale, unit_d1_monomial)
 from mayss import (CompletenessError, a, b, d1, element_from_monomial, enumerate_basis, h,
                    make_context, monomial_from_factors, multiply, parse_element,
                    render_element)
-from mayss.algebra import Element, _from_accumulator, canonicalize, element_tridegree
+from mayss.algebra import Element, _from_accumulator, element_tridegree
 from mayss.differential import d1_matrix
 
 D1_SHIFT = (1, 0, -1)
@@ -190,7 +190,7 @@ def test_factor_level_d1_matches_unit_oracle_on_powers(rng, ctx5, ctx7):
             word = [(random_generator(rng), rng.randint(1, 2 * ctx.p + 1))
                     for _ in range(rng.randint(1, 4))]
             word = [(g, 1 if g.is_exterior else e) for g, e in word]
-            res = canonicalize([g for g, e in word for _ in range(e)], ctx)
+            res = canonicalize_word([g for g, e in word for _ in range(e)], ctx)
             if res is None:
                 continue
             mon = res[1]

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from helpers import dense_in_span, dense_rank, mat_vec, span_rank, span_vectors, transpose
@@ -58,7 +60,7 @@ def test_matrix_from_rows_validates():
     m = matrix_from_rows([], 5, cols=3)
     assert m.rows == 0 and m.cols == 3
     # entries reduced mod p
-    assert matrix_from_rows([[7, -1]], 5).entries == (2, 4)
+    assert matrix_from_rows([[7, -1]], 5).to_rows() == [[2, 4]]
 
 
 def test_degenerate_shapes():
@@ -135,3 +137,29 @@ def test_sparse_elimination_matches_dense_oracle(rng, p):
             other = [rng.randrange(p) for _ in range(m.rows)]
             for v in (member, other, [0] * m.rows):
                 assert in_span(m, v) == dense_in_span(m, v)
+
+
+def test_matrix_from_rows_roundtrip_stores_only_nonzero_residues(rng):
+    for p in (5, 7, 13):
+        for m in _oracle_cases(rng, p):
+            rows = m.to_rows()
+            assert matrix_from_rows(rows, p, cols=m.cols) == m
+            assert all(1 <= v < p for col in m.columns for v in col.values())
+            assert all(0 <= r < m.rows for col in m.columns for r in col)
+        raw = [[rng.randrange(-3 * p, 3 * p) for _ in range(6)] for _ in range(5)]
+        m = matrix_from_rows(raw, p)
+        assert m.to_rows() == [[v % p for v in row] for row in raw]
+        assert [m.row(r) for r in range(m.rows)] == [tuple(v % p for v in row) for row in raw]
+        assert sum(len(col) for col in m.columns) == sum(1 for row in raw for v in row if v % p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_operations_never_mutate_their_input(rng, p):
+    for m in _oracle_cases(rng, p):
+        before = copy.deepcopy(m.columns)
+        rank(m)
+        assert m.columns == before
+        v = list(mat_vec(m, [rng.randrange(p) for _ in range(m.cols)]))
+        in_span(m, v)
+        in_span(m, [rng.randrange(p) for _ in range(m.rows)])
+        assert m.columns == before

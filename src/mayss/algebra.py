@@ -35,7 +35,9 @@ class Generator:
 
     Interned: each (kind, i, j) has exactly one instance, which a, h, b,
     Generator(...), pickle and copy all return, so equality is identity and
-    the hash is object.__hash__.
+    the hash is object.__hash__.  The constructor also sets, once per
+    instance, the derived attributes that the hot paths read: text (the
+    rendered form), key (the canonical sort key) and is_exterior.
     """
 
     kind: str
@@ -46,28 +48,25 @@ class Generator:
         g = _INTERNED.get((kind, i, j))
         if g is None:
             g = _INTERNED[kind, i, j] = object.__new__(cls)
-            object.__setattr__(g, "kind", kind)
-            object.__setattr__(g, "i", i)
-            object.__setattr__(g, "j", j)
+            for name, value in (
+                    ("kind", kind), ("i", i), ("j", j),
+                    ("text", "a(%d)" % i if j is None else "%s(%d,%d)" % (kind, i, j)),
+                    ("key", (_KIND_RANK[kind], i, -1 if j is None else j)),
+                    ("is_exterior", kind == "h")):
+                object.__setattr__(g, name, value)
         return g
 
     def __reduce__(self):
         return Generator, (self.kind, self.i, self.j)
 
     def sort_key(self) -> tuple[int, int, int]:
-        return (_KIND_RANK[self.kind], self.i, -1 if self.j is None else self.j)
-
-    @property
-    def is_exterior(self) -> bool:
-        return self.kind == "h"
+        return self.key
 
     def tridegree(self, ctx: PrimeContext) -> Tridegree:
         return generator_tridegree(self.kind, self.i, self.j, ctx)
 
     def render(self) -> str:
-        if self.kind == "a":
-            return "a(%d)" % self.i
-        return "%s(%d,%d)" % (self.kind, self.i, self.j)
+        return self.text
 
     def __repr__(self) -> str:
         return self.render()
@@ -102,12 +101,7 @@ class Monomial:
     tridegree: Tridegree
 
     def render(self) -> str:
-        if not self.factors:
-            return ""
-        parts = []
-        for g, e in self.factors:
-            parts.append(g.render() if e == 1 else "%s^%d" % (g.render(), e))
-        return " ".join(parts)
+        return " ".join(g.text if e == 1 else "%s^%d" % (g.text, e) for g, e in self.factors)
 
     def __repr__(self) -> str:
         return self.render() or "1"
@@ -130,7 +124,7 @@ def canonicalize(factors: Iterable[tuple[Generator, int]],
         if g.is_exterior:
             if e > 1:
                 return None
-            ext.append(g.sort_key())
+            ext.append(g.key)
         counts[g] = counts.get(g, 0) + e
     inv = 0
     for x in range(len(ext)):
@@ -140,7 +134,7 @@ def canonicalize(factors: Iterable[tuple[Generator, int]],
                 inv += 1
             elif kx == ext[y]:
                 return None
-    canon = tuple(sorted(counts.items(), key=lambda it: it[0].sort_key()))
+    canon = tuple(sorted(counts.items(), key=lambda it: it[0].key))
     deg = ZERO_DEGREE
     for g, e in canon:
         deg = deg + g.tridegree(ctx).scaled(e)

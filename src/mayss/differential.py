@@ -43,7 +43,7 @@ Keyed = tuple[Generator, tuple[int, int, int]]
 
 
 def _keyed(g: Generator) -> Keyed:
-    return g, g.sort_key()
+    return g, g.key
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +83,7 @@ def _d1_factors(mon: Monomial, p: int) -> dict[Factors, int]:
     mon.tridegree + D1_SHIFT.
     """
     factors = mon.factors
-    keys = [g.sort_key() for g, _ in factors]
+    keys = [g.key for g, _ in factors]
     ext = [k for (g, _), k in zip(factors, keys) if g.is_exterior]
     accum: dict[Factors, int] = {}
     before = 0  # exterior factors ahead of the current one

@@ -41,15 +41,44 @@ every later one, and the loop stops when both filtrations are closed.  The
 lower degree bound and the carry test are not monotone along the order and
 are tested per candidate.  With the degree rule off every candidate is
 visited.
+
+One search serves a window of filtrations [s_lo, s_hi] at one t: a
+second-page query at (s, t) reads the bases of s - 1, s and s + 1, which
+share the universe of filtration s + 1.  A node whose picks used filtration
+`used` may still end in any filtration of the window, so a rule may prune
+only when it fails for every one of them; each rule below is the weakest
+case of its single-filtration form, hence still necessary for some
+completion, hence lossless.
+
+  * A leaf is any node with no degree left whose used filtration lies in
+    the window.
+  * The upper degree bound, and so the degree-ordered skip, use the largest
+    filtration left, s_hi - used - f: it bounds the degree any completion
+    can still add.  Along the order within filtration f it is fixed, so the
+    skip's monotonicity argument holds unchanged, and a filtration closes
+    exactly as in a single search, also when no filtration is left but
+    degree is.
+  * The lower degree bound uses the smallest, max(0, s_lo - used - f): a
+    completion needs at least that much filtration, so at least that many
+    units of the suffix's least degree per filtration.
+  * The carry test caps the column sums by the largest filtration left.
+    A solution under a smaller cap is a solution under a larger one.
+  * The digit and remainder predicates, the root's lower degree bound and
+    its carry test decide per filtration at the root, and the window
+    shrinks to span the filtrations that pass.  Each is a necessary
+    condition on one bidegree, so a filtration it drops has no monomials,
+    also one left inside the shrunk window.
+
+A window of one filtration is exactly the single-filtration search.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
+from operator import itemgetter
 
-from .algebra import Generator, Monomial, a, b, h, monomial_from_factors
+from .algebra import Generator, Monomial, a, b, h
 from .errors import ParameterError
 from .grading import PrimeContext, Tridegree, padic_profile
 
@@ -190,13 +219,15 @@ def _carry_feasible(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> bo
 # --- the search ------------------------------------------------------------
 
 
-def _search(ctx: PrimeContext, s: int, t: int, flags: frozenset[str]) -> list[Monomial]:
-    """The monomials of bidegree (s, t), in search order, pruned by the named
-    rules.  enumerate_basis always passes ALL_PRUNING; fewer rules give the
-    same monomials, which is how the tests check that each rule is lossless."""
-    if s == 0:
-        return [monomial_from_factors((), ctx)] if t == 0 else []
-    universe = generator_universe(ctx, t, s)   # canonical (sort_key) order
+def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int,
+            flags: frozenset[str]) -> dict[int, list[tuple[str, Monomial]]]:
+    """The monomials of every bidegree (s, t) with s_lo <= s <= s_hi, from one
+    depth-first pass pruned by the named rules, keyed by s.  Each monomial
+    comes with its rendered text, in search order.  enumerate_basis always
+    passes ALL_PRUNING; fewer rules give the same monomials, which is how the
+    tests check that each rule is lossless."""
+    found: dict[int, list[tuple[str, Monomial]]] = {s: [] for s in range(s_lo, s_hi + 1)}
+    universe = generator_universe(ctx, t, s_hi)   # canonical (sort_key) order
     tri = [g.tridegree(ctx) for g in universe]
     # Search order: decreasing degree, ties in canonical order.  pos[k] is
     # the canonical position of the k-th generator of the search order.
@@ -230,46 +261,60 @@ def _search(ctx: PrimeContext, s: int, t: int, flags: frozenset[str]) -> list[Mo
     use_degree = PRUNE_DEGREE in flags
     use_carry = PRUNE_CARRY in flags
 
-    if PRUNE_DIGIT in flags and 0 < s < ctx.p and vanishes_by_digit_bound(s, t, ctx):
-        return []
-    if PRUNE_REMAINDER in flags and 0 < s < ctx.q and vanishes_by_remainder_bound(s, t, ctx):
-        return []
+    def root_feasible(s: int) -> bool:
+        # The vanishing predicates, and the root's own lower degree bound and
+        # carry test; rec tests every child, the upper degree bound in its
+        # loop where it can end the loop.
+        if PRUNE_DIGIT in flags and 0 < s < ctx.p and vanishes_by_digit_bound(s, t, ctx):
+            return False
+        if PRUNE_REMAINDER in flags and 0 < s < ctx.q and vanishes_by_remainder_bound(s, t, ctx):
+            return False
+        md, mf = min_frac[0]
+        if use_degree and t * mf < s * md:
+            return False
+        return not use_carry or _carry_feasible(t, s, supp[0], ctx)
 
-    # The root's own lower degree bound and carry test; rec tests every
-    # child, the upper degree bound in its loop where it can end the loop.
-    md, mf = min_frac[0]
-    if use_degree and t * mf < s * md:
-        return []
-    if use_carry and not _carry_feasible(t, s, supp[0], ctx):
-        return []
+    live = [s for s in found if root_feasible(s)]
+    if not live:
+        return found
+    s_lo, s_hi = live[0], live[-1]
+    span = s_hi - s_lo
+    # Each (canonical position, exponent) run as a factor and its text,
+    # made on first use.
+    pieces: dict[tuple[int, int], tuple[tuple[Generator, int], str]] = {}
+    chosen: list[int] = []   # canonical positions of the picks
 
-    results: list[Monomial] = []
-    chosen: list[int] = []   # search-order indices, never decreasing
+    def leaf(s: int, u: int):
+        # Canonical positions order the factors as monomial_from_factors would.
+        factors, texts = [], []
+        for c in sorted(set(chosen)):
+            run = (c, chosen.count(c))
+            piece = pieces.get(run)
+            if piece is None:
+                g, e = universe[c], run[1]
+                piece = pieces[run] = ((g, e), g.text if e == 1 else "%s^%d" % (g.text, e))
+            factors.append(piece[0])
+            texts.append(piece[1])
+        found[s].append((" ".join(texts),
+                         Monomial(factors=tuple(factors), tridegree=Tridegree(s, t, u))))
 
-    def leaf():
-        # Repeats of a generator are adjacent in chosen; canonical position
-        # orders the factors as monomial_from_factors would.
-        runs = sorted((pos[k], k, len(list(grp))) for k, grp in groupby(chosen))
-        results.append(Monomial(
-            factors=tuple((order[k], e) for _, k, e in runs),
-            tridegree=Tridegree(s, t, sum(weights[k] for k in chosen))))
-
-    def rec(idx: int, s_rem: int, t_rem: int):
-        if s_rem == 0:
-            if t_rem == 0:
-                leaf()
+    def rec(idx: int, s_rem: int, t_rem: int, u: int):
+        # s_rem is the largest filtration left, s_rem - span the smallest.
+        if not t_rem:
+            if s_rem <= span:
+                leaf(s_hi - s_rem, u)
             return
         # Filtrations (bit f for f in {1, 2}) whose upper bound still holds.
         open_filts = 3 if s_rem >= 2 else 1
-        # Generators heavier than t_rem (all of them when t_rem is 0) form a
-        # prefix of the order.
+        # Generators heavier than t_rem form a prefix of the order.
         for k in range(max(idx, bisect_left(neg_degs, -t_rem)), n):
             f = filts[k]
             if f > s_rem:
                 continue
             ns, nt = s_rem - f, t_rem - degs[k]
             ni = nidx[k]
-            if ns or nt:
+            ns_lo = ns - span         # below 0 it bounds nothing, as 0 would
+            if nt or ns_lo > 0:
                 if use_degree:
                     md, mf = max_frac[ni]
                     if nt * mf > ns * md:
@@ -284,46 +329,79 @@ def _search(ctx: PrimeContext, s: int, t: int, flags: frozenset[str]) -> list[Mo
                             break
                         continue
                     md, mf = min_frac[ni]
-                    if nt * mf < ns * md:
+                    if nt * mf < ns_lo * md:
                         continue
                 if use_carry and not _carry_feasible(nt, ns, supp[ni], ctx):
                     continue
-            chosen.append(k)
-            rec(ni, ns, nt)
+            chosen.append(pos[k])
+            rec(ni, ns, nt, u + weights[k])
             chosen.pop()
 
-    rec(0, s, t)
+    rec(0, s_hi, t, 0)
     # rec reaches itself through its closure; unbinding it frees the
     # per-search lists now instead of at the next full garbage collection.
     rec = None
-    return results
+    return found
 
 
-def enumerate_basis(ctx: PrimeContext, s: int, t: int, u: int | None = None,
-                    cache=None) -> BidegreeBasis:
-    """The complete basis of tridegree (s, t, u), or of the whole (s, t)
-    bidegree when u is None.  Sorted by rendered monomial."""
+def _check(s: int, t: int) -> None:
     if s < 0 or t < 0:
         raise ParameterError("filtration and degree must be nonnegative, got (%d, %d)" % (s, t))
     if s > MAX_FILTRATION:
         raise ParameterError("filtration %d exceeds %d" % (s, MAX_FILTRATION))
+
+
+def _lookup(ctx: PrimeContext, s: int, t: int, cache) -> BidegreeBasis | None:
+    """The basis of (s, t) from the memo, else from the cache into the memo."""
     key = (ctx.p, s, t)
     basis = _memo.get(key)
     if basis is None and cache is not None:
         basis = cache.load_basis(ctx, s, t)
         if basis is not None:
             _memo[key] = basis
+    return basis
+
+
+def _record(ctx: PrimeContext, s: int, t: int, leaves: list[tuple[str, Monomial]],
+            cache) -> BidegreeBasis:
+    """Sort searched leaves by their text into a basis; memoize and store it."""
+    leaves.sort(key=itemgetter(0))
+    basis = BidegreeBasis(p=ctx.p, s=s, t=t, u=None,
+                          monomials=tuple(mon for _, mon in leaves))
+    _memo[ctx.p, s, t] = basis
+    if cache is not None:
+        cache.store_basis(basis)
+    return basis
+
+
+def enumerate_basis(ctx: PrimeContext, s: int, t: int, u: int | None = None,
+                    cache=None) -> BidegreeBasis:
+    """The complete basis of tridegree (s, t, u), or of the whole (s, t)
+    bidegree when u is None.  Sorted by rendered monomial."""
+    _check(s, t)
+    basis = _lookup(ctx, s, t, cache)
     if basis is None:
-        found = _search(ctx, s, t, ALL_PRUNING)
-        found.sort(key=Monomial.render)
-        basis = BidegreeBasis(p=ctx.p, s=s, t=t, u=None, monomials=tuple(found))
-        _memo[key] = basis
-        if cache is not None:
-            cache.store_basis(basis)
+        basis = _record(ctx, s, t, _search(ctx, s, s, t, ALL_PRUNING)[s], cache)
     if u is None:
         return basis
     picked = tuple(m for m in basis.monomials if m.tridegree.u == u)
     return BidegreeBasis(p=ctx.p, s=s, t=t, u=u, monomials=picked)
+
+
+def _enumerate_window(ctx: PrimeContext, s: int, t: int, cache) -> None:
+    """Memoize the bases of (s - 1, t), (s, t) and (s + 1, t), the three a
+    second-page query at (s, t) reads, searching the missing ones in one pass.
+
+    The filtrations are checked first, s before s + 1 as the query reads
+    them, so an out-of-range window fails before any search.  Bases already
+    in the memo are kept as they are."""
+    _check(s, t)
+    _check(s + 1, t)
+    missing = [f for f in range(max(s - 1, 0), s + 2) if _lookup(ctx, f, t, cache) is None]
+    if missing:
+        found = _search(ctx, missing[0], missing[-1], t, ALL_PRUNING)
+        for f in missing:
+            _record(ctx, f, t, found[f], cache)
 
 
 def clear_memo() -> None:

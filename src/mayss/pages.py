@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Element, element_tridegree
 from .differential import d1, d1_matrix
-from .enumeration import BidegreeBasis, enumerate_basis
+from .enumeration import BidegreeBasis, _enumerate_window, enumerate_basis
 from .errors import CompletenessError, ParameterError
 from .grading import PrimeContext, Tridegree
 from .linalg import MatrixFp, in_span, rank
@@ -55,6 +55,7 @@ def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
                  cache=None) -> PageQueryResult:
     """Cycle, boundary, and second-page dimensions at (s, t, u), summed over
     all weights present when u is None."""
+    _enumerate_window(ctx, s, t, cache)   # one search for the three bases below
     target = enumerate_basis(ctx, s, t, None, cache)
     below = enumerate_basis(ctx, s + 1, t, None, cache)
     above = enumerate_basis(ctx, s - 1, t, None, cache) if s >= 1 else None

@@ -18,7 +18,7 @@ from mayss.algebra import (Element, Generator, Monomial, _from_accumulator, a, b
                            canonicalize, element_from_monomial, element_tridegree, h,
                            monomial_from_factors)
 from mayss.differential import d1
-from mayss.enumeration import digit_span, generator_universe
+from mayss.enumeration import _search, digit_span, generator_universe
 from mayss.errors import ParameterError
 from mayss.grading import ZERO_DEGREE, PAdicProfile
 from mayss.linalg import matrix_from_rows
@@ -124,6 +124,12 @@ def brute_sign(word, ctx):
             arr.insert(i, arr.pop(j))
             sign *= (-1) ** (j - i)
     return sign
+
+
+def single_search(ctx, s, t, flags):
+    """The engine's search over the one-filtration window [s, s] under the
+    named pruning rules: the monomials of (s, t), in search order."""
+    return [mon for _, mon in _search(ctx, s, s, t, frozenset(flags))[s]]
 
 
 def reference_basis(ctx, s, t):

@@ -7,12 +7,12 @@ import random
 import time
 
 from helpers import (add, column_sums, column_sums_impossible, element_parity, factor_count,
-                     random_monomial, scale)
+                     random_monomial, scale, single_search)
 from mayss import (Tridegree, a, b, d1, e2_dimension, element_from_monomial, h,
                    higher_page_hit_analysis, make_context, monomial_from_factors,
                    multiply, survives_to_e2, verify_main, verify_window)
 from mayss.cli import main as cli_main
-from mayss.enumeration import (_search, clear_memo, enumerate_basis, vanishes_by_digit_bound,
+from mayss.enumeration import (clear_memo, enumerate_basis, vanishes_by_digit_bound,
                                vanishes_by_remainder_bound)
 from mayss.verify import (critical_leading_terms, critical_monomials, family_degree,
                           h_triple, product_class, s_rep)
@@ -178,7 +178,7 @@ def test_criterion_07_pruning_is_lossless():
     def compare(s, t):
         pruned = [m.render() for m in enumerate_basis(ctx, s, t).monomials]
         clear_memo()
-        plain = sorted(m.render() for m in _search(ctx, s, t, frozenset()))
+        plain = sorted(m.render() for m in single_search(ctx, s, t, ()))
         if pruned != plain:
             failures.append("(s=%d, t=%d): %d pruned vs %d plain"
                             % (s, t, len(pruned), len(plain)))

@@ -9,6 +9,7 @@ from mayss import (ParameterError, ParseError, Tridegree, a, b, element_from_mon
                    enumerate_basis, h, monomial_from_factors, multiply, parse_element,
                    render_element)
 from mayss.algebra import Element, Generator, element_tridegree
+from mayss.enumeration import generator_universe
 
 
 def test_generator_factories_validate():
@@ -35,6 +36,19 @@ def test_generators_are_interned():
         assert pickle.loads(pickle.dumps(g)) is g
         assert copy.copy(g) is g
         assert copy.deepcopy(g) is g
+
+
+def test_generator_attributes_match_their_formulas(ctx5, ctx7):
+    gens = generator_universe(ctx5, 130194, 9) + generator_universe(ctx7, 200000, 9)
+    assert {g.kind for g in gens} == {"a", "h", "b"}
+    rank = {"a": 0, "h": 1, "b": 2}
+    for g in gens:
+        text = "a(%d)" % g.i if g.kind == "a" else "%s(%d,%d)" % (g.kind, g.i, g.j)
+        key = (rank[g.kind], g.i, -1 if g.j is None else g.j)
+        assert (g.text, g.key, g.is_exterior) == (text, key, g.kind == "h")
+        assert (g.render(), g.sort_key()) == (text, key)
+        for clone in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert (clone.text, clone.key, clone.is_exterior) == (text, key, g.kind == "h")
 
 
 def test_basis_and_parser_share_generator_objects(ctx5):

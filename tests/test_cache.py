@@ -1,7 +1,9 @@
 import os
 import threading
 
-from mayss import ResultCache, enumerate_basis
+import pytest
+
+from mayss import ResultCache, e2_dimension, enumerate_basis
 from mayss.cache import ENGINE_VERSION, default_cache_root
 from mayss.enumeration import clear_memo
 from mayss.linalg import matrix_from_rows
@@ -125,3 +127,21 @@ def test_failed_replace_leaves_no_temp_file(ctx5, tmp_path, monkeypatch):
     cache.store_basis(basis)  # must not raise
     assert not list((tmp_path / ENGINE_VERSION).glob(".tmp-*"))
     assert cache.load_basis(ctx5, 2, 49) is None
+
+
+@pytest.mark.parametrize("held", [1, 2, 3])
+def test_second_page_query_fills_the_bases_a_cache_lacks(ctx5, tmp_path, held):
+    cache = ResultCache(tmp_path)
+    clear_memo()
+    enumerate_basis(ctx5, held, 49, cache=cache)
+    clear_memo()
+    res = e2_dimension(ctx5, 2, 49, cache=cache)
+    assert (res.e1_dim, res.cycle_dim, res.boundary_dim, res.e2_dim) == (2, 1, 1, 0)
+    assert [(bl.u, bl.e1_dim, bl.e2_dim) for bl in res.blocks] == [(4, 2, 0)]
+    memoized = {s: enumerate_basis(ctx5, s, 49) for s in (1, 2, 3)}
+    clear_memo()
+    for s in (1, 2, 3):
+        stored = cache.load_basis(ctx5, s, 49)
+        assert stored is not None and stored.monomials == memoized[s].monomials, s
+        assert stored.monomials == enumerate_basis(ctx5, s, 49).monomials, s
+    clear_memo()

@@ -90,6 +90,17 @@ def test_filtration_beyond_the_search_depth_is_a_usage_error(capsys, monkeypatch
         assert "Traceback" not in err
 
 
+def test_second_page_window_beyond_the_search_depth_is_rejected_first(capsys, monkeypatch):
+    # s = 512 is allowed, but the query also needs s + 1 = 513.
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(enumeration, "_search", no_search)
+    code, out, err = run(capsys, ["e2", "--prime", "5", "--s", "512", "--t", "100000",
+                                  "--no-cache"])
+    assert (code, out, err) == (2, "", "error: filtration 513 exceeds 512\n")
+
+
 def test_e2_text(capsys):
     code, out, _ = run(capsys, ["e2", "--prime", "5", "--s", "2", "--t", "49"])
     assert code == 0

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import (UNIT, carry_solutions, column_sums, column_sums_impossible,
                      factor_count, forced_spanning_factors, reference_basis,
-                     set_carry_feasible)
+                     set_carry_feasible, single_search)
 from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
                    monomial_from_factors, padic_profile)
 from mayss import enumeration
@@ -12,12 +12,16 @@ from mayss.enumeration import (ALL_PRUNING, MAX_FILTRATION, PRUNE_CARRY, PRUNE_D
                                clear_memo, digit_span, generator_universe,
                                vanishes_by_digit_bound, vanishes_by_remainder_bound)
 from mayss.grading import PAdicProfile
+from mayss.pages import e2_dimension
 from mayss.verify import family_degree
+
+#: The (s, t) points of the dense second-page benchmark, all at p = 5.
+DENSE_E2 = ((12, 3000), (8, 130194), (11, 2988), (12, 3012))
 
 
 def search_renders(ctx, s, t, flags):
     """The basis searched under the given pruning rules, as sorted renders."""
-    return sorted(m.render() for m in _search(ctx, s, t, frozenset(flags)))
+    return sorted(m.render() for m in single_search(ctx, s, t, flags))
 
 
 def test_universe_hand_check(ctx5):
@@ -63,10 +67,75 @@ def test_degree_skip_is_lossless_at_large_degrees(ctx5, ctx7):
     clear_memo()
     for ctx, s, t in cases:
         pruned = enumerate_basis(ctx, s, t).monomials
-        unpruned = sorted(_search(ctx, s, t, ALL_PRUNING - {PRUNE_DEGREE}), key=Monomial.render)
+        unpruned = sorted(single_search(ctx, s, t, ALL_PRUNING - {PRUNE_DEGREE}),
+                          key=Monomial.render)
         assert list(pruned) == unpruned, (ctx.p, s, t)
         for mon in pruned:
             assert mon == monomial_from_factors(mon.factors, ctx), mon.render()
+    clear_memo()
+
+
+def window_equals_single_searches(ctx, s_lo, s_hi, t, singles):
+    """Whether the window search gives, per filtration, the monomials of the
+    one-filtration searches (singles caches them by (s, t))."""
+    window = _search(ctx, s_lo, s_hi, t, ALL_PRUNING)
+    if sorted(window) != list(range(s_lo, s_hi + 1)):
+        return False
+    for s in range(s_lo, s_hi + 1):
+        if (s, t) not in singles:
+            singles[s, t] = sorted(single_search(ctx, s, t, ALL_PRUNING), key=Monomial.render)
+        if sorted((mon for _, mon in window[s]), key=Monomial.render) != singles[s, t]:
+            return False
+    return True
+
+
+def test_window_search_matches_single_searches(ctx5, ctx7):
+    for ctx in (ctx5, ctx7):
+        singles = {}
+        for t in range(500):
+            for s in range(1, 7):
+                assert window_equals_single_searches(ctx, s - 1, s + 1, t, singles), (ctx.p, s, t)
+
+
+@pytest.fixture(scope="module")
+def dense_windows(ctx5):
+    """The window searches [s - 1, s + 1] at the dense benchmark points."""
+    return {(s, t): _search(ctx5, s - 1, s + 1, t, ALL_PRUNING) for s, t in DENSE_E2}
+
+
+def test_window_search_matches_single_searches_on_dense_blocks(ctx5, dense_windows):
+    for (s, t), window in dense_windows.items():
+        for f in (s - 1, s, s + 1):
+            single = sorted(single_search(ctx5, f, t, ALL_PRUNING), key=Monomial.render)
+            assert single, (f, t)
+            assert sorted((mon for _, mon in window[f]), key=Monomial.render) == single, (f, t)
+
+
+def test_leaf_text_is_the_rendered_monomial(dense_windows):
+    bases = [leaves for window in dense_windows.values() for leaves in window.values()]
+    assert len(bases) == 12 and all(bases)
+    for leaves in bases:
+        for text, mon in leaves:
+            assert text == mon.render()
+
+
+def test_second_page_query_keeps_a_memoized_basis(ctx5, monkeypatch):
+    clear_memo()
+    target = enumerate_basis(ctx5, 2, 49)
+    windows = []
+    search = enumeration._search
+
+    def recording_search(ctx, s_lo, s_hi, t, flags):
+        windows.append((s_lo, s_hi, t))
+        return search(ctx, s_lo, s_hi, t, flags)
+
+    monkeypatch.setattr(enumeration, "_search", recording_search)
+    e2_dimension(ctx5, 2, 49)
+    assert windows == [(1, 3, 49)]
+    assert enumerate_basis(ctx5, 2, 49) is target
+    # all three bases are memoized now: a second query searches nothing
+    e2_dimension(ctx5, 2, 49)
+    assert windows == [(1, 3, 49)]
     clear_memo()
 
 

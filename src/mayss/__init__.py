@@ -6,7 +6,7 @@ from .algebra import (Monomial, a, b, element_from_monomial, h, monomial_from_fa
 from .cache import ENGINE_VERSION, ResultCache, default_cache_root
 from .differential import d1
 from .enumeration import enumerate_basis
-from .errors import CompletenessError, MayssError, ParameterError, ParseError
+from .errors import MayssError, ParameterError, ParseError
 from .grading import PrimeContext, Tridegree, make_context, padic_profile
 from .pages import e2_dimension, higher_page_hit_analysis, survives_to_e2
 from .verify import (verify_critical_differential, verify_main, verify_representatives,

@@ -106,17 +106,22 @@ class ResultCache:
         return "d1mat p=%d s=%d t=%d u=%d" % (p, s, t, u)
 
     def load_matrix(self, ctx: PrimeContext, s: int, t: int, u: int,
-                    rows: int, cols: int) -> MatrixFp | None:
+                    cols: int) -> MatrixFp | None:
+        """The stored d1 matrix of a block with `cols` domain monomials.
+
+        Rows are image monomials, so their count is an output of the build,
+        not checked here; an entry whose rows were numbered otherwise, or
+        padded with zero rows, has the same rank."""
         body = self._read(self._path("d1mat", ctx.p, s, t, u),
                           self._matrix_header(ctx.p, s, t, u))
         if body is None:
             return None
         try:
             nrows, ncols = (int(v) for v in body[0].split())
-            if nrows != rows or ncols != cols:
+            if ncols != cols:
                 return None
             data = [[int(v) for v in line.split()] for line in body[1:1 + nrows]]
-            if any(len(r) != ncols for r in data):
+            if len(data) != nrows or any(len(r) != ncols for r in data):
                 return None
             return matrix_from_rows(data, ctx.p, cols=ncols)
         except (ValueError, IndexError):

@@ -1,4 +1,4 @@
-"""The first differential d1 and its matrices between monomial bases.
+"""The first differential d1 and its matrices on monomial bases.
 
 On generators:
 
@@ -20,7 +20,9 @@ word is expanded or re-sorted, so the cost is linear in the number of
 factors, not in the total exponent.
 
 d1 shifts tridegrees by (+1, 0, -1): it raises filtration, preserves internal
-degree, and drops the weight by one, so it restricts to weight blocks.
+degree, and drops the weight by one, so it restricts to weight blocks.  The
+monomials of the target tridegree form a basis of it, so a d1 matrix numbers
+its rows by the image monomials themselves and needs no enumerated codomain.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .algebra import Element, Generator, Monomial, _from_accumulator, a, h
-from .errors import CompletenessError
 from .grading import PrimeContext, Tridegree
 from .linalg import MatrixFp
 
@@ -129,28 +130,24 @@ def d1(x: Element, ctx: PrimeContext) -> Element:
     return _from_accumulator(accum, ctx)
 
 
-def d1_matrix(domain: Sequence[Monomial], codomain: Sequence[Monomial],
-              ctx: PrimeContext) -> MatrixFp:
-    """Matrix of d1 in the given bases; column k is the image of domain[k].
+def d1_matrix(domain: Sequence[Monomial], ctx: PrimeContext,
+              row_of: dict[Factors, int] | None = None) -> MatrixFp:
+    """Matrix of d1 on the given basis; column k is the image of domain[k].
 
-    The codomain must contain every monomial appearing in any image; a miss
-    raises CompletenessError since it means the codomain basis is incomplete.
+    Rows are image monomials, keyed by factor tuple (factors determine the
+    tridegree): each key not yet in row_of gets the next row number, in the
+    order the images first show it.  row_of may be pre-seeded and is
+    extended in place; the matrix has len(row_of) rows.
     """
     p = ctx.p
-    # factors determine the tridegree, so they alone identify a monomial
-    row_of = {mon.factors: r for r, mon in enumerate(codomain)}
+    if row_of is None:
+        row_of = {}
     columns = []
     for mon in domain:
         col = {}
         for factors, c in _d1_factors(mon, p).items():
             c %= p
-            if not c:
-                continue
-            r = row_of.get(factors)
-            if r is None:
-                out = Monomial(factors=factors, tridegree=mon.tridegree + D1_SHIFT)
-                raise CompletenessError("image monomial %s of %s missing from codomain basis"
-                                        % (out.render(), mon.render()))
-            col[r] = c
+            if c:
+                col[row_of.setdefault(factors, len(row_of))] = c
         columns.append(col)
-    return MatrixFp(modulus=p, rows=len(codomain), cols=len(domain), columns=tuple(columns))
+    return MatrixFp(modulus=p, rows=len(row_of), cols=len(domain), columns=tuple(columns))

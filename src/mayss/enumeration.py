@@ -43,8 +43,8 @@ are tested per candidate.  With the degree rule off every candidate is
 visited.
 
 One search serves a window of filtrations [s_lo, s_hi] at one t: a
-second-page query at (s, t) reads the bases of s - 1, s and s + 1, which
-share the universe of filtration s + 1.  A node whose picks used filtration
+second-page query at (s, t) reads the bases of s - 1 and s, which share
+the universe of filtration s.  A node whose picks used filtration
 `used` may still end in any filtration of the window, so a rule may prune
 only when it fails for every one of them; each rule below is the weakest
 case of its single-filtration form, hence still necessary for some
@@ -389,15 +389,15 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int, u: int | None = None,
 
 
 def _enumerate_window(ctx: PrimeContext, s: int, t: int, cache) -> None:
-    """Memoize the bases of (s - 1, t), (s, t) and (s + 1, t), the three a
-    second-page query at (s, t) reads, searching the missing ones in one pass.
+    """Memoize the bases of (s - 1, t) and (s, t), the two a second-page
+    query at (s, t) reads, searching the missing ones in one pass.
 
-    The filtrations are checked first, s before s + 1 as the query reads
-    them, so an out-of-range window fails before any search.  Bases already
-    in the memo are kept as they are."""
+    The query's d1 lands in filtration s + 1, so s + 1 is range-checked too,
+    after s, though never searched: an out-of-range window fails before any
+    search.  Bases already in the memo are kept as they are."""
     _check(s, t)
     _check(s + 1, t)
-    missing = [f for f in range(max(s - 1, 0), s + 2) if _lookup(ctx, f, t, cache) is None]
+    missing = [f for f in range(max(s - 1, 0), s + 1) if _lookup(ctx, f, t, cache) is None]
     if missing:
         found = _search(ctx, missing[0], missing[-1], t, ALL_PRUNING)
         for f in missing:

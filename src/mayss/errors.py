@@ -16,9 +16,3 @@ class ParseError(MayssError):
         super().__init__("%s (at position %d)" % (message, position))
         self.position = position
 
-
-class CompletenessError(MayssError):
-    """A differential image contains a monomial missing from the codomain basis.
-
-    This always indicates an enumeration bug, never bad user input.
-    """

@@ -5,6 +5,9 @@ drops u by one), so every computation here splits the bidegree basis by
 weight, builds the two matrices around each block, and adds up
 
     e2 = (kernel of the outgoing map) - (rank of the incoming map).
+
+Each matrix numbers its rows by image monomial (see d1_matrix), so a query
+at filtration s reads only the bases of s - 1 and s, never s + 1.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .algebra import Element, element_tridegree
 from .differential import d1, d1_matrix
-from .enumeration import BidegreeBasis, _enumerate_window, enumerate_basis
-from .errors import CompletenessError, ParameterError
+from .enumeration import BidegreeBasis, _check, _enumerate_window, enumerate_basis
+from .errors import ParameterError
 from .grading import PrimeContext, Tridegree
 from .linalg import MatrixFp, in_span, rank
 
@@ -55,24 +58,22 @@ def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
                  cache=None) -> PageQueryResult:
     """Cycle, boundary, and second-page dimensions at (s, t, u), summed over
     all weights present when u is None."""
-    _enumerate_window(ctx, s, t, cache)   # one search for the three bases below
+    _enumerate_window(ctx, s, t, cache)   # one search for the two bases below
     target = enumerate_basis(ctx, s, t, None, cache)
-    below = enumerate_basis(ctx, s + 1, t, None, cache)
     above = enumerate_basis(ctx, s - 1, t, None, cache) if s >= 1 else None
 
     tgt_blocks = _blocks_by_weight(target)
-    below_blocks = _blocks_by_weight(below)
     above_blocks = _blocks_by_weight(above) if above is not None else {}
 
     weights = sorted(tgt_blocks) if u is None else ([u] if u in tgt_blocks else [])
     blocks = []
     for w in weights:
         domain = tgt_blocks[w]
-        outgoing = _block_matrix(ctx, s, t, w, domain, below_blocks.get(w - 1, []), cache)
+        outgoing = _block_matrix(ctx, s, t, w, domain, cache)
         cycles = len(domain) - rank(outgoing)
         source = above_blocks.get(w + 1, [])
         if source:
-            incoming = _block_matrix(ctx, s - 1, t, w + 1, source, domain, cache)
+            incoming = _block_matrix(ctx, s - 1, t, w + 1, source, cache)
             boundaries = rank(incoming)
         else:
             boundaries = 0
@@ -87,12 +88,12 @@ def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
         blocks=tuple(blocks))
 
 
-def _block_matrix(ctx, s, t, w, domain, codomain, cache) -> MatrixFp:
+def _block_matrix(ctx, s, t, w, domain, cache) -> MatrixFp:
     if cache is not None:
-        m = cache.load_matrix(ctx, s, t, w, len(codomain), len(domain))
+        m = cache.load_matrix(ctx, s, t, w, len(domain))
         if m is not None:
             return m
-    m = d1_matrix(domain, codomain, ctx)
+    m = d1_matrix(domain, ctx)
     if cache is not None:
         cache.store_matrix(ctx, s, t, w, m)
     return m
@@ -116,21 +117,18 @@ def survives_to_e2(x: Element, ctx: PrimeContext, cache=None) -> SurvivalVerdict
     pos = element_tridegree(x)
     if pos is None:
         raise ParameterError("survival needs a homogeneous nonzero element")
+    _check(pos.s, pos.t)   # an absurd filtration ends before any work
     is_cycle = d1(x, ctx).is_zero
-    basis = enumerate_basis(ctx, pos.s, pos.t, pos.u, cache)
-    index = {mon: k for k, mon in enumerate(basis.monomials)}
-    vec = [0] * basis.dimension
-    for mon, c in x.terms.items():
-        k = index.get(mon)
-        if k is None:
-            raise CompletenessError("element term %s missing from its own basis" % mon.render())
-        vec[k] = c % ctx.p
     witness = None
     is_boundary = False
     if pos.s >= 1:
         source = enumerate_basis(ctx, pos.s - 1, pos.t, pos.u + 1, cache)
         if source.dimension:
-            m = d1_matrix(source.monomials, basis.monomials, ctx)
+            # the element's terms take the first rows; images add the rest
+            terms = x.terms
+            row_of = {mon.factors: k for k, mon in enumerate(terms)}
+            m = d1_matrix(source.monomials, ctx, row_of)
+            vec = [c % ctx.p for c in terms.values()] + [0] * (m.rows - len(terms))
             witness = in_span(m, vec)
             is_boundary = witness is not None
     return SurvivalVerdict(position=pos, is_cycle=is_cycle,

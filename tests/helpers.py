@@ -17,7 +17,7 @@ from typing import Sequence
 from mayss.algebra import (Element, Generator, Monomial, _from_accumulator, a, b,
                            canonicalize, element_from_monomial, element_tridegree, h,
                            monomial_from_factors)
-from mayss.differential import d1
+from mayss.differential import d1, d1_matrix
 from mayss.enumeration import _search, digit_span, generator_universe
 from mayss.errors import ParameterError
 from mayss.grading import ZERO_DEGREE, PAdicProfile
@@ -25,6 +25,9 @@ from mayss.linalg import matrix_from_rows
 
 #: The empty monomial.
 UNIT = Monomial(factors=(), tridegree=ZERO_DEGREE)
+
+#: The (s, t) points of the dense second-page benchmark, all at p = 5.
+DENSE_E2 = ((12, 3000), (8, 130194), (11, 2988), (12, 3012))
 
 
 def canonicalize_word(gens, ctx):
@@ -392,6 +395,19 @@ def unit_d1_monomial(mon, ctx):
         if g.is_exterior:
             h_before += 1
     return accum
+
+
+def codomain_matrix(domain, codomain, ctx):
+    """d1_matrix with its rows numbered by an enumerated codomain basis: the
+    matrix whose row r is codomain[r].  Fails when an image monomial lies
+    outside the codomain, which would mean that basis is incomplete."""
+    row_of = {mon.factors: r for r, mon in enumerate(codomain)}
+    m = d1_matrix(domain, ctx, row_of)
+    if len(row_of) != len(codomain):
+        outside = [factors for factors, r in row_of.items() if r >= len(codomain)]
+        raise AssertionError("image monomials missing from the codomain basis: %s"
+                             % [monomial_from_factors(f, ctx).render() for f in outside])
+    return m
 
 
 def transpose(m):

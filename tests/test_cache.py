@@ -3,10 +3,12 @@ import threading
 
 import pytest
 
+from helpers import codomain_matrix
 from mayss import ResultCache, e2_dimension, enumerate_basis
 from mayss.cache import ENGINE_VERSION, default_cache_root
+from mayss.differential import d1_matrix
 from mayss.enumeration import clear_memo
-from mayss.linalg import matrix_from_rows
+from mayss.linalg import matrix_from_rows, rank
 
 
 def test_basis_roundtrip(ctx5, tmp_path):
@@ -57,14 +59,36 @@ def test_matrix_roundtrip_and_dimension_check(ctx5, tmp_path):
     cache = ResultCache(tmp_path)
     m = matrix_from_rows([[4, 1]], 5)
     cache.store_matrix(ctx5, 3, 49, 3, m)
-    got = cache.load_matrix(ctx5, 3, 49, 3, 1, 2)
+    got = cache.load_matrix(ctx5, 3, 49, 3, 2)
     assert got == m
-    # a caller expecting other dimensions must get a miss, not a wrong matrix
-    assert cache.load_matrix(ctx5, 3, 49, 3, 2, 2) is None
+    # a caller expecting another column count must get a miss, not a wrong matrix
+    assert cache.load_matrix(ctx5, 3, 49, 3, 3) is None
     zero = matrix_from_rows([], 5, cols=3)
     cache.store_matrix(ctx5, 1, 8, 1, zero)
-    back = cache.load_matrix(ctx5, 1, 8, 1, 0, 3)
+    back = cache.load_matrix(ctx5, 1, 8, 1, 3)
     assert back is not None and back.rows == 0 and back.cols == 3
+    # a ragged row, or fewer rows than the entry declares, is a miss too
+    (entry,) = list((tmp_path / ENGINE_VERSION).glob("d1mat_p5_s3_*"))
+    header = "mayss-cache %s\nd1mat p=5 s=3 t=49 u=3\n" % ENGINE_VERSION
+    for body in ("1 2\n4\n", "2 2\n4 1\n"):
+        entry.write_text(header + body)
+        assert cache.load_matrix(ctx5, 3, 49, 3, 2) is None, body
+
+
+def test_codomain_numbered_matrix_entry_gives_the_same_rank(ctx5, tmp_path):
+    # An entry whose rows follow an enumerated codomain, with zero rows for
+    # the codomain monomials no image reaches, loads with the same rank.
+    domain = enumerate_basis(ctx5, 6, 130194, u=50).monomials
+    codomain = enumerate_basis(ctx5, 7, 130194, u=49).monomials
+    built = d1_matrix(domain, ctx5)
+    old = codomain_matrix(domain, codomain, ctx5)
+    assert old.rows > built.rows and old.to_rows() != built.to_rows()
+    cache = ResultCache(tmp_path)
+    cache.store_matrix(ctx5, 6, 130194, 50, old)
+    got = cache.load_matrix(ctx5, 6, 130194, 50, len(domain))
+    assert got == old
+    assert rank(got) == rank(built) > 0
+    clear_memo()
 
 
 def test_version_prefix_in_layout(ctx5, tmp_path):
@@ -131,6 +155,7 @@ def test_failed_replace_leaves_no_temp_file(ctx5, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("held", [1, 2, 3])
 def test_second_page_query_fills_the_bases_a_cache_lacks(ctx5, tmp_path, held):
+    # the query reads the bases of s - 1 and s; a stored basis of s + 1 stays
     cache = ResultCache(tmp_path)
     clear_memo()
     enumerate_basis(ctx5, held, 49, cache=cache)
@@ -138,10 +163,13 @@ def test_second_page_query_fills_the_bases_a_cache_lacks(ctx5, tmp_path, held):
     res = e2_dimension(ctx5, 2, 49, cache=cache)
     assert (res.e1_dim, res.cycle_dim, res.boundary_dim, res.e2_dim) == (2, 1, 1, 0)
     assert [(bl.u, bl.e1_dim, bl.e2_dim) for bl in res.blocks] == [(4, 2, 0)]
-    memoized = {s: enumerate_basis(ctx5, s, 49) for s in (1, 2, 3)}
+    kept = sorted({1, 2, held})
+    memoized = {s: enumerate_basis(ctx5, s, 49) for s in kept}
     clear_memo()
-    for s in (1, 2, 3):
+    for s in kept:
         stored = cache.load_basis(ctx5, s, 49)
         assert stored is not None and stored.monomials == memoized[s].monomials, s
         assert stored.monomials == enumerate_basis(ctx5, s, 49).monomials, s
+    if held != 3:
+        assert cache.load_basis(ctx5, 3, 49) is None
     clear_memo()

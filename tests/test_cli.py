@@ -9,7 +9,7 @@ from mayss import cli, enumeration, grading
 from mayss.algebra import Generator
 from mayss.cli import MACHINE_SCHEMA, main
 from mayss.enumeration import clear_memo
-from mayss.errors import CompletenessError
+from mayss.errors import MayssError
 
 
 def run(capsys, argv):
@@ -231,11 +231,14 @@ def test_module_runs_as_script(tmp_path):
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):
+    class InvariantError(MayssError):
+        """An engine invariant that failed: no usage error, so exit code 3."""
+
     def broken(*args, **kwargs):
-        raise CompletenessError("image monomial h(1,0) missing from codomain basis")
+        raise InvariantError("rank of a d1 block exceeds its column count")
 
     monkeypatch.setattr(cli, "e2_dimension", broken)
     code, out, err = run(capsys, ["e2", "--prime", "5", "--s", "2", "--t", "49", "--no-cache"])
     assert code == 3
     assert out == ""
-    assert err == "error: internal: image monomial h(1,0) missing from codomain basis\n"
+    assert err == "error: internal: rank of a d1 block exceeds its column count\n"

@@ -1,8 +1,9 @@
 import pytest
 
-from helpers import (add, canonicalize_word, d1_generator, element_parity, random_element,
-                     random_generator, random_monomial, scale, unit_d1_monomial)
-from mayss import (CompletenessError, a, b, d1, element_from_monomial, enumerate_basis, h,
+from helpers import (add, canonicalize_word, codomain_matrix, d1_generator, element_parity,
+                     random_element, random_generator, random_monomial, scale,
+                     unit_d1_monomial)
+from mayss import (a, b, d1, element_from_monomial, enumerate_basis, h,
                    make_context, monomial_from_factors, multiply, parse_element,
                    render_element)
 from mayss.algebra import Element, _from_accumulator, element_tridegree
@@ -131,21 +132,42 @@ def test_matrix_of_known_bidegree(ctx5):
     dom = [monomial_from_factors([(a(0), 1), (h(2, 0), 1)], ctx5),
            monomial_from_factors([(a(1), 1), (h(1, 1), 1)], ctx5)]
     cod = [monomial_from_factors([(a(0), 1), (h(1, 0), 1), (h(1, 1), 1)], ctx5)]
-    m = d1_matrix(dom, cod, ctx5)
+    m = codomain_matrix(dom, cod, ctx5)
     assert m.to_rows() == [[4, 1]]
 
 
 def test_matrix_missing_codomain_entry_raises(ctx5):
     dom = [monomial_from_factors([(a(2), 1)], ctx5)]
-    with pytest.raises(CompletenessError):
-        d1_matrix(dom, [], ctx5)
+    with pytest.raises(AssertionError, match="missing from the codomain basis"):
+        codomain_matrix(dom, [], ctx5)
+
+
+def test_matrix_rows_are_image_monomials_in_first_seen_order(ctx5):
+    dom = enumerate_basis(ctx5, 6, 130194).monomials
+    seen = {}
+    for mon in dom:
+        for out in d1(element_from_monomial(mon, ctx5), ctx5).terms:
+            seen.setdefault(out.factors, len(seen))
+    row_of = {}
+    m = d1_matrix(dom, ctx5, row_of)
+    assert row_of == seen and list(row_of) == list(seen)
+    assert (m.rows, m.cols) == (len(seen), len(dom))
+    for col, mon in enumerate(dom):
+        image = d1(element_from_monomial(mon, ctx5), ctx5)
+        assert m.columns[col] == {row_of[out.factors]: c for out, c in image.terms.items()}
+    # a pre-seeded key keeps its row, and the map grows in place
+    first = next(iter(seen))
+    seeded = {"unrelated": 0, first: 1}
+    m2 = d1_matrix(dom, ctx5, seeded)
+    assert seeded["unrelated"] == 0 and seeded[first] == 1
+    assert m2.rows == len(seeded) == len(seen) + 1
 
 
 def test_image_of_cycle_columns_is_zero_column(ctx5):
     dom = [monomial_from_factors([(b(1, 0), 1)], ctx5),
            monomial_from_factors([(h(1, 0), 1), (h(1, 1), 1)], ctx5)]
     # d1(b)=0 and d1(h h)=0, so no codomain is needed at all
-    m = d1_matrix(dom, [], ctx5)
+    m = codomain_matrix(dom, [], ctx5)
     assert m.rows == 0 and m.cols == 2
 
 
@@ -177,7 +199,7 @@ def test_factor_level_d1_matches_unit_oracle_on_bases(p, s, t):
         w = weights[len(weights) // 2]
         dom = [mon for mon in domain if mon.tridegree.u == w]
         cod = [mon for mon in codomain if mon.tridegree.u == w - 1]
-        m = d1_matrix(dom, cod, ctx)
+        m = codomain_matrix(dom, cod, ctx)
         for col, mon in enumerate(dom):
             assert [m.row(r)[col] for r in range(m.rows)] == [
                 images[mon].coefficient(out) for out in cod]

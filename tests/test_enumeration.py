@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import (UNIT, carry_solutions, column_sums, column_sums_impossible,
+from helpers import (DENSE_E2, UNIT, carry_solutions, column_sums, column_sums_impossible,
                      factor_count, forced_spanning_factors, reference_basis,
                      set_carry_feasible, single_search)
 from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
@@ -14,9 +14,6 @@ from mayss.enumeration import (ALL_PRUNING, MAX_FILTRATION, PRUNE_CARRY, PRUNE_D
 from mayss.grading import PAdicProfile
 from mayss.pages import e2_dimension
 from mayss.verify import family_degree
-
-#: The (s, t) points of the dense second-page benchmark, all at p = 5.
-DENSE_E2 = ((12, 3000), (8, 130194), (11, 2988), (12, 3012))
 
 
 def search_renders(ctx, s, t, flags):
@@ -131,11 +128,16 @@ def test_second_page_query_keeps_a_memoized_basis(ctx5, monkeypatch):
 
     monkeypatch.setattr(enumeration, "_search", recording_search)
     e2_dimension(ctx5, 2, 49)
-    assert windows == [(1, 3, 49)]
+    # only the missing basis of s - 1 is searched; s + 1 never is
+    assert windows == [(1, 1, 49)]
     assert enumerate_basis(ctx5, 2, 49) is target
-    # all three bases are memoized now: a second query searches nothing
+    # both bases are memoized now: a second query searches nothing
     e2_dimension(ctx5, 2, 49)
-    assert windows == [(1, 3, 49)]
+    assert windows == [(1, 1, 49)]
+    # with neither basis memoized, one window search serves both
+    clear_memo()
+    e2_dimension(ctx5, 2, 49)
+    assert windows == [(1, 1, 49), (1, 2, 49)]
     clear_memo()
 
 

@@ -1,10 +1,19 @@
+import itertools
+
 import pytest
 
-from helpers import UNIT, add, d1_generator
-from mayss import (ParameterError, Tridegree, a, e2_dimension, element_from_monomial, h,
-                   enumerate_basis, higher_page_hit_analysis, monomial_from_factors,
-                   survives_to_e2)
-from mayss.verify import product_class
+from helpers import DENSE_E2, UNIT, add, codomain_matrix, d1_generator, scale
+from mayss import (ParameterError, Tridegree, a, d1, e2_dimension, element_from_monomial, h,
+                   enumerate_basis, higher_page_hit_analysis, make_context,
+                   monomial_from_factors, parse_element, survives_to_e2)
+from mayss.algebra import Element, element_tridegree
+from mayss.differential import d1_matrix
+from mayss.linalg import rank
+from mayss.verify import family_degree, product_class
+
+#: The (p, m, n, s) of the paper's main scenario at eight parameter points.
+SCENARIOS = ((5, 4, 6, 4), (5, 8, 12, 4), (7, 6, 10, 6), (13, 4, 6, 12), (5, 10, 16, 4),
+             (5, 12, 20, 4), (7, 8, 14, 6), (11, 6, 10, 10))
 
 
 def test_second_page_of_small_bidegree(ctx5):
@@ -101,3 +110,108 @@ def test_weight_restricted_query_matches_block(ctx5):
         (full.e1_dim, full.cycle_dim, full.boundary_dim, full.e2_dim)
     missing = e2_dimension(ctx5, 2, 49, u=99)
     assert missing.e1_dim == 0 and missing.e2_dim == 0 and missing.blocks == ()
+
+
+def _check_block(ctx, s, t, w):
+    """d1 on the weight-w block of (s, t): every image monomial lies in the
+    enumerated basis of (s + 1, t) at weight w - 1 (codomain_matrix fails
+    otherwise), and the rank equals that of the matrix numbered by that
+    basis.  Returns the rank."""
+    domain = enumerate_basis(ctx, s, t, w).monomials
+    codomain = enumerate_basis(ctx, s + 1, t, w - 1).monomials
+    r = rank(d1_matrix(domain, ctx))
+    assert r == rank(codomain_matrix(domain, codomain, ctx)), (ctx.p, s, t, w)
+    return r
+
+
+def _check_second_page(ctx, s, t):
+    """Both blocks around every weight an e2 query at (s, t) reads, and the
+    query's own ranks."""
+    res = e2_dimension(ctx, s, t)
+    for bl in res.blocks:
+        assert bl.cycle_dim == bl.e1_dim - _check_block(ctx, s, t, bl.u)
+        assert bl.boundary_dim == (_check_block(ctx, s - 1, t, bl.u + 1) if s >= 1 else 0)
+    return res
+
+
+@pytest.mark.parametrize("s,t", DENSE_E2)
+def test_images_lie_in_the_next_basis_at_dense_points(ctx5, s, t):
+    res = _check_second_page(ctx5, s, t)
+    assert res.blocks
+
+
+@pytest.mark.parametrize("p,m,n,s", SCENARIOS)
+def test_images_lie_in_the_next_basis_at_scenario_points(p, m, n, s):
+    # The scenario reads e2 at (s + 2, t) and the survival of the product
+    # class at (s + 3, t, u), whose boundaries come from (s + 2, t, u + 1).
+    ctx = make_context(p)
+    t = family_degree(ctx, m, n, s) + s - 2
+    assert _check_second_page(ctx, s + 2, t).blocks
+    # Survival reads only the weight-(u + 1) block of (s + 2, t), inside
+    # the e2 bidegree checked above; it is empty there, so no matrix is built.
+    pos = product_class(ctx, m, n, s).tridegree
+    assert (pos.s, pos.t) == (s + 3, t)
+    assert enumerate_basis(ctx, s + 2, t, pos.u + 1).dimension == 0
+
+
+def test_images_lie_in_the_next_basis_on_a_small_grid(ctx5, ctx7):
+    checked = 0
+    for ctx in (ctx5, ctx7):
+        for s in range(1, 6):
+            for t in range(300):
+                checked += len(_check_second_page(ctx, s, t).blocks)
+    assert checked > 500
+
+
+def _combination(coeffs, monomials, ctx):
+    """The element sum of coeffs[k] * monomials[k]."""
+    out = Element.zero()
+    for c, mon in zip(coeffs, monomials):
+        if c % ctx.p:
+            out = add(out, element_from_monomial(mon, ctx, c), ctx)
+    return out
+
+
+def test_boundary_witness_solves_the_system(rng, ctx5, ctx7):
+    # The witness is indexed by the source basis; when d1 has a kernel there
+    # the system has many solutions, so check the equation, not the solution.
+    found = ambiguous = 0
+    for ctx, t_max in ((ctx5, 300), (ctx7, 400)):
+        for s in range(0, 5):
+            for t in range(t_max):
+                for w in sorted(set(enumerate_basis(ctx, s, t).weights())):
+                    monomials = enumerate_basis(ctx, s, t, w).monomials
+                    y = _combination([rng.randrange(ctx.p) for _ in monomials], monomials, ctx)
+                    x = d1(y, ctx)
+                    if x.is_zero:
+                        continue
+                    found += 1
+                    v = survives_to_e2(x, ctx)
+                    assert v.is_cycle and v.is_boundary and not v.e2_nonzero
+                    assert v.position == Tridegree(s + 1, t, w - 1)
+                    assert len(v.boundary_witness) == len(monomials)
+                    assert d1(_combination(v.boundary_witness, monomials, ctx), ctx) == x
+                    ambiguous += rank(d1_matrix(monomials, ctx)) < len(monomials)
+    assert found > 150 and ambiguous > 20, (found, ambiguous)
+
+
+@pytest.mark.parametrize("p,m,n,s", [(5, 4, 6, 4), (7, 6, 10, 6)])
+def test_product_class_stays_a_non_boundary(p, m, n, s):
+    ctx = make_context(p)
+    omega = element_from_monomial(product_class(ctx, m, n, s), ctx)
+    for x in (omega, scale(2, omega, ctx)):
+        v = survives_to_e2(x, ctx)
+        assert v.is_cycle and not v.is_boundary and v.boundary_witness is None
+
+
+def test_cycle_outside_a_nonzero_image_is_no_boundary(ctx5):
+    # b(1,0) h(1,0) h(1,2) is a cycle at (4, 248, 7); its source block at
+    # (3, 248, 8) is not empty, but no combination of it maps onto the cycle.
+    x = parse_element("h(1,0) h(1,2) b(1,0)", ctx5)
+    assert element_tridegree(x) == Tridegree(4, 248, 7)
+    source = enumerate_basis(ctx5, 3, 248, 8).monomials
+    assert source
+    for coeffs in itertools.product(range(5), repeat=len(source)):
+        assert d1(_combination(coeffs, source, ctx5), ctx5) != x
+    v = survives_to_e2(x, ctx5)
+    assert v.is_cycle and not v.is_boundary and v.e2_nonzero

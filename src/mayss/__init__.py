@@ -3,7 +3,7 @@ differential, second-page dimensions, and scenario-level verification."""
 
 from .algebra import (Monomial, a, b, element_from_monomial, h, monomial_from_factors,
                       multiply, parse_element, render_element)
-from .cache import ENGINE_VERSION, ResultCache, default_cache_root
+from .cache import ENGINE_VERSION, ResultCache
 from .differential import d1
 from .enumeration import enumerate_basis
 from .errors import MayssError, ParameterError, ParseError

@@ -4,7 +4,8 @@ Layout: one file per entry under <root>/<engine version>/, so a version bump
 invalidates everything at once.  Each file repeats version and query in a
 header that loads verify.  Writes go to a temp file in the same directory
 followed by an atomic rename; unreadable or mismatched entries are treated
-as absent.
+as absent.  Only library callers that pass a cache use it: the command line
+keeps no disk cache.
 """
 
 from __future__ import annotations
@@ -21,16 +22,7 @@ from .linalg import MatrixFp, matrix_from_rows
 
 ENGINE_VERSION = "0.1.0"
 
-ENV_CACHE_DIR = "MAYSS_CACHE_DIR"
-
 _MAGIC = "mayss-cache"
-
-
-def default_cache_root() -> Path:
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "mayss"
 
 
 class ResultCache:
@@ -131,5 +123,5 @@ class ResultCache:
         lines = ["%s %s" % (_MAGIC, ENGINE_VERSION),
                  self._matrix_header(ctx.p, s, t, u),
                  "%d %d" % (m.rows, m.cols)]
-        lines.extend(" ".join(str(v) for v in m.row(r)) for r in range(m.rows))
+        lines.extend(" ".join(map(str, row)) for row in m.to_rows())
         self._write(self._path("d1mat", ctx.p, s, t, u), lines)

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: profile | basis | d1 | e2 | survives | verify.  Every
-subcommand takes --prime, --format {text,machine}, --cache-dir and
---no-cache.  Machine format emits a single JSON document with the fields
-{command, engine_version, params, results}, serialized with sorted keys;
-it carries no timing, so repeated runs are byte-identical whatever the
-cache state.  Progress and timing go to stderr only.
+subcommand takes --prime and --format {text,machine}.  Each run computes in
+process and writes no files.  Machine format emits a single JSON document
+with the fields {command, engine_version, params, results}, serialized with
+sorted keys; it carries no timing, so repeated runs are byte-identical.
+Progress, timing and warnings go to stderr only.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or parameter error, 3 internal error (an engine invariant failed).
@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import verify as scenarios
 from .algebra import parse_element, render_element
-from .cache import ENGINE_VERSION, ResultCache, default_cache_root
+from .cache import ENGINE_VERSION
 from .differential import d1
 from .enumeration import enumerate_basis
 from .errors import MayssError, ParameterError, ParseError
@@ -52,10 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="odd prime p >= 5")
     common.add_argument("--format", choices=("text", "machine"), default="text",
                         help="result stream format (default: text)")
-    common.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cache root (default: $MAYSS_CACHE_DIR or ~/.cache/mayss)")
-    common.add_argument("--no-cache", action="store_true",
-                        help="compute without reading or writing the cache")
 
     parser = argparse.ArgumentParser(
         prog="mayss",
@@ -111,6 +108,11 @@ def _progress(message: str) -> None:
     sys.stderr.flush()
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # one line per warning, without the source location Python would add
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def _render_profile(prof) -> str:
     parts = []
     if prof.c_minus1:
@@ -119,7 +121,7 @@ def _render_profile(prof) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _cmd_profile(args, ctx, cache) -> tuple[str, int]:
+def _cmd_profile(args, ctx) -> tuple[str, int]:
     prof = padic_profile(args.t, ctx)
     params = {"p": ctx.p, "t": args.t}
     if args.format == "machine":
@@ -129,10 +131,10 @@ def _cmd_profile(args, ctx, cache) -> tuple[str, int]:
     return _render_profile(prof) + "\n", 0
 
 
-def _cmd_basis(args, ctx, cache) -> tuple[str, int]:
+def _cmd_basis(args, ctx) -> tuple[str, int]:
     if args.t >= _PROGRESS_T:
         _progress("enumerating basis at (s=%d, t=%d)..." % (args.s, args.t))
-    basis = enumerate_basis(ctx, args.s, args.t, args.u, cache=cache)
+    basis = enumerate_basis(ctx, args.s, args.t, args.u)
     params = {"p": ctx.p, "s": args.s, "t": args.t, "u": args.u}
     if args.format == "machine":
         results = {"dimension": basis.dimension,
@@ -147,7 +149,7 @@ def _cmd_basis(args, ctx, cache) -> tuple[str, int]:
     return "".join(line + "\n" for line in lines), 0
 
 
-def _cmd_d1(args, ctx, cache) -> tuple[str, int]:
+def _cmd_d1(args, ctx) -> tuple[str, int]:
     x = parse_element(args.element, ctx)
     image = render_element(d1(x, ctx), ctx)
     params = {"p": ctx.p, "element": args.element}
@@ -156,10 +158,10 @@ def _cmd_d1(args, ctx, cache) -> tuple[str, int]:
     return image + "\n", 0
 
 
-def _cmd_e2(args, ctx, cache) -> tuple[str, int]:
+def _cmd_e2(args, ctx) -> tuple[str, int]:
     if args.t >= _PROGRESS_T:
         _progress("computing second page at (s=%d, t=%d)..." % (args.s, args.t))
-    page = e2_dimension(ctx, args.s, args.t, args.u, cache=cache)
+    page = e2_dimension(ctx, args.s, args.t, args.u)
     params = {"p": ctx.p, "s": args.s, "t": args.t, "u": args.u}
     blocks = [{"u": bl.u, "e1_dim": bl.e1_dim, "cycle_dim": bl.cycle_dim,
                "boundary_dim": bl.boundary_dim, "e2_dim": bl.e2_dim}
@@ -181,9 +183,9 @@ def _cmd_e2(args, ctx, cache) -> tuple[str, int]:
     return "".join(line + "\n" for line in lines), 0
 
 
-def _cmd_survives(args, ctx, cache) -> tuple[str, int]:
+def _cmd_survives(args, ctx) -> tuple[str, int]:
     x = parse_element(args.element, ctx)
-    verdict = survives_to_e2(x, ctx, cache=cache)
+    verdict = survives_to_e2(x, ctx)
     pos = verdict.position
     params = {"p": ctx.p, "element": args.element}
     if args.format == "machine":
@@ -205,25 +207,17 @@ def _require_scenario_args(args, names) -> None:
         raise ParameterError("scenario %r needs %s" % (args.scenario, ", ".join(missing)))
 
 
-def _run_scenario(args, ctx, cache):
-    strict = not args.permissive
-    name = args.scenario
-    if name == "eq34":
-        return scenarios.verify_critical_differential(
-            ctx, args.m, args.n, cache=cache, strict_range=strict)
-    if name == "lemma31":
-        return scenarios.verify_window(ctx, args.m, args.n, args.scase,
-                                       cache=cache, strict_range=strict)
-    if name == "thm32":
-        return scenarios.verify_survival(ctx, args.m, args.n, args.scase,
-                                         cache=cache, strict_range=strict)
-    if name == "thm33":
-        return scenarios.verify_upper_window_vanishing(
-            ctx, args.m, args.n, args.scase, cache=cache, strict_range=strict)
-    if name == "reps":
+def _run_scenario(args, ctx):
+    if args.scenario == "reps":
         return scenarios.verify_representatives(ctx, args.m, args.n, args.scase)
-    return scenarios.verify_main(ctx, args.m, args.n, args.scase,
-                                 cache=cache, strict_range=strict)
+    strict = not args.permissive
+    if args.scenario == "eq34":
+        return scenarios.verify_critical_differential(ctx, args.m, args.n,
+                                                      strict_range=strict)
+    run = {"lemma31": scenarios.verify_window, "thm32": scenarios.verify_survival,
+           "thm33": scenarios.verify_upper_window_vanishing,
+           "main": scenarios.verify_main}[args.scenario]
+    return run(ctx, args.m, args.n, args.scase, strict_range=strict)
 
 
 def _render_report_text(report) -> str:
@@ -241,11 +235,11 @@ def _render_report_text(report) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _cmd_verify(args, ctx, cache) -> tuple[str, int]:
+def _cmd_verify(args, ctx) -> tuple[str, int]:
     needed = ("m", "n") if args.scenario == "eq34" else ("m", "n", "scase")
     _require_scenario_args(args, needed)
     _progress("running scenario %s (p=%d)..." % (args.scenario, ctx.p))
-    report = _run_scenario(args, ctx, cache)
+    report = _run_scenario(args, ctx)
     code = 0 if report.passed else 1
     params = {"p": ctx.p, "scenario": args.scenario, "m": args.m, "n": args.n,
               "s": args.scase if args.scenario != "eq34" else ctx.p - 1,
@@ -270,12 +264,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        ctx = make_context(args.prime)
-        if args.no_cache:
-            cache = None
-        else:
-            cache = ResultCache(args.cache_dir or default_cache_root())
-        out, code = _COMMANDS[args.command](args, ctx, cache)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = _print_warning
+            ctx = make_context(args.prime)
+            out, code = _COMMANDS[args.command](args, ctx)
     except (ParseError, ParameterError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

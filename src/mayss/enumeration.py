@@ -30,6 +30,11 @@ column of digit d and capacity cap passes on exactly the carries
 whenever any carry is.  So one integer recurrence over the columns decides
 the system exactly, with the top carry hi >= 0 as its only condition.
 
+At the root, with cap s, that test also covers the two digit-wise
+vanishing bounds.  A remainder t mod q above s fails the remainder column
+outright.  For s < p the carries stay in [0, 0], so any digit of t/q above
+s fails its column.
+
 The search order also lets a node skip, without testing them, the
 candidates that cannot pass.  Generators heavier than the remaining degree
 form a prefix of the order, so the loop starts past them by bisection.
@@ -63,11 +68,11 @@ completion, hence lossless.
     units of the suffix's least degree per filtration.
   * The carry test caps the column sums by the largest filtration left.
     A solution under a smaller cap is a solution under a larger one.
-  * The digit and remainder predicates, the root's lower degree bound and
-    its carry test decide per filtration at the root, and the window
-    shrinks to span the filtrations that pass.  Each is a necessary
-    condition on one bidegree, so a filtration it drops has no monomials,
-    also one left inside the shrunk window.
+  * The root's lower degree bound and its carry test decide per
+    filtration at the root, and the window shrinks to span the filtrations
+    that pass.  Each is a necessary condition on one bidegree, so a
+    filtration it drops has no monomials, also one left inside the shrunk
+    window.
 
 A window of one filtration is exactly the single-filtration search.
 """
@@ -80,13 +85,11 @@ from operator import itemgetter
 
 from .algebra import Generator, Monomial, a, b, h
 from .errors import ParameterError
-from .grading import PrimeContext, Tridegree, padic_profile
+from .grading import PrimeContext, Tridegree
 
 PRUNE_DEGREE = "degree"
 PRUNE_CARRY = "carry"
-PRUNE_DIGIT = "digit"
-PRUNE_REMAINDER = "remainder"
-ALL_PRUNING = frozenset({PRUNE_DEGREE, PRUNE_CARRY, PRUNE_DIGIT, PRUNE_REMAINDER})
+ALL_PRUNING = frozenset({PRUNE_DEGREE, PRUNE_CARRY})
 
 # The search recurses once per factor, so up to s levels deep.  Filtrations
 # above this bound are rejected with a ParameterError, well before Python's
@@ -151,28 +154,6 @@ def digit_span(g: Generator) -> tuple[int, int]:
     if g.kind == "h":
         return (g.j, g.i + g.j - 1)
     return (g.j + 1, g.i + g.j)
-
-
-# --- fast vanishing predicates --------------------------------------------
-
-
-def vanishes_by_digit_bound(s1: int, t: int, ctx: PrimeContext) -> bool:
-    """True when some base-p digit of t/q exceeds s1, forcing an empty
-    bidegree.  Requires 0 < s1 < p; column sums are capped by the factor
-    count, which is capped by the filtration, and for s1 < p no carry chain
-    can make up the difference."""
-    if not 0 < s1 < ctx.p:
-        raise ParameterError("digit bound needs 0 < s1 < p, got s1=%d" % s1)
-    return any(c > s1 for c in padic_profile(t, ctx).digits)
-
-
-def vanishes_by_remainder_bound(s1: int, t: int, ctx: PrimeContext) -> bool:
-    """True when t mod q exceeds s1, forcing an empty bidegree.  Requires
-    0 < s1 < q; only a-type factors feed the remainder column and carries
-    only increase it."""
-    if not 0 < s1 < ctx.q:
-        raise ParameterError("remainder bound needs 0 < s1 < q, got s1=%d" % s1)
-    return padic_profile(t, ctx).c_minus1 > s1
 
 
 # --- the digit-column carry system ----------------------------------------
@@ -262,13 +243,8 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int,
     use_carry = PRUNE_CARRY in flags
 
     def root_feasible(s: int) -> bool:
-        # The vanishing predicates, and the root's own lower degree bound and
-        # carry test; rec tests every child, the upper degree bound in its
-        # loop where it can end the loop.
-        if PRUNE_DIGIT in flags and 0 < s < ctx.p and vanishes_by_digit_bound(s, t, ctx):
-            return False
-        if PRUNE_REMAINDER in flags and 0 < s < ctx.q and vanishes_by_remainder_bound(s, t, ctx):
-            return False
+        # The root's own lower degree bound and carry test; rec tests every
+        # child, the upper degree bound in its loop where it can end the loop.
         md, mf = min_frac[0]
         if use_degree and t * mf < s * md:
             return False

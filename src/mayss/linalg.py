@@ -2,11 +2,10 @@
 
 A MatrixFp stores only its columns, each a dict {row: residue} with residues
 in [1, p), which is the form d1 matrices are built in and eliminated on;
-row() and to_rows() derive the dense rows, and the disk cache writes its
-text form through row().  Every operation runs one sparse elimination on a
-copy of the columns, reduced left to right against the pivots found so
-far, each pivot keyed by its lead (lowest) row and scaled to lead
-coefficient 1.  A pivot's entries all lie at or below its lead row, so a
+to_rows() derives the dense rows, from which the disk cache writes its text
+form.  Every operation runs one sparse elimination on a copy of the columns,
+reduced left to right against the pivots found so far, each pivot keyed by
+its lead (lowest) row and scaled to lead coefficient 1.  A pivot's entries all lie at or below its lead row, so a
 reduction only moves the lead of the column being reduced downward.
 d1 matrices are a few percent nonzero, so the columns stay short.
 
@@ -29,9 +28,6 @@ class MatrixFp:
     rows: int
     cols: int
     columns: tuple[dict[int, int], ...]  # column c as {row: residue in [1, modulus)}
-
-    def row(self, r: int) -> tuple[int, ...]:
-        return tuple(col.get(r, 0) for col in self.columns)
 
     def to_rows(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]

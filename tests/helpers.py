@@ -5,9 +5,10 @@ available (selection sort for signs, raw multiset search for bases, span
 counting for ranks, d1 of every expanded unit, dense Gauss-Jordan, the set
 of every reachable carry per digit column, every solution of the column
 system) so that engine bugs cannot hide in shared code paths.  The
-column-sum predicates of the spanning-factor argument and the element
-arithmetic the engine itself never needs (add, scale) live here too: only
-tests use them.
+column-sum predicates of the spanning-factor argument, the digit and
+remainder vanishing bounds (the search's carry test subsumes them) and the
+element arithmetic the engine itself never needs (add, scale) live here
+too: only tests use them.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from mayss.algebra import (Element, Generator, Monomial, _from_accumulator, a, b
 from mayss.differential import d1, d1_matrix
 from mayss.enumeration import _search, digit_span, generator_universe
 from mayss.errors import ParameterError
-from mayss.grading import ZERO_DEGREE, PAdicProfile
+from mayss.grading import ZERO_DEGREE, PAdicProfile, padic_profile
 from mayss.linalg import matrix_from_rows
 
 #: The empty monomial.
@@ -28,6 +29,11 @@ UNIT = Monomial(factors=(), tridegree=ZERO_DEGREE)
 
 #: The (s, t) points of the dense second-page benchmark, all at p = 5.
 DENSE_E2 = ((12, 3000), (8, 130194), (11, 2988), (12, 3012))
+
+#: The (p, m, n, s) of the paper's main scenario at the eight points of the
+#: scenarios benchmark.
+SCENARIOS = ((5, 4, 6, 4), (5, 8, 12, 4), (7, 6, 10, 6), (13, 4, 6, 12), (5, 10, 16, 4),
+             (5, 12, 20, 4), (7, 8, 14, 6), (11, 6, 10, 10))
 
 
 def canonicalize_word(gens, ctx):
@@ -162,6 +168,25 @@ def reference_basis(ctx, s, t):
     rec(0, s, t, [])
     assert len(set(found)) == len(found)
     return sorted(found)
+
+
+def vanishes_by_digit_bound(s1, t, ctx):
+    """True when some base-p digit of t/q exceeds s1, forcing an empty
+    bidegree.  Requires 0 < s1 < p; column sums are capped by the factor
+    count, which is capped by the filtration, and for s1 < p no carry chain
+    can make up the difference."""
+    if not 0 < s1 < ctx.p:
+        raise ParameterError("digit bound needs 0 < s1 < p, got s1=%d" % s1)
+    return any(c > s1 for c in padic_profile(t, ctx).digits)
+
+
+def vanishes_by_remainder_bound(s1, t, ctx):
+    """True when t mod q exceeds s1, forcing an empty bidegree.  Requires
+    0 < s1 < q; only a-type factors feed the remainder column and carries
+    only increase it."""
+    if not 0 < s1 < ctx.q:
+        raise ParameterError("remainder bound needs 0 < s1 < q, got s1=%d" % s1)
+    return padic_profile(t, ctx).c_minus1 > s1
 
 
 def column_sums(mon):
@@ -419,7 +444,7 @@ def transpose(m):
 def mat_vec(m, v):
     if len(v) != m.cols:
         raise ParameterError("vector length %d does not match %d columns" % (len(v), m.cols))
-    return tuple(sum(x * y for x, y in zip(m.row(r), v)) % m.modulus for r in range(m.rows))
+    return tuple(sum(x * y for x, y in zip(row, v)) % m.modulus for row in m.to_rows())
 
 
 def dense_rref(rows, p):
@@ -460,7 +485,7 @@ def dense_in_span(m, v):
         return () if all(x % p == 0 for x in v) else None
     if m.rows == 0:
         return (0,) * m.cols
-    rref, pivots = dense_rref([list(m.row(r)) + [v[r] % p] for r in range(m.rows)], p)
+    rref, pivots = dense_rref([row + [x % p] for row, x in zip(m.to_rows(), v)], p)
     if m.cols in pivots:
         return None
     sol = [0] * m.cols

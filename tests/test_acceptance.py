@@ -7,13 +7,14 @@ import random
 import time
 
 from helpers import (add, column_sums, column_sums_impossible, element_parity, factor_count,
-                     random_monomial, scale, single_search)
-from mayss import (Tridegree, a, b, d1, e2_dimension, element_from_monomial, h,
+                     random_monomial, scale, single_search, vanishes_by_digit_bound,
+                     vanishes_by_remainder_bound)
+from mayss import (ResultCache, Tridegree, a, b, d1, e2_dimension, element_from_monomial, h,
                    higher_page_hit_analysis, make_context, monomial_from_factors,
-                   multiply, survives_to_e2, verify_main, verify_window)
+                   multiply, survives_to_e2, verify_critical_differential, verify_main,
+                   verify_survival, verify_upper_window_vanishing, verify_window)
 from mayss.cli import main as cli_main
-from mayss.enumeration import (clear_memo, enumerate_basis, vanishes_by_digit_bound,
-                               vanishes_by_remainder_bound)
+from mayss.enumeration import clear_memo, enumerate_basis
 from mayss.verify import (critical_leading_terms, critical_monomials, family_degree,
                           h_triple, product_class, s_rep)
 
@@ -241,33 +242,43 @@ def test_criterion_09_main_scenario_second_window():
 
 def test_criterion_10_machine_output_reproducibility(tmp_path, capsys):
     failures = []
-    commands = [
-        ["verify", "lemma31", "--prime", "5", "--m", "4", "--n", "6", "--scase", "2"],
-        ["verify", "lemma31", "--prime", "5", "--m", "4", "--n", "6", "--scase", "3"],
-        ["verify", "lemma31", "--prime", "5", "--m", "4", "--n", "6", "--scase", "4"],
-        ["verify", "eq34", "--prime", "5", "--m", "4", "--n", "6"],
-        ["verify", "thm32", "--prime", "5", "--m", "4", "--n", "6", "--scase", "2"],
-        ["verify", "thm32", "--prime", "5", "--m", "4", "--n", "6", "--scase", "3"],
-        ["verify", "thm32", "--prime", "5", "--m", "4", "--n", "6", "--scase", "4"],
-        ["verify", "thm33", "--prime", "5", "--m", "4", "--n", "6", "--scase", "4"],
-    ]
-    cache_dir = str(tmp_path / "cache")
-    for argv in commands:
+    ctx = make_context(P)
+    # Each CLI scenario with the library call that makes its report; the
+    # family index s is None for eq34, which fixes s = p - 1.
+    runs = [("lemma31", verify_window, 2), ("lemma31", verify_window, 3),
+            ("lemma31", verify_window, 4), ("eq34", verify_critical_differential, None),
+            ("thm32", verify_survival, 2), ("thm32", verify_survival, 3),
+            ("thm32", verify_survival, 4), ("thm33", verify_upper_window_vanishing, 4)]
+    cache = ResultCache(tmp_path / "cache")
+    for name, scenario, s in runs:
+        argv = ["verify", name, "--prime", str(P), "--m", str(M), "--n", str(N)]
+        args = (M, N)
+        if s is not None:
+            argv += ["--scase", str(s)]
+            args += (s,)
+        label = " ".join(argv)
         outs = []
-        for extra in (["--cache-dir", cache_dir],      # cold
-                      ["--cache-dir", cache_dir],      # warm
-                      ["--no-cache"]):                 # disabled
+        for _ in range(2):
             clear_memo()
-            code = cli_main(argv + ["--format", "machine"] + extra)
-            captured = capsys.readouterr()
-            outs.append(captured.out)
+            code = cli_main(argv + ["--format", "machine"])
+            outs.append(capsys.readouterr().out)
             if code != 0:
-                failures.append("%s exited %d" % (" ".join(argv), code))
-        if not (outs[0] == outs[1] == outs[2]):
-            failures.append("%s output differs across cache states" % " ".join(argv))
+                failures.append("%s exited %d" % (label, code))
+        if outs[0] != outs[1]:
+            failures.append("%s output differs between runs" % label)
         try:
-            json.loads(outs[0])
+            results = json.loads(outs[0])["results"]
         except ValueError:
-            failures.append("%s is not valid JSON" % " ".join(argv))
+            failures.append("%s is not valid JSON" % label)
+            continue
+        # the library report, with the cache cold, warm and off
+        reports = []
+        for leg in (cache, cache, None):
+            clear_memo()
+            reports.append(json.loads(json.dumps(scenario(ctx, *args, cache=leg).to_dict())))
+        if not reports[0] == reports[1] == reports[2] == results:
+            failures.append("%s report differs across cache states" % label)
+    if not list((tmp_path / "cache").rglob("*.txt")):
+        failures.append("the cold library runs wrote no cache entries")
     clear_memo()
     _conclude(10, "machine output reproducibility", failures)

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import codomain_matrix
 from mayss import ResultCache, e2_dimension, enumerate_basis
-from mayss.cache import ENGINE_VERSION, default_cache_root
+from mayss.cache import ENGINE_VERSION
 from mayss.differential import d1_matrix
 from mayss.enumeration import clear_memo
 from mayss.linalg import matrix_from_rows, rank
@@ -129,13 +129,6 @@ def test_concurrent_writers_leave_a_valid_entry(ctx5, tmp_path):
         th.join()
     loaded = cache.load_basis(ctx5, 2, 49)
     assert loaded is not None and loaded.dimension == 2
-
-
-def test_default_root_honors_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAYSS_CACHE_DIR", str(tmp_path / "elsewhere"))
-    assert default_cache_root() == tmp_path / "elsewhere"
-    monkeypatch.delenv("MAYSS_CACHE_DIR")
-    assert str(default_cache_root()).endswith(os.path.join(".cache", "mayss"))
 
 
 def test_failed_replace_leaves_no_temp_file(ctx5, tmp_path, monkeypatch):

@@ -5,11 +5,22 @@ import sys
 import jsonschema
 import pytest
 
-from mayss import cli, enumeration, grading
+from helpers import SCENARIOS
+from mayss import ResultCache, cli, e2_dimension, enumeration, grading, make_context
 from mayss.algebra import Generator
 from mayss.cli import MACHINE_SCHEMA, main
 from mayss.enumeration import clear_memo
 from mayss.errors import MayssError
+
+#: The command-line examples of the README.
+README_EXAMPLES = (
+    ["profile", "--prime", "5", "--t", "137"],
+    ["basis", "--prime", "5", "--s", "2", "--t", "49"],
+    ["d1", "h(2,0)", "--prime", "5"],
+    ["e2", "--prime", "5", "--s", "6", "--t", "130194"],
+    ["survives", "a(2)^2 h(2,0) h(1,1) h(1,0) h(1,6) h(1,4)", "--prime", "5"],
+    ["verify", "main", "--prime", "5", "--m", "4", "--n", "6", "--scase", "4"],
+)
 
 
 def run(capsys, argv):
@@ -96,8 +107,7 @@ def test_second_page_window_beyond_the_search_depth_is_rejected_first(capsys, mo
         raise AssertionError("searched")
 
     monkeypatch.setattr(enumeration, "_search", no_search)
-    code, out, err = run(capsys, ["e2", "--prime", "5", "--s", "512", "--t", "100000",
-                                  "--no-cache"])
+    code, out, err = run(capsys, ["e2", "--prime", "5", "--s", "512", "--t", "100000"])
     assert (code, out, err) == (2, "", "error: filtration 513 exceeds 512\n")
 
 
@@ -126,39 +136,36 @@ def machine_doc(capsys, argv):
     return code, doc
 
 
-def test_machine_documents_validate(capsys, tmp_path):
-    cd = ["--cache-dir", str(tmp_path)]
+def test_machine_documents_validate(capsys):
     code, doc = machine_doc(capsys, ["profile", "--prime", "5", "--t", "137"])
     assert code == 0 and doc["command"] == "profile"
-    code, doc = machine_doc(capsys, ["basis", "--prime", "5", "--s", "2", "--t", "49"] + cd)
+    code, doc = machine_doc(capsys, ["basis", "--prime", "5", "--s", "2", "--t", "49"])
     assert doc["results"]["dimension"] == 2
     assert doc["results"]["monomials"][0]["monomial"] == "a(0) h(2,0)"
     code, doc = machine_doc(capsys, ["d1", "h(2,0)", "--prime", "5"])
     assert doc["results"]["image"] == "-1*h(1,0) h(1,1)"
-    code, doc = machine_doc(capsys, ["e2", "--prime", "5", "--s", "2", "--t", "49"] + cd)
+    code, doc = machine_doc(capsys, ["e2", "--prime", "5", "--s", "2", "--t", "49"])
     assert doc["results"]["e2_dim"] == 0
-    code, doc = machine_doc(capsys, ["survives", "a(0) h(2,0)", "--prime", "5"] + cd)
+    code, doc = machine_doc(capsys, ["survives", "a(0) h(2,0)", "--prime", "5"])
     assert doc["results"]["d1_cycle"] is False
     code, doc = machine_doc(capsys, ["verify", "reps", "--prime", "5",
-                                     "--m", "4", "--n", "6", "--scase", "3"] + cd)
+                                     "--m", "4", "--n", "6", "--scase", "3"])
     assert code == 0
     assert doc["results"]["pass"] is True
     assert doc["params"]["s"] == 3
 
 
-def test_verify_text_pass_and_exit_codes(capsys, tmp_path):
+def test_verify_text_pass_and_exit_codes(capsys):
     code, out, err = run(capsys, ["verify", "main", "--prime", "5", "--m", "4",
-                                  "--n", "6", "--scase", "4",
-                                  "--cache-dir", str(tmp_path)])
+                                  "--n", "6", "--scase", "4"])
     assert code == 0
     assert out.endswith("result: PASS (44 checks)\n")
     assert "running scenario main (p=5)..." in err
 
 
-def test_verify_failure_exits_one(capsys, tmp_path):
+def test_verify_failure_exits_one(capsys):
     code, out, _ = run(capsys, ["verify", "reps", "--prime", "5", "--m", "1",
-                                "--n", "2", "--scase", "2",
-                                "--cache-dir", str(tmp_path)])
+                                "--n", "2", "--scase", "2"])
     assert code == 1
     assert "[FAIL] the two representatives multiply to the product class" in out
     assert out.endswith("result: FAIL (6 checks)\n")
@@ -171,13 +178,26 @@ def test_verify_strict_range_gate(capsys):
     assert "permissive mode accepts" in err
 
 
-def test_verify_permissive_flag(capsys, tmp_path):
-    with pytest.warns(UserWarning):
-        code, out, _ = run(capsys, ["verify", "lemma31", "--prime", "5", "--m", "3",
-                                    "--n", "5", "--scase", "2", "--permissive",
-                                    "--cache-dir", str(tmp_path)])
+WARNING = ("warning: m=3 is outside the range n >= m+2 > 5 in which the window "
+           "results are claimed; checks may legitimately fail\n")
+
+
+def test_verify_permissive_flag(capsys):
+    code, out, err = run(capsys, ["verify", "lemma31", "--prime", "5", "--m", "3",
+                                  "--n", "5", "--scase", "2", "--permissive"])
     assert code in (0, 1)          # outside the proved range the verdict is the engine's
     assert "result:" in out
+    assert err.count("warning:") == 1 and WARNING in err
+
+
+def test_permissive_main_scenario_warns_once(capsys):
+    # every part of the main scenario passes the same gate; one line is enough
+    code, out, err = run(capsys, ["verify", "main", "--prime", "5", "--m", "3",
+                                  "--n", "5", "--scase", "2", "--permissive"])
+    assert code in (0, 1)
+    assert "result:" in out
+    assert err.count("warning:") == 1 and WARNING in err
+    assert "UserWarning" not in err and ".py" not in err
 
 
 def test_verify_missing_scenario_args(capsys):
@@ -199,26 +219,52 @@ def test_argparse_usage_errors_exit_two(capsys):
 
 
 def test_cache_transparency(capsys, tmp_path):
-    argv = ["e2", "--prime", "5", "--s", "2", "--t", "49", "--format", "machine"]
+    # The library cache, cold, warm and off, gives what the CLI prints.
+    ctx = make_context(5)
     clear_memo()
-    code, cold, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    code, out, _ = run(capsys, ["e2", "--prime", "5", "--s", "2", "--t", "49",
+                                "--format", "machine"])
     assert code == 0
-    stored = list(tmp_path.rglob("*.txt"))
-    assert stored, "cold run must write cache files"
-    clear_memo()
-    code, warm, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
-    clear_memo()
-    code, off, _ = run(capsys, argv + ["--no-cache"])
-    assert cold == warm == off
+    printed = json.loads(out)["results"]
+    cache = ResultCache(tmp_path)
+    pages = []
+    for leg in (cache, cache, None):
+        clear_memo()
+        pages.append(e2_dimension(ctx, 2, 49, cache=leg))
+        if leg is not None:
+            assert list(tmp_path.rglob("*.txt")), "the cold run must write cache entries"
+    assert pages[0] == pages[1] == pages[2]
+    page = pages[0]
+    assert printed == {
+        "e1_dim": page.e1_dim, "cycle_dim": page.cycle_dim,
+        "boundary_dim": page.boundary_dim, "e2_dim": page.e2_dim,
+        "blocks": [{"u": bl.u, "e1_dim": bl.e1_dim, "cycle_dim": bl.cycle_dim,
+                    "boundary_dim": bl.boundary_dim, "e2_dim": bl.e2_dim}
+                   for bl in page.blocks]}
     clear_memo()
 
 
-def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("MAYSS_CACHE_DIR", str(tmp_path))
-    clear_memo()
-    code, _, _ = run(capsys, ["basis", "--prime", "5", "--s", "2", "--t", "49"])
-    assert code == 0
-    assert list(tmp_path.rglob("*.txt"))
+@pytest.mark.parametrize("option", [["--cache-dir", "DIR"], ["--no-cache"]])
+def test_removed_cache_options_are_usage_errors(capsys, option):
+    for argv in README_EXAMPLES:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + option)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: %s" % " ".join(option) in capsys.readouterr().err
+
+
+def test_cli_writes_nothing_under_home(capsys, tmp_path, monkeypatch):
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    scenario_points = [["verify", "main", "--prime", str(p), "--m", str(m), "--n", str(n),
+                        "--scase", str(s)] for p, m, n, s in SCENARIOS]
+    for argv in list(README_EXAMPLES) + scenario_points:
+        clear_memo()
+        for fmt in ("text", "machine"):
+            code, _, _ = run(capsys, argv + ["--format", fmt])
+            assert code == 0, argv
+    assert list(home.iterdir()) == []
     clear_memo()
 
 
@@ -238,7 +284,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
         raise InvariantError("rank of a d1 block exceeds its column count")
 
     monkeypatch.setattr(cli, "e2_dimension", broken)
-    code, out, err = run(capsys, ["e2", "--prime", "5", "--s", "2", "--t", "49", "--no-cache"])
+    code, out, err = run(capsys, ["e2", "--prime", "5", "--s", "2", "--t", "49"])
     assert code == 3
     assert out == ""
     assert err == "error: internal: rank of a d1 block exceeds its column count\n"

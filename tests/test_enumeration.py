@@ -2,15 +2,15 @@ import pytest
 
 from helpers import (DENSE_E2, UNIT, carry_solutions, column_sums, column_sums_impossible,
                      factor_count, forced_spanning_factors, reference_basis,
-                     set_carry_feasible, single_search)
+                     set_carry_feasible, single_search, vanishes_by_digit_bound,
+                     vanishes_by_remainder_bound)
 from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
                    monomial_from_factors, padic_profile)
 from mayss import enumeration
 from mayss.algebra import Monomial
 from mayss.enumeration import (ALL_PRUNING, MAX_FILTRATION, PRUNE_CARRY, PRUNE_DEGREE,
-                               PRUNE_DIGIT, PRUNE_REMAINDER, _carry_feasible, _search,
-                               clear_memo, digit_span, generator_universe,
-                               vanishes_by_digit_bound, vanishes_by_remainder_bound)
+                               _carry_feasible, _search, clear_memo, digit_span,
+                               generator_universe)
 from mayss.grading import PAdicProfile
 from mayss.pages import e2_dimension
 from mayss.verify import family_degree
@@ -45,8 +45,7 @@ def test_engine_matches_reference_on_grid(ctx5, ctx7):
 
 
 def test_each_single_flag_is_lossless(ctx5):
-    singles = [frozenset({f}) for f in
-               (PRUNE_DEGREE, PRUNE_CARRY, PRUNE_DIGIT, PRUNE_REMAINDER)]
+    singles = [frozenset({f}) for f in (PRUNE_DEGREE, PRUNE_CARRY)]
     for s in range(4):
         for t in range(0, 121, 7):
             want = reference_basis(ctx5, s, t)
@@ -237,6 +236,21 @@ def test_predicates_imply_empty_bases(ctx5):
         rem = 0 < s1 < ctx5.q and vanishes_by_remainder_bound(s1, t, ctx5)
         if digit or rem:
             assert search_renders(ctx5, s1, t, ()) == []
+
+
+def test_root_carry_test_subsumes_the_vanishing_bounds(ctx5, ctx7):
+    # Whatever the bounds reject, the carry test at the root rejects too, even
+    # with every column supported: for s < q the remainder column caps the
+    # carry interval at [0, 0], and for s < p no digit above s gets through.
+    fired = 0
+    for ctx in (ctx5, ctx7):
+        for s in range(1, ctx.q):
+            for t in range(0, 6000, 7):
+                digit = s < ctx.p and vanishes_by_digit_bound(s, t, ctx)
+                if digit or vanishes_by_remainder_bound(s, t, ctx):
+                    fired += 1
+                    assert not _carry_feasible(t, s, (1 << 64) - 1, ctx), (ctx.p, s, t)
+    assert fired > 1000
 
 
 def test_column_sums_impossible():

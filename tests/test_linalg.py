@@ -149,7 +149,6 @@ def test_matrix_from_rows_roundtrip_stores_only_nonzero_residues(rng):
         raw = [[rng.randrange(-3 * p, 3 * p) for _ in range(6)] for _ in range(5)]
         m = matrix_from_rows(raw, p)
         assert m.to_rows() == [[v % p for v in row] for row in raw]
-        assert [m.row(r) for r in range(m.rows)] == [tuple(v % p for v in row) for row in raw]
         assert sum(len(col) for col in m.columns) == sum(1 for row in raw for v in row if v % p)
 
 

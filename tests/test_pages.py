@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import DENSE_E2, UNIT, add, codomain_matrix, d1_generator, scale
+from helpers import DENSE_E2, SCENARIOS, UNIT, add, codomain_matrix, d1_generator, scale
 from mayss import (ParameterError, Tridegree, a, d1, e2_dimension, element_from_monomial, h,
                    enumerate_basis, higher_page_hit_analysis, make_context,
                    monomial_from_factors, parse_element, survives_to_e2)
@@ -10,10 +10,6 @@ from mayss.algebra import Element, element_tridegree
 from mayss.differential import d1_matrix
 from mayss.linalg import rank
 from mayss.verify import family_degree, product_class
-
-#: The (p, m, n, s) of the paper's main scenario at eight parameter points.
-SCENARIOS = ((5, 4, 6, 4), (5, 8, 12, 4), (7, 6, 10, 6), (13, 4, 6, 12), (5, 10, 16, 4),
-             (5, 12, 20, 4), (7, 8, 14, 6), (11, 6, 10, 10))
 
 
 def test_second_page_of_small_bidegree(ctx5):

@@ -8,7 +8,7 @@ from .differential import d1
 from .enumeration import enumerate_basis
 from .errors import MayssError, ParameterError, ParseError
 from .grading import PrimeContext, Tridegree, make_context, padic_profile
-from .pages import e2_dimension, higher_page_hit_analysis, survives_to_e2
+from .pages import e2_dimension, survives_to_e2
 from .verify import (verify_critical_differential, verify_main, verify_representatives,
                      verify_survival, verify_upper_window_vanishing, verify_window)
 

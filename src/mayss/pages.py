@@ -1,4 +1,4 @@
-"""Second-page dimensions, survival verdicts, and incoming-differential audits.
+"""Second-page dimensions and survival verdicts.
 
 The first differential restricts to May-weight blocks (it preserves t and
 drops u by one), so every computation here splits the bidegree basis by
@@ -12,7 +12,7 @@ at filtration s reads only the bases of s - 1 and s, never s + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import Element, element_tridegree
 from .differential import d1, d1_matrix
@@ -133,49 +133,3 @@ def survives_to_e2(x: Element, ctx: PrimeContext, cache=None) -> SurvivalVerdict
             is_boundary = witness is not None
     return SurvivalVerdict(position=pos, is_cycle=is_cycle,
                            is_boundary=is_boundary, boundary_witness=witness)
-
-
-_CAVEAT = ("second-page vanishing of every source weight rules out incoming "
-           "differentials on all later pages; convergence of the ambient "
-           "filtration is an assumption outside this computation")
-
-
-@dataclass(frozen=True)
-class SourcePageReport:
-    """Audit of every position that could map onto a target class."""
-
-    position: Tridegree
-    source_filtration: int
-    source_weights: tuple[int, ...]          # weight multiset of the source bidegree
-    first_page_source_dim: int               # E1 dimension at weight u+1 (the d1 source)
-    higher_source_e2: dict[int, int] = field(default_factory=dict)  # page r -> e2 dim
-    caveat: str = _CAVEAT
-
-    @property
-    def not_hit_beyond_first_page(self) -> bool:
-        return all(v == 0 for v in self.higher_source_e2.values())
-
-
-def higher_page_hit_analysis(x: Element, ctx: PrimeContext, cache=None) -> SourcePageReport:
-    """For a homogeneous target, inspect the bidegree one filtration below:
-    the page-r differential would come from weight u + r there.  Zero
-    second-page dimension at every such weight certifies the target cannot
-    be hit on any page r >= 2."""
-    pos = element_tridegree(x)
-    if pos is None:
-        raise ParameterError("hit analysis needs a homogeneous nonzero element")
-    src_s = pos.s - 1
-    if src_s < 0:
-        return SourcePageReport(position=pos, source_filtration=src_s,
-                                source_weights=(), first_page_source_dim=0)
-    src = enumerate_basis(ctx, src_s, pos.t, None, cache)
-    weights = tuple(sorted(src.weights()))
-    first_dim = sum(1 for w in weights if w == pos.u + 1)
-    higher: dict[int, int] = {}
-    for w in sorted(set(weights)):
-        r = w - pos.u
-        if r >= 2:
-            higher[r] = e2_dimension(ctx, src_s, pos.t, u=w, cache=cache).e2_dim
-    return SourcePageReport(position=pos, source_filtration=src_s,
-                            source_weights=weights, first_page_source_dim=first_dim,
-                            higher_source_e2=higher)

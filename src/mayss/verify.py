@@ -15,9 +15,8 @@ n >= m+2 >= 4 with a warning, for probing where the window claims break.
 
 from __future__ import annotations
 
-import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (Monomial, a, element_from_monomial, h, monomial_from_factors,
                       multiply, render_element)
@@ -25,7 +24,7 @@ from .differential import d1
 from .enumeration import enumerate_basis
 from .errors import ParameterError
 from .grading import PrimeContext, Tridegree
-from .pages import e2_dimension, higher_page_hit_analysis, survives_to_e2
+from .pages import e2_dimension, survives_to_e2
 
 
 @dataclass(frozen=True)
@@ -46,23 +45,48 @@ class VerificationReport:
     params: dict
     checks: tuple[Check, ...]
     passed: bool
-    seconds: float
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        # timing is deliberately left out: identical inputs must serialize
-        # identically (see the cache-transparency requirement)
         return {"scenario": self.scenario, "params": dict(self.params),
                 "checks": [c.to_dict() for c in self.checks],
                 "notes": list(self.notes), "pass": self.passed}
 
 
-def _report(scenario: str, params: dict, checks: list, t0: float,
+def _report(scenario: str, ctx: PrimeContext, m: int, n: int, s: int, checks: list,
             notes: tuple[str, ...] = ()) -> VerificationReport:
-    return VerificationReport(
-        scenario=scenario, params=dict(params), checks=tuple(checks),
-        passed=all(c.passed for c in checks),
-        seconds=time.perf_counter() - t0, notes=notes)
+    return VerificationReport(scenario, {"p": ctx.p, "m": m, "n": n, "s": s}, tuple(checks),
+                              all(c.passed for c in checks), notes)
+
+
+def _build(description: str, expected: str, make, *args):
+    """(make(*args), None), or (None, a FAIL check) when make raises a
+    ParameterError: the object does not exist at these parameters."""
+    try:
+        return make(*args), None
+    except ParameterError as exc:
+        return None, Check(description, expected, "not constructible: %s" % exc, False)
+
+
+def _empty(where: str, dim: int) -> Check:
+    return Check("%s is empty" % where, "dim=0", "dim=%d" % dim, dim == 0)
+
+
+def _cycle(ctx: PrimeContext, label: str, mon: Monomial) -> Check:
+    image = d1(element_from_monomial(mon, ctx), ctx)
+    return Check("%s is a d1-cycle" % label, "d1 = 0",
+                 "d1 = %s" % render_element(image, ctx), image.is_zero)
+
+
+def _tridegree(description: str, got: Tridegree, want: Tridegree) -> Check:
+    return Check(description, "(%d, %d, %d)" % (want.s, want.t, want.u),
+                 "(%d, %d, %d)" % (got.s, got.t, got.u), got == want)
+
+
+def _window(ctx: PrimeContext, m: int, n: int, s: int, first: int):
+    """The window positions (r, s+3-r, t(s)+s-r-1) for r = first..s+3."""
+    base = family_degree(ctx, m, n, s)
+    return [(r, s + 3 - r, base + s - r - 1) for r in range(first, s + 4)]
 
 
 def family_degree(ctx: PrimeContext, m: int, n: int, s: int) -> int:
@@ -101,6 +125,13 @@ def validate_family_params(ctx: PrimeContext, m: int, n: int, s: int | None = No
         _require_family_index(ctx, s)
 
 
+def _require_critical_range(m: int, n: int) -> None:
+    # below m = 4 the seventh word would hold h(3,0) twice
+    if not (isinstance(m, int) and isinstance(n, int) and m >= 4 and n >= m + 2):
+        raise ParameterError(
+            "critical monomials need n >= m+2 and m >= 4, got m=%r n=%r" % (m, n))
+
+
 def critical_monomials(ctx: PrimeContext, m: int, n: int) -> tuple[Monomial, ...]:
     """The seven monomials spanning the one non-empty window position.
 
@@ -109,9 +140,7 @@ def critical_monomials(ctx: PrimeContext, m: int, n: int) -> tuple[Monomial, ...
     (2m+1)p-2m-3.
     """
     p = ctx.p
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 3 and n >= m + 2):
-        raise ParameterError(
-            "critical monomials need n >= m+2 and m >= 3, got m=%r n=%r" % (m, n))
+    _require_critical_range(m, n)
     words = (
         ((a(n), p - 3), (h(3, 0), 1), (h(1, m), 1), (h(n - 2, 2), 1), (h(n, 0), 1)),
         ((a(n), p - 3), (h(1, 2), 1), (h(m + 1, 0), 1), (h(n - m, m), 1), (h(n, 0), 1)),
@@ -131,9 +160,7 @@ def critical_leading_terms(ctx: PrimeContext, m: int, n: int) -> tuple[Monomial,
     certified (by the differential checks) to appear with nonzero coefficient.
     """
     p = ctx.p
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 4 and n >= m + 2):
-        raise ParameterError(
-            "leading terms need n >= m+2 and m >= 4, got m=%r n=%r" % (m, n))
+    _require_critical_range(m, n)
     words = (
         ((a(n), p - 3), (h(1, 0), 1), (h(3, 0), 1), (h(1, m), 1),
          (h(n - 2, 2), 1), (h(n - 1, 1), 1)),
@@ -188,33 +215,23 @@ def verify_window(ctx: PrimeContext, m: int, n: int, s: int, cache=None,
     seven critical monomials exactly.
     """
     validate_family_params(ctx, m, n, s, strict_range)
-    t0 = time.perf_counter()
-    base = family_degree(ctx, m, n, s)
     checks = []
-    for r in range(1, s + 4):
-        fs = s + 3 - r
-        ft = base + s - r - 1
+    for r, fs, ft in _window(ctx, m, n, s, 1):
         basis = enumerate_basis(ctx, fs, ft, None, cache)
         where = "window r=%d, bidegree (%d, %d)" % (r, fs, ft)
-        if r == 1 and s == ctx.p - 1:
-            try:
-                expected = sorted(g.render() for g in critical_monomials(ctx, m, n))
-            except ParameterError as exc:
-                checks.append(Check(
-                    description="%s equals the seven critical monomials" % where,
-                    expected="the seven critical monomials",
-                    observed="not constructible: %s" % exc, passed=False))
-                continue
-            observed = [mon.render() for mon in basis.monomials]
-            checks.append(Check(
-                description="%s equals the seven critical monomials" % where,
-                expected="; ".join(expected), observed="; ".join(observed),
-                passed=observed == expected))
-        else:
-            checks.append(Check(description="%s is empty" % where, expected="dim=0",
-                                observed="dim=%d" % basis.dimension,
-                                passed=basis.dimension == 0))
-    return _report("window", {"p": ctx.p, "m": m, "n": n, "s": s}, checks, t0)
+        if r > 1 or s != ctx.p - 1:
+            checks.append(_empty(where, basis.dimension))
+            continue
+        what = "%s equals the seven critical monomials" % where
+        gs, failed = _build(what, "the seven critical monomials", critical_monomials, ctx, m, n)
+        if failed:
+            checks.append(failed)
+            continue
+        expected = sorted(g.render() for g in gs)
+        observed = [mon.render() for mon in basis.monomials]
+        checks.append(Check(what, "; ".join(expected), "; ".join(observed),
+                            observed == expected))
+    return _report("window", ctx, m, n, s, checks)
 
 
 def verify_critical_differential(ctx: PrimeContext, m: int, n: int, cache=None,
@@ -225,138 +242,100 @@ def verify_critical_differential(ctx: PrimeContext, m: int, n: int, cache=None,
     """
     validate_family_params(ctx, m, n, None, strict_range)
     s = ctx.p - 1
-    t0 = time.perf_counter()
     t = family_degree(ctx, m, n, s) + s - 2
-    gs = critical_monomials(ctx, m, n)
-    try:
-        leads = critical_leading_terms(ctx, m, n)
-    except ParameterError as exc:
-        leads = None
-        lead_failure = str(exc)
-    checks = []
-    for idx, g in enumerate(gs, start=1):
-        image = d1(element_from_monomial(g, ctx), ctx)
-        checks.append(Check(
-            description="d1 of critical monomial #%d (%s) is nonzero" % (idx, g.render()),
-            expected="nonzero", observed="zero" if image.is_zero else "nonzero",
-            passed=not image.is_zero))
-        if leads is None:
+    gs, failed = _build("the seven critical monomials exist", "the seven critical monomials",
+                        critical_monomials, ctx, m, n)
+    checks = [failed] if failed else []
+    if failed is None:
+        for idx, (g, lead) in enumerate(zip(gs, critical_leading_terms(ctx, m, n)), start=1):
+            image = d1(element_from_monomial(g, ctx), ctx)
             checks.append(Check(
-                description="d1 of critical monomial #%d contains its leading term" % idx,
-                expected="nonzero coefficient",
-                observed="leading term not constructible: %s" % lead_failure,
-                passed=False))
-            continue
-        lead = leads[idx - 1]
-        coeff = image.coefficient(lead)
-        checks.append(Check(
-            description="d1 of critical monomial #%d contains %s" % (idx, lead.render()),
-            expected="nonzero coefficient", observed="coefficient %d" % coeff,
-            passed=coeff != 0))
+                "d1 of critical monomial #%d (%s) is nonzero" % (idx, g.render()),
+                "nonzero", "zero" if image.is_zero else "nonzero", not image.is_zero))
+            coeff = image.coefficient(lead)
+            checks.append(Check(
+                "d1 of critical monomial #%d contains %s" % (idx, lead.render()),
+                "nonzero coefficient", "coefficient %d" % coeff, coeff != 0))
     basis = enumerate_basis(ctx, s + 2, t, None, cache)
-    same = sorted(g.render() for g in gs) == [mon.render() for mon in basis.monomials]
+    same = failed is None and (sorted(g.render() for g in gs)
+                               == [mon.render() for mon in basis.monomials])
     checks.append(Check(
-        description="bidegree (%d, %d) is spanned by the seven critical monomials" % (s + 2, t),
-        expected="basis = the seven critical monomials",
-        observed="dim=%d, %s" % (basis.dimension, "same set" if same else "different set"),
-        passed=same))
+        "bidegree (%d, %d) is spanned by the seven critical monomials" % (s + 2, t),
+        "basis = the seven critical monomials",
+        "dim=%d, %s" % (basis.dimension, "same set" if same else "different set"), same))
     page = e2_dimension(ctx, s + 2, t, None, cache)
     rank_total = page.e1_dim - page.cycle_dim
-    checks.append(Check(
-        description="the seven first-differential images are linearly independent",
-        expected="rank=7", observed="rank=%d" % rank_total, passed=rank_total == 7))
-    checks.append(Check(
-        description="second page vanishes at bidegree (%d, %d)" % (s + 2, t),
-        expected="e2_dim=0", observed="e2_dim=%d" % page.e2_dim,
-        passed=page.e2_dim == 0))
-    return _report("critical-differential", {"p": ctx.p, "m": m, "n": n, "s": s},
-                   checks, t0)
+    checks.append(Check("the seven first-differential images are linearly independent",
+                        "rank=7", "rank=%d" % rank_total, rank_total == 7))
+    checks.append(Check("second page vanishes at bidegree (%d, %d)" % (s + 2, t),
+                        "e2_dim=0", "e2_dim=%d" % page.e2_dim, page.e2_dim == 0))
+    return _report("critical-differential", ctx, m, n, s, checks)
+
+
+_CAVEAT = ("second-page vanishing of every source weight rules out incoming "
+           "differentials on all later pages; convergence of the ambient "
+           "filtration is an assumption outside this computation")
 
 
 def verify_survival(ctx: PrimeContext, m: int, n: int, s: int, cache=None,
                     strict_range: bool = True) -> VerificationReport:
     """The product class is a cycle, never a boundary, and no source bidegree
-    can hit it on any page."""
+    can hit it on any page.
+
+    The class sits at (s+3, t, u), so a page-r differential onto it starts at
+    (s+2, t) in weight u+r.  Weight u+1 there must be empty, which rules out
+    the first page; every weight u+r with r >= 2 must have zero second-page
+    dimension, and a source that is gone on the second page is gone on every
+    later one, so no page r >= 2 can hit the class either.
+    """
     validate_family_params(ctx, m, n, s, strict_range)
-    t0 = time.perf_counter()
     omega = product_class(ctx, m, n, s)
-    x = element_from_monomial(omega, ctx)
     want = Tridegree(s + 3, family_degree(ctx, m, n, s) + s - 2, 5 * s - 3)
     got = omega.tridegree
-    checks = [Check(
-        description="product class tridegree",
-        expected="(%d, %d, %d)" % (want.s, want.t, want.u),
-        observed="(%d, %d, %d)" % (got.s, got.t, got.u), passed=got == want)]
-    image = d1(x, ctx)
-    checks.append(Check(
-        description="product class is a d1-cycle", expected="d1 = 0",
-        observed="d1 = 0" if image.is_zero else "d1 = %s" % render_element(image, ctx),
-        passed=image.is_zero))
-    verdict = survives_to_e2(x, ctx, cache)
-    checks.append(Check(
-        description="product class is not a d1-boundary", expected="not a boundary",
-        observed="a boundary" if verdict.is_boundary else "not a boundary",
-        passed=not verdict.is_boundary))
-    checks.append(Check(
-        description="product class is nonzero on the second page",
-        expected="nonzero", observed="nonzero" if verdict.e2_nonzero else "zero",
-        passed=verdict.e2_nonzero))
-    audit = higher_page_hit_analysis(x, ctx, cache)
-    src_dim = len(audit.source_weights)
+    checks = [_tridegree("product class tridegree", got, want),
+              _cycle(ctx, "product class", omega)]
+    verdict = survives_to_e2(element_from_monomial(omega, ctx), ctx, cache)
+    checks.append(Check("product class is not a d1-boundary", "not a boundary",
+                        "a boundary" if verdict.is_boundary else "not a boundary",
+                        not verdict.is_boundary))
+    checks.append(Check("product class is nonzero on the second page", "nonzero",
+                        "nonzero" if verdict.e2_nonzero else "zero", verdict.e2_nonzero))
+    weights = tuple(sorted(enumerate_basis(ctx, s + 2, got.t, None, cache).weights()))
     if s == ctx.p - 1:
         w_top = (2 * n + 1) * ctx.p - 2 * n - 3
         w_low = (2 * m + 1) * ctx.p - 2 * m - 3
         expected_weights = tuple(sorted([w_top] * 6 + [w_low]))
-        checks.append(Check(
-            description="source bidegree weight multiset",
-            expected="%s" % (expected_weights,), observed="%s" % (audit.source_weights,),
-            passed=audit.source_weights == expected_weights))
-        checks.append(Check(
-            description="product class weight is 5p-8",
-            expected="u=%d" % (5 * ctx.p - 8), observed="u=%d" % got.u,
-            passed=got.u == 5 * ctx.p - 8))
+        checks.append(Check("source bidegree weight multiset", str(expected_weights),
+                            str(weights), weights == expected_weights))
+        checks.append(Check("product class weight is 5p-8", "u=%d" % (5 * ctx.p - 8),
+                            "u=%d" % got.u, got.u == 5 * ctx.p - 8))
     else:
-        checks.append(Check(
-            description="source bidegree (%d, %d) is empty" % (s + 2, want.t),
-            expected="dim=0", observed="dim=%d" % src_dim, passed=src_dim == 0))
-    checks.append(Check(
-        description="no source in the weight hit by a first-page differential",
-        expected="0 source monomials at weight %d" % (got.u + 1),
-        observed="%d source monomials" % audit.first_page_source_dim,
-        passed=audit.first_page_source_dim == 0))
-    higher = ", ".join("r=%d: e2_dim=%d" % (r, v)
-                       for r, v in sorted(audit.higher_source_e2.items())) or "none"
-    checks.append(Check(
-        description="every later-page source weight dies on the second page",
-        expected="all source e2 dimensions zero", observed=higher,
-        passed=audit.not_hit_beyond_first_page))
-    return _report("survival", {"p": ctx.p, "m": m, "n": n, "s": s}, checks, t0,
-                   notes=(audit.caveat,))
+        checks.append(_empty("source bidegree (%d, %d)" % (s + 2, want.t), len(weights)))
+    first = weights.count(got.u + 1)
+    checks.append(Check("no source in the weight hit by a first-page differential",
+                        "0 source monomials at weight %d" % (got.u + 1),
+                        "%d source monomials" % first, first == 0))
+    higher = {w - got.u: e2_dimension(ctx, s + 2, got.t, u=w, cache=cache).e2_dim
+              for w in sorted(set(weights)) if w - got.u >= 2}
+    checks.append(Check("every later-page source weight dies on the second page",
+                        "all source e2 dimensions zero",
+                        ", ".join("r=%d: e2_dim=%d" % rd for rd in higher.items()) or "none",
+                        not any(higher.values())))
+    return _report("survival", ctx, m, n, s, checks, notes=(_CAVEAT,))
 
 
 def verify_upper_window_vanishing(ctx: PrimeContext, m: int, n: int, s: int,
                                   cache=None, strict_range: bool = True) -> VerificationReport:
     """First-page vanishing at (s+3-r, t(s)+s-r-1) for every r in 2..s+3."""
     validate_family_params(ctx, m, n, s, strict_range)
-    t0 = time.perf_counter()
-    base = family_degree(ctx, m, n, s)
-    checks = []
-    for r in range(2, s + 4):
-        fs = s + 3 - r
-        ft = base + s - r - 1
-        dim = enumerate_basis(ctx, fs, ft, None, cache).dimension
-        checks.append(Check(
-            description="upper window r=%d, bidegree (%d, %d) is empty" % (r, fs, ft),
-            expected="dim=0", observed="dim=%d" % dim, passed=dim == 0))
-    return _report("upper-vanishing", {"p": ctx.p, "m": m, "n": n, "s": s}, checks, t0)
+    checks = [_empty("upper window r=%d, bidegree (%d, %d)" % (r, fs, ft),
+                     enumerate_basis(ctx, fs, ft, None, cache).dimension)
+              for r, fs, ft in _window(ctx, m, n, s, 2)]
+    return _report("upper-vanishing", ctx, m, n, s, checks)
 
 
 def verify_representatives(ctx: PrimeContext, m: int, n: int, s: int) -> VerificationReport:
     """Degree bookkeeping for the two factor classes and their product."""
-    _require_family_index(ctx, s)
-    if not (isinstance(m, int) and isinstance(n, int) and 1 <= m < n):
-        raise ParameterError("need integers 1 <= m < n, got m=%r n=%r" % (m, n))
-    t0 = time.perf_counter()
     p, q = ctx.p, ctx.q
     rep = s_rep(ctx, s)
     trip = h_triple(ctx, m, n)
@@ -365,32 +344,22 @@ def verify_representatives(ctx: PrimeContext, m: int, n: int, s: int) -> Verific
     checks = []
     for label, mon, want in (("family representative %s" % rep.render(), rep, want_rep),
                              ("exterior product %s" % trip.render(), trip, want_trip)):
-        got = mon.tridegree
-        checks.append(Check(
-            description="%s has tridegree" % label,
-            expected="(%d, %d, %d)" % (want.s, want.t, want.u),
-            observed="(%d, %d, %d)" % (got.s, got.t, got.u), passed=got == want))
-        image = d1(element_from_monomial(mon, ctx), ctx)
-        checks.append(Check(
-            description="%s is a d1-cycle" % label, expected="d1 = 0",
-            observed="d1 = 0" if image.is_zero else "d1 = %s" % render_element(image, ctx),
-            passed=image.is_zero))
+        checks.append(_tridegree("%s has tridegree" % label, mon.tridegree, want))
+        checks.append(_cycle(ctx, label, mon))
     total = want_rep.t + want_trip.t
     target_t = family_degree(ctx, m, n, s) + s - 2
-    checks.append(Check(
-        description="degrees of the two factors add to the product degree",
-        expected="t=%d" % target_t, observed="t=%d" % total, passed=total == target_t))
-    prod = multiply(element_from_monomial(rep, ctx), element_from_monomial(trip, ctx), ctx)
-    try:
-        target = product_class(ctx, m, n, s)
-        prod_ok = (not prod.is_zero) and prod.support() == {target}
-    except ParameterError:
-        prod_ok = False
-    checks.append(Check(
-        description="the two representatives multiply to the product class",
-        expected="a single monomial, up to sign",
-        observed=render_element(prod, ctx), passed=prod_ok))
-    return _report("representatives", {"p": ctx.p, "m": m, "n": n, "s": s}, checks, t0)
+    checks.append(Check("degrees of the two factors add to the product degree",
+                        "t=%d" % target_t, "t=%d" % total, total == target_t))
+    what, expected = ("the two representatives multiply to the product class",
+                      "a single monomial, up to sign")
+    target, failed = _build(what, expected, product_class, ctx, m, n, s)
+    if failed:
+        checks.append(failed)
+    else:
+        prod = multiply(element_from_monomial(rep, ctx), element_from_monomial(trip, ctx), ctx)
+        checks.append(Check(what, expected, render_element(prod, ctx),
+                            prod.support() == {target}))
+    return _report("representatives", ctx, m, n, s, checks)
 
 
 _CONVERGENCE_NOTE = ("convergence of the ambient spectral sequences is an input "
@@ -403,7 +372,6 @@ def verify_main(ctx: PrimeContext, m: int, n: int, s: int, cache=None,
     """Composite scenario: window, critical differential (when s = p-1),
     survival, upper-window vanishing, and representative bookkeeping."""
     validate_family_params(ctx, m, n, s, strict_range)
-    t0 = time.perf_counter()
     with warnings.catch_warnings():
         # the gate above has warned once; each part would repeat the warning
         warnings.simplefilter("ignore", UserWarning)
@@ -416,12 +384,10 @@ def verify_main(ctx: PrimeContext, m: int, n: int, s: int, cache=None,
     checks = []
     notes: list[str] = []
     for part in parts:
-        checks.extend(Check(description="%s: %s" % (part.scenario, c.description),
-                            expected=c.expected, observed=c.observed, passed=c.passed)
+        checks.extend(replace(c, description="%s: %s" % (part.scenario, c.description))
                       for c in part.checks)
         for note in part.notes:
             if note not in notes:
                 notes.append(note)
     notes.append(_CONVERGENCE_NOTE)
-    return _report("main", {"p": ctx.p, "m": m, "n": n, "s": s}, checks, t0,
-                   notes=tuple(notes))
+    return _report("main", ctx, m, n, s, checks, notes=tuple(notes))

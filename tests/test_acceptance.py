@@ -10,9 +10,9 @@ from helpers import (add, column_sums, column_sums_impossible, element_parity, f
                      random_monomial, scale, single_search, vanishes_by_digit_bound,
                      vanishes_by_remainder_bound)
 from mayss import (ResultCache, Tridegree, a, b, d1, e2_dimension, element_from_monomial, h,
-                   higher_page_hit_analysis, make_context, monomial_from_factors,
-                   multiply, survives_to_e2, verify_critical_differential, verify_main,
-                   verify_survival, verify_upper_window_vanishing, verify_window)
+                   make_context, monomial_from_factors, multiply, survives_to_e2,
+                   verify_critical_differential, verify_main, verify_survival,
+                   verify_upper_window_vanishing, verify_window)
 from mayss.cli import main as cli_main
 from mayss.enumeration import clear_memo, enumerate_basis
 from mayss.verify import (critical_leading_terms, critical_monomials, family_degree,
@@ -83,15 +83,20 @@ def test_criterion_03_product_class_survives():
             failures.append("s=%d class is not a cycle" % s)
         if v.is_boundary:
             failures.append("s=%d class is a boundary" % s)
-        report = higher_page_hit_analysis(omega, ctx)
-        if report.first_page_source_dim != 0:
-            failures.append("s=%d has a first-page source" % s)
-        if not report.not_hit_beyond_first_page:
-            failures.append("s=%d has a potential higher-page source: %r"
-                            % (s, report.higher_source_e2))
+        # the audit of every page that could hit the class, one filtration below
+        checks = {c.description: c for c in verify_survival(ctx, M, N, s).checks}
+        first = checks["no source in the weight hit by a first-page differential"]
+        if first.observed != "0 source monomials":
+            failures.append("s=%d has a first-page source: %s" % (s, first.observed))
+        later = checks["every later-page source weight dies on the second page"]
+        if not later.passed:
+            failures.append("s=%d has a potential higher-page source: %s" % (s, later.observed))
         if s == 4:
-            if report.source_weights != (34, 50, 50, 50, 50, 50, 50):
-                failures.append("source weight multiset %r" % (report.source_weights,))
+            weights = checks["source bidegree weight multiset"].observed
+            if weights != "(34, 50, 50, 50, 50, 50, 50)":
+                failures.append("source weight multiset %s" % weights)
+            if later.observed != "r=17: e2_dim=0, r=33: e2_dim=0":
+                failures.append("later-page sources %s" % later.observed)
             if v.position.u != 5 * P - 8:
                 failures.append("class weight %d != 5p-8" % v.position.u)
     _conclude(3, "product class survives", failures)

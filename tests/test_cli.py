@@ -200,6 +200,19 @@ def test_permissive_main_scenario_warns_once(capsys):
     assert "UserWarning" not in err and ".py" not in err
 
 
+@pytest.mark.parametrize("scenario", ["eq34", "main"])
+@pytest.mark.parametrize("m, n", [(3, 5), (2, 4)])
+def test_permissive_critical_words_below_m4_fail_the_report(capsys, scenario, m, n):
+    # the critical monomials need m >= 4; below it the report says so
+    code, out, err = run(capsys, ["verify", scenario, "--prime", "5", "--m", str(m),
+                                  "--n", str(n), "--scase", "4", "--permissive"])
+    assert code == 1
+    assert "the seven critical monomials exist\n" in out
+    assert "observed: not constructible: critical monomials need n >= m+2 and m >= 4" in out
+    assert out.splitlines()[-1].startswith("result: FAIL (")
+    assert err.count("warning:") == 1 and "error:" not in err
+
+
 def test_verify_missing_scenario_args(capsys):
     code, _, err = run(capsys, ["verify", "eq34", "--prime", "5", "--n", "6"])
     assert code == 2

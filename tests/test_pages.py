@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from helpers import DENSE_E2, SCENARIOS, UNIT, add, codomain_matrix, d1_generator, scale
+from helpers import DENSE_E2, SCENARIOS, add, codomain_matrix, d1_generator, scale
 from mayss import (ParameterError, Tridegree, a, d1, e2_dimension, element_from_monomial, h,
-                   enumerate_basis, higher_page_hit_analysis, make_context,
-                   monomial_from_factors, parse_element, survives_to_e2)
+                   enumerate_basis, make_context, monomial_from_factors, parse_element,
+                   survives_to_e2, verify_survival)
 from mayss.algebra import Element, element_tridegree
 from mayss.differential import d1_matrix
 from mayss.linalg import rank
@@ -46,8 +46,6 @@ def test_inhomogeneous_input_rejected(ctx5):
             ctx5)
     with pytest.raises(ParameterError):
         survives_to_e2(x, ctx5)
-    with pytest.raises(ParameterError):
-        higher_page_hit_analysis(x, ctx5)
 
 
 def test_product_class_survives(ctx5):
@@ -58,25 +56,32 @@ def test_product_class_survives(ctx5):
     assert v.e2_nonzero
 
 
+def _source_audit(ctx, m, n, s):
+    """verify_survival's checks on the bidegree one filtration below the class."""
+    rep = verify_survival(ctx, m, n, s)
+    return {c.description: c for c in rep.checks}, rep.notes
+
+
 def test_hit_analysis_of_the_product_class(ctx5):
-    omega = element_from_monomial(product_class(ctx5, 4, 6, 4), ctx5)
-    report = higher_page_hit_analysis(omega, ctx5)
-    assert report.source_filtration == 6
-    assert report.source_weights == (34, 50, 50, 50, 50, 50, 50)
-    assert report.first_page_source_dim == 0
-    assert report.higher_source_e2 == {17: 0, 33: 0}
-    assert report.not_hit_beyond_first_page
-    assert "convergence" in report.caveat
+    checks, notes = _source_audit(ctx5, 4, 6, 4)
+    weights = checks["source bidegree weight multiset"]
+    assert weights.observed == "(34, 50, 50, 50, 50, 50, 50)" and weights.passed
+    first = checks["no source in the weight hit by a first-page differential"]
+    assert first.observed == "0 source monomials" and first.passed
+    later = checks["every later-page source weight dies on the second page"]
+    assert later.observed == "r=17: e2_dim=0, r=33: e2_dim=0" and later.passed
+    assert any("convergence" in note for note in notes)
 
 
-def test_hit_analysis_at_filtration_zero(ctx5):
-    x = element_from_monomial(UNIT, ctx5)
-    report = higher_page_hit_analysis(x, ctx5)
-    assert report.source_filtration == -1
-    assert report.source_weights == ()
-    assert report.first_page_source_dim == 0
-    assert report.higher_source_e2 == {}
-    assert report.not_hit_beyond_first_page
+def test_hit_analysis_with_an_empty_source(ctx5):
+    # at s = 2 the source bidegree (4, t) holds no monomial, so no page can hit
+    checks, _ = _source_audit(ctx5, 4, 6, 2)
+    empty = checks["source bidegree (4, %d) is empty" % family_degree(ctx5, 4, 6, 2)]
+    assert empty.observed == "dim=0" and empty.passed
+    assert checks["no source in the weight hit by a first-page differential"].observed == (
+        "0 source monomials")
+    later = checks["every later-page source weight dies on the second page"]
+    assert later.observed == "none" and later.passed
 
 
 def test_weight_filtered_page_queries(ctx5):

@@ -47,6 +47,8 @@ def test_constructibility_floors(ctx5):
     with pytest.raises(ParameterError):
         critical_monomials(ctx5, 2, 5)
     with pytest.raises(ParameterError):
+        critical_monomials(ctx5, 3, 5)  # the seventh word would hold h(3,0) twice
+    with pytest.raises(ParameterError):
         critical_leading_terms(ctx5, 3, 5)
     with pytest.raises(ParameterError):
         critical_monomials(ctx5, 4, 5)  # n >= m+2 fails
@@ -165,7 +167,7 @@ def test_report_serialization_shape(ctx5):
     assert set(d) == {"scenario", "params", "checks", "notes", "pass"}
     assert all(set(c) == {"description", "expected", "observed", "pass"}
                for c in d["checks"])
-    # wall-clock time never enters the serialized form
+    # identical inputs serialize identically
     again = verify_window(ctx5, M, N, 2).to_dict()
     assert again == d
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ParameterError, ParseError
-from .grading import PrimeContext, Tridegree, ZERO_DEGREE, generator_tridegree
+from .grading import PrimeContext, Tridegree, ZERO_DEGREE, check_degree, generator_tridegree
 
 _KIND_RANK = {"a": 0, "h": 1, "b": 2}
 
@@ -116,7 +116,8 @@ def canonicalize(factors: Iterable[tuple[Generator, int]],
     permutation restricted to the exterior generators; non-exterior
     generators move freely.  Each power stays one item, so g^e costs the
     same for every e.  An exterior power above 1 or a repeated exterior
-    generator (an exterior square, so the product is zero) gives None.
+    generator (an exterior square, so the product is zero) gives None.  A
+    degree above MAX_DEGREE raises a ParameterError.
     """
     ext = []
     counts: dict[Generator, int] = {}
@@ -138,6 +139,7 @@ def canonicalize(factors: Iterable[tuple[Generator, int]],
     deg = ZERO_DEGREE
     for g, e in canon:
         deg = deg + g.tridegree(ctx).scaled(e)
+    check_degree(deg.t)
     return (-1 if inv % 2 else 1, Monomial(factors=canon, tridegree=deg))
 
 

@@ -2,13 +2,17 @@
 
 Subcommands: profile | basis | d1 | e2 | survives | verify.  Every
 subcommand takes --prime and --format {text,machine}.  Each run computes in
-process and writes no files.  Machine format emits a single JSON document
-with the fields {command, engine_version, params, results}, serialized with
-sorted keys; it carries no timing, so repeated runs are byte-identical.
-Progress, timing and warnings go to stderr only.
+process and writes no files.  A subcommand computes its answer once, as
+params, results and text; main prints either the text or a single JSON
+document with the fields {command, engine_version, params, results},
+serialized with sorted keys.  The document carries no timing, so repeated
+runs are byte-identical.  Progress, timing and warnings go to stderr only.
+The eq34 scenario runs at s = p-1: --scase may be left out, and any other
+value is a parameter error.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage or parameter error, 3 internal error (an engine invariant failed).
+2 usage or parameter error (an internal degree above 10^4000 included),
+3 internal error (an engine invariant failed).
 """
 
 from __future__ import annotations
@@ -46,6 +50,18 @@ MACHINE_SCHEMA = {
 }
 
 _PROGRESS_T = 200000  # above this internal degree, say what is being computed
+_DIMS = ("e1_dim", "cycle_dim", "boundary_dim", "e2_dim")
+
+
+def _scenarios() -> dict:
+    """Each verify scenario and the function that runs it, read from the
+    verify module at call time, so a wrapped function is the one that runs."""
+    return {"lemma31": scenarios.verify_window,
+            "eq34": scenarios.verify_critical_differential,
+            "thm32": scenarios.verify_survival,
+            "thm33": scenarios.verify_upper_window_vanishing,
+            "reps": scenarios.verify_representatives,
+            "main": scenarios.verify_main}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,6 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="odd prime p >= 5")
     common.add_argument("--format", choices=("text", "machine"), default="text",
                         help="result stream format (default: text)")
+    position = argparse.ArgumentParser(add_help=False)
+    position.add_argument("--s", type=int, required=True)
+    position.add_argument("--t", type=int, required=True)
+    position.add_argument("--u", type=int, default=None, help="restrict to one weight")
 
     parser = argparse.ArgumentParser(
         prog="mayss",
@@ -65,21 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="p-adic digit profile of an internal degree")
     p.add_argument("--t", type=int, required=True)
 
-    p = sub.add_parser("basis", parents=[common],
-                       help="monomial basis of one (filtration, degree) position")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--u", type=int, default=None, help="restrict to one weight")
+    sub.add_parser("basis", parents=[common, position],
+                   help="monomial basis of one (filtration, degree) position")
 
     p = sub.add_parser("d1", parents=[common],
                        help="first differential of an element")
     p.add_argument("element", help="element text, e.g. 'h(2,0)' or '2*a(1) h(1,1) + a(0) h(2,0)'")
 
-    p = sub.add_parser("e2", parents=[common],
-                       help="second-page dimension of one position")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--u", type=int, default=None, help="restrict to one weight")
+    sub.add_parser("e2", parents=[common, position],
+                   help="second-page dimension of one position")
 
     p = sub.add_parser("survives", parents=[common],
                        help="cycle / boundary verdict for a homogeneous element")
@@ -87,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run one named verification scenario")
-    p.add_argument("scenario",
-                   choices=("lemma31", "eq34", "thm32", "thm33", "reps", "main"))
+    p.add_argument("scenario", choices=tuple(_scenarios()))
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--scase", type=int, default=None,
@@ -104,124 +117,77 @@ def _machine(command: str, params: dict, results: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _progress(message: str) -> None:
-    print(message, file=sys.stderr)
-    sys.stderr.flush()
+# Each _cmd_* computes its answer once and returns (params, results, text,
+# exit code); main prints the machine document or the text.
 
-
-def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    # one line per warning, without the source location Python would add
-    print("warning: %s" % message, file=sys.stderr)
-
-
-def _render_profile(prof) -> str:
-    parts = []
-    if prof.c_minus1:
-        parts.append("c[-1]=%d" % prof.c_minus1)
-    parts.extend("c%d=%d" % (j, c) for j, c in enumerate(prof.digits) if c)
-    return " ".join(parts) if parts else "0"
-
-
-def _cmd_profile(args, ctx) -> tuple[str, int]:
+def _cmd_profile(args, ctx) -> tuple[dict, dict, str, int]:
     prof = padic_profile(args.t, ctx)
-    params = {"p": ctx.p, "t": args.t}
-    if args.format == "machine":
-        results = {"c_minus1": prof.c_minus1, "digits": list(prof.digits),
-                   "rendered": _render_profile(prof)}
-        return _machine("profile", params, results), 0
-    return _render_profile(prof) + "\n", 0
+    parts = ["c[-1]=%d" % prof.c_minus1] if prof.c_minus1 else []
+    parts.extend("c%d=%d" % (j, c) for j, c in enumerate(prof.digits) if c)
+    rendered = " ".join(parts) or "0"
+    results = {"c_minus1": prof.c_minus1, "digits": list(prof.digits), "rendered": rendered}
+    return {"p": ctx.p, "t": args.t}, results, rendered + "\n", 0
 
 
-def _cmd_basis(args, ctx) -> tuple[str, int]:
+def _cmd_basis(args, ctx) -> tuple[dict, dict, str, int]:
     if args.t >= _PROGRESS_T:
-        _progress("enumerating basis at (s=%d, t=%d)..." % (args.s, args.t))
+        print("enumerating basis at (s=%d, t=%d)..." % (args.s, args.t), file=sys.stderr)
     basis = enumerate_basis(ctx, args.s, args.t, args.u)
+    monomials = [{"monomial": mon.render() or "1",
+                  "tridegree": [mon.tridegree.s, mon.tridegree.t, mon.tridegree.u]}
+                 for mon in basis.monomials]
+    text = "".join("%s  (%d, %d, %d)\n" % (mon["monomial"], *mon["tridegree"])
+                   for mon in monomials)
     params = {"p": ctx.p, "s": args.s, "t": args.t, "u": args.u}
-    if args.format == "machine":
-        results = {"dimension": basis.dimension,
-                   "monomials": [{"monomial": mon.render() or "1",
-                                  "tridegree": [mon.tridegree.s, mon.tridegree.t,
-                                                mon.tridegree.u]}
-                                 for mon in basis.monomials]}
-        return _machine("basis", params, results), 0
-    lines = ["%s  (%d, %d, %d)" % (mon.render() or "1", mon.tridegree.s,
-                                   mon.tridegree.t, mon.tridegree.u)
-             for mon in basis.monomials]
-    return "".join(line + "\n" for line in lines), 0
+    return params, {"dimension": basis.dimension, "monomials": monomials}, text, 0
 
 
-def _cmd_d1(args, ctx) -> tuple[str, int]:
-    x = parse_element(args.element, ctx)
-    image = render_element(d1(x, ctx), ctx)
-    params = {"p": ctx.p, "element": args.element}
-    if args.format == "machine":
-        return _machine("d1", params, {"image": image}), 0
-    return image + "\n", 0
+def _cmd_d1(args, ctx) -> tuple[dict, dict, str, int]:
+    image = render_element(d1(parse_element(args.element, ctx), ctx), ctx)
+    return {"p": ctx.p, "element": args.element}, {"image": image}, image + "\n", 0
 
 
-def _cmd_e2(args, ctx) -> tuple[str, int]:
+def _cmd_e2(args, ctx) -> tuple[dict, dict, str, int]:
     if args.t >= _PROGRESS_T:
-        _progress("computing second page at (s=%d, t=%d)..." % (args.s, args.t))
+        print("computing second page at (s=%d, t=%d)..." % (args.s, args.t), file=sys.stderr)
     page = e2_dimension(ctx, args.s, args.t, args.u)
-    params = {"p": ctx.p, "s": args.s, "t": args.t, "u": args.u}
-    blocks = [{"u": bl.u, "e1_dim": bl.e1_dim, "cycle_dim": bl.cycle_dim,
-               "boundary_dim": bl.boundary_dim, "e2_dim": bl.e2_dim}
-              for bl in page.blocks]
-    if args.format == "machine":
-        results = {"e1_dim": page.e1_dim, "cycle_dim": page.cycle_dim,
-                   "boundary_dim": page.boundary_dim, "e2_dim": page.e2_dim,
-                   "blocks": blocks}
-        return _machine("e2", params, results), 0
+    blocks = [dict(u=bl.u, **{k: getattr(bl, k) for k in _DIMS}) for bl in page.blocks]
+    results = dict(blocks=blocks, **{k: getattr(page, k) for k in _DIMS})
     lines = []
     if len(blocks) > 1:
-        lines.extend("u=%(u)d: e1_dim=%(e1_dim)d cycle_dim=%(cycle_dim)d "
-                     "boundary_dim=%(boundary_dim)d e2_dim=%(e2_dim)d" % bl
+        lines.extend("u=%d: %s" % (bl["u"], " ".join("%s=%d" % (k, bl[k]) for k in _DIMS))
                      for bl in blocks)
-    lines.append("e1_dim=%d" % page.e1_dim)
-    lines.append("cycle_dim=%d" % page.cycle_dim)
-    lines.append("boundary_dim=%d" % page.boundary_dim)
-    lines.append("e2_dim=%d" % page.e2_dim)
-    return "".join(line + "\n" for line in lines), 0
+    lines.extend("%s=%d" % (k, results[k]) for k in _DIMS)
+    params = {"p": ctx.p, "s": args.s, "t": args.t, "u": args.u}
+    return params, results, "".join(line + "\n" for line in lines), 0
 
 
-def _cmd_survives(args, ctx) -> tuple[str, int]:
-    x = parse_element(args.element, ctx)
-    verdict = survives_to_e2(x, ctx)
+def _cmd_survives(args, ctx) -> tuple[dict, dict, str, int]:
+    verdict = survives_to_e2(parse_element(args.element, ctx), ctx)
     pos = verdict.position
-    params = {"p": ctx.p, "element": args.element}
-    if args.format == "machine":
-        results = {"position": [pos.s, pos.t, pos.u],
-                   "d1_cycle": verdict.is_cycle,
-                   "d1_boundary": verdict.is_boundary,
-                   "e2_nonzero": verdict.e2_nonzero}
-        return _machine("survives", params, results), 0
-    lines = ["position: (%d, %d, %d)" % (pos.s, pos.t, pos.u),
-             "d1_cycle: %s" % ("yes" if verdict.is_cycle else "no"),
-             "d1_boundary: %s" % ("yes" if verdict.is_boundary else "no"),
-             "e2_class: %s" % ("nonzero" if verdict.e2_nonzero else "zero")]
-    return "".join(line + "\n" for line in lines), 0
+    results = {"position": [pos.s, pos.t, pos.u], "d1_cycle": verdict.is_cycle,
+               "d1_boundary": verdict.is_boundary, "e2_nonzero": verdict.e2_nonzero}
+    text = ("position: (%d, %d, %d)\n" % (pos.s, pos.t, pos.u)
+            + "d1_cycle: %s\n" % ("yes" if verdict.is_cycle else "no")
+            + "d1_boundary: %s\n" % ("yes" if verdict.is_boundary else "no")
+            + "e2_class: %s\n" % ("nonzero" if verdict.e2_nonzero else "zero"))
+    return {"p": ctx.p, "element": args.element}, results, text, 0
 
 
-def _require_scenario_args(args, names) -> None:
-    missing = ["--" + name for name in names if getattr(args, name) is None]
+def _cmd_verify(args, ctx) -> tuple[dict, dict, str, int]:
+    needed = ("m", "n") if args.scenario == "eq34" else ("m", "n", "scase")
+    missing = ["--" + name for name in needed if getattr(args, name) is None]
     if missing:
         raise ParameterError("scenario %r needs %s" % (args.scenario, ", ".join(missing)))
-
-
-def _run_scenario(args, ctx):
+    print("running scenario %s (p=%d)..." % (args.scenario, ctx.p), file=sys.stderr)
+    t0 = time.perf_counter()
+    run = _scenarios()[args.scenario]
     if args.scenario == "reps":
-        return scenarios.verify_representatives(ctx, args.m, args.n, args.scase)
-    strict = not args.permissive
-    if args.scenario == "eq34":
-        return scenarios.verify_critical_differential(ctx, args.m, args.n,
-                                                      strict_range=strict)
-    run = {"lemma31": scenarios.verify_window, "thm32": scenarios.verify_survival,
-           "thm33": scenarios.verify_upper_window_vanishing,
-           "main": scenarios.verify_main}[args.scenario]
-    return run(ctx, args.m, args.n, args.scase, strict_range=strict)
-
-
-def _render_report_text(report) -> str:
+        report = run(ctx, args.m, args.n, args.scase)
+    else:
+        report = run(ctx, args.m, args.n, args.scase, strict_range=not args.permissive)
+    print("scenario %s finished in %.1fs" % (args.scenario, time.perf_counter() - t0),
+          file=sys.stderr)
     lines = ["scenario: %s" % report.scenario,
              "params: %s" % " ".join("%s=%s" % (k, report.params[k])
                                      for k in sorted(report.params))]
@@ -229,27 +195,12 @@ def _render_report_text(report) -> str:
         lines.append("[%s] %s" % ("pass" if c.passed else "FAIL", c.description))
         lines.append("    expected: %s" % c.expected)
         lines.append("    observed: %s" % c.observed)
-    for note in report.notes:
-        lines.append("note: %s" % note)
+    lines.extend("note: %s" % note for note in report.notes)
     lines.append("result: %s (%d checks)" % ("PASS" if report.passed else "FAIL",
                                              len(report.checks)))
-    return "".join(line + "\n" for line in lines)
-
-
-def _cmd_verify(args, ctx) -> tuple[str, int]:
-    needed = ("m", "n") if args.scenario == "eq34" else ("m", "n", "scase")
-    _require_scenario_args(args, needed)
-    _progress("running scenario %s (p=%d)..." % (args.scenario, ctx.p))
-    t0 = time.perf_counter()
-    report = _run_scenario(args, ctx)
-    code = 0 if report.passed else 1
-    params = {"p": ctx.p, "scenario": args.scenario, "m": args.m, "n": args.n,
-              "s": args.scase if args.scenario != "eq34" else ctx.p - 1,
-              "permissive": bool(args.permissive)}
-    if args.format == "machine":
-        return _machine("verify", params, report.to_dict()), code
-    _progress("scenario %s finished in %.1fs" % (args.scenario, time.perf_counter() - t0))
-    return _render_report_text(report), code
+    params = dict(report.params, scenario=args.scenario, permissive=args.permissive)
+    return (params, report.to_dict(), "".join(line + "\n" for line in lines),
+            0 if report.passed else 1)
 
 
 _COMMANDS = {
@@ -268,16 +219,18 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always", UserWarning)
-            warnings.showwarning = _print_warning
+            # one line per warning, without the source location Python would add
+            warnings.showwarning = lambda msg, *_: print("warning: %s" % msg, file=sys.stderr)
             ctx = make_context(args.prime)
-            out, code = _COMMANDS[args.command](args, ctx)
+            params, results, text, code = _COMMANDS[args.command](args, ctx)
     except (ParseError, ParameterError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MayssError as exc:
         print("error: internal: %s" % exc, file=sys.stderr)
         return 3
-    sys.stdout.write(out)
+    sys.stdout.write(_machine(args.command, params, results) if args.format == "machine"
+                     else text)
     return code
 
 

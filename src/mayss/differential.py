@@ -40,17 +40,9 @@ D1_SHIFT = Tridegree(1, 0, -1)
 Factors = tuple[tuple[Generator, int], ...]
 
 
-Keyed = tuple[Generator, tuple[int, int, int]]
-
-
-def _keyed(g: Generator) -> Keyed:
-    return g, g.key
-
-
 @lru_cache(maxsize=None)
-def _summands(g: Generator) -> tuple[tuple[tuple[Keyed, ...], Keyed | None, int], ...]:
-    """The summands of d1(g) as (new h's, new polynomial factor, sign parity),
-    each new generator paired with its sort key.
+def _summands(g: Generator) -> tuple[tuple[tuple[Generator, ...], Generator | None, int], ...]:
+    """The summands of d1(g) as (new h's, new polynomial factor, sign parity).
 
     The h's are sorted by key and the parity counts the swaps that sorted
     them from written order.  Independent of the prime, so kept per generator.
@@ -58,23 +50,23 @@ def _summands(g: Generator) -> tuple[tuple[tuple[Keyed, ...], Keyed | None, int]
     if g.kind == "h":
         out = []
         for k in range(1, g.i):
-            x, y = _keyed(h(g.i - k, k + g.j)), _keyed(h(k, g.j))
-            swapped = x[1] > y[1]
+            x, y = h(g.i - k, k + g.j), h(k, g.j)
+            swapped = x.key > y.key
             out.append(((y, x) if swapped else (x, y), None, int(swapped)))
         return tuple(out)
     if g.kind == "a":
-        return tuple(((_keyed(h(g.i - k, k)),), _keyed(a(k)), 0) for k in range(0, g.i))
+        return tuple(((h(g.i - k, k),), a(k), 0) for k in range(0, g.i))
     return ()
 
 
-def _multiply_in(out: list, keys: list, g: Generator, key: tuple[int, int, int]) -> None:
+def _multiply_in(out: list, keys: list, g: Generator) -> None:
     """Multiply a canonical factor list (with its sort keys) by g, in place."""
-    j = bisect_left(keys, key)
-    if j < len(keys) and keys[j] == key:
+    j = bisect_left(keys, g.key)
+    if j < len(keys) and keys[j] == g.key:
         out[j] = (g, out[j][1] + 1)
     else:
         out.insert(j, (g, 1))
-        keys.insert(j, key)
+        keys.insert(j, g.key)
 
 
 def _d1_factors(mon: Monomial, p: int) -> dict[Factors, int]:
@@ -105,15 +97,15 @@ def _d1_factors(mon: Monomial, p: int) -> dict[Factors, int]:
             # moving one new h to its place among the others costs
             # (its rank among them) + (slots before g) swaps, mod 2
             parity += here * (len(new_h) + 1)
-            for _, key in new_h:
-                pos = bisect_left(others, key)
-                if pos < len(others) and others[pos] == key:
+            for x in new_h:
+                pos = bisect_left(others, x.key)
+                if pos < len(others) and others[pos] == x.key:
                     break
                 parity += pos
             else:
                 out, out_keys = list(rest), list(rest_keys)
                 for x in new_h + ((poly,) if poly else ()):
-                    _multiply_in(out, out_keys, *x)
+                    _multiply_in(out, out_keys, x)
                 term = tuple(out)
                 accum[term] = accum.get(term, 0) + (-e if parity % 2 else e)
     return accum

@@ -18,6 +18,11 @@ from .errors import ParameterError
 #: division, which takes under 0.1 s at this bound and grows like sqrt(p).
 MAX_PRIME = 2**40
 
+#: Largest internal degree a monomial or a scenario may have, so that every
+#: degree prints in fewer digits than Python converts by default (4300).  No
+#: generator has s or u above its t, so this bounds the whole tridegree.
+MAX_DEGREE = 10**4000
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -49,6 +54,11 @@ def make_context(p: int) -> PrimeContext:
     if not _is_prime(p):
         raise ParameterError("p=%r is not an odd prime >= 5" % (p,))
     return PrimeContext(p=p, q=2 * (p - 1))
+
+
+def check_degree(t: int) -> None:
+    if t > MAX_DEGREE:
+        raise ParameterError("internal degree exceeds 10^4000")
 
 
 @dataclass(frozen=True)

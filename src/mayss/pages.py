@@ -34,17 +34,19 @@ class WeightBlock:
         return self.cycle_dim - self.boundary_dim
 
 
+def _summed(name: str) -> property:
+    return property(lambda page: sum(getattr(bl, name) for bl in page.blocks))
+
+
 @dataclass(frozen=True)
 class PageQueryResult:
-    p: int
-    s: int
-    t: int
-    u: int | None
-    e1_dim: int
-    cycle_dim: int
-    boundary_dim: int
-    e2_dim: int
+    """The weight blocks of one query; each dimension is summed over them."""
+
     blocks: tuple[WeightBlock, ...]
+    e1_dim = _summed("e1_dim")
+    cycle_dim = _summed("cycle_dim")
+    boundary_dim = _summed("boundary_dim")
+    e2_dim = _summed("e2_dim")
 
 
 def _blocks_by_weight(basis: BidegreeBasis) -> dict[int, list]:
@@ -79,13 +81,7 @@ def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
             boundaries = 0
         blocks.append(WeightBlock(u=w, e1_dim=len(domain), cycle_dim=cycles,
                                   boundary_dim=boundaries))
-    return PageQueryResult(
-        p=ctx.p, s=s, t=t, u=u,
-        e1_dim=sum(bl.e1_dim for bl in blocks),
-        cycle_dim=sum(bl.cycle_dim for bl in blocks),
-        boundary_dim=sum(bl.boundary_dim for bl in blocks),
-        e2_dim=sum(bl.e2_dim for bl in blocks),
-        blocks=tuple(blocks))
+    return PageQueryResult(tuple(blocks))
 
 
 def _block_matrix(ctx, s, t, w, domain, cache) -> MatrixFp:

@@ -23,7 +23,7 @@ from .algebra import (Monomial, a, element_from_monomial, h, monomial_from_facto
 from .differential import d1
 from .enumeration import enumerate_basis
 from .errors import ParameterError
-from .grading import PrimeContext, Tridegree
+from .grading import PrimeContext, Tridegree, check_degree
 from .pages import e2_dimension, survives_to_e2
 
 
@@ -99,9 +99,10 @@ def _require_family_index(ctx: PrimeContext, s: int) -> None:
         raise ParameterError("family index s must satisfy 2 <= s < p, got s=%r" % (s,))
 
 
-def validate_family_params(ctx: PrimeContext, m: int, n: int, s: int | None = None,
+def validate_family_params(ctx: PrimeContext, m: int, n: int, s: int,
                            strict_range: bool = True) -> None:
-    """Gate for the window scenarios: n >= m+2 > 5 and, when given, 2 <= s < p.
+    """Gate for the window scenarios: n >= m+2 > 5, 2 <= s < p and t(s) at
+    most MAX_DEGREE.
 
     With strict_range=False the first condition is relaxed to n >= m+2 >= 4,
     with a warning that the window conclusions are only claimed above m=3.
@@ -121,8 +122,8 @@ def validate_family_params(ctx: PrimeContext, m: int, n: int, s: int | None = No
             "m=%d is outside the range n >= m+2 > 5 in which the window "
             "results are claimed; checks may legitimately fail" % m,
             stacklevel=2)
-    if s is not None:
-        _require_family_index(ctx, s)
+    _require_family_index(ctx, s)
+    check_degree(family_degree(ctx, m, n, s))
 
 
 def _require_critical_range(m: int, n: int) -> None:
@@ -234,14 +235,19 @@ def verify_window(ctx: PrimeContext, m: int, n: int, s: int, cache=None,
     return _report("window", ctx, m, n, s, checks)
 
 
-def verify_critical_differential(ctx: PrimeContext, m: int, n: int, cache=None,
-                                 strict_range: bool = True) -> VerificationReport:
+def verify_critical_differential(ctx: PrimeContext, m: int, n: int, s: int | None = None,
+                                 cache=None, strict_range: bool = True) -> VerificationReport:
     """At s = p-1, the first differential kills the whole window position:
     each critical monomial has nonzero image containing its leading term, the
     seven images are independent, and the second page vanishes there.
+
+    s defaults to p-1; any other family index is a ParameterError.
     """
-    validate_family_params(ctx, m, n, None, strict_range)
+    if s not in (None, ctx.p - 1):
+        raise ParameterError("the critical differential runs at s = p-1 = %d, got s=%r"
+                             % (ctx.p - 1, s))
     s = ctx.p - 1
+    validate_family_params(ctx, m, n, s, strict_range)
     t = family_degree(ctx, m, n, s) + s - 2
     gs, failed = _build("the seven critical monomials exist", "the seven critical monomials",
                         critical_monomials, ctx, m, n)
@@ -375,11 +381,12 @@ def verify_main(ctx: PrimeContext, m: int, n: int, s: int, cache=None,
     with warnings.catch_warnings():
         # the gate above has warned once; each part would repeat the warning
         warnings.simplefilter("ignore", UserWarning)
-        parts = [verify_window(ctx, m, n, s, cache, strict_range)]
+        kw = {"cache": cache, "strict_range": strict_range}
+        parts = [verify_window(ctx, m, n, s, **kw)]
         if s == ctx.p - 1:
-            parts.append(verify_critical_differential(ctx, m, n, cache, strict_range))
-        parts.append(verify_survival(ctx, m, n, s, cache, strict_range))
-        parts.append(verify_upper_window_vanishing(ctx, m, n, s, cache, strict_range))
+            parts.append(verify_critical_differential(ctx, m, n, s, **kw))
+        parts.append(verify_survival(ctx, m, n, s, **kw))
+        parts.append(verify_upper_window_vanishing(ctx, m, n, s, **kw))
     parts.append(verify_representatives(ctx, m, n, s))
     checks = []
     notes: list[str] = []

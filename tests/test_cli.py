@@ -111,6 +111,18 @@ def test_second_page_window_beyond_the_search_depth_is_rejected_first(capsys, mo
     assert (code, out, err) == (2, "", "error: filtration 513 exceeds 512\n")
 
 
+def test_degrees_past_the_printable_bound_are_usage_errors(capsys):
+    # each internal degree here has more digits than Python converts to text
+    for argv in (["survives", "h(1,9000)", "--prime", "5"],
+                 ["verify", "reps", "--prime", "5", "--m", "4", "--n", "100000", "--scase", "2"]):
+        for fmt in ("text", "machine"):
+            code, out, err = run(capsys, argv + ["--format", fmt])
+            assert (code, out) == (2, ""), argv
+            assert err.count("error:") == 1, err
+            assert err.endswith("error: internal degree exceeds 10^4000\n"), err
+            assert "Traceback" not in err
+
+
 def test_e2_text(capsys):
     code, out, _ = run(capsys, ["e2", "--prime", "5", "--s", "2", "--t", "49"])
     assert code == 0
@@ -211,6 +223,19 @@ def test_permissive_critical_words_below_m4_fail_the_report(capsys, scenario, m,
     assert "observed: not constructible: critical monomials need n >= m+2 and m >= 4" in out
     assert out.splitlines()[-1].startswith("result: FAIL (")
     assert err.count("warning:") == 1 and "error:" not in err
+
+
+def test_eq34_runs_only_at_s_p_minus_1(capsys):
+    argv = ["verify", "eq34", "--prime", "5", "--m", "4", "--n", "6"]
+    code, out, err = run(capsys, argv + ["--scase", "2"])
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1
+    assert err.endswith("error: the critical differential runs at s = p-1 = 4, got s=2\n")
+    code, at_p_minus_1, _ = run(capsys, argv + ["--scase", "4"])
+    assert code == 0
+    code, default, _ = run(capsys, argv)
+    assert code == 0
+    assert at_p_minus_1 == default and "params: m=4 n=6 p=5 s=4\n" in default
 
 
 def test_verify_missing_scenario_args(capsys):

@@ -87,6 +87,8 @@ def test_parameter_gates(ctx5):
         validate_family_params(ctx5, 4, 6, 5)            # s = p
     with pytest.raises(ParameterError):
         validate_family_params(ctx5, 4, 6, 1)            # s too small
+    with pytest.raises(ParameterError, match="exceeds 10"):
+        validate_family_params(ctx5, 4, 100000, 2)       # t(s) past MAX_DEGREE
     with pytest.warns(UserWarning):
         validate_family_params(ctx5, 3, 5, 2, strict_range=False)
     with pytest.raises(ParameterError):

@@ -5,7 +5,9 @@ stdout and its exit code, as printed before the scenario layer was rebuilt
 on one scaffold.  Any change to a check's text, order or verdict, to a
 report's params or notes, or to an exit code shows up here.  The eq34
 scenario is left out of the permissive cases: below m = 4 its report
-changed on purpose (it used to end in a usage error, exit code 2).
+changed on purpose (it used to end in a usage error, exit code 2).  The
+eq34 runs with --scase other than p - 1 were re-recorded as usage errors
+(exit code 2, empty stdout) when eq34 stopped ignoring --scase.
 """
 
 import contextlib

@@ -47,6 +47,7 @@ class Generator:
     def __new__(cls, kind: str, i: int, j: int | None) -> "Generator":
         g = _INTERNED.get((kind, i, j))
         if g is None:
+            _check_indices(kind, i, j)
             g = _INTERNED[kind, i, j] = object.__new__(cls)
             for name, value in (
                     ("kind", kind), ("i", i), ("j", j),
@@ -75,21 +76,28 @@ class Generator:
 _INTERNED: dict[tuple[str, int, int | None], Generator] = {}
 
 
+def _check_indices(kind: str, i: int, j: int | None) -> None:
+    """The one gate of every generator, run once, when it is first built."""
+    if kind == "a" and j is None:
+        if i < 0:
+            raise ParameterError("a requires i >= 0, got %d" % i)
+    elif kind in ("h", "b") and j is not None:
+        if i < 1 or j < 0:
+            raise ParameterError("%s requires i >= 1 and j >= 0, got (%d, %d)" % (kind, i, j))
+    else:
+        raise ParameterError("no generator %s with indices (%r, %r); the generators are "
+                             "a(i), h(i,j) and b(i,j)" % (kind, i, j))
+
+
 def a(i: int) -> Generator:
-    if i < 0:
-        raise ParameterError("a requires i >= 0, got %d" % i)
     return Generator("a", i, None)
 
 
 def h(i: int, j: int) -> Generator:
-    if i < 1 or j < 0:
-        raise ParameterError("h requires i >= 1 and j >= 0, got (%d, %d)" % (i, j))
     return Generator("h", i, j)
 
 
 def b(i: int, j: int) -> Generator:
-    if i < 1 or j < 0:
-        raise ParameterError("b requires i >= 1 and j >= 0, got (%d, %d)" % (i, j))
     return Generator("b", i, j)
 
 
@@ -334,13 +342,7 @@ def _parse_generator(tk: _Tokens) -> Generator:
         j = tk.take_index()
     tk.expect(")")
     try:
-        if kind == "a":
-            if j is not None:
-                raise ParameterError("a takes one index")
-            return a(i)
-        if j is None:
-            raise ParameterError("%s takes two indices" % kind)
-        return h(i, j) if kind == "h" else b(i, j)
+        return Generator(kind, i, j)
     except ParameterError as exc:
         raise ParseError(str(exc), start) from exc
 

@@ -84,7 +84,7 @@ class ResultCache:
                 monomials.append(mon)
         except Exception:
             return None
-        return BidegreeBasis(p=ctx.p, s=s, t=t, u=None, monomials=tuple(monomials))
+        return BidegreeBasis(p=ctx.p, s=s, t=t, monomials=tuple(monomials))
 
     def store_basis(self, basis: BidegreeBasis) -> None:
         lines = ["%s %s" % (_MAGIC, ENGINE_VERSION),

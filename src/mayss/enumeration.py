@@ -85,7 +85,7 @@ from operator import itemgetter
 
 from .algebra import Generator, Monomial, a, b, h
 from .errors import ParameterError
-from .grading import PrimeContext, Tridegree
+from .grading import PrimeContext, Tridegree, check_degree
 
 PRUNE_DEGREE = "degree"
 PRUNE_CARRY = "carry"
@@ -106,7 +106,6 @@ class BidegreeBasis:
     p: int
     s: int
     t: int
-    u: int | None
     monomials: tuple[Monomial, ...]
 
     @property
@@ -325,6 +324,7 @@ def _check(s: int, t: int) -> None:
         raise ParameterError("filtration and degree must be nonnegative, got (%d, %d)" % (s, t))
     if s > MAX_FILTRATION:
         raise ParameterError("filtration %d exceeds %d" % (s, MAX_FILTRATION))
+    check_degree(t)
 
 
 def _lookup(ctx: PrimeContext, s: int, t: int, cache) -> BidegreeBasis | None:
@@ -342,8 +342,7 @@ def _record(ctx: PrimeContext, s: int, t: int, leaves: list[tuple[str, Monomial]
             cache) -> BidegreeBasis:
     """Sort searched leaves by their text into a basis; memoize and store it."""
     leaves.sort(key=itemgetter(0))
-    basis = BidegreeBasis(p=ctx.p, s=s, t=t, u=None,
-                          monomials=tuple(mon for _, mon in leaves))
+    basis = BidegreeBasis(p=ctx.p, s=s, t=t, monomials=tuple(mon for _, mon in leaves))
     _memo[ctx.p, s, t] = basis
     if cache is not None:
         cache.store_basis(basis)
@@ -361,7 +360,7 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int, u: int | None = None,
     if u is None:
         return basis
     picked = tuple(m for m in basis.monomials if m.tridegree.u == u)
-    return BidegreeBasis(p=ctx.p, s=s, t=t, u=u, monomials=picked)
+    return BidegreeBasis(p=ctx.p, s=s, t=t, monomials=picked)
 
 
 def _enumerate_window(ctx: PrimeContext, s: int, t: int, cache) -> None:

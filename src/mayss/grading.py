@@ -61,6 +61,13 @@ def check_degree(t: int) -> None:
         raise ParameterError("internal degree exceeds 10^4000")
 
 
+def check_power(p: int, n: int) -> None:
+    """Reject p**n above MAX_DEGREE, whenever n alone shows it, without
+    computing it: p >= 2**(bit_length(p) - 1) bounds p**n from below."""
+    if n * (p.bit_length() - 1) >= MAX_DEGREE.bit_length():
+        raise ParameterError("internal degree exceeds 10^4000")
+
+
 @dataclass(frozen=True)
 class Tridegree:
     s: int
@@ -102,7 +109,7 @@ def padic_profile(t: int, ctx: PrimeContext) -> PAdicProfile:
 
 
 def generator_tridegree(kind: str, i: int, j: int | None, ctx: PrimeContext) -> Tridegree:
-    """Tridegree of a single multiplicative generator.
+    """Tridegree of a single multiplicative generator (Generator checks its indices).
 
     kind "h": exterior, (1, 2(p^i - 1) p^j, 2i - 1), i >= 1, j >= 0.
     kind "b": polynomial, (2, 2(p^i - 1) p^(j+1), (2i - 1) p), i >= 1, j >= 0.
@@ -110,15 +117,7 @@ def generator_tridegree(kind: str, i: int, j: int | None, ctx: PrimeContext) -> 
     """
     p = ctx.p
     if kind == "h":
-        if i < 1 or j is None or j < 0:
-            raise ParameterError("h requires i >= 1 and j >= 0, got (%r, %r)" % (i, j))
         return Tridegree(1, 2 * (p**i - 1) * p**j, 2 * i - 1)
     if kind == "b":
-        if i < 1 or j is None or j < 0:
-            raise ParameterError("b requires i >= 1 and j >= 0, got (%r, %r)" % (i, j))
         return Tridegree(2, 2 * (p**i - 1) * p ** (j + 1), (2 * i - 1) * p)
-    if kind == "a":
-        if i < 0 or j is not None:
-            raise ParameterError("a requires a single index i >= 0, got (%r, %r)" % (i, j))
-        return Tridegree(1, 2 * p**i - 1, 2 * i + 1)
-    raise ParameterError("unknown generator kind %r" % (kind,))
+    return Tridegree(1, 2 * p**i - 1, 2 * i + 1)

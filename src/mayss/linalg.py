@@ -3,15 +3,14 @@
 A MatrixFp stores only its columns, each a dict {row: residue} with residues
 in [1, p), which is the form d1 matrices are built in and eliminated on;
 to_rows() derives the dense rows, from which the disk cache writes its text
-form.  Every operation runs one sparse elimination on a copy of the columns,
+form.  Both operations run one sparse elimination on a copy of the columns,
 reduced left to right against the pivots found so far, each pivot keyed by
-its lead (lowest) row and scaled to lead coefficient 1.  A pivot's entries all lie at or below its lead row, so a
-reduction only moves the lead of the column being reduced downward.
-d1 matrices are a few percent nonzero, so the columns stay short.
-
-A target vector that reduces to zero gives a solution supported on the
-pivot columns, the same one reduced row echelon form yields.  Operations
-never mutate their inputs.
+its lead (lowest) row and scaled to lead coefficient 1.  A pivot's entries
+all lie at or below its lead row, so a reduction only moves the lead of the
+column being reduced downward.  d1 matrices are a few percent nonzero, so
+the columns stay short.  A target in the same sparse form lies in the
+column span exactly when it reduces to zero against those pivots.
+Operations never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -55,11 +54,6 @@ def matrix_from_rows(rows: Sequence[Sequence[int]], p: int, cols: int | None = N
     return MatrixFp(modulus=p, rows=len(rows), cols=cols, columns=tuple(columns))
 
 
-def _columns(m: MatrixFp) -> list[dict[int, int]]:
-    # _reduce works in place, so eliminate on copies
-    return [dict(col) for col in m.columns]
-
-
 def _axpy(y: dict[int, int], f: int, x: dict[int, int], p: int) -> None:
     """y -= f * x in place, dropping entries that cancel."""
     for k, v in x.items():
@@ -70,52 +64,35 @@ def _axpy(y: dict[int, int], f: int, x: dict[int, int], p: int) -> None:
             y.pop(k, None)
 
 
-def _reduce(vec: dict[int, int], combo: dict[int, int] | None, pivots: dict, p: int) -> int | None:
-    """Reduce vec in place against the pivots, applying the same steps to
-    combo when given; the lead row left, or None when vec reduced to zero."""
+def _reduce(vec: dict[int, int], pivots: dict[int, dict[int, int]], p: int) -> int | None:
+    """Reduce vec in place against the pivots; its lead row left, or None."""
     while vec:
         lead = min(vec)
         piv = pivots.get(lead)
         if piv is None:
             return lead
-        f = vec[lead]
-        _axpy(vec, f, piv[0], p)
-        if combo is not None:
-            _axpy(combo, f, piv[1], p)
+        _axpy(vec, vec[lead], piv, p)
     return None
 
 
-def _eliminate(m: MatrixFp, track: bool) -> dict:
-    """Pivots {lead row: (column, combination)}; when track is set, each
-    combination is the set of original columns that sums to its column."""
+def _eliminate(m: MatrixFp) -> dict[int, dict[int, int]]:
+    """Pivots {lead row: column scaled to lead coefficient 1}."""
     p = m.modulus
-    pivots: dict[int, tuple[dict[int, int], dict[int, int] | None]] = {}
-    for c, col in enumerate(_columns(m)):
-        combo = {c: 1} if track else None
-        lead = _reduce(col, combo, pivots, p)
-        if lead is None:
-            continue
-        inv = pow(col[lead], -1, p)
-        pivots[lead] = ({k: v * inv % p for k, v in col.items()},
-                        {k: v * inv % p for k, v in combo.items()} if track else None)
+    pivots: dict[int, dict[int, int]] = {}
+    for col in m.columns:
+        col = dict(col)   # _reduce works in place
+        lead = _reduce(col, pivots, p)
+        if lead is not None:
+            inv = pow(col[lead], -1, p)
+            pivots[lead] = {k: v * inv % p for k, v in col.items()}
     return pivots
 
 
 def rank(m: MatrixFp) -> int:
-    return len(_eliminate(m, track=False))
+    return len(_eliminate(m))
 
 
-def in_span(m: MatrixFp, v: Sequence[int]) -> tuple[int, ...] | None:
-    """Solve m @ c = v; returns one coefficient vector, or None if unsolvable."""
-    if len(v) != m.rows:
-        raise ParameterError("vector length %d does not match %d rows" % (len(v), m.rows))
-    p = m.modulus
-    pivots = _eliminate(m, track=True)
-    # reducing v to zero leaves v + m @ combo = 0
-    combo: dict[int, int] = {}
-    if _reduce({r: x % p for r, x in enumerate(v) if x % p}, combo, pivots, p) is not None:
-        return None
-    sol = [0] * m.cols
-    for k, x in combo.items():
-        sol[k] = -x % p
-    return tuple(sol)
+def in_span(m: MatrixFp, v: dict[int, int]) -> bool:
+    """Whether the sparse target {row: residue in [1, p)} is a combination
+    of the columns of m."""
+    return _reduce(dict(v), _eliminate(m), m.modulus) is None

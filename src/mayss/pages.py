@@ -100,7 +100,6 @@ class SurvivalVerdict:
     position: Tridegree
     is_cycle: bool
     is_boundary: bool
-    boundary_witness: tuple[int, ...] | None
 
     @property
     def e2_nonzero(self) -> bool:
@@ -115,7 +114,6 @@ def survives_to_e2(x: Element, ctx: PrimeContext, cache=None) -> SurvivalVerdict
         raise ParameterError("survival needs a homogeneous nonzero element")
     _check(pos.s, pos.t)   # an absurd filtration ends before any work
     is_cycle = d1(x, ctx).is_zero
-    witness = None
     is_boundary = False
     if pos.s >= 1:
         source = enumerate_basis(ctx, pos.s - 1, pos.t, pos.u + 1, cache)
@@ -124,8 +122,5 @@ def survives_to_e2(x: Element, ctx: PrimeContext, cache=None) -> SurvivalVerdict
             terms = x.terms
             row_of = {mon.factors: k for k, mon in enumerate(terms)}
             m = d1_matrix(source.monomials, ctx, row_of)
-            vec = [c % ctx.p for c in terms.values()] + [0] * (m.rows - len(terms))
-            witness = in_span(m, vec)
-            is_boundary = witness is not None
-    return SurvivalVerdict(position=pos, is_cycle=is_cycle,
-                           is_boundary=is_boundary, boundary_witness=witness)
+            is_boundary = in_span(m, dict(enumerate(terms.values())))
+    return SurvivalVerdict(position=pos, is_cycle=is_cycle, is_boundary=is_boundary)

@@ -23,7 +23,7 @@ from .algebra import (Monomial, a, element_from_monomial, h, monomial_from_facto
 from .differential import d1
 from .enumeration import enumerate_basis
 from .errors import ParameterError
-from .grading import PrimeContext, Tridegree, check_degree
+from .grading import PrimeContext, Tridegree, check_degree, check_power
 from .pages import e2_dimension, survives_to_e2
 
 
@@ -109,6 +109,7 @@ def validate_family_params(ctx: PrimeContext, m: int, n: int, s: int,
     """
     if not isinstance(m, int) or not isinstance(n, int):
         raise ParameterError("window parameters m, n must be integers, got m=%r n=%r" % (m, n))
+    check_power(ctx.p, n)   # before any p**n, which grows faster than n
     floor = 4 if strict_range else 2
     if m < floor or n < m + 2:
         if strict_range:
@@ -342,6 +343,7 @@ def verify_upper_window_vanishing(ctx: PrimeContext, m: int, n: int, s: int,
 
 def verify_representatives(ctx: PrimeContext, m: int, n: int, s: int) -> VerificationReport:
     """Degree bookkeeping for the two factor classes and their product."""
+    check_power(ctx.p, n)
     p, q = ctx.p, ctx.q
     rep = s_rep(ctx, s)
     trip = h_triple(ctx, m, n)

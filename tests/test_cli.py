@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from helpers import SCENARIOS
-from mayss import ResultCache, cli, e2_dimension, enumeration, grading, make_context
+from mayss import ResultCache, cli, e2_dimension, enumeration, grading, make_context, verify
 from mayss.algebra import Generator
 from mayss.cli import MACHINE_SCHEMA, main
 from mayss.enumeration import clear_memo
@@ -109,6 +109,33 @@ def test_second_page_window_beyond_the_search_depth_is_rejected_first(capsys, mo
     monkeypatch.setattr(enumeration, "_search", no_search)
     code, out, err = run(capsys, ["e2", "--prime", "5", "--s", "512", "--t", "100000"])
     assert (code, out, err) == (2, "", "error: filtration 513 exceeds 512\n")
+
+
+def test_degree_past_the_printable_bound_is_rejected_before_any_search(capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(enumeration, "_search", no_search)
+    for command in ("basis", "e2"):
+        code, out, err = run(capsys, [command, "--prime", "5", "--s", "2", "--t", "1" * 4200])
+        assert (code, out) == (2, ""), command
+        assert err.count("error:") == 1, err
+        assert err.endswith("error: internal degree exceeds 10^4000\n"), err
+
+
+def test_huge_tower_index_is_rejected_before_any_power(capsys, monkeypatch):
+    # p**n at n = 10**7 alone takes seconds; the gate must not compute it.
+    def no_degree(*args):
+        raise AssertionError("computed a degree")
+
+    monkeypatch.setattr(Generator, "tridegree", no_degree)
+    monkeypatch.setattr(verify, "family_degree", no_degree)
+    for scenario in ("reps", "thm32", "main"):
+        code, out, err = run(capsys, ["verify", scenario, "--prime", "5", "--m", "4",
+                                      "--n", "10000000", "--scase", "2"])
+        assert (code, out) == (2, ""), scenario
+        assert err.count("error:") == 1, err
+        assert err.endswith("error: internal degree exceeds 10^4000\n"), err
 
 
 def test_degrees_past_the_printable_bound_are_usage_errors(capsys):

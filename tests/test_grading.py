@@ -2,6 +2,7 @@ import pytest
 
 from helpers import profile_to_degree
 from mayss import ParameterError, Tridegree, grading, make_context, padic_profile
+from mayss.algebra import _INTERNED, Generator
 from mayss.grading import PAdicProfile, generator_tridegree
 
 
@@ -86,11 +87,14 @@ def test_generator_tridegrees_hand_table(ctx5):
         assert generator_tridegree(kind, i, j, ctx5) == Tridegree(*want)
 
 
-def test_generator_tridegree_validates(ctx5):
+def test_generator_tridegree_validates():
+    # Indices are checked once, when a generator is built, so no generator
+    # reaches generator_tridegree with indices it does not grade.
     for kind, i, j in (("a", -1, None), ("h", 0, 0), ("h", 1, -1),
                        ("b", 0, 0), ("b", 1, -2), ("x", 1, 0), ("a", 1, 0)):
         with pytest.raises(ParameterError):
-            generator_tridegree(kind, i, j, ctx5)
+            Generator(kind, i, j)
+        assert (kind, i, j) not in _INTERNED
 
 
 def test_tridegree_arithmetic():

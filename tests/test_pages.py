@@ -28,7 +28,6 @@ def test_boundary_class_dies_on_page_two(ctx5):
     assert v.position == Tridegree(2, 49, 4)
     assert v.is_cycle
     assert v.is_boundary
-    assert v.boundary_witness == (1,)
     assert not v.e2_nonzero
 
 
@@ -173,9 +172,9 @@ def _combination(coeffs, monomials, ctx):
     return out
 
 
-def test_boundary_witness_solves_the_system(rng, ctx5, ctx7):
-    # The witness is indexed by the source basis; when d1 has a kernel there
-    # the system has many solutions, so check the equation, not the solution.
+def test_every_constructed_boundary_is_found(rng, ctx5, ctx7):
+    # d1(y) for a random combination y of one weight block, including blocks
+    # where d1 has a kernel, so that many y share one image.
     found = ambiguous = 0
     for ctx, t_max in ((ctx5, 300), (ctx7, 400)):
         for s in range(0, 5):
@@ -190,8 +189,6 @@ def test_boundary_witness_solves_the_system(rng, ctx5, ctx7):
                     v = survives_to_e2(x, ctx)
                     assert v.is_cycle and v.is_boundary and not v.e2_nonzero
                     assert v.position == Tridegree(s + 1, t, w - 1)
-                    assert len(v.boundary_witness) == len(monomials)
-                    assert d1(_combination(v.boundary_witness, monomials, ctx), ctx) == x
                     ambiguous += rank(d1_matrix(monomials, ctx)) < len(monomials)
     assert found > 150 and ambiguous > 20, (found, ambiguous)
 
@@ -202,7 +199,7 @@ def test_product_class_stays_a_non_boundary(p, m, n, s):
     omega = element_from_monomial(product_class(ctx, m, n, s), ctx)
     for x in (omega, scale(2, omega, ctx)):
         v = survives_to_e2(x, ctx)
-        assert v.is_cycle and not v.is_boundary and v.boundary_witness is None
+        assert v.is_cycle and not v.is_boundary
 
 
 def test_cycle_outside_a_nonzero_image_is_no_boundary(ctx5):

@@ -27,7 +27,7 @@ from . import verify as scenarios
 from .algebra import parse_element, render_element
 from .cache import ENGINE_VERSION
 from .differential import d1
-from .enumeration import enumerate_basis
+from .enumeration import _check, enumerate_basis
 from .errors import MayssError, ParameterError, ParseError
 from .grading import make_context, padic_profile
 from .pages import e2_dimension, survives_to_e2
@@ -130,6 +130,7 @@ def _cmd_profile(args, ctx) -> tuple[dict, dict, str, int]:
 
 
 def _cmd_basis(args, ctx) -> tuple[dict, dict, str, int]:
+    _check(args.s, args.t)   # a rejected query prints its error line alone
     if args.t >= _PROGRESS_T:
         print("enumerating basis at (s=%d, t=%d)..." % (args.s, args.t), file=sys.stderr)
     basis = enumerate_basis(ctx, args.s, args.t, args.u)
@@ -148,6 +149,8 @@ def _cmd_d1(args, ctx) -> tuple[dict, dict, str, int]:
 
 
 def _cmd_e2(args, ctx) -> tuple[dict, dict, str, int]:
+    for s in (args.s, args.s + 1):   # the checks e2_dimension runs, before the progress line
+        _check(s, args.t)
     if args.t >= _PROGRESS_T:
         print("computing second page at (s=%d, t=%d)..." % (args.s, args.t), file=sys.stderr)
     page = e2_dimension(ctx, args.s, args.t, args.u)

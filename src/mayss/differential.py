@@ -23,6 +23,23 @@ d1 shifts tridegrees by (+1, 0, -1): it raises filtration, preserves internal
 degree, and drops the weight by one, so it restricts to weight blocks.  The
 monomials of the target tridegree form a basis of it, so a d1 matrix numbers
 its rows by the image monomials themselves and needs no enumerated codomain.
+
+d1() on elements works on factor tuples, so a word like a(1)^1000000 costs
+what a(1) does.  d1_matrix, which differentiates whole bases, packs each
+monomial into one int instead.  The block's generator universe (the domain's
+generators, those of their summands, and those of any seed keys) is numbered
+in canonical order, and generator k owns the bit field [k*w, (k+1)*w) that
+holds its exponent.  The width w is (largest exponent + 1).bit_length(),
+the largest exponent taken over the domain and the seeds; an image raises
+an exponent by at most one, so no field can overflow into the next.  Then
+
+    image key = key - unit(g) + sum of the units of the summand's factors,
+
+the Koszul parity is the popcount of the exterior fields of key - unit(g)
+under a mask fixed per summand (the exterior fields below each new h, and
+below g when it brings two), and an exterior square is a nonzero AND of
+key - unit(g) with the new h's units.  Each row key is unpacked back into a
+factor tuple only when the caller asks for the row map.
 """
 
 from __future__ import annotations
@@ -122,24 +139,96 @@ def d1(x: Element, ctx: PrimeContext) -> Element:
     return _from_accumulator(accum, ctx)
 
 
+def _universe(domain: Sequence[Monomial], factor_gens: set[Generator],
+              seeds: dict[Factors, int]) -> tuple[list[Generator], int]:
+    """The generators of a block, in canonical order, and its field width.
+
+    The universe is the domain's generators (factor_gens), those of their
+    summands and those of the seed keys.  An image raises one exponent of
+    the domain by at most one, so the width holds every exponent of the
+    domain, the seeds and the images.
+    """
+    keyed = [mon.factors for mon in domain] + list(seeds)
+    gens = {g for factors in keyed for g, _ in factors}
+    for g in factor_gens:
+        for new_h, poly, _ in _summands(g):
+            gens.update(new_h + ((poly,) if poly else ()))
+    top = max((e for factors in keyed for _, e in factors), default=0)
+    return sorted(gens, key=lambda g: g.key), (top + 1).bit_length()
+
+
+def _plan(g: Generator, unit: dict[Generator, int],
+          below: dict[Generator, int]) -> list[tuple[int, int, int, int]]:
+    """The summands of d1(g) on packed keys, as (mask of the new h's, key
+    change, sign parity, moves mask).
+
+    The tuple path adds the exterior slots before g (for two new h's) and
+    each new h's rank among the other exterior factors; mod 2 that sum is
+    the popcount of key - unit(g) under the moves mask.
+    """
+    plan = []
+    for new_h, poly, parity in _summands(g):
+        hmask = sum(unit[x] for x in new_h)
+        moves = below[g] if len(new_h) == 2 else 0
+        for x in new_h:
+            moves ^= below[x]
+        plan.append((hmask, hmask + (unit[poly] if poly else 0), parity, moves))
+    return plan
+
+
 def d1_matrix(domain: Sequence[Monomial], ctx: PrimeContext,
               row_of: dict[Factors, int] | None = None) -> MatrixFp:
     """Matrix of d1 on the given basis; column k is the image of domain[k].
 
     Rows are image monomials, keyed by factor tuple (factors determine the
     tridegree): each key not yet in row_of gets the next row number, in the
-    order the images first show it.  row_of may be pre-seeded and is
-    extended in place; the matrix has len(row_of) rows.
+    order the images first show it.  row_of may be pre-seeded with canonical
+    factor tuples and is extended in place; the matrix has len(row_of) rows.
+    The entries are those of d1() on each monomial, computed on packed keys.
     """
     p = ctx.p
-    if row_of is None:
-        row_of = {}
+    seeds = row_of or {}
+    factor_gens = {g for mon in domain for g, _ in mon.factors}
+    order, width = _universe(domain, factor_gens, seeds)
+    unit = {g: 1 << (k * width) for k, g in enumerate(order)}
+    ext = sum(unit[g] for g in order if g.is_exterior)
+    below = {g: ext & (unit[g] - 1) for g in order}   # exterior fields before g
+    plans = {g: _plan(g, unit, below) for g in factor_gens}
+
+    def pack(factors):
+        return sum(e * unit[g] for g, e in factors)
+
+    rows = {pack(f): r for f, r in seeds.items()}
+    seeded = len(rows)
     columns = []
     for mon in domain:
+        key = pack(mon.factors)
+        accum: dict[int, int] = {}
+        for g, e in mon.factors:
+            plan = plans[g]
+            if not plan or e % p == 0:
+                continue
+            rest = key - unit[g]
+            for hmask, delta, parity, moves in plan:
+                if rest & hmask:   # a new h already present: an exterior square
+                    continue
+                img = rest + delta
+                c = -e if (parity + (rest & moves).bit_count()) & 1 else e
+                accum[img] = accum.get(img, 0) + c
         col = {}
-        for factors, c in _d1_factors(mon, p).items():
+        for img, c in accum.items():
             c %= p
             if c:
-                col[row_of.setdefault(factors, len(row_of))] = c
+                col[rows.setdefault(img, len(rows))] = c
         columns.append(col)
-    return MatrixFp(modulus=p, rows=len(row_of), cols=len(domain), columns=tuple(columns))
+    if row_of is not None:   # unpack the new rows' keys into factor tuples
+        field = (1 << width) - 1
+        for img in list(rows)[seeded:]:
+            factors, k = [], 0
+            while img:
+                if img & field:
+                    factors.append((order[k], img & field))
+                img >>= width
+                k += 1
+            row_of[tuple(factors)] = len(row_of)
+    return MatrixFp(modulus=p, rows=len(rows), cols=len(domain), columns=tuple(columns))

@@ -22,7 +22,7 @@ from mayss.differential import d1, d1_matrix
 from mayss.enumeration import _search, digit_span, generator_universe
 from mayss.errors import ParameterError
 from mayss.grading import ZERO_DEGREE, PAdicProfile, padic_profile
-from mayss.linalg import matrix_from_rows
+from mayss.linalg import MatrixFp, matrix_from_rows
 
 #: The empty monomial.
 UNIT = Monomial(factors=(), tridegree=ZERO_DEGREE)
@@ -433,6 +433,17 @@ def codomain_matrix(domain, codomain, ctx):
         raise AssertionError("image monomials missing from the codomain basis: %s"
                              % [monomial_from_factors(f, ctx).render() for f in outside])
     return m
+
+
+def image_d1_matrix(domain, ctx, row_of=None):
+    """The oracle of d1_matrix: the matrix of the d1() images of the domain,
+    which go through the factor-tuple path.  Rows are image factor tuples
+    numbered in first-seen order after any seeds; row_of grows in place."""
+    row_of = {} if row_of is None else row_of
+    columns = tuple({row_of.setdefault(out.factors, len(row_of)): c
+                     for out, c in d1(element_from_monomial(mon, ctx), ctx).terms.items()}
+                    for mon in domain)
+    return MatrixFp(modulus=ctx.p, rows=len(row_of), cols=len(domain), columns=columns)
 
 
 def transpose(m):

@@ -123,6 +123,17 @@ def test_degree_past_the_printable_bound_is_rejected_before_any_search(capsys, m
         assert err.endswith("error: internal degree exceeds 10^4000\n"), err
 
 
+def test_rejected_query_writes_its_error_line_alone(capsys):
+    # the progress line for a large t must not come before the degree check
+    for command in ("basis", "e2"):
+        for s, t in ((2, "1" * 4200), (-1, "300000"), (513, "300000")):
+            code, out, err = run(capsys, [command, "--prime", "5", "--s", str(s), "--t", t])
+            assert (code, out) == (2, ""), (command, s)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+    code, _, err = run(capsys, ["e2", "--prime", "5", "--s", "512", "--t", "300000"])
+    assert code == 2 and err == "error: filtration 513 exceeds 512\n", err
+
+
 def test_huge_tower_index_is_rejected_before_any_power(capsys, monkeypatch):
     # p**n at n = 10**7 alone takes seconds; the gate must not compute it.
     def no_degree(*args):

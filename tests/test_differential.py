@@ -1,13 +1,15 @@
 import pytest
 
-from helpers import (add, canonicalize_word, codomain_matrix, d1_generator, element_parity,
+from helpers import (DENSE_E2, add, canonicalize_word, codomain_matrix, d1_generator,
+                     element_parity, image_d1_matrix,
                      random_element, random_generator, random_monomial, scale,
                      unit_d1_monomial)
 from mayss import (a, b, d1, element_from_monomial, enumerate_basis, h,
                    make_context, monomial_from_factors, multiply, parse_element,
                    render_element)
 from mayss.algebra import Element, _from_accumulator, element_tridegree
-from mayss.differential import d1_matrix
+from mayss.differential import _summands, d1_matrix
+from mayss.pages import _blocks_by_weight
 
 D1_SHIFT = (1, 0, -1)
 
@@ -157,9 +159,11 @@ def test_matrix_rows_are_image_monomials_in_first_seen_order(ctx5):
         assert m.columns[col] == {row_of[out.factors]: c for out, c in image.terms.items()}
     # a pre-seeded key keeps its row, and the map grows in place
     first = next(iter(seen))
-    seeded = {"unrelated": 0, first: 1}
+    unrelated = ((b(7, 0), 1),)   # a real monomial that no image hits
+    assert unrelated not in seen
+    seeded = {unrelated: 0, first: 1}
     m2 = d1_matrix(dom, ctx5, seeded)
-    assert seeded["unrelated"] == 0 and seeded[first] == 1
+    assert seeded[unrelated] == 0 and seeded[first] == 1
     assert m2.rows == len(seeded) == len(seen) + 1
 
 
@@ -228,3 +232,71 @@ def test_d1_squares_to_zero_on_random_elements(rng, ctx5, ctx7):
                 ctx), ctx)
             for y in (x, add(x, big, ctx)):
                 assert d1(d1(y, ctx), ctx).is_zero, render_element(y, ctx)
+
+
+def _weight_blocks(ctx, s, t):
+    return _blocks_by_weight(enumerate_basis(ctx, s, t)).values()
+
+
+def _assert_matches_tuple_path(dom, ctx, seeds=()):
+    row_of, oracle_rows = dict(seeds), dict(seeds)
+    m = d1_matrix(dom, ctx, row_of)
+    assert m == image_d1_matrix(dom, ctx, oracle_rows)
+    assert list(row_of.items()) == list(oracle_rows.items())
+    return m
+
+
+@pytest.mark.parametrize("s,t", DENSE_E2)
+def test_packed_matrix_matches_tuple_path_on_dense_blocks(ctx5, s, t):
+    # every block e2_dimension builds at the point: weight blocks of s and of s - 1
+    nnz = 0
+    for f in (s, s - 1):
+        for dom in _weight_blocks(ctx5, f, t):
+            m = _assert_matches_tuple_path(dom, ctx5)
+            assert d1_matrix(dom, ctx5) == m
+            nnz += sum(len(col) for col in m.columns)
+    assert nnz > 3000
+
+
+def test_packed_matrix_matches_tuple_path_on_a_p7_grid(ctx7):
+    nnz = 0
+    for s in range(1, 8):
+        for t in range(1400, 1500, 2):
+            for dom in _weight_blocks(ctx7, s, t):
+                nnz += sum(len(col) for col in _assert_matches_tuple_path(dom, ctx7).columns)
+    assert nnz > 1000
+
+
+def test_packed_matrix_with_seeds_outside_the_domain_universe(rng, ctx5):
+    # as survives_to_e2 seeds it: target-tridegree monomials take the first
+    # rows, some holding generators no domain monomial or image can hold
+    s, t = 8, 130194
+    for dom in _weight_blocks(ctx5, s - 1, t):
+        universe = {g for mon in dom for g, _ in mon.factors}
+        for g in set(universe):
+            for new_h, poly, _ in _summands(g):
+                universe.update(new_h + ((poly,) if poly else ()))
+        u = dom[0].tridegree.u - 1
+        target = list(enumerate_basis(ctx5, s, t, u).monomials)
+        outside = [mon for mon in target if any(g not in universe for g, _ in mon.factors)]
+        if not outside:
+            continue
+        rng.shuffle(target)
+        seeds = [mon.factors for mon in outside[:2] + target[:5]]
+        # an exponent past every domain exponent widens the packed fields
+        seeds.append(((b(7, 0), 40 * s),))
+        seeds = {f: k for k, f in enumerate(dict.fromkeys(seeds))}
+        m = _assert_matches_tuple_path(dom, ctx5, seeds)
+        assert m.rows >= len(seeds)
+        return
+    raise AssertionError("no block with a target monomial outside its universe")
+
+
+def test_seed_exponents_past_the_domain_never_alias_an_image(ctx5):
+    # a seed a(0) a(1)^E with E past every domain exponent: a packed key
+    # sized by the domain alone would give it an image monomial's key
+    for e in (1, 3, 6):
+        dom = [monomial_from_factors([(a(1), e)], ctx5)]
+        for big in range(1, 130):
+            m = _assert_matches_tuple_path(dom, ctx5, {((a(0), 1), (a(1), big)): 0})
+            assert m.rows == 2 and m.columns[0] == {1: e % 5}

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import dense_in_span, dense_rank, mat_vec, span_rank, span_vectors, transpose
 from mayss.errors import ParameterError
-from mayss.linalg import in_span, matrix_from_rows, rank
+from mayss.linalg import MatrixFp, in_span, matrix_from_rows, rank
 
 
 def sparse(v):
@@ -162,3 +162,66 @@ def test_operations_never_mutate_their_input(rng, p):
         in_span(m, sparse(v))
         in_span(m, sparse([rng.randrange(p) for _ in range(m.rows)]))
         assert m.columns == before
+
+
+def _permuted(m, row_perm, col_perm, extra_cols=0):
+    """m with row r moved to row_perm[r], column c to col_perm[c], and
+    extra_cols zero columns at the positions col_perm leaves free."""
+    columns = [{} for _ in range(m.cols + extra_cols)]
+    for c, col in enumerate(m.columns):
+        columns[col_perm[c]] = {row_perm[r]: v for r, v in col.items()}
+    return MatrixFp(modulus=m.modulus, rows=m.rows, cols=len(columns), columns=tuple(columns))
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_elimination_order_does_not_change_rank_or_membership(rng, p):
+    # the elimination relabels rows and reorders columns by their counts; the
+    # answers must not depend on how the input numbers its rows and columns
+    for m in _oracle_cases(rng, p):
+        want = dense_rank(m)
+        targets = [list(mat_vec(m, [rng.randrange(p) for _ in range(m.cols)])),
+                   [rng.randrange(p) for _ in range(m.rows)], [0] * m.rows]
+        members = [dense_in_span(m, v) is not None for v in targets]
+        for _ in range(4):
+            row_perm = rng.sample(range(m.rows), m.rows)
+            extra = rng.randrange(3)
+            col_perm = rng.sample(range(m.cols + extra), m.cols)
+            pm = _permuted(m, row_perm, col_perm, extra)
+            assert rank(pm) == want
+            for v, member in zip(targets, members):
+                moved = {row_perm[r]: x for r, x in enumerate(v) if x}
+                assert in_span(pm, moved) == member
+
+
+def test_elimination_with_tied_counts(rng):
+    # every row and every column holds the same number of entries: the
+    # order is decided by ties alone
+    p = 7
+    for n in range(1, 9):
+        for width in range(1, min(n, 3) + 1):
+            rows = [[rng.randrange(1, p) if (c - r) % n < width else 0 for c in range(n)]
+                    for r in range(n)]
+            m = matrix_from_rows(rows, p)
+            assert rank(m) == dense_rank(m)
+            for _ in range(5):
+                v = [rng.randrange(p) for _ in range(n)]
+                assert in_span(m, sparse(v)) == (dense_in_span(m, v) is not None)
+
+
+def test_target_on_a_row_no_column_touches(rng):
+    p = 5
+    for _ in range(40):
+        nrows, ncols = rng.randrange(2, 8), rng.randrange(1, 8)
+        empty = rng.randrange(nrows)
+        rows = [[0 if r == empty else rng.randrange(p) for _ in range(ncols)]
+                for r in range(nrows)]
+        m = matrix_from_rows(rows, p)
+        member = list(mat_vec(m, [rng.randrange(p) for _ in range(ncols)]))
+        assert in_span(m, sparse(member))
+        member[empty] = rng.randrange(1, p)
+        assert dense_in_span(m, member) is None
+        assert not in_span(m, sparse(member))
+    # a row past every entry, and past the matrix
+    m = matrix_from_rows([[1, 0], [0, 1], [0, 0]], p)
+    assert in_span(m, {0: 2, 1: 3}) and not in_span(m, {0: 2, 2: 1})
+    assert not in_span(m, {5: 1})

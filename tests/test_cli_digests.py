@@ -4,8 +4,12 @@ cli_digests.json maps each command line below to the SHA-256 of its stdout
 and its exit code, recorded before the command-line front end was rebuilt
 around one result per subcommand.  The cases are the README examples, the
 dense second-page points of the benchmark, the unit and zero edge cases,
-single-weight queries and three usage errors (exit code 2, empty stdout),
-each in text and machine format.
+single-weight queries, three survival queries whose source block is not
+empty (so the element's terms seed the rows of its d1 matrix: one boundary
+of a single term, one of two terms, and one that is not a boundary) and
+three usage errors (exit code 2, empty stdout), each in text and machine
+format.  The three survival queries were recorded later, with the engine
+as it stood before d1_matrix took its seeds as a read-only sequence.
 """
 
 import contextlib
@@ -41,6 +45,10 @@ RUNS = (
     ["basis", "--prime", "5", "--s", "2", "--t", "49", "--u", "4"],
     ["e2", "--prime", "5", "--s", "6", "--t", "130194", "--u", "50"],
     ["profile", "--prime", "5", "--t", "0"],
+    # survival with a non-empty source block: d1 h(2,0), d1 a(2), no boundary
+    ["survives", "h(1,0) h(1,1)", "--prime", "5"],
+    ["survives", "a(0) h(2,0) + a(1) h(1,1)", "--prime", "5"],
+    ["survives", "h(1,0) h(1,2) b(1,0)", "--prime", "5"],
     # usage errors
     ["d1", "h(2,0", "--prime", "5"],
     ["e2", "--prime", "5", "--s", "512", "--t", "0"],

@@ -60,9 +60,6 @@ class Generator:
     def __reduce__(self):
         return Generator, (self.kind, self.i, self.j)
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return self.key
-
     def tridegree(self, ctx: PrimeContext) -> Tridegree:
         return generator_tridegree(self.kind, self.i, self.j, ctx)
 

@@ -27,7 +27,7 @@ its rows by the image monomials themselves and needs no enumerated codomain.
 d1() on elements works on factor tuples, so a word like a(1)^1000000 costs
 what a(1) does.  d1_matrix, which differentiates whole bases, packs each
 monomial into one int instead.  The block's generator universe (the domain's
-generators, those of their summands, and those of any seed keys) is numbered
+generators, those of their summands, and those of any seeds) is numbered
 in canonical order, and generator k owns the bit field [k*w, (k+1)*w) that
 holds its exponent.  The width w is (largest exponent + 1).bit_length(),
 the largest exponent taken over the domain and the seeds; an image raises
@@ -38,8 +38,7 @@ an exponent by at most one, so no field can overflow into the next.  Then
 the Koszul parity is the popcount of the exterior fields of key - unit(g)
 under a mask fixed per summand (the exterior fields below each new h, and
 below g when it brings two), and an exterior square is a nonzero AND of
-key - unit(g) with the new h's units.  Each row key is unpacked back into a
-factor tuple only when the caller asks for the row map.
+key - unit(g) with the new h's units.  Packed keys never leave d1_matrix.
 """
 
 from __future__ import annotations
@@ -140,15 +139,15 @@ def d1(x: Element, ctx: PrimeContext) -> Element:
 
 
 def _universe(domain: Sequence[Monomial], factor_gens: set[Generator],
-              seeds: dict[Factors, int]) -> tuple[list[Generator], int]:
+              seeds: Sequence[Monomial]) -> tuple[list[Generator], int]:
     """The generators of a block, in canonical order, and its field width.
 
     The universe is the domain's generators (factor_gens), those of their
-    summands and those of the seed keys.  An image raises one exponent of
-    the domain by at most one, so the width holds every exponent of the
-    domain, the seeds and the images.
+    summands and those of the seeds.  An image raises one exponent of the
+    domain by at most one, so the width holds every exponent of the domain,
+    the seeds and the images.
     """
-    keyed = [mon.factors for mon in domain] + list(seeds)
+    keyed = [mon.factors for mon in (*domain, *seeds)]
     gens = {g for factors in keyed for g, _ in factors}
     for g in factor_gens:
         for new_h, poly, _ in _summands(g):
@@ -177,17 +176,15 @@ def _plan(g: Generator, unit: dict[Generator, int],
 
 
 def d1_matrix(domain: Sequence[Monomial], ctx: PrimeContext,
-              row_of: dict[Factors, int] | None = None) -> MatrixFp:
+              seeds: Sequence[Monomial] = ()) -> MatrixFp:
     """Matrix of d1 on the given basis; column k is the image of domain[k].
 
-    Rows are image monomials, keyed by factor tuple (factors determine the
-    tridegree): each key not yet in row_of gets the next row number, in the
-    order the images first show it.  row_of may be pre-seeded with canonical
-    factor tuples and is extended in place; the matrix has len(row_of) rows.
-    The entries are those of d1() on each monomial, computed on packed keys.
+    Rows are monomials of the image tridegree: seeds[k] is row k (the seeds
+    are distinct), and every other image monomial gets the next row number,
+    in the order the images first show it.  The entries are those of d1() on
+    each monomial, computed on packed keys.
     """
     p = ctx.p
-    seeds = row_of or {}
     factor_gens = {g for mon in domain for g, _ in mon.factors}
     order, width = _universe(domain, factor_gens, seeds)
     unit = {g: 1 << (k * width) for k, g in enumerate(order)}
@@ -198,8 +195,7 @@ def d1_matrix(domain: Sequence[Monomial], ctx: PrimeContext,
     def pack(factors):
         return sum(e * unit[g] for g, e in factors)
 
-    rows = {pack(f): r for f, r in seeds.items()}
-    seeded = len(rows)
+    rows = {pack(mon.factors): r for r, mon in enumerate(seeds)}
     columns = []
     for mon in domain:
         key = pack(mon.factors)
@@ -221,14 +217,4 @@ def d1_matrix(domain: Sequence[Monomial], ctx: PrimeContext,
             if c:
                 col[rows.setdefault(img, len(rows))] = c
         columns.append(col)
-    if row_of is not None:   # unpack the new rows' keys into factor tuples
-        field = (1 << width) - 1
-        for img in list(rows)[seeded:]:
-            factors, k = [], 0
-            while img:
-                if img & field:
-                    factors.append((order[k], img & field))
-                img >>= width
-                k += 1
-            row_of[tuple(factors)] = len(row_of)
     return MatrixFp(modulus=p, rows=len(rows), cols=len(domain), columns=tuple(columns))

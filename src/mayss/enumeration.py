@@ -141,7 +141,7 @@ def generator_universe(ctx: PrimeContext, t_max: int, s_max: int) -> list[Genera
                 out.append(b(i, j))
                 j += 1
             i += 1
-    out.sort(key=Generator.sort_key)
+    out.sort(key=lambda g: g.key)
     return out
 
 
@@ -207,7 +207,13 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int,
     passes ALL_PRUNING; fewer rules give the same monomials, which is how the
     tests check that each rule is lossless."""
     found: dict[int, list[tuple[str, Monomial]]] = {s: [] for s in range(s_lo, s_hi + 1)}
-    universe = generator_universe(ctx, t, s_hi)   # canonical (sort_key) order
+    use_degree = PRUNE_DEGREE in flags
+    use_carry = PRUNE_CARRY in flags
+    # The carry test with every column supported needs no universe, so a
+    # huge t that no filtration of the window admits ends before one is built.
+    if use_carry and not any(_carry_feasible(t, s, -1, ctx) for s in found):
+        return found
+    universe = generator_universe(ctx, t, s_hi)   # canonical (key) order
     tri = [g.tridegree(ctx) for g in universe]
     # Search order: decreasing degree, ties in canonical order.  pos[k] is
     # the canonical position of the k-th generator of the search order.
@@ -237,9 +243,6 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int,
         max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
         md, mf = min_frac[k + 1]
         min_frac[k] = (d, f) if d * mf < md * f else (md, mf)
-
-    use_degree = PRUNE_DEGREE in flags
-    use_carry = PRUNE_CARRY in flags
 
     def root_feasible(s: int) -> bool:
         # The root's own lower degree bound and carry test; rec tests every
@@ -327,26 +330,29 @@ def _check(s: int, t: int) -> None:
     check_degree(t)
 
 
-def _lookup(ctx: PrimeContext, s: int, t: int, cache) -> BidegreeBasis | None:
-    """The basis of (s, t) from the memo, else from the cache into the memo."""
-    key = (ctx.p, s, t)
-    basis = _memo.get(key)
-    if basis is None and cache is not None:
-        basis = cache.load_basis(ctx, s, t)
-        if basis is not None:
-            _memo[key] = basis
-    return basis
-
-
-def _record(ctx: PrimeContext, s: int, t: int, leaves: list[tuple[str, Monomial]],
-            cache) -> BidegreeBasis:
-    """Sort searched leaves by their text into a basis; memoize and store it."""
-    leaves.sort(key=itemgetter(0))
-    basis = BidegreeBasis(p=ctx.p, s=s, t=t, monomials=tuple(mon for _, mon in leaves))
-    _memo[ctx.p, s, t] = basis
-    if cache is not None:
-        cache.store_basis(basis)
-    return basis
+def _fill(ctx: PrimeContext, s_lo: int, s_hi: int, t: int, cache) -> None:
+    """Memoize the bases of (s, t) for s_lo <= s <= s_hi: each from the memo,
+    else from the cache, else from one window search over the missing ones,
+    whose leaves are sorted by their text into a basis, memoized and stored.
+    Bases already in the memo are kept as they are."""
+    missing = []
+    for s in range(s_lo, s_hi + 1):
+        if (ctx.p, s, t) in _memo:
+            continue
+        basis = cache.load_basis(ctx, s, t) if cache is not None else None
+        if basis is None:
+            missing.append(s)
+        else:
+            _memo[ctx.p, s, t] = basis
+    if not missing:
+        return
+    found = _search(ctx, missing[0], missing[-1], t, ALL_PRUNING)
+    for s in missing:
+        leaves = sorted(found[s], key=itemgetter(0))
+        basis = BidegreeBasis(p=ctx.p, s=s, t=t, monomials=tuple(mon for _, mon in leaves))
+        _memo[ctx.p, s, t] = basis
+        if cache is not None:
+            cache.store_basis(basis)
 
 
 def enumerate_basis(ctx: PrimeContext, s: int, t: int, u: int | None = None,
@@ -354,9 +360,8 @@ def enumerate_basis(ctx: PrimeContext, s: int, t: int, u: int | None = None,
     """The complete basis of tridegree (s, t, u), or of the whole (s, t)
     bidegree when u is None.  Sorted by rendered monomial."""
     _check(s, t)
-    basis = _lookup(ctx, s, t, cache)
-    if basis is None:
-        basis = _record(ctx, s, t, _search(ctx, s, s, t, ALL_PRUNING)[s], cache)
+    _fill(ctx, s, s, t, cache)
+    basis = _memo[ctx.p, s, t]
     if u is None:
         return basis
     picked = tuple(m for m in basis.monomials if m.tridegree.u == u)
@@ -369,14 +374,10 @@ def _enumerate_window(ctx: PrimeContext, s: int, t: int, cache) -> None:
 
     The query's d1 lands in filtration s + 1, so s + 1 is range-checked too,
     after s, though never searched: an out-of-range window fails before any
-    search.  Bases already in the memo are kept as they are."""
+    search."""
     _check(s, t)
     _check(s + 1, t)
-    missing = [f for f in range(max(s - 1, 0), s + 1) if _lookup(ctx, f, t, cache) is None]
-    if missing:
-        found = _search(ctx, missing[0], missing[-1], t, ALL_PRUNING)
-        for f in missing:
-            _record(ctx, f, t, found[f], cache)
+    _fill(ctx, max(s - 1, 0), s, t, cache)
 
 
 def clear_memo() -> None:

@@ -120,7 +120,6 @@ def survives_to_e2(x: Element, ctx: PrimeContext, cache=None) -> SurvivalVerdict
         if source.dimension:
             # the element's terms take the first rows; images add the rest
             terms = x.terms
-            row_of = {mon.factors: k for k, mon in enumerate(terms)}
-            m = d1_matrix(source.monomials, ctx, row_of)
+            m = d1_matrix(source.monomials, ctx, list(terms))
             is_boundary = in_span(m, dict(enumerate(terms.values())))
     return SurvivalVerdict(position=pos, is_cycle=is_cycle, is_boundary=is_boundary)

@@ -122,7 +122,7 @@ def random_element(rng, ctx, max_terms=3, **kw):
 def brute_sign(word, ctx):
     """Koszul sign by selection-sorting the exterior subsequence, or None on
     a repeated exterior factor."""
-    keys = [g.sort_key() for g in word if g.is_exterior]
+    keys = [g.key for g in word if g.is_exterior]
     if len(set(keys)) != len(keys):
         return None
     sign = 1
@@ -426,20 +426,22 @@ def codomain_matrix(domain, codomain, ctx):
     """d1_matrix with its rows numbered by an enumerated codomain basis: the
     matrix whose row r is codomain[r].  Fails when an image monomial lies
     outside the codomain, which would mean that basis is incomplete."""
-    row_of = {mon.factors: r for r, mon in enumerate(codomain)}
-    m = d1_matrix(domain, ctx, row_of)
-    if len(row_of) != len(codomain):
-        outside = [factors for factors, r in row_of.items() if r >= len(codomain)]
+    m = d1_matrix(domain, ctx, codomain)
+    if m.rows > len(codomain):
+        known = set(codomain)
+        outside = {out for mon in domain
+                   for out in d1(element_from_monomial(mon, ctx), ctx).terms
+                   if out not in known}
         raise AssertionError("image monomials missing from the codomain basis: %s"
-                             % [monomial_from_factors(f, ctx).render() for f in outside])
+                             % sorted(out.render() for out in outside))
     return m
 
 
-def image_d1_matrix(domain, ctx, row_of=None):
+def image_d1_matrix(domain, ctx, seeds=()):
     """The oracle of d1_matrix: the matrix of the d1() images of the domain,
-    which go through the factor-tuple path.  Rows are image factor tuples
-    numbered in first-seen order after any seeds; row_of grows in place."""
-    row_of = {} if row_of is None else row_of
+    which go through the factor-tuple path.  seeds[k] is row k; the other
+    image monomials are numbered in first-seen order after them."""
+    row_of = {mon.factors: r for r, mon in enumerate(seeds)}
     columns = tuple({row_of.setdefault(out.factors, len(row_of)): c
                      for out, c in d1(element_from_monomial(mon, ctx), ctx).terms.items()}
                     for mon in domain)

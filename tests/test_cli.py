@@ -134,6 +134,25 @@ def test_rejected_query_writes_its_error_line_alone(capsys):
     assert code == 2 and err == "error: filtration 513 exceeds 512\n", err
 
 
+def test_huge_degree_at_small_filtration_ends_before_the_universe(capsys, monkeypatch):
+    # at t = 10^3999 the generator universe alone holds millions of
+    # generators; the carry test with every column supported rejects s = 0
+    # and s = 1 without one
+    def no_universe(*args):
+        raise AssertionError("built the generator universe")
+
+    monkeypatch.setattr(enumeration, "generator_universe", no_universe)
+    t = str(10 ** 3999)
+    for command in ("basis", "e2"):
+        code, out, _ = run(capsys, [command, "--prime", "5", "--s", "1", "--t", t,
+                                    "--format", "machine"])
+        assert code == 0, command
+        results = json.loads(out)["results"]
+        assert results["monomials" if command == "basis" else "blocks"] == [], command
+    code, out, _ = run(capsys, ["basis", "--prime", "5", "--s", "1", "--t", t])
+    assert (code, out) == (0, "")
+
+
 def test_huge_tower_index_is_rejected_before_any_power(capsys, monkeypatch):
     # p**n at n = 10**7 alone takes seconds; the gate must not compute it.
     def no_degree(*args):

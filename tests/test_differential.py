@@ -140,7 +140,10 @@ def test_matrix_of_known_bidegree(ctx5):
 
 def test_matrix_missing_codomain_entry_raises(ctx5):
     dom = [monomial_from_factors([(a(2), 1)], ctx5)]
-    with pytest.raises(AssertionError, match="missing from the codomain basis"):
+    m = d1_matrix(dom, ctx5, [])
+    assert m == image_d1_matrix(dom, ctx5, []) and m.rows == 2
+    with pytest.raises(AssertionError, match=r"missing from the codomain basis: "
+                       r"\['a\(0\) h\(2,0\)', 'a\(1\) h\(1,1\)'\]"):
         codomain_matrix(dom, [], ctx5)
 
 
@@ -150,21 +153,21 @@ def test_matrix_rows_are_image_monomials_in_first_seen_order(ctx5):
     for mon in dom:
         for out in d1(element_from_monomial(mon, ctx5), ctx5).terms:
             seen.setdefault(out.factors, len(seen))
-    row_of = {}
-    m = d1_matrix(dom, ctx5, row_of)
-    assert row_of == seen and list(row_of) == list(seen)
+    m = d1_matrix(dom, ctx5)
     assert (m.rows, m.cols) == (len(seen), len(dom))
     for col, mon in enumerate(dom):
         image = d1(element_from_monomial(mon, ctx5), ctx5)
-        assert m.columns[col] == {row_of[out.factors]: c for out, c in image.terms.items()}
-    # a pre-seeded key keeps its row, and the map grows in place
-    first = next(iter(seen))
-    unrelated = ((b(7, 0), 1),)   # a real monomial that no image hits
-    assert unrelated not in seen
-    seeded = {unrelated: 0, first: 1}
-    m2 = d1_matrix(dom, ctx5, seeded)
-    assert seeded[unrelated] == 0 and seeded[first] == 1
-    assert m2.rows == len(seeded) == len(seen) + 1
+        assert m.columns[col] == {seen[out.factors]: c for out, c in image.terms.items()}
+    # the seeds take the first rows, an image seed keeps its row, and the
+    # other images follow in first-seen order
+    first = monomial_from_factors(next(iter(seen)), ctx5)
+    unrelated = monomial_from_factors([(b(7, 0), 1)], ctx5)   # no image hits it
+    assert unrelated.factors not in seen
+    seeds = [unrelated, first]
+    m2 = d1_matrix(dom, ctx5, seeds)
+    assert m2 == image_d1_matrix(dom, ctx5, seeds)
+    assert m2.rows == len(seen) + 1
+    assert any(1 in col for col in m2.columns) and not any(0 in col for col in m2.columns)
 
 
 def test_image_of_cycle_columns_is_zero_column(ctx5):
@@ -239,10 +242,8 @@ def _weight_blocks(ctx, s, t):
 
 
 def _assert_matches_tuple_path(dom, ctx, seeds=()):
-    row_of, oracle_rows = dict(seeds), dict(seeds)
-    m = d1_matrix(dom, ctx, row_of)
-    assert m == image_d1_matrix(dom, ctx, oracle_rows)
-    assert list(row_of.items()) == list(oracle_rows.items())
+    m = d1_matrix(dom, ctx, seeds)
+    assert m == image_d1_matrix(dom, ctx, seeds)
     return m
 
 
@@ -282,10 +283,10 @@ def test_packed_matrix_with_seeds_outside_the_domain_universe(rng, ctx5):
         if not outside:
             continue
         rng.shuffle(target)
-        seeds = [mon.factors for mon in outside[:2] + target[:5]]
+        seeds = outside[:2] + target[:5]
         # an exponent past every domain exponent widens the packed fields
-        seeds.append(((b(7, 0), 40 * s),))
-        seeds = {f: k for k, f in enumerate(dict.fromkeys(seeds))}
+        seeds.append(monomial_from_factors([(b(7, 0), 40 * s)], ctx5))
+        seeds = list(dict.fromkeys(seeds))
         m = _assert_matches_tuple_path(dom, ctx5, seeds)
         assert m.rows >= len(seeds)
         return
@@ -298,5 +299,6 @@ def test_seed_exponents_past_the_domain_never_alias_an_image(ctx5):
     for e in (1, 3, 6):
         dom = [monomial_from_factors([(a(1), e)], ctx5)]
         for big in range(1, 130):
-            m = _assert_matches_tuple_path(dom, ctx5, {((a(0), 1), (a(1), big)): 0})
+            seed = monomial_from_factors([(a(0), 1), (a(1), big)], ctx5)
+            m = _assert_matches_tuple_path(dom, ctx5, [seed])
             assert m.rows == 2 and m.columns[0] == {1: e % 5}

@@ -4,8 +4,10 @@ A monomial of filtration s and internal degree t draws its factors from the
 finite universe of generators with deg <= t and filt <= s.  The search is a
 depth-first multiset selection over that universe in decreasing degree order.
 Every pruning rule here is a necessary condition on any completion of the
-partial selection, so the search always runs all of them; the tests run it
-with fewer rules and hold the results equal.
+partial selection, so the search runs all of them, always.  The tests hold
+each basis to an independent count of the E1-term per weight
+(tests/helpers.py:e1_dims): with every monomial canonical, of the right
+tridegree and distinct, equal counts prove the basis complete.
 
 The strong rule is the digit-column system.  Each generator contributes one
 unit to a contiguous range of base-p digit columns of t/q (the a(i) also
@@ -44,8 +46,7 @@ degree-per-filtration ratio of the remaining suffix never increases; so once
 the degree upper bound fails for a generator of filtration f it fails for
 every later one, and the loop stops when both filtrations are closed.  The
 lower degree bound and the carry test are not monotone along the order and
-are tested per candidate.  With the degree rule off every candidate is
-visited.
+are tested per candidate.
 
 One search serves a window of filtrations [s_lo, s_hi] at one t: a
 second-page query at (s, t) reads the bases of s - 1 and s, which share
@@ -68,11 +69,12 @@ completion, hence lossless.
     units of the suffix's least degree per filtration.
   * The carry test caps the column sums by the largest filtration left.
     A solution under a smaller cap is a solution under a larger one.
-  * The root's lower degree bound and its carry test decide per
+  * The root's carry test and its lower degree bound decide per
     filtration at the root, and the window shrinks to span the filtrations
     that pass.  Each is a necessary condition on one bidegree, so a
     filtration it drops has no monomials, also one left inside the shrunk
-    window.
+    window.  The carry test runs first, with every column supported, before
+    any universe is built.
 
 A window of one filtration is exactly the single-filtration search.
 """
@@ -81,15 +83,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .algebra import Generator, Monomial, a, b, h
 from .errors import ParameterError
 from .grading import PrimeContext, Tridegree, check_degree
-
-PRUNE_DEGREE = "degree"
-PRUNE_CARRY = "carry"
-ALL_PRUNING = frozenset({PRUNE_DEGREE, PRUNE_CARRY})
 
 # The search recurses once per factor, so up to s levels deep.  Filtrations
 # above this bound are rejected with a ParameterError, well before Python's
@@ -199,19 +196,17 @@ def _carry_feasible(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> bo
 # --- the search ------------------------------------------------------------
 
 
-def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int,
-            flags: frozenset[str]) -> dict[int, list[tuple[str, Monomial]]]:
+def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, list[Monomial]]:
     """The monomials of every bidegree (s, t) with s_lo <= s <= s_hi, from one
-    depth-first pass pruned by the named rules, keyed by s.  Each monomial
-    comes with its rendered text, in search order.  enumerate_basis always
-    passes ALL_PRUNING; fewer rules give the same monomials, which is how the
-    tests check that each rule is lossless."""
-    found: dict[int, list[tuple[str, Monomial]]] = {s: [] for s in range(s_lo, s_hi + 1)}
-    use_degree = PRUNE_DEGREE in flags
-    use_carry = PRUNE_CARRY in flags
-    # The carry test with every column supported needs no universe, so a
-    # huge t that no filtration of the window admits ends before one is built.
-    if use_carry and not any(_carry_feasible(t, s, -1, ctx) for s in found):
+    depth-first pass under every pruning rule, keyed by s, in search order."""
+    found: dict[int, list[Monomial]] = {s: [] for s in range(s_lo, s_hi + 1)}
+    # The root carry test needs no universe, so a huge t that no filtration
+    # of the window admits ends before one is built.  Supporting every column
+    # loses nothing against the universe's own support: the recurrence reads
+    # only the remainder column and the digit columns of t/q, and the
+    # universe holds a(0) and h(1,j) for each of them.
+    live = [s for s in found if _carry_feasible(t, s, -1, ctx)]
+    if not live:
         return found
     universe = generator_universe(ctx, t, s_hi)   # canonical (key) order
     tri = [g.tridegree(ctx) for g in universe]
@@ -244,37 +239,28 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int,
         md, mf = min_frac[k + 1]
         min_frac[k] = (d, f) if d * mf < md * f else (md, mf)
 
-    def root_feasible(s: int) -> bool:
-        # The root's own lower degree bound and carry test; rec tests every
-        # child, the upper degree bound in its loop where it can end the loop.
-        md, mf = min_frac[0]
-        if use_degree and t * mf < s * md:
-            return False
-        return not use_carry or _carry_feasible(t, s, supp[0], ctx)
-
-    live = [s for s in found if root_feasible(s)]
+    # The root's lower degree bound; rec tests every child, the upper degree
+    # bound in its loop where it can end the loop.
+    md, mf = min_frac[0]
+    live = [s for s in live if t * mf >= s * md]
     if not live:
         return found
     s_lo, s_hi = live[0], live[-1]
     span = s_hi - s_lo
-    # Each (canonical position, exponent) run as a factor and its text,
-    # made on first use.
-    pieces: dict[tuple[int, int], tuple[tuple[Generator, int], str]] = {}
+    # Each (canonical position, exponent) run as a factor, made on first use.
+    pieces: dict[tuple[int, int], tuple[Generator, int]] = {}
     chosen: list[int] = []   # canonical positions of the picks
 
     def leaf(s: int, u: int):
         # Canonical positions order the factors as monomial_from_factors would.
-        factors, texts = [], []
+        factors = []
         for c in sorted(set(chosen)):
             run = (c, chosen.count(c))
             piece = pieces.get(run)
             if piece is None:
-                g, e = universe[c], run[1]
-                piece = pieces[run] = ((g, e), g.text if e == 1 else "%s^%d" % (g.text, e))
-            factors.append(piece[0])
-            texts.append(piece[1])
-        found[s].append((" ".join(texts),
-                         Monomial(factors=tuple(factors), tridegree=Tridegree(s, t, u))))
+                piece = pieces[run] = (universe[c], run[1])
+            factors.append(piece)
+        found[s].append(Monomial(factors=tuple(factors), tridegree=Tridegree(s, t, u)))
 
     def rec(idx: int, s_rem: int, t_rem: int, u: int):
         # s_rem is the largest filtration left, s_rem - span the smallest.
@@ -293,23 +279,21 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int,
             ni = nidx[k]
             ns_lo = ns - span         # below 0 it bounds nothing, as 0 would
             if nt or ns_lo > 0:
-                if use_degree:
-                    md, mf = max_frac[ni]
-                    if nt * mf > ns * md:
-                        # Lossless skip: within filtration f, ns is fixed,
-                        # nt never decreases along the order (degs never
-                        # increases), and max_frac[ni] never increases (ni is
-                        # k or k+1, so never decreases, and the suffix shrinks).
-                        # So the bound fails for every later generator of
-                        # filtration f too.
-                        open_filts &= ~f
-                        if not open_filts:
-                            break
-                        continue
-                    md, mf = min_frac[ni]
-                    if nt * mf < ns_lo * md:
-                        continue
-                if use_carry and not _carry_feasible(nt, ns, supp[ni], ctx):
+                md, mf = max_frac[ni]
+                if nt * mf > ns * md:
+                    # Lossless skip: within filtration f, ns is fixed, nt
+                    # never decreases along the order (degs never increases),
+                    # and max_frac[ni] never increases (ni is k or k+1, so
+                    # never decreases, and the suffix shrinks).  So the bound
+                    # fails for every later generator of filtration f too.
+                    open_filts &= ~f
+                    if not open_filts:
+                        break
+                    continue
+                md, mf = min_frac[ni]
+                if nt * mf < ns_lo * md:
+                    continue
+                if not _carry_feasible(nt, ns, supp[ni], ctx):
                     continue
             chosen.append(pos[k])
             rec(ni, ns, nt, u + weights[k])
@@ -333,7 +317,7 @@ def _check(s: int, t: int) -> None:
 def _fill(ctx: PrimeContext, s_lo: int, s_hi: int, t: int, cache) -> None:
     """Memoize the bases of (s, t) for s_lo <= s <= s_hi: each from the memo,
     else from the cache, else from one window search over the missing ones,
-    whose leaves are sorted by their text into a basis, memoized and stored.
+    whose leaves are sorted by their render into a basis, memoized and stored.
     Bases already in the memo are kept as they are."""
     missing = []
     for s in range(s_lo, s_hi + 1):
@@ -346,10 +330,10 @@ def _fill(ctx: PrimeContext, s_lo: int, s_hi: int, t: int, cache) -> None:
             _memo[ctx.p, s, t] = basis
     if not missing:
         return
-    found = _search(ctx, missing[0], missing[-1], t, ALL_PRUNING)
+    found = _search(ctx, missing[0], missing[-1], t)
     for s in missing:
-        leaves = sorted(found[s], key=itemgetter(0))
-        basis = BidegreeBasis(p=ctx.p, s=s, t=t, monomials=tuple(mon for _, mon in leaves))
+        basis = BidegreeBasis(p=ctx.p, s=s, t=t,
+                              monomials=tuple(sorted(found[s], key=Monomial.render)))
         _memo[ctx.p, s, t] = basis
         if cache is not None:
             cache.store_basis(basis)

@@ -1,10 +1,11 @@
 """Shared test utilities: random algebra objects and small independent oracles.
 
 The oracles here deliberately re-derive results through the dumbest route
-available (selection sort for signs, raw multiset search for bases, span
-counting for ranks, d1 of every expanded unit, dense Gauss-Jordan, the set
-of every reachable carry per digit column, every solution of the column
-system) so that engine bugs cannot hide in shared code paths.  The
+available (selection sort for signs, raw multiset search for bases, the E1
+count per weight from the generators' degree formulas, span counting for
+ranks, d1 of every expanded unit, dense Gauss-Jordan, the set of every
+reachable carry per digit column, every solution of the column system) so
+that engine bugs cannot hide in shared code paths.  The
 column-sum predicates of the spanning-factor argument, the digit and
 remainder vanishing bounds (the search's carry test subsumes them) and the
 element arithmetic the engine itself never needs (add, scale) live here
@@ -12,7 +13,9 @@ too: only tests use them.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from mayss.algebra import (Element, Generator, Monomial, _from_accumulator, a, b,
@@ -135,10 +138,102 @@ def brute_sign(word, ctx):
     return sign
 
 
-def single_search(ctx, s, t, flags):
-    """The engine's search over the one-filtration window [s, s] under the
-    named pruning rules: the monomials of (s, t), in search order."""
-    return [mon for _, mon in _search(ctx, s, s, t, frozenset(flags))[s]]
+def single_search(ctx, s, t):
+    """The engine's search over the one-filtration window [s, s]: the
+    monomials of (s, t), in search order."""
+    return _search(ctx, s, s, t)[s]
+
+
+def e1_tridegree(p, kind, i, j):
+    """The (filtration, degree, weight) of one generator, from the formulas
+    of the E1-term, without the engine's Generator.tridegree."""
+    if kind == "h":
+        return 1, 2 * (p**i - 1) * p**j, 2 * i - 1
+    if kind == "b":
+        return 2, 2 * (p**i - 1) * p ** (j + 1), (2 * i - 1) * p
+    return 1, 2 * p**i - 1, 2 * i + 1
+
+
+def e1_generators(p, t):
+    """Every generator of degree at most t as (filtration, degree, weight,
+    exterior), listed from the degree formulas alone, in decreasing degree."""
+    gens = []
+    i = 0
+    while 2 * p**i - 1 <= t:
+        gens.append(e1_tridegree(p, "a", i, None) + (False,))
+        i += 1
+    for kind in "hb":
+        i = 1
+        while e1_tridegree(p, kind, i, 0)[1] <= t:
+            j = 0
+            while e1_tridegree(p, kind, i, j)[1] <= t:
+                gens.append(e1_tridegree(p, kind, i, j) + (kind == "h",))
+                j += 1
+            i += 1
+    gens.sort(key=lambda g: -g[1])
+    return gens
+
+
+def e1_dims(p, s, t):
+    """{u: dim} of the E1-term at (s, t): the coefficients of the Poincare
+    series of the free graded-commutative algebra on the generators, by a
+    memoized walk over them in decreasing degree that uses each exterior one
+    at most once.  The only prune is exact: a state whose degree left
+    exceeds its filtration left times the best degree per filtration of the
+    generators still to come has no completion."""
+    gens = e1_generators(p, t)
+    n = len(gens)
+    best = [(0, 1)] * (n + 1)   # (deg, filt) with max deg/filt over gens[k:]
+    for k in range(n - 1, -1, -1):
+        f, d = gens[k][:2]
+        bd, bf = best[k + 1]
+        best[k] = (d, f) if d * bf > bd * f else (bd, bf)
+
+    @lru_cache(maxsize=None)
+    def walk(k, s_rem, t_rem):
+        if k == n:
+            return {0: 1} if s_rem == 0 and t_rem == 0 else {}
+        bd, bf = best[k]
+        if t_rem * bf > s_rem * bd:
+            return {}
+        f, d, w, exterior = gens[k]
+        top = min(s_rem // f, t_rem // d)
+        if exterior:
+            top = min(top, 1)
+        if not top:
+            return walk(k + 1, s_rem, t_rem)
+        out = dict(walk(k + 1, s_rem, t_rem))
+        for e in range(1, top + 1):
+            for u, c in walk(k + 1, s_rem - e * f, t_rem - e * d).items():
+                out[u + e * w] = out.get(u + e * w, 0) + c
+        return out
+
+    return walk(0, s, t) if s >= 0 and t >= 0 else {}
+
+
+def basis_mismatch(ctx, s, t, monomials):
+    """None when monomials is the complete basis of (s, t), else what is
+    wrong.  Each monomial must be canonical, carry its tridegree by the
+    formulas of e1_tridegree and be distinct, and the counts per weight
+    must equal e1_dims; together these prove the list complete."""
+    p = ctx.p
+    for mon in monomials:
+        if mon != monomial_from_factors(mon.factors, ctx):
+            return "%s is not canonical" % mon.render()
+        degs = [e1_tridegree(p, g.kind, g.i, g.j) for g, _ in mon.factors]
+        formula = tuple(sum(e * deg[x] for (_, e), deg in zip(mon.factors, degs))
+                        for x in range(3))
+        got = mon.tridegree
+        if (got.s, got.t, got.u) != formula or formula[:2] != (s, t):
+            return "%s has tridegree %s, by the formulas %s" % (mon.render(), got, formula)
+    if len(set(monomials)) != len(monomials):
+        return "repeated monomials"
+    dims = dict(Counter(mon.tridegree.u for mon in monomials))
+    want = e1_dims(p, s, t)
+    if dims != want:
+        return "dimensions per weight %s, E1 count %s" % (sorted(dims.items()),
+                                                           sorted(want.items()))
+    return None
 
 
 def reference_basis(ctx, s, t):

@@ -2,15 +2,19 @@
 
 A name exported from mayss/__init__.py must be referenced, as code, in a
 src/mayss module other than the one that defines it, or in bench/*.py.  A
-helper that only tests call belongs in tests/helpers.py instead.
+helper that only tests call belongs in tests/helpers.py instead.  The
+README's library example runs as written.
 """
 
 import ast
 import io
+import re
 import tokenize
 from pathlib import Path
 
 import mayss
+from mayss.algebra import Monomial
+from mayss.verify import critical_monomials
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mayss"
@@ -50,3 +54,14 @@ def test_every_export_has_a_caller_outside_tests():
         if not callers and name not in bench_used:
             orphans.append("%s (defined in %s)" % (name, owners[0].name))
     assert not orphans, "exported but used only by tests: " + ", ".join(orphans)
+
+
+def test_readme_library_example_runs(capsys):
+    examples = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(examples) == 1
+    namespace = {}
+    exec(compile(examples[0], "README.md", "exec"), namespace)
+    assert capsys.readouterr().out == "0\nTrue\n"
+    ctx = namespace["ctx"]
+    assert (sorted(namespace["basis"].monomials, key=Monomial.render)
+            == sorted(critical_monomials(ctx, 4, 6), key=Monomial.render))

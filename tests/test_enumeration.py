@@ -1,24 +1,18 @@
 import pytest
 
-from helpers import (DENSE_E2, UNIT, carry_solutions, column_sums, column_sums_impossible,
-                     factor_count, forced_spanning_factors, reference_basis,
-                     set_carry_feasible, single_search, vanishes_by_digit_bound,
-                     vanishes_by_remainder_bound)
+from helpers import (DENSE_E2, UNIT, basis_mismatch, carry_solutions, column_sums,
+                     column_sums_impossible, e1_dims, factor_count, forced_spanning_factors,
+                     reference_basis, set_carry_feasible, single_search,
+                     vanishes_by_digit_bound, vanishes_by_remainder_bound)
 from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
                    monomial_from_factors, padic_profile)
 from mayss import enumeration
 from mayss.algebra import Monomial
-from mayss.enumeration import (ALL_PRUNING, MAX_FILTRATION, PRUNE_CARRY, PRUNE_DEGREE,
-                               _carry_feasible, _search, clear_memo, digit_span,
-                               generator_universe)
+from mayss.enumeration import (MAX_FILTRATION, _carry_feasible, _search, clear_memo,
+                               digit_span, generator_universe)
 from mayss.grading import PAdicProfile
 from mayss.pages import e2_dimension
 from mayss.verify import family_degree
-
-
-def search_renders(ctx, s, t, flags):
-    """The basis searched under the given pruning rules, as sorted renders."""
-    return sorted(m.render() for m in single_search(ctx, s, t, flags))
 
 
 def test_universe_hand_check(ctx5):
@@ -40,47 +34,58 @@ def test_engine_matches_reference_on_grid(ctx5, ctx7):
                 clear_memo()
                 got = [m.render() for m in enumerate_basis(ctx, s, t).monomials]
                 assert got == want, (ctx.p, s, t)
-                assert search_renders(ctx, s, t, ()) == want, (ctx.p, s, t)
     clear_memo()
 
 
-def test_each_single_flag_is_lossless(ctx5):
-    singles = [frozenset({f}) for f in (PRUNE_DEGREE, PRUNE_CARRY)]
-    for s in range(4):
-        for t in range(0, 121, 7):
-            want = reference_basis(ctx5, s, t)
-            for flags in singles:
-                assert search_renders(ctx5, s, t, flags) == want, (s, t, sorted(flags))
-
-
 def test_degree_skip_is_lossless_at_large_degrees(ctx5, ctx7):
-    # Large universes, where the degree-ordered skip fires often; every leaf
-    # must also equal the monomial built through the validating constructor.
-    cases = [(ctx5, 12, 3000), (ctx5, 11, 2988), (ctx5, 8, 130194)]
+    # Large universes, where the degree-ordered skip fires often: the dense
+    # benchmark points and the window positions of two paper scenarios, held
+    # to the E1 count per weight.
+    cases = [(ctx5, s, t) for s, t in DENSE_E2]
     for ctx, (m, n, s), rs in ((ctx5, (4, 6, 4), (1, 2, 3)), (ctx7, (6, 10, 6), (1, 2))):
         base = family_degree(ctx, m, n, s)
         cases += [(ctx, s + 3 - r, base + s - r - 1) for r in rs]
     clear_memo()
     for ctx, s, t in cases:
-        pruned = enumerate_basis(ctx, s, t).monomials
-        unpruned = sorted(single_search(ctx, s, t, ALL_PRUNING - {PRUNE_DEGREE}),
-                          key=Monomial.render)
-        assert list(pruned) == unpruned, (ctx.p, s, t)
-        for mon in pruned:
-            assert mon == monomial_from_factors(mon.factors, ctx), mon.render()
+        assert basis_mismatch(ctx, s, t, enumerate_basis(ctx, s, t).monomials) is None, \
+            (ctx.p, s, t)
     clear_memo()
+
+
+def test_e1_count_hand_cases():
+    assert e1_dims(5, 0, 0) == {0: 1}
+    assert e1_dims(5, 2, 2) == {2: 1}                  # a(0)^2
+    assert e1_dims(5, 2, 16) == {}                     # h(1,0)^2 = 0
+    assert e1_dims(5, 2, 40) == {5: 1}                 # b(1,0)
+    assert e1_dims(5, 2, 49) == {4: 2}                 # a(0) h(2,0), a(1) h(1,1)
+    assert e1_dims(5, 1, 5) == e1_dims(5, -1, 0) == {}
+
+
+def test_e1_count_catches_a_generator_missing_from_the_universe(ctx5, monkeypatch):
+    # Every other oracle of the basis reads generator_universe too, so none
+    # of them sees a generator missing from it.
+    universe = enumeration.generator_universe
+    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max, s_max: [
+        g for g in universe(ctx, t_max, s_max) if g is not h(1, 1)])
+    clear_memo()
+    try:
+        basis = enumerate_basis(ctx5, 12, 3000).monomials
+    finally:
+        clear_memo()
+    assert basis
+    assert "E1 count" in basis_mismatch(ctx5, 12, 3000, basis)
 
 
 def window_equals_single_searches(ctx, s_lo, s_hi, t, singles):
     """Whether the window search gives, per filtration, the monomials of the
     one-filtration searches (singles caches them by (s, t))."""
-    window = _search(ctx, s_lo, s_hi, t, ALL_PRUNING)
+    window = _search(ctx, s_lo, s_hi, t)
     if sorted(window) != list(range(s_lo, s_hi + 1)):
         return False
     for s in range(s_lo, s_hi + 1):
         if (s, t) not in singles:
-            singles[s, t] = sorted(single_search(ctx, s, t, ALL_PRUNING), key=Monomial.render)
-        if sorted((mon for _, mon in window[s]), key=Monomial.render) != singles[s, t]:
+            singles[s, t] = sorted(single_search(ctx, s, t), key=Monomial.render)
+        if sorted(window[s], key=Monomial.render) != singles[s, t]:
             return False
     return True
 
@@ -96,23 +101,15 @@ def test_window_search_matches_single_searches(ctx5, ctx7):
 @pytest.fixture(scope="module")
 def dense_windows(ctx5):
     """The window searches [s - 1, s + 1] at the dense benchmark points."""
-    return {(s, t): _search(ctx5, s - 1, s + 1, t, ALL_PRUNING) for s, t in DENSE_E2}
+    return {(s, t): _search(ctx5, s - 1, s + 1, t) for s, t in DENSE_E2}
 
 
 def test_window_search_matches_single_searches_on_dense_blocks(ctx5, dense_windows):
     for (s, t), window in dense_windows.items():
         for f in (s - 1, s, s + 1):
-            single = sorted(single_search(ctx5, f, t, ALL_PRUNING), key=Monomial.render)
+            single = sorted(single_search(ctx5, f, t), key=Monomial.render)
             assert single, (f, t)
-            assert sorted((mon for _, mon in window[f]), key=Monomial.render) == single, (f, t)
-
-
-def test_leaf_text_is_the_rendered_monomial(dense_windows):
-    bases = [leaves for window in dense_windows.values() for leaves in window.values()]
-    assert len(bases) == 12 and all(bases)
-    for leaves in bases:
-        for text, mon in leaves:
-            assert text == mon.render()
+            assert sorted(window[f], key=Monomial.render) == single, (f, t)
 
 
 def test_second_page_query_keeps_a_memoized_basis(ctx5, monkeypatch):
@@ -121,9 +118,9 @@ def test_second_page_query_keeps_a_memoized_basis(ctx5, monkeypatch):
     windows = []
     search = enumeration._search
 
-    def recording_search(ctx, s_lo, s_hi, t, flags):
+    def recording_search(ctx, s_lo, s_hi, t):
         windows.append((s_lo, s_hi, t))
-        return search(ctx, s_lo, s_hi, t, flags)
+        return search(ctx, s_lo, s_hi, t)
 
     monkeypatch.setattr(enumeration, "_search", recording_search)
     e2_dimension(ctx5, 2, 49)
@@ -235,7 +232,7 @@ def test_predicates_imply_empty_bases(ctx5):
         digit = 0 < s1 < ctx5.p and vanishes_by_digit_bound(s1, t, ctx5)
         rem = 0 < s1 < ctx5.q and vanishes_by_remainder_bound(s1, t, ctx5)
         if digit or rem:
-            assert search_renders(ctx5, s1, t, ()) == []
+            assert single_search(ctx5, s1, t) == []
 
 
 def test_root_carry_test_subsumes_the_vanishing_bounds(ctx5, ctx7):
@@ -251,6 +248,27 @@ def test_root_carry_test_subsumes_the_vanishing_bounds(ctx5, ctx7):
                     fired += 1
                     assert not _carry_feasible(t, s, (1 << 64) - 1, ctx), (ctx.p, s, t)
     assert fired > 1000
+
+
+def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatch):
+    calls = []
+    carry, universe = enumeration._carry_feasible, enumeration.generator_universe
+
+    def recording_carry(t_rem, cap, support, ctx):
+        calls.append((t_rem, cap, support))
+        return carry(t_rem, cap, support, ctx)
+
+    def recording_universe(ctx, t_max, s_max):
+        calls.append("universe")
+        return universe(ctx, t_max, s_max)
+
+    monkeypatch.setattr(enumeration, "_carry_feasible", recording_carry)
+    monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
+    found = _search(ctx5, 1, 3, 49)
+    assert calls[:4] == [(49, 1, -1), (49, 2, -1), (49, 3, -1), "universe"]
+    # every later carry test is a child's, on a smaller residual degree
+    assert all(call[0] < 49 for call in calls[4:])
+    assert len(found[2]) == 2
 
 
 def test_column_sums_impossible():

@@ -247,7 +247,9 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, list[M
         return found
     s_lo, s_hi = live[0], live[-1]
     span = s_hi - s_lo
-    # Each (canonical position, exponent) run as a factor, made on first use.
+    # Each (canonical position, exponent) run as a factor, made on first use
+    # and shared by every monomial that holds it: without the sharing, peak
+    # memory of the dense p=5 blocks is about a tenth higher.
     pieces: dict[tuple[int, int], tuple[Generator, int]] = {}
     chosen: list[int] = []   # canonical positions of the picks
 

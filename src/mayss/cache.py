@@ -79,12 +79,12 @@ class ResultCache:
                 if len(terms) != 1:
                     return None
                 (mon, coeff), = terms.items()
-                if coeff != 1:
+                if coeff != 1 or (mon.tridegree.s, mon.tridegree.t) != (s, t):
                     return None
                 monomials.append(mon)
         except Exception:
             return None
-        return BidegreeBasis(p=ctx.p, s=s, t=t, monomials=tuple(monomials))
+        return BidegreeBasis.from_monomials(ctx.p, s, t, monomials)
 
     def store_basis(self, basis: BidegreeBasis) -> None:
         lines = ["%s %s" % (_MAGIC, ENGINE_VERSION),

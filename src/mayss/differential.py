@@ -25,31 +25,34 @@ monomials of the target tridegree form a basis of it, so a d1 matrix numbers
 its rows by the image monomials themselves and needs no enumerated codomain.
 
 d1() on elements works on factor tuples, so a word like a(1)^1000000 costs
-what a(1) does.  d1_matrix, which differentiates whole bases, packs each
-monomial into one int instead.  The block's generator universe (the domain's
-generators, those of their summands, and those of any seeds) is numbered
-in canonical order, and generator k owns the bit field [k*w, (k+1)*w) that
-holds its exponent.  The width w is (largest exponent + 1).bit_length(),
-the largest exponent taken over the domain and the seeds; an image raises
-an exponent by at most one, so no field can overflow into the next.  Then
+what a(1) does.  d1_matrix, which differentiates whole bases, works on the
+packed keys the basis search emits (see the enumeration module): a basis's
+layout lists generators in canonical order and gives generator k the bit
+field [k*w, (k+1)*w), which holds its exponent.  The layout holds every
+generator of every summand of its generators (summand_closure), and an
+image raises an exponent by at most one, within the width.  Then
 
     image key = key - unit(g) + sum of the units of the summand's factors,
 
 the Koszul parity is the popcount of the exterior fields of key - unit(g)
 under a mask fixed per summand (the exterior fields below each new h, and
 below g when it brings two), and an exterior square is a nonzero AND of
-key - unit(g) with the new h's units.  Packed keys never leave d1_matrix.
+key - unit(g) with the new h's units.  Those masks are built once per
+generator and layout, on the first block that holds the generator.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .algebra import Element, Generator, Monomial, _from_accumulator, a, h
 from .grading import PrimeContext, Tridegree
 from .linalg import MatrixFp
+
+if TYPE_CHECKING:
+    from .enumeration import BidegreeBasis, Layout
 
 D1_SHIFT = Tridegree(1, 0, -1)
 
@@ -73,6 +76,16 @@ def _summands(g: Generator) -> tuple[tuple[tuple[Generator, ...], Generator | No
     if g.kind == "a":
         return tuple(((h(g.i - k, k),), a(k), 0) for k in range(0, g.i))
     return ()
+
+
+def summand_closure(gens: Iterable[Generator]) -> set[Generator]:
+    """The given generators and those of every summand of their d1: all
+    that a monomial over the given ones, or a term of its d1, can hold."""
+    out = set(gens)
+    for g in list(out):
+        for new_h, poly, _ in _summands(g):
+            out.update(new_h + ((poly,) if poly else ()))
+    return out
 
 
 def _multiply_in(out: list, keys: list, g: Generator) -> None:
@@ -138,73 +151,74 @@ def d1(x: Element, ctx: PrimeContext) -> Element:
     return _from_accumulator(accum, ctx)
 
 
-def _universe(domain: Sequence[Monomial], factor_gens: set[Generator],
-              seeds: Sequence[Monomial]) -> tuple[list[Generator], int]:
-    """The generators of a block, in canonical order, and its field width.
-
-    The universe is the domain's generators (factor_gens), those of their
-    summands and those of the seeds.  An image raises one exponent of the
-    domain by at most one, so the width holds every exponent of the domain,
-    the seeds and the images.
-    """
-    keyed = [mon.factors for mon in (*domain, *seeds)]
-    gens = {g for factors in keyed for g, _ in factors}
-    for g in factor_gens:
-        for new_h, poly, _ in _summands(g):
-            gens.update(new_h + ((poly,) if poly else ()))
-    top = max((e for factors in keyed for _, e in factors), default=0)
-    return sorted(gens, key=lambda g: g.key), (top + 1).bit_length()
-
-
-def _plan(g: Generator, unit: dict[Generator, int],
-          below: dict[Generator, int]) -> list[tuple[int, int, int, int]]:
-    """The summands of d1(g) on packed keys, as (mask of the new h's, key
-    change, sign parity, moves mask).
+def _plan(layout: Layout, g: Generator) -> list[tuple[int, int, int, int]]:
+    """The summands of d1(g) on the layout's keys, as (mask of the new h's,
+    key change, sign parity, moves mask).
 
     The tuple path adds the exterior slots before g (for two new h's) and
     each new h's rank among the other exterior factors; mod 2 that sum is
     the popcount of key - unit(g) under the moves mask.
     """
+    exterior = layout.exterior
+
+    def unit(x):
+        return 1 << (layout.position[x] * layout.width)
+
+    def below(x):   # the exterior fields before x's
+        return exterior & (unit(x) - 1)
+
     plan = []
     for new_h, poly, parity in _summands(g):
-        hmask = sum(unit[x] for x in new_h)
-        moves = below[g] if len(new_h) == 2 else 0
+        hmask = sum(unit(x) for x in new_h)
+        moves = below(g) if len(new_h) == 2 else 0
         for x in new_h:
-            moves ^= below[x]
-        plan.append((hmask, hmask + (unit[poly] if poly else 0), parity, moves))
+            moves ^= below(x)
+        plan.append((hmask, hmask + (unit(poly) if poly else 0), parity, moves))
     return plan
 
 
-def d1_matrix(domain: Sequence[Monomial], ctx: PrimeContext,
+def d1_matrix(block: BidegreeBasis, ctx: PrimeContext,
               seeds: Sequence[Monomial] = ()) -> MatrixFp:
-    """Matrix of d1 on the given basis; column k is the image of domain[k].
+    """Matrix of d1 on a basis, usually one weight block of one; column k is
+    the image of the monomial of block.keys[k].
 
     Rows are monomials of the image tridegree: seeds[k] is row k (the seeds
     are distinct), and every other image monomial gets the next row number,
-    in the order the images first show it.  The entries are those of d1() on
-    each monomial, computed on packed keys.
+    in the order the images first show it.  A seed the block's layout cannot
+    pack (a generator outside its universe, an exponent past its width) is
+    no image, so its row stays empty.  The entries are those of d1() on each
+    monomial, computed on packed keys.
     """
     p = ctx.p
-    factor_gens = {g for mon in domain for g, _ in mon.factors}
-    order, width = _universe(domain, factor_gens, seeds)
-    unit = {g: 1 << (k * width) for k, g in enumerate(order)}
-    ext = sum(unit[g] for g in order if g.is_exterior)
-    below = {g: ext & (unit[g] - 1) for g in order}   # exterior fields before g
-    plans = {g: _plan(g, unit, below) for g in factor_gens}
+    layout = block.layout
+    w = layout.width
+    mask = (1 << w) - 1
+    plans = layout.plans
+    held = 0
+    for key in block.keys:
+        held |= key
+    # (field offset, unit, plan) of each generator some monomial holds and
+    # d1 does not kill
+    terms = []
+    for k, _ in layout.fields(held):
+        plan = plans.get(k)
+        if plan is None:
+            plan = plans[k] = _plan(layout, layout.universe[k])
+        if plan:
+            terms.append((k * w, 1 << (k * w), plan))
 
-    def pack(factors):
-        return sum(e * unit[g] for g, e in factors)
-
-    rows = {pack(mon.factors): r for r, mon in enumerate(seeds)}
+    rows = {}
+    for r, mon in enumerate(seeds):
+        key = layout.pack(mon.factors)
+        rows[-1 - r if key is None else key] = r   # image keys are never negative
     columns = []
-    for mon in domain:
-        key = pack(mon.factors)
+    for key in block.keys:
         accum: dict[int, int] = {}
-        for g, e in mon.factors:
-            plan = plans[g]
-            if not plan or e % p == 0:
+        for shift, unit, plan in terms:
+            e = key >> shift & mask
+            if not e % p:   # absent, or a p-th power
                 continue
-            rest = key - unit[g]
+            rest = key - unit
             for hmask, delta, parity, moves in plan:
                 if rest & hmask:   # a new h already present: an exterior square
                     continue
@@ -217,4 +231,4 @@ def d1_matrix(domain: Sequence[Monomial], ctx: PrimeContext,
             if c:
                 col[rows.setdefault(img, len(rows))] = c
         columns.append(col)
-    return MatrixFp(modulus=p, rows=len(rows), cols=len(domain), columns=tuple(columns))
+    return MatrixFp(modulus=p, rows=len(rows), cols=len(columns), columns=tuple(columns))

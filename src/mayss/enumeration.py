@@ -77,40 +77,177 @@ completion, hence lossless.
     any universe is built.
 
 A window of one filtration is exactly the single-filtration search.
+
+The search emits packed exponent keys, not Monomials.  The universe, in
+canonical order, gives generator k the bit field [k*w, (k+1)*w) with
+w = (s_hi + 1).bit_length(), and each pick of generator k adds 1 << (k*w)
+to the key carried down the search, so a leaf's key holds its exponents.
+No exponent of a monomial of filtration at most s_hi passes s_hi, and d1
+raises one exponent by at most one, so no field ever carries into the next
+(see differential.d1_matrix).  The bases keep a layout of only the
+generators their monomials hold and those of their d1 summands, in
+canonical order and at the same width: at large t the universe holds
+thousands of generators that no monomial holds, and keys, d1 plans and
+images over all of them would be as long.  Where that layout drops no
+generator, as on dense blocks, the keys stay as the search made them.
+
+a(0) is the only generator of degree 1 (every other has degree at least
+2p - 1), so it is the last candidate of every node, and it has filtration
+1.  Once it is picked nothing else can follow, so that branch has exactly
+one completion, a(0)^t_rem, which uses filtration t_rem: a leaf exactly
+when the filtration left after it lies in the window, that is when
+t_rem <= s_rem <= t_rem + span.  The search decides that branch by this
+test and emits its one leaf directly instead of recursing once per unit;
+the test is exact, so lossless.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import Generator, Monomial, a, b, h
+from .differential import summand_closure
 from .errors import ParameterError
 from .grading import PrimeContext, Tridegree, check_degree
 
-# The search recurses once per factor, so up to s levels deep.  Filtrations
-# above this bound are rejected with a ParameterError, well before Python's
-# default recursion limit of 1000 frames.
+# The search recurses once per factor other than a(0), so up to s levels
+# deep.  Filtrations above this bound are rejected with a ParameterError,
+# well before Python's default recursion limit of 1000 frames.
 MAX_FILTRATION = 512
 
 _memo: dict[tuple, "BidegreeBasis"] = {}
 
 
-@dataclass(frozen=True)
-class BidegreeBasis:
-    """Every canonical monomial of one (s, t) bidegree, optionally one weight."""
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Generators in canonical order, each owning one bit field of a packed
+    key: universe[k] holds its exponent in bits [k*width, (k+1)*width).
+    `plans` keeps, per canonical position, what d1_matrix derives from a
+    generator, so that every block on this layout reuses it."""
 
-    p: int
-    s: int
-    t: int
-    monomials: tuple[Monomial, ...]
+    universe: tuple[Generator, ...]
+    width: int
+    plans: dict = field(default_factory=dict)
+
+    @cached_property
+    def position(self) -> dict[Generator, int]:
+        return {g: k for k, g in enumerate(self.universe)}
+
+    @cached_property
+    def exterior(self) -> int:
+        """The lowest bit of every exterior generator's field."""
+        return sum(1 << (k * self.width) for k, g in enumerate(self.universe) if g.is_exterior)
+
+    def fields(self, key: int):
+        """(canonical position, exponent) of every nonzero field of a key,
+        in canonical order."""
+        w = self.width
+        mask = (1 << w) - 1
+        while key:
+            shift = (key & -key).bit_length() - 1
+            shift -= shift % w
+            e = key >> shift & mask
+            yield shift // w, e
+            key -= e << shift
+
+    def pack(self, factors) -> int | None:
+        """The key of a factor tuple, or None when a generator lies outside
+        the universe or an exponent does not fit its field."""
+        key = 0
+        for g, e in factors:
+            k = self.position.get(g)
+            if k is None or e >> self.width:
+                return None
+            key += e << (k * self.width)
+        return key
+
+
+def _layout(gens, width: int) -> Layout:
+    """The layout for monomials over the given generators: those generators
+    and the generators of their d1 summands, which their images hold, in
+    canonical order."""
+    return Layout(tuple(sorted(summand_closure(gens), key=lambda g: g.key)), width)
+
+
+class BidegreeBasis:
+    """Every canonical monomial of one (s, t) bidegree, optionally one weight.
+
+    The basis is stored packed, in search order: keys[k] holds the
+    exponents of the k-th monomial in the fields of `layout`, and
+    weights[k] is its weight.  The layout numbers the generators that the
+    monomials of its window hold, with those of their d1 summands, in
+    canonical order (see the module docstring).  `monomials`, the same
+    monomials as Monomial objects sorted by render, is built from the keys
+    on its first read and kept; the second-page path never reads it.
+
+    A basis read back from a cache is made by from_monomials.  It holds its
+    monomials, in the given order, and builds its layout and keys on their
+    first read.
+    """
+
+    def __init__(self, p: int, s: int, t: int, layout: Layout,
+                 keys: tuple[int, ...], weights: tuple[int, ...]):
+        self.p, self.s, self.t = p, s, t
+        self.layout, self.keys, self.weights = layout, keys, weights
+
+    @classmethod
+    def from_monomials(cls, p: int, s: int, t: int, monomials) -> "BidegreeBasis":
+        """A basis of (s, t) given by monomials of that bidegree."""
+        basis = cls.__new__(cls)
+        basis.p, basis.s, basis.t = p, s, t
+        basis.monomials = tuple(monomials)
+        basis.weights = tuple(mon.tridegree.u for mon in basis.monomials)
+        return basis
 
     @property
     def dimension(self) -> int:
-        return len(self.monomials)
+        return len(self.weights)
 
-    def weights(self) -> list[int]:
-        return [m.tridegree.u for m in self.monomials]
+    @cached_property
+    def monomials(self) -> tuple[Monomial, ...]:
+        # Equal factors and equal tridegrees are each one object, shared by
+        # every monomial that holds them.
+        layout = self.layout
+        factor_of: dict[tuple[int, int], tuple[Generator, int]] = {}
+        degrees = {u: Tridegree(self.s, self.t, u) for u in set(self.weights)}
+        out = []
+        for key, u in zip(self.keys, self.weights):
+            factors = []
+            for run in layout.fields(key):
+                factor = factor_of.get(run)
+                if factor is None:
+                    factor = factor_of[run] = (layout.universe[run[0]], run[1])
+                factors.append(factor)
+            out.append(Monomial(factors=tuple(factors), tridegree=degrees[u]))
+        return tuple(sorted(out, key=Monomial.render))
+
+    @cached_property
+    def layout(self) -> Layout:
+        # reached only by a basis made from monomials; no exponent of
+        # filtration s passes s
+        return _layout({g for mon in self.monomials for g, _ in mon.factors},
+                       (self.s + 1).bit_length())
+
+    @cached_property
+    def keys(self) -> tuple[int, ...]:
+        # reached only by a basis made from monomials
+        return tuple(self.layout.pack(mon.factors) for mon in self.monomials)
+
+    @cached_property
+    def _by_weight(self) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for k, u in enumerate(self.weights):
+            out.setdefault(u, []).append(k)
+        return out
+
+    def block(self, u: int) -> "BidegreeBasis":
+        """The monomials of weight u, in this basis's order, on its layout."""
+        picked = self._by_weight.get(u, ())
+        keys = self.keys
+        return BidegreeBasis(self.p, self.s, self.t, self.layout,
+                             tuple(keys[k] for k in picked), (u,) * len(picked))
 
 
 def generator_universe(ctx: PrimeContext, t_max: int, s_max: int) -> list[Generator]:
@@ -196,10 +333,31 @@ def _carry_feasible(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> bo
 # --- the search ------------------------------------------------------------
 
 
-def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, list[Monomial]]:
-    """The monomials of every bidegree (s, t) with s_lo <= s <= s_hi, from one
-    depth-first pass under every pruning rule, keyed by s, in search order."""
-    found: dict[int, list[Monomial]] = {s: [] for s in range(s_lo, s_hi + 1)}
+def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, BidegreeBasis]:
+    """The bases of every bidegree (s, t) with s_lo <= s <= s_hi, from one
+    depth-first pass under every pruning rule, keyed by s, each in search
+    order on the window's layout."""
+    found: dict[int, tuple[list[int], list[int]]] = {
+        s: ([], []) for s in range(s_lo, s_hi + 1)}
+    width = (s_hi + 1).bit_length()
+
+    def bases(search: Layout) -> dict[int, BidegreeBasis]:
+        # The stored layout keeps the generators the leaves hold and those of
+        # their d1 summands (module docstring); the keys move onto it unless
+        # it numbers the universe as the search did.
+        held = 0
+        for keys, _ in found.values():
+            for key in keys:
+                held |= key
+        positions = [k for k, _ in search.fields(held)]
+        layout = _layout((search.universe[k] for k in positions), width)
+        if layout.universe != search.universe:
+            shift = {k: layout.position[search.universe[k]] * width for k in positions}
+            for keys, _ in found.values():
+                keys[:] = [sum(e << shift[k] for k, e in search.fields(key)) for key in keys]
+        return {s: BidegreeBasis(ctx.p, s, t, layout, tuple(keys), tuple(us))
+                for s, (keys, us) in found.items()}
+
     # The root carry test needs no universe, so a huge t that no filtration
     # of the window admits ends before one is built.  Supporting every column
     # loses nothing against the universe's own support: the recurrence reads
@@ -207,8 +365,9 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, list[M
     # universe holds a(0) and h(1,j) for each of them.
     live = [s for s in found if _carry_feasible(t, s, -1, ctx)]
     if not live:
-        return found
-    universe = generator_universe(ctx, t, s_hi)   # canonical (key) order
+        return bases(Layout((), width))
+    search = Layout(tuple(generator_universe(ctx, t, s_hi)), width)
+    universe = search.universe
     tri = [g.tridegree(ctx) for g in universe]
     # Search order: decreasing degree, ties in canonical order.  pos[k] is
     # the canonical position of the k-th generator of the search order.
@@ -228,11 +387,8 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, list[M
     max_frac = [(0, 1)] * (n + 1)   # (deg, filt) with max deg/filt in the suffix
     min_frac = [(1, 0)] * (n + 1)   # min deg/filt; (1, 0) acts as +infinity
     for k in range(n - 1, -1, -1):
-        lo, hi = digit_span(order[k])
-        mask = 0
-        for col in range(lo, hi + 1):
-            mask |= 1 << (col + 1)
-        supp[k] = supp[k + 1] | mask
+        lo, hi = digit_span(order[k])   # bits lo + 1 .. hi + 1 of the mask
+        supp[k] = supp[k + 1] | ((1 << (hi - lo + 1)) - 1) << (lo + 1)
         d, f = degs[k], filts[k]
         md, mf = max_frac[k + 1]
         max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
@@ -244,36 +400,25 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, list[M
     md, mf = min_frac[0]
     live = [s for s in live if t * mf >= s * md]
     if not live:
-        return found
+        return bases(search)
     s_lo, s_hi = live[0], live[-1]
     span = s_hi - s_lo
-    # Each (canonical position, exponent) run as a factor, made on first use
-    # and shared by every monomial that holds it: without the sharing, peak
-    # memory of the dense p=5 blocks is about a tenth higher.
-    pieces: dict[tuple[int, int], tuple[Generator, int]] = {}
-    chosen: list[int] = []   # canonical positions of the picks
+    # a(0), when the universe is not empty: the last generator of the order,
+    # in canonical position 0, so its unit is 1 and its weight 1.
+    last = n - 1
 
-    def leaf(s: int, u: int):
-        # Canonical positions order the factors as monomial_from_factors would.
-        factors = []
-        for c in sorted(set(chosen)):
-            run = (c, chosen.count(c))
-            piece = pieces.get(run)
-            if piece is None:
-                piece = pieces[run] = (universe[c], run[1])
-            factors.append(piece)
-        found[s].append(Monomial(factors=tuple(factors), tridegree=Tridegree(s, t, u)))
-
-    def rec(idx: int, s_rem: int, t_rem: int, u: int):
+    def rec(idx: int, s_rem: int, t_rem: int, u: int, key: int):
         # s_rem is the largest filtration left, s_rem - span the smallest.
         if not t_rem:
             if s_rem <= span:
-                leaf(s_hi - s_rem, u)
+                keys, us = found[s_hi - s_rem]
+                keys.append(key)
+                us.append(u)
             return
         # Filtrations (bit f for f in {1, 2}) whose upper bound still holds.
         open_filts = 3 if s_rem >= 2 else 1
         # Generators heavier than t_rem form a prefix of the order.
-        for k in range(max(idx, bisect_left(neg_degs, -t_rem)), n):
+        for k in range(max(idx, bisect_left(neg_degs, -t_rem)), last):
             f = filts[k]
             if f > s_rem:
                 continue
@@ -287,25 +432,29 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, list[M
                     # never decreases along the order (degs never increases),
                     # and max_frac[ni] never increases (ni is k or k+1, so
                     # never decreases, and the suffix shrinks).  So the bound
-                    # fails for every later generator of filtration f too.
+                    # fails for every later generator of filtration f too,
+                    # a(0) among them when f is 1.
                     open_filts &= ~f
                     if not open_filts:
-                        break
+                        return
                     continue
                 md, mf = min_frac[ni]
                 if nt * mf < ns_lo * md:
                     continue
                 if not _carry_feasible(nt, ns, supp[ni], ctx):
                     continue
-            chosen.append(pos[k])
-            rec(ni, ns, nt, u + weights[k])
-            chosen.pop()
+            rec(ni, ns, nt, u + weights[k], key + (1 << (pos[k] * width)))
+        # The a(0) branch: its one completion is a(0)^t_rem (module docstring).
+        if last >= 0 and t_rem <= s_rem <= t_rem + span:
+            keys, us = found[s_hi - s_rem + t_rem]
+            keys.append(key + t_rem)
+            us.append(u + t_rem)
 
-    rec(0, s_hi, t, 0)
+    rec(0, s_hi, t, 0, 0)
     # rec reaches itself through its closure; unbinding it frees the
     # per-search lists now instead of at the next full garbage collection.
     rec = None
-    return found
+    return bases(search)
 
 
 def _check(s: int, t: int) -> None:
@@ -319,8 +468,8 @@ def _check(s: int, t: int) -> None:
 def _fill(ctx: PrimeContext, s_lo: int, s_hi: int, t: int, cache) -> None:
     """Memoize the bases of (s, t) for s_lo <= s <= s_hi: each from the memo,
     else from the cache, else from one window search over the missing ones,
-    whose leaves are sorted by their render into a basis, memoized and stored.
-    Bases already in the memo are kept as they are."""
+    whose bases are memoized and stored.  Bases already in the memo are kept
+    as they are."""
     missing = []
     for s in range(s_lo, s_hi + 1):
         if (ctx.p, s, t) in _memo:
@@ -334,24 +483,19 @@ def _fill(ctx: PrimeContext, s_lo: int, s_hi: int, t: int, cache) -> None:
         return
     found = _search(ctx, missing[0], missing[-1], t)
     for s in missing:
-        basis = BidegreeBasis(p=ctx.p, s=s, t=t,
-                              monomials=tuple(sorted(found[s], key=Monomial.render)))
-        _memo[ctx.p, s, t] = basis
+        _memo[ctx.p, s, t] = found[s]
         if cache is not None:
-            cache.store_basis(basis)
+            cache.store_basis(found[s])
 
 
 def enumerate_basis(ctx: PrimeContext, s: int, t: int, u: int | None = None,
                     cache=None) -> BidegreeBasis:
     """The complete basis of tridegree (s, t, u), or of the whole (s, t)
-    bidegree when u is None.  Sorted by rendered monomial."""
+    bidegree when u is None."""
     _check(s, t)
     _fill(ctx, s, s, t, cache)
     basis = _memo[ctx.p, s, t]
-    if u is None:
-        return basis
-    picked = tuple(m for m in basis.monomials if m.tridegree.u == u)
-    return BidegreeBasis(p=ctx.p, s=s, t=t, monomials=picked)
+    return basis if u is None else basis.block(u)
 
 
 def _enumerate_window(ctx: PrimeContext, s: int, t: int, cache) -> None:

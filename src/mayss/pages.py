@@ -12,11 +12,12 @@ at filtration s reads only the bases of s - 1 and s, never s + 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import Element, element_tridegree
 from .differential import d1, d1_matrix
-from .enumeration import BidegreeBasis, _check, _enumerate_window, enumerate_basis
+from .enumeration import _check, _enumerate_window, enumerate_basis
 from .errors import ParameterError
 from .grading import PrimeContext, Tridegree
 from .linalg import MatrixFp, in_span, rank
@@ -49,13 +50,6 @@ class PageQueryResult:
     e2_dim = _summed("e2_dim")
 
 
-def _blocks_by_weight(basis: BidegreeBasis) -> dict[int, list]:
-    out: dict[int, list] = {}
-    for mon in basis.monomials:
-        out.setdefault(mon.tridegree.u, []).append(mon)
-    return dict(sorted(out.items()))
-
-
 def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
                  cache=None) -> PageQueryResult:
     """Cycle, boundary, and second-page dimensions at (s, t, u), summed over
@@ -64,34 +58,33 @@ def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
     target = enumerate_basis(ctx, s, t, None, cache)
     above = enumerate_basis(ctx, s - 1, t, None, cache) if s >= 1 else None
 
-    tgt_blocks = _blocks_by_weight(target)
-    above_blocks = _blocks_by_weight(above) if above is not None else {}
+    sizes = Counter(target.weights)
+    above_sizes = Counter(above.weights) if above is not None else Counter()
 
-    weights = sorted(tgt_blocks) if u is None else ([u] if u in tgt_blocks else [])
+    weights = sorted(sizes) if u is None else ([u] if u in sizes else [])
     blocks = []
     for w in weights:
-        domain = tgt_blocks[w]
-        outgoing = _block_matrix(ctx, s, t, w, domain, cache)
-        cycles = len(domain) - rank(outgoing)
-        source = above_blocks.get(w + 1, [])
-        if source:
-            incoming = _block_matrix(ctx, s - 1, t, w + 1, source, cache)
-            boundaries = rank(incoming)
+        cycles = sizes[w] - rank(_block_matrix(ctx, target, w, sizes[w], cache))
+        if above_sizes[w + 1]:
+            boundaries = rank(_block_matrix(ctx, above, w + 1, above_sizes[w + 1], cache))
         else:
             boundaries = 0
-        blocks.append(WeightBlock(u=w, e1_dim=len(domain), cycle_dim=cycles,
+        blocks.append(WeightBlock(u=w, e1_dim=sizes[w], cycle_dim=cycles,
                                   boundary_dim=boundaries))
     return PageQueryResult(tuple(blocks))
 
 
-def _block_matrix(ctx, s, t, w, domain, cache) -> MatrixFp:
+def _block_matrix(ctx, basis, w, cols, cache) -> MatrixFp:
+    """The d1 matrix of the weight-w block of a basis, which has cols
+    monomials: from the cache when it holds one, else built (which packs a
+    basis read from the cache, once)."""
     if cache is not None:
-        m = cache.load_matrix(ctx, s, t, w, len(domain))
+        m = cache.load_matrix(ctx, basis.s, basis.t, w, cols)
         if m is not None:
             return m
-    m = d1_matrix(domain, ctx)
+    m = d1_matrix(basis.block(w), ctx)
     if cache is not None:
-        cache.store_matrix(ctx, s, t, w, m)
+        cache.store_matrix(ctx, basis.s, basis.t, w, m)
     return m
 
 
@@ -118,8 +111,9 @@ def survives_to_e2(x: Element, ctx: PrimeContext, cache=None) -> SurvivalVerdict
     if pos.s >= 1:
         source = enumerate_basis(ctx, pos.s - 1, pos.t, pos.u + 1, cache)
         if source.dimension:
-            # the element's terms take the first rows; images add the rest
+            # the element's terms take the first rows, a term that the
+            # source's layout cannot pack an empty one; images add the rest
             terms = x.terms
-            m = d1_matrix(source.monomials, ctx, list(terms))
+            m = d1_matrix(source, ctx, list(terms))
             is_boundary = in_span(m, dict(enumerate(terms.values())))
     return SurvivalVerdict(position=pos, is_cycle=is_cycle, is_boundary=is_boundary)

@@ -307,7 +307,7 @@ def verify_survival(ctx: PrimeContext, m: int, n: int, s: int, cache=None,
                         not verdict.is_boundary))
     checks.append(Check("product class is nonzero on the second page", "nonzero",
                         "nonzero" if verdict.e2_nonzero else "zero", verdict.e2_nonzero))
-    weights = tuple(sorted(enumerate_basis(ctx, s + 2, got.t, None, cache).weights()))
+    weights = tuple(sorted(enumerate_basis(ctx, s + 2, got.t, None, cache).weights))
     if s == ctx.p - 1:
         w_top = (2 * n + 1) * ctx.p - 2 * n - 3
         w_low = (2 * m + 1) * ctx.p - 2 * m - 3

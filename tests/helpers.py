@@ -22,7 +22,7 @@ from mayss.algebra import (Element, Generator, Monomial, _from_accumulator, a, b
                            canonicalize, element_from_monomial, element_tridegree, h,
                            monomial_from_factors)
 from mayss.differential import d1, d1_matrix
-from mayss.enumeration import _search, digit_span, generator_universe
+from mayss.enumeration import BidegreeBasis, _search, digit_span, generator_universe
 from mayss.errors import ParameterError
 from mayss.grading import ZERO_DEGREE, PAdicProfile, padic_profile
 from mayss.linalg import MatrixFp, matrix_from_rows
@@ -139,8 +139,8 @@ def brute_sign(word, ctx):
 
 
 def single_search(ctx, s, t):
-    """The engine's search over the one-filtration window [s, s]: the
-    monomials of (s, t), in search order."""
+    """The engine's search over the one-filtration window [s, s]: the basis
+    of (s, t)."""
     return _search(ctx, s, s, t)[s]
 
 
@@ -517,14 +517,35 @@ def unit_d1_monomial(mon, ctx):
     return accum
 
 
-def codomain_matrix(domain, codomain, ctx):
+def key_monomials(basis, ctx):
+    """The monomials of a basis in its own column order, decoded from each
+    packed key by reading every field of its layout in turn."""
+    layout = basis.layout
+    mask = (1 << layout.width) - 1
+    out = []
+    for key in basis.keys:
+        fields = [(g, key >> (k * layout.width) & mask) for k, g in enumerate(layout.universe)]
+        assert key >> (len(fields) * layout.width) == 0, "bits past the universe"
+        out.append(monomial_from_factors([(g, e) for g, e in fields if e], ctx))
+    return out
+
+
+def block_of(monomials, ctx):
+    """A basis of the given monomials, of one (s, t), in the given order, as
+    a cache builds one."""
+    s, t = monomials[0].tridegree.s, monomials[0].tridegree.t
+    assert all((m.tridegree.s, m.tridegree.t) == (s, t) for m in monomials)
+    return BidegreeBasis.from_monomials(ctx.p, s, t, monomials)
+
+
+def codomain_matrix(block, codomain, ctx):
     """d1_matrix with its rows numbered by an enumerated codomain basis: the
     matrix whose row r is codomain[r].  Fails when an image monomial lies
     outside the codomain, which would mean that basis is incomplete."""
-    m = d1_matrix(domain, ctx, codomain)
+    m = d1_matrix(block, ctx, codomain)
     if m.rows > len(codomain):
         known = set(codomain)
-        outside = {out for mon in domain
+        outside = {out for mon in key_monomials(block, ctx)
                    for out in d1(element_from_monomial(mon, ctx), ctx).terms
                    if out not in known}
         raise AssertionError("image monomials missing from the codomain basis: %s"
@@ -532,15 +553,16 @@ def codomain_matrix(domain, codomain, ctx):
     return m
 
 
-def image_d1_matrix(domain, ctx, seeds=()):
-    """The oracle of d1_matrix: the matrix of the d1() images of the domain,
-    which go through the factor-tuple path.  seeds[k] is row k; the other
-    image monomials are numbered in first-seen order after them."""
+def image_d1_matrix(block, ctx, seeds=()):
+    """The oracle of d1_matrix: the matrix of the d1() images of the
+    monomials of a basis, in its column order, which go through the
+    factor-tuple path.  seeds[k] is row k; the other image monomials are
+    numbered in first-seen order after them."""
     row_of = {mon.factors: r for r, mon in enumerate(seeds)}
     columns = tuple({row_of.setdefault(out.factors, len(row_of)): c
                      for out, c in d1(element_from_monomial(mon, ctx), ctx).terms.items()}
-                    for mon in domain)
-    return MatrixFp(modulus=ctx.p, rows=len(row_of), cols=len(domain), columns=columns)
+                    for mon in key_monomials(block, ctx))
+    return MatrixFp(modulus=ctx.p, rows=len(row_of), cols=len(columns), columns=columns)
 
 
 def transpose(m):

@@ -7,7 +7,7 @@ from helpers import codomain_matrix
 from mayss import ResultCache, e2_dimension, enumerate_basis
 from mayss.cache import ENGINE_VERSION
 from mayss.differential import d1_matrix
-from mayss.enumeration import clear_memo
+from mayss.enumeration import Layout, clear_memo
 from mayss.linalg import matrix_from_rows, rank
 
 
@@ -53,6 +53,10 @@ def test_corrupted_entries_are_misses(ctx5, tmp_path):
     # unparseable body
     entry.write_text("mayss-cache %s\nbasis p=5 s=2 t=49 u=all\nnot a monomial\n" % ENGINE_VERSION)
     assert cache.load_basis(ctx5, 2, 49) is None
+    # a monomial of another bidegree, whose exponents could overflow a field
+    entry.write_text("mayss-cache %s\nbasis p=5 s=2 t=49 u=all\na(1) h(1,1)\na(0)^9\n"
+                     % ENGINE_VERSION)
+    assert cache.load_basis(ctx5, 2, 49) is None
 
 
 def test_matrix_roundtrip_and_dimension_check(ctx5, tmp_path):
@@ -78,14 +82,14 @@ def test_matrix_roundtrip_and_dimension_check(ctx5, tmp_path):
 def test_codomain_numbered_matrix_entry_gives_the_same_rank(ctx5, tmp_path):
     # An entry whose rows follow an enumerated codomain, with zero rows for
     # the codomain monomials no image reaches, loads with the same rank.
-    domain = enumerate_basis(ctx5, 6, 130194, u=50).monomials
+    domain = enumerate_basis(ctx5, 6, 130194, u=50)
     codomain = enumerate_basis(ctx5, 7, 130194, u=49).monomials
     built = d1_matrix(domain, ctx5)
     old = codomain_matrix(domain, codomain, ctx5)
     assert old.rows > built.rows and old.to_rows() != built.to_rows()
     cache = ResultCache(tmp_path)
     cache.store_matrix(ctx5, 6, 130194, 50, old)
-    got = cache.load_matrix(ctx5, 6, 130194, 50, len(domain))
+    got = cache.load_matrix(ctx5, 6, 130194, 50, domain.dimension)
     assert got == old
     assert rank(got) == rank(built) > 0
     clear_memo()
@@ -165,4 +169,33 @@ def test_second_page_query_fills_the_bases_a_cache_lacks(ctx5, tmp_path, held):
         assert stored.monomials == enumerate_basis(ctx5, s, 49).monomials, s
     if held != 3:
         assert cache.load_basis(ctx5, 3, 49) is None
+    clear_memo()
+
+
+def test_roundtrip_gives_equal_monomials_and_blocks(ctx5, tmp_path, monkeypatch):
+    s, t = 8, 130194
+    cache = ResultCache(tmp_path)
+    clear_memo()
+    cold = e2_dimension(ctx5, s, t, cache=cache)
+    searched = {f: enumerate_basis(ctx5, f, t).monomials for f in (s - 1, s)}
+    clear_memo()
+    packed = []
+    pack = Layout.pack
+
+    def counting_pack(self, factors):
+        packed.append(factors)
+        return pack(self, factors)
+
+    monkeypatch.setattr(Layout, "pack", counting_pack)
+    for f in (s - 1, s):
+        assert cache.load_basis(ctx5, f, t).monomials == searched[f], f
+    # bases and matrices both come back from the cache: nothing is packed
+    assert e2_dimension(ctx5, s, t, cache=cache).blocks == cold.blocks
+    assert packed == []
+    # without the matrices, each loaded monomial is packed once to rebuild them
+    for entry in (tmp_path / ENGINE_VERSION).glob("d1mat_*"):
+        entry.unlink()
+    clear_memo()
+    assert e2_dimension(ctx5, s, t, cache=cache).blocks == cold.blocks
+    assert len(packed) == len(set(packed)) == sum(map(len, searched.values()))
     clear_memo()

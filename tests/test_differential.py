@@ -1,15 +1,17 @@
 import pytest
 
-from helpers import (DENSE_E2, add, canonicalize_word, codomain_matrix, d1_generator,
-                     element_parity, image_d1_matrix,
+from helpers import (DENSE_E2, add, block_of, canonicalize_word, codomain_matrix, d1_generator,
+                     element_parity, image_d1_matrix, key_monomials,
                      random_element, random_generator, random_monomial, scale,
                      unit_d1_monomial)
 from mayss import (a, b, d1, element_from_monomial, enumerate_basis, h,
                    make_context, monomial_from_factors, multiply, parse_element,
                    render_element)
 from mayss.algebra import Element, _from_accumulator, element_tridegree
-from mayss.differential import _summands, d1_matrix
-from mayss.pages import _blocks_by_weight
+from mayss.differential import d1_matrix
+from mayss.enumeration import generator_universe
+from mayss.pages import e2_dimension
+from mayss.verify import family_degree
 
 D1_SHIFT = (1, 0, -1)
 
@@ -134,12 +136,12 @@ def test_matrix_of_known_bidegree(ctx5):
     dom = [monomial_from_factors([(a(0), 1), (h(2, 0), 1)], ctx5),
            monomial_from_factors([(a(1), 1), (h(1, 1), 1)], ctx5)]
     cod = [monomial_from_factors([(a(0), 1), (h(1, 0), 1), (h(1, 1), 1)], ctx5)]
-    m = codomain_matrix(dom, cod, ctx5)
+    m = codomain_matrix(block_of(dom, ctx5), cod, ctx5)
     assert m.to_rows() == [[4, 1]]
 
 
 def test_matrix_missing_codomain_entry_raises(ctx5):
-    dom = [monomial_from_factors([(a(2), 1)], ctx5)]
+    dom = block_of([monomial_from_factors([(a(2), 1)], ctx5)], ctx5)
     m = d1_matrix(dom, ctx5, [])
     assert m == image_d1_matrix(dom, ctx5, []) and m.rows == 2
     with pytest.raises(AssertionError, match=r"missing from the codomain basis: "
@@ -148,14 +150,14 @@ def test_matrix_missing_codomain_entry_raises(ctx5):
 
 
 def test_matrix_rows_are_image_monomials_in_first_seen_order(ctx5):
-    dom = enumerate_basis(ctx5, 6, 130194).monomials
+    dom = enumerate_basis(ctx5, 6, 130194)
     seen = {}
-    for mon in dom:
+    for mon in key_monomials(dom, ctx5):
         for out in d1(element_from_monomial(mon, ctx5), ctx5).terms:
             seen.setdefault(out.factors, len(seen))
     m = d1_matrix(dom, ctx5)
-    assert (m.rows, m.cols) == (len(seen), len(dom))
-    for col, mon in enumerate(dom):
+    assert (m.rows, m.cols) == (len(seen), dom.dimension)
+    for col, mon in enumerate(key_monomials(dom, ctx5)):
         image = d1(element_from_monomial(mon, ctx5), ctx5)
         assert m.columns[col] == {seen[out.factors]: c for out, c in image.terms.items()}
     # the seeds take the first rows, an image seed keeps its row, and the
@@ -171,11 +173,11 @@ def test_matrix_rows_are_image_monomials_in_first_seen_order(ctx5):
 
 
 def test_image_of_cycle_columns_is_zero_column(ctx5):
-    dom = [monomial_from_factors([(b(1, 0), 1)], ctx5),
-           monomial_from_factors([(h(1, 0), 1), (h(1, 1), 1)], ctx5)]
     # d1(b)=0 and d1(h h)=0, so no codomain is needed at all
-    m = codomain_matrix(dom, [], ctx5)
-    assert m.rows == 0 and m.cols == 2
+    for factors in ([(b(1, 0), 1)], [(h(1, 0), 1), (h(1, 1), 1)], [(b(1, 0), 1), (h(1, 2), 1)]):
+        dom = block_of([monomial_from_factors(factors, ctx5)], ctx5)
+        m = codomain_matrix(dom, [], ctx5)
+        assert m.rows == 0 and m.cols == 1
 
 
 def test_images_stay_homogeneous(rng, ctx5):
@@ -195,7 +197,6 @@ def _oracle_image(mon, ctx):
 def test_factor_level_d1_matches_unit_oracle_on_bases(p, s, t):
     ctx = make_context(p)
     domain = enumerate_basis(ctx, s, t).monomials
-    codomain = enumerate_basis(ctx, s + 1, t).monomials
     images = {}
     for mon in domain:
         images[mon] = _oracle_image(mon, ctx)
@@ -204,10 +205,10 @@ def test_factor_level_d1_matches_unit_oracle_on_bases(p, s, t):
     weights = sorted({mon.tridegree.u for mon in domain})
     if weights:
         w = weights[len(weights) // 2]
-        dom = [mon for mon in domain if mon.tridegree.u == w]
-        cod = [mon for mon in codomain if mon.tridegree.u == w - 1]
+        dom = enumerate_basis(ctx, s, t, w)
+        cod = enumerate_basis(ctx, s + 1, t, w - 1).monomials
         rows = codomain_matrix(dom, cod, ctx).to_rows()
-        for col, mon in enumerate(dom):
+        for col, mon in enumerate(key_monomials(dom, ctx)):
             assert [row[col] for row in rows] == [
                 images[mon].coefficient(out) for out in cod]
 
@@ -238,7 +239,8 @@ def test_d1_squares_to_zero_on_random_elements(rng, ctx5, ctx7):
 
 
 def _weight_blocks(ctx, s, t):
-    return _blocks_by_weight(enumerate_basis(ctx, s, t)).values()
+    basis = enumerate_basis(ctx, s, t)
+    return [basis.block(u) for u in sorted(set(basis.weights))]
 
 
 def _assert_matches_tuple_path(dom, ctx, seeds=()):
@@ -268,36 +270,48 @@ def test_packed_matrix_matches_tuple_path_on_a_p7_grid(ctx7):
     assert nnz > 1000
 
 
+@pytest.mark.parametrize("p,m,n,s", [(5, 4, 6, 4), (5, 12, 20, 4), (7, 6, 10, 6)])
+def test_packed_matrix_matches_tuple_path_on_a_smaller_layout(p, m, n, s):
+    # the paper's window position, whose keys moved onto a layout of the
+    # generators the bases hold: the blocks of both bases an e2 query reads
+    ctx = make_context(p)
+    t = family_degree(ctx, m, n, s) + s - 2
+    e2_dimension(ctx, s + 2, t)
+    for f in (s + 1, s + 2):
+        for dom in _weight_blocks(ctx, f, t):
+            assert len(dom.layout.universe) < len(generator_universe(ctx, t, s + 2))
+            _assert_matches_tuple_path(dom, ctx)
+
+
 def test_packed_matrix_with_seeds_outside_the_domain_universe(rng, ctx5):
     # as survives_to_e2 seeds it: target-tridegree monomials take the first
-    # rows, some holding generators no domain monomial or image can hold
+    # rows, and so do monomials the block's layout cannot pack, one with a
+    # generator outside its universe and one with an exponent past its width
     s, t = 8, 130194
+    hit = 0
     for dom in _weight_blocks(ctx5, s - 1, t):
-        universe = {g for mon in dom for g, _ in mon.factors}
-        for g in set(universe):
-            for new_h, poly, _ in _summands(g):
-                universe.update(new_h + ((poly,) if poly else ()))
-        u = dom[0].tridegree.u - 1
-        target = list(enumerate_basis(ctx5, s, t, u).monomials)
-        outside = [mon for mon in target if any(g not in universe for g, _ in mon.factors)]
-        if not outside:
-            continue
+        layout = dom.layout
+        outside = monomial_from_factors([(b(7, 0), 1), (a(1), 1)], ctx5)
+        wide = monomial_from_factors([(a(1), 1 << layout.width)], ctx5)
+        assert b(7, 0) not in layout.universe and a(1) in layout.universe
+        assert layout.pack(outside.factors) is None and layout.pack(wide.factors) is None
+        target = list(enumerate_basis(ctx5, s, t, dom.weights[0] - 1).monomials)
         rng.shuffle(target)
-        seeds = outside[:2] + target[:5]
-        # an exponent past every domain exponent widens the packed fields
-        seeds.append(monomial_from_factors([(b(7, 0), 40 * s)], ctx5))
-        seeds = list(dict.fromkeys(seeds))
+        seeds = [outside] + target[:5] + [wide]
         m = _assert_matches_tuple_path(dom, ctx5, seeds)
         assert m.rows >= len(seeds)
-        return
-    raise AssertionError("no block with a target monomial outside its universe")
+        # no image lands on the rows of the seeds the layout cannot pack
+        assert not any(0 in col or len(seeds) - 1 in col for col in m.columns)
+        hit += any(r in col for col in m.columns for r in range(1, len(seeds) - 1))
+    assert hit
 
 
 def test_seed_exponents_past_the_domain_never_alias_an_image(ctx5):
-    # a seed a(0) a(1)^E with E past every domain exponent: a packed key
-    # sized by the domain alone would give it an image monomial's key
+    # a seed a(0) a(1)^E with E past the layout's width: packed without the
+    # width check, its exponent would carry into the next fields and give it
+    # an image monomial's key (a(0) a(1)^4 aliases a(0) h(1,0) at width 2)
     for e in (1, 3, 6):
-        dom = [monomial_from_factors([(a(1), e)], ctx5)]
+        dom = block_of([monomial_from_factors([(a(1), e)], ctx5)], ctx5)
         for big in range(1, 130):
             seed = monomial_from_factors([(a(0), 1), (a(1), big)], ctx5)
             m = _assert_matches_tuple_path(dom, ctx5, [seed])

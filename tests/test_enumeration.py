@@ -1,8 +1,11 @@
+import inspect
+import sys
+
 import pytest
 
 from helpers import (DENSE_E2, UNIT, basis_mismatch, carry_solutions, column_sums,
                      column_sums_impossible, e1_dims, factor_count, forced_spanning_factors,
-                     reference_basis, set_carry_feasible, single_search,
+                     reference_basis, set_carry_feasible, single_search, unit_summand_pairs,
                      vanishes_by_digit_bound, vanishes_by_remainder_bound)
 from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
                    monomial_from_factors, padic_profile)
@@ -84,8 +87,8 @@ def window_equals_single_searches(ctx, s_lo, s_hi, t, singles):
         return False
     for s in range(s_lo, s_hi + 1):
         if (s, t) not in singles:
-            singles[s, t] = sorted(single_search(ctx, s, t), key=Monomial.render)
-        if sorted(window[s], key=Monomial.render) != singles[s, t]:
+            singles[s, t] = single_search(ctx, s, t).monomials
+        if window[s].monomials != singles[s, t]:
             return False
     return True
 
@@ -107,9 +110,9 @@ def dense_windows(ctx5):
 def test_window_search_matches_single_searches_on_dense_blocks(ctx5, dense_windows):
     for (s, t), window in dense_windows.items():
         for f in (s - 1, s, s + 1):
-            single = sorted(single_search(ctx5, f, t), key=Monomial.render)
+            single = single_search(ctx5, f, t).monomials
             assert single, (f, t)
-            assert sorted(window[f], key=Monomial.render) == single, (f, t)
+            assert window[f].monomials == single, (f, t)
 
 
 def test_second_page_query_keeps_a_memoized_basis(ctx5, monkeypatch):
@@ -150,12 +153,20 @@ def test_trivial_bidegrees(ctx5):
 
 
 def test_filtration_limit(ctx5, monkeypatch):
-    # The deepest allowed search recurses MAX_FILTRATION levels without
-    # reaching the interpreter's recursion limit ...
+    # The deepest allowed filtration ends: its only monomial at t = s is the
+    # a(0) tail, one leaf.  The deepest allowed search recurses
+    # MAX_FILTRATION levels without reaching the interpreter's recursion
+    # limit: over a universe of a(0) and a(1) alone, a(1)^s takes one level
+    # per factor ...
     clear_memo()
     top = enumerate_basis(ctx5, MAX_FILTRATION, MAX_FILTRATION)
     assert [m.render() for m in top.monomials] == ["a(0)^%d" % MAX_FILTRATION]
     clear_memo()
+    universe = enumeration.generator_universe
+    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max, s_max: [
+        g for g in universe(ctx, t_max, s_max) if g in (a(0), a(1))])
+    deep = _search(ctx5, MAX_FILTRATION, MAX_FILTRATION, 9 * MAX_FILTRATION)[MAX_FILTRATION]
+    assert [m.render() for m in deep.monomials] == ["a(1)^%d" % MAX_FILTRATION]
 
     # ... and one more is rejected before any search starts.
     def no_search(*args):
@@ -167,10 +178,78 @@ def test_filtration_limit(ctx5, monkeypatch):
         enumerate_basis(ctx5, MAX_FILTRATION + 1, MAX_FILTRATION + 1)
 
 
+def test_a0_tail_is_one_leaf_not_one_level_per_unit(ctx5):
+    # Recursing once per unit of a(0) would need 200 more frames than this.
+    depth = len(inspect.stack())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        found = _search(ctx5, 200, 200, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found[200].monomials == (monomial_from_factors([(a(0), 200)], ctx5),)
+    clear_memo()
+    assert [m.render() for m in enumerate_basis(ctx5, 200, 200).monomials] == ["a(0)^200"]
+    clear_memo()
+
+
+def test_monomials_view_is_canonical_sorted_and_built_once(ctx5, ctx7):
+    clear_memo()
+    for ctx, s, t in [(ctx5, s, t) for s, t in DENSE_E2] + [(ctx5, 2, 49), (ctx7, 6, 1466)]:
+        basis = enumerate_basis(ctx, s, t)
+        mons = basis.monomials
+        assert mons is basis.monomials
+        assert len(mons) == basis.dimension == len(set(mons)) > 0, (ctx.p, s, t)
+        renders = [mon.render() for mon in mons]
+        assert renders == sorted(renders)
+        for mon in mons:
+            assert mon == monomial_from_factors(mon.factors, ctx), mon.render()
+            assert (mon.tridegree.s, mon.tridegree.t) == (s, t)
+        assert sorted(basis.weights) == sorted(mon.tridegree.u for mon in mons)
+    clear_memo()
+
+
+def test_layout_is_the_held_generators_and_their_summands(ctx5, ctx7):
+    # At the scenario window positions most of the search universe is never
+    # held, so the stored layout is smaller; on the dense points it is not.
+    cases = [(ctx5, s, t, False) for s, t in DENSE_E2]
+    for ctx, (m, n, s) in ((ctx5, (4, 6, 4)), (ctx5, (12, 20, 4)), (ctx7, (6, 10, 6))):
+        cases.append((ctx, s + 2, family_degree(ctx, m, n, s) + s - 2, True))
+    clear_memo()
+    for ctx, s, t, smaller in cases:
+        basis = enumerate_basis(ctx, s, t)
+        held = {g for mon in basis.monomials for g, _ in mon.factors}
+        want = held | {x for g in held for pair in unit_summand_pairs(g) for x in pair}
+        universe = basis.layout.universe
+        assert set(universe) == want and list(universe) == sorted(want, key=lambda g: g.key)
+        assert (len(universe) < len(generator_universe(ctx, t, s))) == smaller, (ctx.p, s, t)
+    clear_memo()
+
+
+def test_second_page_query_builds_no_monomial(ctx5, monkeypatch):
+    built = []
+    init = Monomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    clear_memo()
+    try:
+        res = e2_dimension(ctx5, 12, 3000)
+        assert res.e1_dim > 0 and built == []
+        # the count sees the monomials a reader asks for
+        basis = enumerate_basis(ctx5, 12, 3000)
+        assert len(basis.monomials) == len(built) == res.e1_dim
+    finally:
+        clear_memo()
+
+
 def test_weight_filter_is_posthoc(ctx5):
     full = enumerate_basis(ctx5, 2, 49)
     assert full.dimension == 2
-    assert sorted(full.weights()) == [4, 4]
+    assert sorted(full.weights) == [4, 4]
     assert enumerate_basis(ctx5, 2, 49, u=4).dimension == 2
     assert enumerate_basis(ctx5, 2, 49, u=5).dimension == 0
 
@@ -269,7 +348,7 @@ def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatc
     assert calls[:4] == [(49, 1, -1), (49, 2, -1), (49, 3, -1), "universe"]
     # every later carry test is a child's, on a smaller residual degree
     assert all(call[0] < 49 for call in calls[4:])
-    assert len(found[2]) == 2
+    assert found[2].dimension == 2
 
 
 def test_column_sums_impossible():

@@ -117,7 +117,7 @@ def _check_block(ctx, s, t, w):
     enumerated basis of (s + 1, t) at weight w - 1 (codomain_matrix fails
     otherwise), and the rank equals that of the matrix numbered by that
     basis.  Returns the rank."""
-    domain = enumerate_basis(ctx, s, t, w).monomials
+    domain = enumerate_basis(ctx, s, t, w)
     codomain = enumerate_basis(ctx, s + 1, t, w - 1).monomials
     r = rank(d1_matrix(domain, ctx))
     assert r == rank(codomain_matrix(domain, codomain, ctx)), (ctx.p, s, t, w)
@@ -179,8 +179,9 @@ def test_every_constructed_boundary_is_found(rng, ctx5, ctx7):
     for ctx, t_max in ((ctx5, 300), (ctx7, 400)):
         for s in range(0, 5):
             for t in range(t_max):
-                for w in sorted(set(enumerate_basis(ctx, s, t).weights())):
-                    monomials = enumerate_basis(ctx, s, t, w).monomials
+                for w in sorted(set(enumerate_basis(ctx, s, t).weights)):
+                    block = enumerate_basis(ctx, s, t, w)
+                    monomials = block.monomials
                     y = _combination([rng.randrange(ctx.p) for _ in monomials], monomials, ctx)
                     x = d1(y, ctx)
                     if x.is_zero:
@@ -189,7 +190,7 @@ def test_every_constructed_boundary_is_found(rng, ctx5, ctx7):
                     v = survives_to_e2(x, ctx)
                     assert v.is_cycle and v.is_boundary and not v.e2_nonzero
                     assert v.position == Tridegree(s + 1, t, w - 1)
-                    ambiguous += rank(d1_matrix(monomials, ctx)) < len(monomials)
+                    ambiguous += rank(d1_matrix(block, ctx)) < len(monomials)
     assert found > 150 and ambiguous > 20, (found, ambiguous)
 
 

@@ -9,7 +9,10 @@ empty (so the element's terms seed the rows of its d1 matrix: one boundary
 of a single term, one of two terms, and one that is not a boundary) and
 three usage errors (exit code 2, empty stdout), each in text and machine
 format.  The three survival queries were recorded later, with the engine
-as it stood before d1_matrix took its seeds as a read-only sequence.
+as it stood before d1_matrix took its seeds as a read-only sequence.  The
+bases of two dense points, which list every monomial the search finds
+there, were recorded later still, with the search as a plain depth-first
+tree walk, before it shared the subtrees of equal states.
 """
 
 import contextlib
@@ -35,6 +38,9 @@ RUNS = (
     ["e2", "--prime", "5", "--s", "8", "--t", "130194"],
     ["e2", "--prime", "5", "--s", "11", "--t", "2988"],
     ["e2", "--prime", "5", "--s", "12", "--t", "3012"],
+    # the monomials of two dense-e2 points, in search-independent order
+    ["basis", "--prime", "5", "--s", "12", "--t", "3000"],
+    ["basis", "--prime", "5", "--s", "8", "--t", "130194"],
     # the unit, zero and a square of an exterior generator
     ["basis", "--prime", "5", "--s", "0", "--t", "0"],
     ["e2", "--prime", "5", "--s", "0", "--t", "0"],

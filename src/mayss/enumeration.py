@@ -99,6 +99,28 @@ when the filtration left after it lies in the window, that is when
 t_rem <= s_rem <= t_rem + span.  The search decides that branch by this
 test and emits its one leaf directly instead of recursing once per unit;
 the test is exact, so lossless.
+
+The leaves under a search node depend only on its state (idx, s_rem, t_rem):
+the first candidate of its loop, the largest filtration left and the degree
+left.  Every rule above reads the state, the window's span and the tables
+of the search order, and nothing of the picks that led there; the key and
+weight a path carries are only added to.  So the search is a function of
+the state, memoized for one search, that returns the state's leaves as
+suffixes in search order, each packed into one int: its key in the fields
+of the universe, its weight in the bits past the last field and its
+filtration left above that.  A state's list is, in loop order, each passing
+candidate's leaf or its child state's list with the candidate's unit and
+weight added, then the a(0) leaf.  That is exactly the order in which a
+depth-first walk reaches them, since the walk below a child is the child's
+list; the root files each leaf under its filtration, so every basis keeps
+the depth-first order.  The candidate loop, every pruning rule, the early
+close of filtrations and the a(0) leaf run once per state, not once per
+path to it.  On the four dense second-page windows of the benchmark a plain
+tree walk makes 25,938 calls, whose states with degree left number only
+4,641, and most repeated work lies below states that have leaves, which a
+memo of empty results alone would not share.  Where no state repeats, the
+memo costs a dictionary probe per child, and every state without leaves
+shares one empty result.
 """
 
 from __future__ import annotations
@@ -106,6 +128,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import Generator, Monomial, a, b, h
 from .differential import summand_closure
@@ -185,12 +208,16 @@ class BidegreeBasis:
     A basis read back from a cache is made by from_monomials.  It holds its
     monomials, in the given order, and builds its layout and keys on their
     first read.
+
+    `ranks` maps a weight to the rank of d1 on that block, filled by
+    pages.e2_dimension; it lives and is dropped with the basis.
     """
 
     def __init__(self, p: int, s: int, t: int, layout: Layout,
                  keys: tuple[int, ...], weights: tuple[int, ...]):
         self.p, self.s, self.t = p, s, t
         self.layout, self.keys, self.weights = layout, keys, weights
+        self.ranks: dict[int, int] = {}
 
     @classmethod
     def from_monomials(cls, p: int, s: int, t: int, monomials) -> "BidegreeBasis":
@@ -199,6 +226,7 @@ class BidegreeBasis:
         basis.p, basis.s, basis.t = p, s, t
         basis.monomials = tuple(monomials)
         basis.weights = tuple(mon.tridegree.u for mon in basis.monomials)
+        basis.ranks = {}
         return basis
 
     @property
@@ -333,59 +361,47 @@ def _carry_feasible(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> bo
 # --- the search ------------------------------------------------------------
 
 
-def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, BidegreeBasis]:
-    """The bases of every bidegree (s, t) with s_lo <= s <= s_hi, from one
-    depth-first pass under every pruning rule, keyed by s, each in search
-    order on the window's layout."""
-    found: dict[int, tuple[list[int], list[int]]] = {
-        s: ([], []) for s in range(s_lo, s_hi + 1)}
+class _Order(NamedTuple):
+    """What every node of one window's search reads: the live filtrations,
+    and per generator of the search order (decreasing degree, ties in
+    canonical order) or per suffix of it, the tables below."""
+
+    s_hi: int                        # the largest live filtration
+    span: int                        # s_hi minus the smallest
+    pos: list[int]                   # canonical position
+    degs: list[int]
+    neg_degs: list[int]              # ascending, for bisect
+    filts: list[int]
+    weights: list[int]
+    nidx: list[int]                  # a child's first candidate: past an exterior pick
+    supp: list[int]                  # per suffix: supported columns
+    max_frac: list[tuple[int, int]]  # per suffix: (deg, filt) with max deg/filt
+    min_frac: list[tuple[int, int]]  # per suffix: min deg/filt; (1, 0) acts as +infinity
+
+
+def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> tuple[Layout, _Order | None]:
+    """The layout of the window's universe, and its search order narrowed to
+    the filtrations that pass the root's tests, None when none does."""
     width = (s_hi + 1).bit_length()
-
-    def bases(search: Layout) -> dict[int, BidegreeBasis]:
-        # The stored layout keeps the generators the leaves hold and those of
-        # their d1 summands (module docstring); the keys move onto it unless
-        # it numbers the universe as the search did.
-        held = 0
-        for keys, _ in found.values():
-            for key in keys:
-                held |= key
-        positions = [k for k, _ in search.fields(held)]
-        layout = _layout((search.universe[k] for k in positions), width)
-        if layout.universe != search.universe:
-            shift = {k: layout.position[search.universe[k]] * width for k in positions}
-            for keys, _ in found.values():
-                keys[:] = [sum(e << shift[k] for k, e in search.fields(key)) for key in keys]
-        return {s: BidegreeBasis(ctx.p, s, t, layout, tuple(keys), tuple(us))
-                for s, (keys, us) in found.items()}
-
     # The root carry test needs no universe, so a huge t that no filtration
     # of the window admits ends before one is built.  Supporting every column
     # loses nothing against the universe's own support: the recurrence reads
     # only the remainder column and the digit columns of t/q, and the
     # universe holds a(0) and h(1,j) for each of them.
-    live = [s for s in found if _carry_feasible(t, s, -1, ctx)]
+    live = [s for s in range(s_lo, s_hi + 1) if _carry_feasible(t, s, -1, ctx)]
     if not live:
-        return bases(Layout((), width))
+        return Layout((), width), None
     search = Layout(tuple(generator_universe(ctx, t, s_hi)), width)
     universe = search.universe
     tri = [g.tridegree(ctx) for g in universe]
-    # Search order: decreasing degree, ties in canonical order.  pos[k] is
-    # the canonical position of the k-th generator of the search order.
     pos = sorted(range(len(universe)), key=lambda c: (-tri[c].t, c))
     n = len(pos)
     order = [universe[c] for c in pos]
     degs = [tri[c].t for c in pos]
-    neg_degs = [-d for d in degs]     # ascending, for bisect
     filts = [tri[c].s for c in pos]
-    weights = [tri[c].u for c in pos]
-    # An exterior generator is picked at most once, so the search moves past it.
-    nidx = [k + 1 if g.is_exterior else k for k, g in enumerate(order)]
-
-    # Per suffix: supported columns, and the extreme degree-per-filtration
-    # fractions for the reachability bounds.
     supp = [0] * (n + 1)
-    max_frac = [(0, 1)] * (n + 1)   # (deg, filt) with max deg/filt in the suffix
-    min_frac = [(1, 0)] * (n + 1)   # min deg/filt; (1, 0) acts as +infinity
+    max_frac = [(0, 1)] * (n + 1)
+    min_frac = [(1, 0)] * (n + 1)
     for k in range(n - 1, -1, -1):
         lo, hi = digit_span(order[k])   # bits lo + 1 .. hi + 1 of the mask
         supp[k] = supp[k + 1] | ((1 << (hi - lo + 1)) - 1) << (lo + 1)
@@ -394,27 +410,43 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, Bidegr
         max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
         md, mf = min_frac[k + 1]
         min_frac[k] = (d, f) if d * mf < md * f else (md, mf)
-
-    # The root's lower degree bound; rec tests every child, the upper degree
-    # bound in its loop where it can end the loop.
+    # The root's lower degree bound; every node tests each child, the upper
+    # degree bound in its loop where it can end the loop.
     md, mf = min_frac[0]
     live = [s for s in live if t * mf >= s * md]
     if not live:
-        return bases(search)
-    s_lo, s_hi = live[0], live[-1]
-    span = s_hi - s_lo
+        return search, None
+    return search, _Order(
+        live[-1], live[-1] - live[0], pos, degs, [-d for d in degs], filts,
+        [tri[c].u for c in pos], [k + 1 if g.is_exterior else k for k, g in enumerate(order)],
+        supp, max_frac, min_frac)
+
+
+def _walk(ctx: PrimeContext, o: _Order, t: int, width: int, found) -> None:
+    """File every leaf of the search from the root (0, o.s_hi, t) under its
+    filtration in found, in search order: its key and its weight.
+
+    leaves(idx, s_rem, t_rem) is the list of a state's leaves, each packed
+    into one int: its key, its weight from bit ushift and its filtration
+    left from bit sshift.  It is memoized for the duration of this walk (see
+    the module docstring).
+    """
+    s_hi, span, pos, degs, neg_degs, filts, weights, nidx, supp, max_frac, min_frac = o
+    n = len(pos)
+    ushift = n * width
+    # A leaf has at most s_hi factors, so its weight fits below sshift.
+    sshift = ushift + (s_hi * max(weights, default=0)).bit_length()
     # a(0), when the universe is not empty: the last generator of the order,
     # in canonical position 0, so its unit is 1 and its weight 1.
     last = n - 1
+    memo: dict[tuple[int, int, int], list[int] | tuple] = {}
+    dead = ()   # the one result of every state without leaves
 
-    def rec(idx: int, s_rem: int, t_rem: int, u: int, key: int):
+    def leaves(idx: int, s_rem: int, t_rem: int):
         # s_rem is the largest filtration left, s_rem - span the smallest.
         if not t_rem:
-            if s_rem <= span:
-                keys, us = found[s_hi - s_rem]
-                keys.append(key)
-                us.append(u)
-            return
+            return [s_rem << sshift] if s_rem <= span else dead
+        out = []
         # Filtrations (bit f for f in {1, 2}) whose upper bound still holds.
         open_filts = 3 if s_rem >= 2 else 1
         # Generators heavier than t_rem form a prefix of the order.
@@ -436,25 +468,71 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, Bidegr
                     # a(0) among them when f is 1.
                     open_filts &= ~f
                     if not open_filts:
-                        return
+                        return out or dead
                     continue
                 md, mf = min_frac[ni]
                 if nt * mf < ns_lo * md:
                     continue
                 if not _carry_feasible(nt, ns, supp[ni], ctx):
                     continue
-            rec(ni, ns, nt, u + weights[k], key + (1 << (pos[k] * width)))
+            else:
+                # No degree left in a filtration of the window: the pick
+                # ends a leaf.
+                out.append((1 << (pos[k] * width)) + (weights[k] << ushift) + (ns << sshift))
+                continue
+            state = (ni, ns, nt)
+            sub = memo.get(state)
+            if sub is None:
+                sub = memo[state] = leaves(ni, ns, nt)
+            if sub:
+                add = (1 << (pos[k] * width)) + (weights[k] << ushift)
+                out += [leaf + add for leaf in sub]
         # The a(0) branch: its one completion is a(0)^t_rem (module docstring).
         if last >= 0 and t_rem <= s_rem <= t_rem + span:
-            keys, us = found[s_hi - s_rem + t_rem]
-            keys.append(key + t_rem)
-            us.append(u + t_rem)
+            out.append(t_rem + (t_rem << ushift) + ((s_rem - t_rem) << sshift))
+        return out or dead
 
-    rec(0, s_hi, t, 0, 0)
-    # rec reaches itself through its closure; unbinding it frees the
-    # per-search lists now instead of at the next full garbage collection.
-    rec = None
-    return bases(search)
+    top = leaves(0, s_hi, t)
+    # leaves reaches itself and the memo through its closure; unbinding it
+    # frees them now instead of at the next full garbage collection.
+    leaves = None
+    mask, umask = (1 << ushift) - 1, (1 << (sshift - ushift)) - 1
+    for leaf in top:
+        keys, us = found[s_hi - (leaf >> sshift)]
+        keys.append(leaf & mask)
+        us.append(leaf >> ushift & umask)
+
+
+def _bases(ctx: PrimeContext, t: int, search: Layout, found) -> dict[int, BidegreeBasis]:
+    """The bases of the filed leaves, on the layout of the generators they
+    hold and those of their d1 summands (module docstring); the keys move
+    onto it from the search's layout unless it numbers the universe as the
+    search did."""
+    width = search.width
+    held = 0
+    for keys, _ in found.values():
+        for key in keys:
+            held |= key
+    positions = [k for k, _ in search.fields(held)]
+    layout = _layout((search.universe[k] for k in positions), width)
+    if layout.universe != search.universe:
+        shift = {k: layout.position[search.universe[k]] * width for k in positions}
+        for keys, _ in found.values():
+            keys[:] = [sum(e << shift[k] for k, e in search.fields(key)) for key in keys]
+    return {s: BidegreeBasis(ctx.p, s, t, layout, tuple(keys), tuple(us))
+            for s, (keys, us) in found.items()}
+
+
+def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, BidegreeBasis]:
+    """The bases of every bidegree (s, t) with s_lo <= s <= s_hi, from one
+    memoized depth-first walk under every pruning rule, keyed by s, each in
+    search order on the window's layout."""
+    found: dict[int, tuple[list[int], list[int]]] = {
+        s: ([], []) for s in range(s_lo, s_hi + 1)}
+    search, order = _order(ctx, s_lo, s_hi, t)
+    if order is not None:
+        _walk(ctx, order, t, search.width, found)
+    return _bases(ctx, t, search, found)
 
 
 def _check(s: int, t: int) -> None:
@@ -511,5 +589,6 @@ def _enumerate_window(ctx: PrimeContext, s: int, t: int, cache) -> None:
 
 
 def clear_memo() -> None:
-    """Drop the in-process basis memo (tests use this around cache checks)."""
+    """Drop the in-process basis memo, and the block ranks kept on its bases
+    (tests use this around cache checks)."""
     _memo.clear()

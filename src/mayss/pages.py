@@ -20,7 +20,7 @@ from .differential import d1, d1_matrix
 from .enumeration import _check, _enumerate_window, enumerate_basis
 from .errors import ParameterError
 from .grading import PrimeContext, Tridegree
-from .linalg import MatrixFp, in_span, rank
+from .linalg import in_span, rank
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
     weights = sorted(sizes) if u is None else ([u] if u in sizes else [])
     blocks = []
     for w in weights:
-        cycles = sizes[w] - rank(_block_matrix(ctx, target, w, sizes[w], cache))
+        cycles = sizes[w] - _block_rank(ctx, target, w, sizes[w], cache)
         if above_sizes[w + 1]:
-            boundaries = rank(_block_matrix(ctx, above, w + 1, above_sizes[w + 1], cache))
+            boundaries = _block_rank(ctx, above, w + 1, above_sizes[w + 1], cache)
         else:
             boundaries = 0
         blocks.append(WeightBlock(u=w, e1_dim=sizes[w], cycle_dim=cycles,
@@ -74,18 +74,22 @@ def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
     return PageQueryResult(tuple(blocks))
 
 
-def _block_matrix(ctx, basis, w, cols, cache) -> MatrixFp:
-    """The d1 matrix of the weight-w block of a basis, which has cols
-    monomials: from the cache when it holds one, else built (which packs a
-    basis read from the cache, once)."""
-    if cache is not None:
-        m = cache.load_matrix(ctx, basis.s, basis.t, w, cols)
-        if m is not None:
-            return m
-    m = d1_matrix(basis.block(w), ctx)
-    if cache is not None:
-        cache.store_matrix(ctx, basis.s, basis.t, w, m)
-    return m
+def _block_rank(ctx, basis, w, cols, cache) -> int:
+    """The rank of d1 on the weight-w block of a basis, which has cols
+    monomials.  It is kept on the basis, so the blocks of a memoized basis
+    are eliminated once per process.  Its matrix comes from the cache when
+    that holds one, else is built (which packs a basis read from the cache,
+    once)."""
+    r = basis.ranks.get(w)
+    if r is not None:
+        return r
+    m = cache.load_matrix(ctx, basis.s, basis.t, w, cols) if cache is not None else None
+    if m is None:
+        m = d1_matrix(basis.block(w), ctx)
+        if cache is not None:
+            cache.store_matrix(ctx, basis.s, basis.t, w, m)
+    r = basis.ranks[w] = rank(m)
+    return r
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Shared test utilities: random algebra objects and small independent oracles.
 
 The oracles here deliberately re-derive results through the dumbest route
-available (selection sort for signs, raw multiset search for bases, the E1
-count per weight from the generators' degree formulas, span counting for
-ranks, d1 of every expanded unit, dense Gauss-Jordan, the set of every
-reachable carry per digit column, every solution of the column system) so
-that engine bugs cannot hide in shared code paths.  The
+available (selection sort for signs, raw multiset search for bases, the
+search as a tree walk without its memo, the E1 count per weight from the
+generators' degree formulas, span counting for ranks, d1 of every expanded
+unit, dense Gauss-Jordan, the set of every reachable carry per digit
+column, every solution of the column system) so that engine bugs cannot
+hide in shared code paths.  The
 column-sum predicates of the spanning-factor argument, the digit and
 remainder vanishing bounds (the search's carry test subsumes them) and the
 element arithmetic the engine itself never needs (add, scale) live here
@@ -13,11 +14,13 @@ too: only tests use them.
 """
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from mayss import enumeration
 from mayss.algebra import (Element, Generator, Monomial, _from_accumulator, a, b,
                            canonicalize, element_from_monomial, element_tridegree, h,
                            monomial_from_factors)
@@ -142,6 +145,61 @@ def single_search(ctx, s, t):
     """The engine's search over the one-filtration window [s, s]: the basis
     of (s, t)."""
     return _search(ctx, s, s, t)[s]
+
+
+def tree_search(ctx, s_lo, s_hi, t):
+    """The engine's search as a plain depth-first tree walk, without the
+    memo over states: the oracle of enumeration._search, whose bases it
+    returns from the same search order, the same pruning rules and the same
+    layout.  Its carry tests go through enumeration._carry_feasible, so a
+    test that wraps that can count them."""
+    found = {s: ([], []) for s in range(s_lo, s_hi + 1)}
+    search, order = enumeration._order(ctx, s_lo, s_hi, t)
+    if order is not None:
+        s_hi, span, pos, degs, neg_degs, filts, weights, nidx, supp, max_frac, min_frac = order
+        width = search.width
+        last = len(pos) - 1
+        _carry_feasible = enumeration._carry_feasible
+
+        def rec(idx: int, s_rem: int, t_rem: int, u: int, key: int):
+            # s_rem is the largest filtration left, s_rem - span the smallest.
+            if not t_rem:
+                if s_rem <= span:
+                    keys, us = found[s_hi - s_rem]
+                    keys.append(key)
+                    us.append(u)
+                return
+            # Filtrations (bit f for f in {1, 2}) whose upper bound still holds.
+            open_filts = 3 if s_rem >= 2 else 1
+            # Generators heavier than t_rem form a prefix of the order.
+            for k in range(max(idx, bisect_left(neg_degs, -t_rem)), last):
+                f = filts[k]
+                if f > s_rem:
+                    continue
+                ns, nt = s_rem - f, t_rem - degs[k]
+                ni = nidx[k]
+                ns_lo = ns - span         # below 0 it bounds nothing, as 0 would
+                if nt or ns_lo > 0:
+                    md, mf = max_frac[ni]
+                    if nt * mf > ns * md:
+                        open_filts &= ~f
+                        if not open_filts:
+                            return
+                        continue
+                    md, mf = min_frac[ni]
+                    if nt * mf < ns_lo * md:
+                        continue
+                    if not _carry_feasible(nt, ns, supp[ni], ctx):
+                        continue
+                rec(ni, ns, nt, u + weights[k], key + (1 << (pos[k] * width)))
+            # The a(0) branch: its one completion is a(0)^t_rem.
+            if last >= 0 and t_rem <= s_rem <= t_rem + span:
+                keys, us = found[s_hi - s_rem + t_rem]
+                keys.append(key + t_rem)
+                us.append(u + t_rem)
+
+        rec(0, s_hi, t, 0, 0)
+    return enumeration._bases(ctx, t, search, found)
 
 
 def e1_tridegree(p, kind, i, j):

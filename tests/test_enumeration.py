@@ -1,14 +1,15 @@
 import inspect
+import random
 import sys
 
 import pytest
 
-from helpers import (DENSE_E2, UNIT, basis_mismatch, carry_solutions, column_sums,
+from helpers import (DENSE_E2, SCENARIOS, UNIT, basis_mismatch, carry_solutions, column_sums,
                      column_sums_impossible, e1_dims, factor_count, forced_spanning_factors,
-                     reference_basis, set_carry_feasible, single_search, unit_summand_pairs,
-                     vanishes_by_digit_bound, vanishes_by_remainder_bound)
+                     reference_basis, set_carry_feasible, single_search, tree_search,
+                     unit_summand_pairs, vanishes_by_digit_bound, vanishes_by_remainder_bound)
 from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
-                   monomial_from_factors, padic_profile)
+                   monomial_from_factors, padic_profile, verify_main)
 from mayss import enumeration
 from mayss.algebra import Monomial
 from mayss.enumeration import (MAX_FILTRATION, _carry_feasible, _search, clear_memo,
@@ -138,6 +139,79 @@ def test_second_page_query_keeps_a_memoized_basis(ctx5, monkeypatch):
     e2_dimension(ctx5, 2, 49)
     assert windows == [(1, 1, 49), (1, 2, 49)]
     clear_memo()
+
+
+def same_as_tree_search(ctx, s_lo, s_hi, t, found=None):
+    """Whether the memoized search gives what the tree walk gives: per
+    filtration the same keys and weights in the same order, on the same
+    layout.  found, when given, is the memoized search's result."""
+    found = _search(ctx, s_lo, s_hi, t) if found is None else found
+    tree = tree_search(ctx, s_lo, s_hi, t)
+    if sorted(found) != sorted(tree):
+        return False
+    return all((x.keys, x.weights, x.layout.universe, x.layout.width)
+               == (y.keys, y.weights, y.layout.universe, y.layout.width)
+               for x, y in ((found[s], tree[s]) for s in found))
+
+
+def test_search_equals_the_tree_walk(ctx5, ctx7):
+    # the dense benchmark windows and the grid of criterion 07 at p = 5 ...
+    for s, t in DENSE_E2:
+        assert same_as_tree_search(ctx5, s - 1, s, t), (s, t)
+    rng = random.Random(0x707)
+    grid = [(s, t) for s in range(5) for t in range(501)]
+    grid += [(rng.randrange(0, 5), rng.randrange(0, 5001)) for _ in range(100)]
+    for s, t in grid:
+        assert same_as_tree_search(ctx5, s, s, t), (s, t)
+    # ... and a grid of windows at p = 7
+    for s in range(1, 7):
+        for t in range(0, 1500, 7):
+            assert same_as_tree_search(ctx7, s - 1, s, t), (s, t)
+
+
+def test_search_equals_the_tree_walk_on_the_scenario_searches(monkeypatch):
+    # every window the paper's main scenario searches at the benchmark points
+    search = enumeration._search
+    windows = []
+
+    def checked_search(ctx, s_lo, s_hi, t):
+        found = search(ctx, s_lo, s_hi, t)
+        assert same_as_tree_search(ctx, s_lo, s_hi, t, found), (ctx.p, s_lo, s_hi, t)
+        windows.append((ctx.p, s_lo, s_hi, t))
+        return found
+
+    monkeypatch.setattr(enumeration, "_search", checked_search)
+    clear_memo()
+    try:
+        for p, m, n, s in SCENARIOS:
+            assert verify_main(make_context(p), m, n, s).passed
+    finally:
+        clear_memo()
+    assert len(windows) > 50
+
+
+def test_search_equals_the_tree_walk_on_a_large_window(ctx5):
+    found = _search(ctx5, 17, 18, 6000)
+    assert sum(basis.dimension for basis in found.values()) == 31790
+    assert same_as_tree_search(ctx5, 17, 18, 6000, found)
+
+
+def test_search_shares_the_subtrees_of_equal_states(ctx5, monkeypatch):
+    # A dropped memo would leave every basis as it is; only the work shows it.
+    calls = []
+    carry = enumeration._carry_feasible
+
+    def counting_carry(t_rem, cap, support, ctx):
+        calls.append(t_rem)
+        return carry(t_rem, cap, support, ctx)
+
+    monkeypatch.setattr(enumeration, "_carry_feasible", counting_carry)
+    for s, t in DENSE_E2:
+        _search(ctx5, s - 1, s, t)
+    memoized = len(calls)
+    for s, t in DENSE_E2:
+        tree_search(ctx5, s - 1, s, t)
+    assert 2 * memoized < len(calls) - memoized
 
 
 def test_trivial_bidegrees(ctx5):

@@ -5,9 +5,11 @@ import pytest
 from helpers import DENSE_E2, SCENARIOS, add, codomain_matrix, d1_generator, scale
 from mayss import (ParameterError, Tridegree, a, d1, e2_dimension, element_from_monomial, h,
                    enumerate_basis, make_context, monomial_from_factors, parse_element,
-                   survives_to_e2, verify_survival)
+                   survives_to_e2, verify_main, verify_survival)
+from mayss import pages
 from mayss.algebra import Element, element_tridegree
 from mayss.differential import d1_matrix
+from mayss.enumeration import clear_memo
 from mayss.linalg import rank
 from mayss.verify import family_degree, product_class
 
@@ -214,3 +216,28 @@ def test_cycle_outside_a_nonzero_image_is_no_boundary(ctx5):
         assert d1(_combination(coeffs, source, ctx5), ctx5) != x
     v = survives_to_e2(x, ctx5)
     assert v.is_cycle and not v.is_boundary and v.e2_nonzero
+
+
+def test_each_weight_block_is_eliminated_once_per_memoized_basis(monkeypatch):
+    # The critical differential and the survival check read the same blocks
+    # of (s + 2, t); the second reads their ranks off the memoized bases.
+    built = []
+
+    def recording_d1_matrix(block, ctx, seeds=()):
+        built.append((block.s, block.t, block.weights[0]))
+        return d1_matrix(block, ctx, seeds)
+
+    monkeypatch.setattr(pages, "d1_matrix", recording_d1_matrix)
+    ctx = make_context(5)
+    clear_memo()
+    try:
+        assert verify_main(ctx, 4, 6, 4).passed
+        assert len(built) == len(set(built)) == 2
+        assert verify_main(ctx, 4, 6, 4).passed
+        assert len(built) == 2
+        # the ranks go with the bases
+        clear_memo()
+        assert verify_main(ctx, 4, 6, 4).passed
+        assert built[2:] == built[:2]
+    finally:
+        clear_memo()

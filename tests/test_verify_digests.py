@@ -8,6 +8,12 @@ scenario is left out of the permissive cases: below m = 4 its report
 changed on purpose (it used to end in a usage error, exit code 2).  The
 eq34 runs with --scase other than p - 1 were re-recorded as usage errors
 (exit code 2, empty stdout) when eq34 stopped ignoring --scase.
+
+The `main` runs at p = 5, m = 4, s = 4 and n = 40 and 80 (LARGE_N) are the
+first pinned outputs past n = 20.  They were recorded by the code just
+before the search began to share one generator universe, with its search
+tables, across the searches of a scenario, so that change and any later
+one is held to the same output at large n.
 """
 
 import contextlib
@@ -23,12 +29,14 @@ DIGESTS = Path(__file__).resolve().parent / "verify_digests.json"
 NAMES = ("lemma31", "eq34", "thm32", "thm33", "reps", "main")
 STRICT = SCENARIOS + ((5, 4, 6, 2), (5, 4, 6, 3), (5, 4, 7, 3))
 PERMISSIVE = ((5, 3, 5, 2), (5, 3, 5, 3), (7, 3, 5, 4), (5, 2, 4, 2), (5, 2, 5, 3))
+LARGE_N = ((5, 4, 40, 4), (5, 4, 80, 4))
 
 
 def _cases():
     runs = [(name, point, []) for point in STRICT for name in NAMES]
     runs += [(name, point, ["--permissive"]) for point in PERMISSIVE
              for name in NAMES if name != "eq34"]
+    runs += [("main", point, []) for point in LARGE_N]
     for name, (p, m, n, s), extra in runs:
         for fmt in ("text", "machine"):
             yield ["verify", name, "--prime", str(p), "--m", str(m), "--n", str(n),
@@ -43,7 +51,7 @@ def test_verify_stdout_and_exit_codes_match_the_recorded_digests():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         got[" ".join(argv)] = [hashlib.sha256(out.getvalue().encode()).hexdigest(), code]
-    assert len(got) == 182
+    assert len(got) == 186
     assert set(got) == set(want)
     differ = sorted(argv for argv in got if got[argv] != want[argv])
     assert not differ, "stdout or exit code changed: " + "; ".join(differ)

@@ -121,6 +121,25 @@ tree walk makes 25,938 calls, whose states with degree left number only
 memo of empty results alone would not share.  Where no state repeats, the
 memo costs a dictionary probe per child, and every state without leaves
 shares one empty result.
+
+The universe and the tables of its search order (positions, degrees,
+filtrations, weights, first child candidates, suffix supports and
+degree-per-filtration extremes) are shared by every search over the same
+universe: a verify scenario searches single filtrations at several
+neighbouring degrees, all over one universe.  The universe of (t, s_hi)
+holds the generators of degree at most t and filtration at most s_hi, so
+it is fixed by p, by whether s_hi >= 2 (every b has filtration 2, every a
+and h filtration 1) and by the largest generator degree at most t; the
+tables are keyed by those three.  b(i,j) has the degree of h(i,j+1), so
+the b's add no degree to that key's thresholds: the a(i) and h(i,j) give
+them all.  The key is computed only after the root carry test has passed,
+since at a huge t it takes one step per tower index.  One table set is
+kept per (p, has b's), replaced when a search needs another universe, and
+clear_memo drops it with the bases, so a cycle that starts from
+clear_memo builds its tables again.  The tables are tuples because every
+later search reads them: a search that wrote to one would change the next
+one's results.  The window fields (s_hi, span), the root tests and the
+search's layout, whose field width follows s_hi, stay per search.
 """
 
 from __future__ import annotations
@@ -141,6 +160,8 @@ from .grading import PrimeContext, Tridegree, check_degree
 MAX_FILTRATION = 512
 
 _memo: dict[tuple, "BidegreeBasis"] = {}
+# (p, has b's) -> (top degree, universe, search tables); see _tables
+_shared: dict[tuple[int, bool], tuple[int, tuple, "_Order"]] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,35 +385,57 @@ def _carry_feasible(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> bo
 class _Order(NamedTuple):
     """What every node of one window's search reads: the live filtrations,
     and per generator of the search order (decreasing degree, ties in
-    canonical order) or per suffix of it, the tables below."""
+    canonical order) or per suffix of it, the tables below.  The tables are
+    shared by every search over the same universe (see _tables); s_hi and
+    span are each search's own."""
 
     s_hi: int                        # the largest live filtration
     span: int                        # s_hi minus the smallest
-    pos: list[int]                   # canonical position
-    degs: list[int]
-    neg_degs: list[int]              # ascending, for bisect
-    filts: list[int]
-    weights: list[int]
-    nidx: list[int]                  # a child's first candidate: past an exterior pick
-    supp: list[int]                  # per suffix: supported columns
-    max_frac: list[tuple[int, int]]  # per suffix: (deg, filt) with max deg/filt
-    min_frac: list[tuple[int, int]]  # per suffix: min deg/filt; (1, 0) acts as +infinity
+    pos: tuple[int, ...]                   # canonical position
+    degs: tuple[int, ...]
+    neg_degs: tuple[int, ...]              # ascending, for bisect
+    filts: tuple[int, ...]
+    weights: tuple[int, ...]
+    nidx: tuple[int, ...]                  # a child's first candidate: past an exterior pick
+    supp: tuple[int, ...]                  # per suffix: supported columns
+    max_frac: tuple[tuple[int, int], ...]  # per suffix: (deg, filt) with max deg/filt
+    min_frac: tuple[tuple[int, int], ...]  # per suffix: min deg/filt; (1, 0) acts as +infinity
 
 
-def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> tuple[Layout, _Order | None]:
-    """The layout of the window's universe, and its search order narrowed to
-    the filtrations that pass the root's tests, None when none does."""
-    width = (s_hi + 1).bit_length()
-    # The root carry test needs no universe, so a huge t that no filtration
-    # of the window admits ends before one is built.  Supporting every column
-    # loses nothing against the universe's own support: the recurrence reads
-    # only the remainder column and the digit columns of t/q, and the
-    # universe holds a(0) and h(1,j) for each of them.
-    live = [s for s in range(s_lo, s_hi + 1) if _carry_feasible(t, s, -1, ctx)]
-    if not live:
-        return Layout((), width), None
-    search = Layout(tuple(generator_universe(ctx, t, s_hi)), width)
-    universe = search.universe
+def _top_degree(p: int, t: int) -> int:
+    """The largest degree of a generator at most t, 0 when there is none.
+
+    b(i,j) has the degree of h(i,j+1), so the a(i) and h(i,j) give every
+    generator degree.  Within one i the largest h(i,j) that fits has
+    j >= 0 and its p^j only shrinks as i grows, so one pass down the powers
+    of p serves every i."""
+    top, pw = 0, 1
+    while 2 * pw - 1 <= t:          # a(i), of degree 2 p^i - 1
+        top, pw = 2 * pw - 1, pw * p
+    base, pw = 2 * (p - 1), 1       # h(i,j), of degree base * p^j with base = 2 (p^i - 1)
+    while base * pw * p <= t:
+        pw *= p
+    while base <= t:
+        while base * pw > t:
+            pw //= p
+        top = max(top, base * pw)
+        base = base * p + 2 * (p - 1)
+    return top
+
+
+def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[tuple[Generator, ...], _Order]:
+    """The universe of the generators with deg <= t and filt <= s_hi, in
+    canonical order, and the tables of its search order, as an _Order whose
+    window fields (s_hi, span) are left 0 for each search to fill in.  They
+    are built once per universe and shared until a search needs another
+    universe of the same (p, has b's), or until clear_memo (module
+    docstring)."""
+    key = (ctx.p, s_hi >= 2)
+    top = _top_degree(ctx.p, t)
+    kept = _shared.get(key)
+    if kept is not None and kept[0] == top:
+        return kept[1], kept[2]
+    universe = tuple(generator_universe(ctx, t, s_hi))
     tri = [g.tridegree(ctx) for g in universe]
     pos = sorted(range(len(universe)), key=lambda c: (-tri[c].t, c))
     n = len(pos)
@@ -410,16 +453,36 @@ def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> tuple[Layout, _Or
         max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
         md, mf = min_frac[k + 1]
         min_frac[k] = (d, f) if d * mf < md * f else (md, mf)
+    tables = _Order(0, 0, tuple(pos), tuple(degs), tuple(-d for d in degs), tuple(filts),
+                    tuple(tri[c].u for c in pos),
+                    tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
+                    tuple(supp), tuple(max_frac), tuple(min_frac))
+    _shared[key] = (top, universe, tables)
+    return universe, tables
+
+
+def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> tuple[Layout, _Order | None]:
+    """The layout of the window's universe, and its search order narrowed to
+    the filtrations that pass the root's tests, None when none does."""
+    width = (s_hi + 1).bit_length()
+    # The root carry test needs no universe, so a huge t that no filtration
+    # of the window admits ends before one is built or its key computed
+    # (_top_degree loops once per tower index).  Supporting every column
+    # loses nothing against the universe's own support: the recurrence reads
+    # only the remainder column and the digit columns of t/q, and the
+    # universe holds a(0) and h(1,j) for each of them.
+    live = [s for s in range(s_lo, s_hi + 1) if _carry_feasible(t, s, -1, ctx)]
+    if not live:
+        return Layout((), width), None
+    universe, tables = _tables(ctx, t, s_hi)
     # The root's lower degree bound; every node tests each child, the upper
     # degree bound in its loop where it can end the loop.
-    md, mf = min_frac[0]
+    md, mf = tables.min_frac[0]
     live = [s for s in live if t * mf >= s * md]
+    search = Layout(universe, width)
     if not live:
         return search, None
-    return search, _Order(
-        live[-1], live[-1] - live[0], pos, degs, [-d for d in degs], filts,
-        [tri[c].u for c in pos], [k + 1 if g.is_exterior else k for k, g in enumerate(order)],
-        supp, max_frac, min_frac)
+    return search, tables._replace(s_hi=live[-1], span=live[-1] - live[0])
 
 
 def _walk(ctx: PrimeContext, o: _Order, t: int, width: int, found) -> None:
@@ -589,6 +652,7 @@ def _enumerate_window(ctx: PrimeContext, s: int, t: int, cache) -> None:
 
 
 def clear_memo() -> None:
-    """Drop the in-process basis memo, and the block ranks kept on its bases
-    (tests use this around cache checks)."""
+    """Drop the in-process basis memo, the block ranks kept on its bases and
+    the shared search tables (tests use this around cache checks)."""
     _memo.clear()
+    _shared.clear()

@@ -425,6 +425,47 @@ def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatc
     assert found[2].dimension == 2
 
 
+def test_shared_tables_hold_the_universe_of_every_degree(ctx5, ctx7):
+    # The tables are shared by (p, has b's, top degree).  Walking t upward
+    # through every generator degree up to 10^7 and its neighbours, with and
+    # without b's at each t, a key that merged two universes would hand the
+    # later one the earlier one's.
+    for ctx in (ctx5, ctx7):
+        degrees = {g.tridegree(ctx).t for g in generator_universe(ctx, 10**7, 2)}
+        ts = sorted({t for d in degrees for t in (d - 1, d, d + 1)})
+        for t in ts:
+            for s_hi in (1, 2):
+                universe, _ = enumeration._tables(ctx, t, s_hi)
+                assert universe == tuple(generator_universe(ctx, t, s_hi)), (ctx.p, s_hi, t)
+
+
+def test_a_scenario_builds_its_universe_once(ctx5, monkeypatch):
+    # verify main searches one filtration at each of several neighbouring
+    # degrees, all over one universe.
+    calls = []
+    universe = enumeration.generator_universe
+
+    def recording_universe(ctx, t_max, s_max):
+        calls.append((t_max, s_max))
+        return universe(ctx, t_max, s_max)
+
+    monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
+    assert verify_main(ctx5, 4, 6, 4).passed
+    assert 1 <= len(calls) <= 2, calls
+
+
+def test_clear_memo_drops_the_shared_tables(ctx5, monkeypatch):
+    full = _search(ctx5, 12, 12, 3000)[12]
+    universe = enumeration.generator_universe
+    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max, s_max: [
+        g for g in universe(ctx, t_max, s_max) if g is not h(1, 1)])
+    # the shared tables still hold h(1,1) ...
+    assert _search(ctx5, 12, 12, 3000)[12].keys == full.keys
+    # ... until clear_memo drops them
+    clear_memo()
+    assert _search(ctx5, 12, 12, 3000)[12].dimension < full.dimension
+
+
 def test_column_sums_impossible():
     # needs a strict middle column with a deficit
     assert column_sums_impossible((0, 2, 1, 2), 2)

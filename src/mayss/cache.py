@@ -84,7 +84,7 @@ class ResultCache:
                 monomials.append(mon)
         except Exception:
             return None
-        return BidegreeBasis.from_monomials(ctx.p, s, t, monomials)
+        return BidegreeBasis.from_monomials(ctx, s, t, monomials)
 
     def store_basis(self, basis: BidegreeBasis) -> None:
         lines = ["%s %s" % (_MAGIC, ENGINE_VERSION),

@@ -28,9 +28,10 @@ d1() on elements works on factor tuples, so a word like a(1)^1000000 costs
 what a(1) does.  d1_matrix, which differentiates whole bases, works on the
 packed keys the basis search emits (see the enumeration module): a basis's
 layout lists generators in canonical order and gives generator k the bit
-field [k*w, (k+1)*w), which holds its exponent.  The layout holds every
-generator of every summand of its generators (summand_closure), and an
-image raises an exponent by at most one, within the width.  Then
+field [k*w, (k+1)*w), which holds its exponent.  The layout is the
+universe of the search that found the basis, which holds every generator
+of every summand of its generators, and an image raises an exponent by at
+most one, within the width.  Then
 
     image key = key - unit(g) + sum of the units of the summand's factors,
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import Element, Generator, Monomial, _from_accumulator, a, h
 from .grading import PrimeContext, Tridegree
@@ -76,16 +77,6 @@ def _summands(g: Generator) -> tuple[tuple[tuple[Generator, ...], Generator | No
     if g.kind == "a":
         return tuple(((h(g.i - k, k),), a(k), 0) for k in range(0, g.i))
     return ()
-
-
-def summand_closure(gens: Iterable[Generator]) -> set[Generator]:
-    """The given generators and those of every summand of their d1: all
-    that a monomial over the given ones, or a term of its d1, can hold."""
-    out = set(gens)
-    for g in list(out):
-        for new_h, poly, _ in _summands(g):
-            out.update(new_h + ((poly,) if poly else ()))
-    return out
 
 
 def _multiply_in(out: list, keys: list, g: Generator) -> None:

@@ -84,12 +84,10 @@ w = (s_hi + 1).bit_length(), and each pick of generator k adds 1 << (k*w)
 to the key carried down the search, so a leaf's key holds its exponents.
 No exponent of a monomial of filtration at most s_hi passes s_hi, and d1
 raises one exponent by at most one, so no field ever carries into the next
-(see differential.d1_matrix).  The bases keep a layout of only the
-generators their monomials hold and those of their d1 summands, in
-canonical order and at the same width: at large t the universe holds
-thousands of generators that no monomial holds, and keys, d1 plans and
-images over all of them would be as long.  Where that layout drops no
-generator, as on dense blocks, the keys stay as the search made them.
+(see differential.d1_matrix).  The bases keep that layout, the search's
+own: a d1 summand of a generator of degree at most t is an a or an h, of
+filtration 1 and of smaller degree, so the universe already holds every
+generator an image can hold.
 
 a(0) is the only generator of degree 1 (every other has degree at least
 2p - 1), so it is the last candidate of every node, and it has filtration
@@ -128,18 +126,19 @@ degree-per-filtration extremes) are shared by every search over the same
 universe: a verify scenario searches single filtrations at several
 neighbouring degrees, all over one universe.  The universe of (t, s_hi)
 holds the generators of degree at most t and filtration at most s_hi, so
-it is fixed by p, by whether s_hi >= 2 (every b has filtration 2, every a
-and h filtration 1) and by the largest generator degree at most t; the
-tables are keyed by those three.  b(i,j) has the degree of h(i,j+1), so
-the b's add no degree to that key's thresholds: the a(i) and h(i,j) give
-them all.  The key is computed only after the root carry test has passed,
-since at a huge t it takes one step per tower index.  One table set is
-kept per (p, has b's), replaced when a search needs another universe, and
-clear_memo drops it with the bases, so a cycle that starts from
-clear_memo builds its tables again.  The tables are tuples because every
-later search reads them: a search that wrote to one would change the next
-one's results.  The window fields (s_hi, span), the root tests and the
-search's layout, whose field width follows s_hi, stay per search.
+it is fixed by p, by min(s_hi, 2) (a universe of filtration 0 is empty,
+every a and h has filtration 1 and every b filtration 2) and by the
+largest generator degree at most t; the tables are keyed by those three.
+b(i,j) has the degree of h(i,j+1), so the b's add no degree to that key's
+thresholds: the a(i) and h(i,j) give them all.  The key is computed only
+after the root carry test has passed, since at a huge t it takes one step
+per tower index.  One table set is kept per (p, min(s_hi, 2)), replaced
+when a search needs another universe, and clear_memo drops it with the
+bases, so a cycle that starts from clear_memo builds its tables again.
+The tables are tuples because every later search reads them: a search
+that wrote to one would change the next one's results.  The window fields
+(s_hi, span), the root tests and the search's layout, whose field width
+follows s_hi, stay per search.
 """
 
 from __future__ import annotations
@@ -150,7 +149,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import Generator, Monomial, a, b, h
-from .differential import summand_closure
 from .errors import ParameterError
 from .grading import PrimeContext, Tridegree, check_degree
 
@@ -160,16 +158,19 @@ from .grading import PrimeContext, Tridegree, check_degree
 MAX_FILTRATION = 512
 
 _memo: dict[tuple, "BidegreeBasis"] = {}
-# (p, has b's) -> (top degree, universe, search tables); see _tables
-_shared: dict[tuple[int, bool], tuple[int, tuple, "_Order"]] = {}
+# (p, min(s_hi, 2)) -> (top degree, universe, search tables); see _tables
+_shared: dict[tuple[int, int], tuple[int, tuple, "_Order"]] = {}
 
 
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """Generators in canonical order, each owning one bit field of a packed
-    key: universe[k] holds its exponent in bits [k*width, (k+1)*width).
-    `plans` keeps, per canonical position, what d1_matrix derives from a
-    generator, so that every block on this layout reuses it."""
+    """A generator universe in canonical order, each generator owning one
+    bit field of a packed key: universe[k] holds its exponent in bits
+    [k*width, (k+1)*width).  It is the universe of the search that made the
+    keys, which holds every generator of their d1 images (module
+    docstring).  `plans` keeps, per canonical position, what d1_matrix
+    derives from a generator, so that every block on this layout reuses
+    it."""
 
     universe: tuple[Generator, ...]
     width: int
@@ -208,27 +209,18 @@ class Layout:
         return key
 
 
-def _layout(gens, width: int) -> Layout:
-    """The layout for monomials over the given generators: those generators
-    and the generators of their d1 summands, which their images hold, in
-    canonical order."""
-    return Layout(tuple(sorted(summand_closure(gens), key=lambda g: g.key)), width)
-
-
 class BidegreeBasis:
     """Every canonical monomial of one (s, t) bidegree, optionally one weight.
 
     The basis is stored packed, in search order: keys[k] holds the
-    exponents of the k-th monomial in the fields of `layout`, and
-    weights[k] is its weight.  The layout numbers the generators that the
-    monomials of its window hold, with those of their d1 summands, in
-    canonical order (see the module docstring).  `monomials`, the same
-    monomials as Monomial objects sorted by render, is built from the keys
-    on its first read and kept; the second-page path never reads it.
+    exponents of the k-th monomial in the fields of `layout`, the universe
+    of the search that found it, and weights[k] is its weight.  `monomials`,
+    the same monomials as Monomial objects sorted by render, is built from
+    the keys on its first read and kept; the second-page path never reads
+    it.
 
     A basis read back from a cache is made by from_monomials.  It holds its
-    monomials, in the given order, and builds its layout and keys on their
-    first read.
+    monomials, in the given order, and packs its keys on their first read.
 
     `ranks` maps a weight to the rank of d1 on that block, filled by
     pages.e2_dimension; it lives and is dropped with the basis.
@@ -241,11 +233,15 @@ class BidegreeBasis:
         self.ranks: dict[int, int] = {}
 
     @classmethod
-    def from_monomials(cls, p: int, s: int, t: int, monomials) -> "BidegreeBasis":
-        """A basis of (s, t) given by monomials of that bidegree."""
+    def from_monomials(cls, ctx: PrimeContext, s: int, t: int, monomials) -> "BidegreeBasis":
+        """A basis of (s, t) given by monomials of that bidegree, on the
+        layout a search of (s, t) builds, or on the empty layout when there
+        are none."""
         basis = cls.__new__(cls)
-        basis.p, basis.s, basis.t = p, s, t
+        basis.p, basis.s, basis.t = ctx.p, s, t
         basis.monomials = tuple(monomials)
+        basis.layout = Layout(tuple(generator_universe(ctx, t, s)) if basis.monomials else (),
+                              (s + 1).bit_length())
         basis.weights = tuple(mon.tridegree.u for mon in basis.monomials)
         basis.ranks = {}
         return basis
@@ -271,13 +267,6 @@ class BidegreeBasis:
                 factors.append(factor)
             out.append(Monomial(factors=tuple(factors), tridegree=degrees[u]))
         return tuple(sorted(out, key=Monomial.render))
-
-    @cached_property
-    def layout(self) -> Layout:
-        # reached only by a basis made from monomials; no exponent of
-        # filtration s passes s
-        return _layout({g for mon in self.monomials for g, _ in mon.factors},
-                       (self.s + 1).bit_length())
 
     @cached_property
     def keys(self) -> tuple[int, ...]:
@@ -428,9 +417,9 @@ def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[tuple[Generator, ...]
     canonical order, and the tables of its search order, as an _Order whose
     window fields (s_hi, span) are left 0 for each search to fill in.  They
     are built once per universe and shared until a search needs another
-    universe of the same (p, has b's), or until clear_memo (module
+    universe of the same (p, min(s_hi, 2)), or until clear_memo (module
     docstring)."""
-    key = (ctx.p, s_hi >= 2)
+    key = (ctx.p, min(s_hi, 2))
     top = _top_degree(ctx.p, t)
     kept = _shared.get(key)
     if kept is not None and kept[0] == top:
@@ -479,10 +468,10 @@ def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> tuple[Layout, _Or
     # degree bound in its loop where it can end the loop.
     md, mf = tables.min_frac[0]
     live = [s for s in live if t * mf >= s * md]
-    search = Layout(universe, width)
+    layout = Layout(universe, width)
     if not live:
-        return search, None
-    return search, tables._replace(s_hi=live[-1], span=live[-1] - live[0])
+        return layout, None
+    return layout, tables._replace(s_hi=live[-1], span=live[-1] - live[0])
 
 
 def _walk(ctx: PrimeContext, o: _Order, t: int, width: int, found) -> None:
@@ -566,36 +555,17 @@ def _walk(ctx: PrimeContext, o: _Order, t: int, width: int, found) -> None:
         us.append(leaf >> ushift & umask)
 
 
-def _bases(ctx: PrimeContext, t: int, search: Layout, found) -> dict[int, BidegreeBasis]:
-    """The bases of the filed leaves, on the layout of the generators they
-    hold and those of their d1 summands (module docstring); the keys move
-    onto it from the search's layout unless it numbers the universe as the
-    search did."""
-    width = search.width
-    held = 0
-    for keys, _ in found.values():
-        for key in keys:
-            held |= key
-    positions = [k for k, _ in search.fields(held)]
-    layout = _layout((search.universe[k] for k in positions), width)
-    if layout.universe != search.universe:
-        shift = {k: layout.position[search.universe[k]] * width for k in positions}
-        for keys, _ in found.values():
-            keys[:] = [sum(e << shift[k] for k, e in search.fields(key)) for key in keys]
-    return {s: BidegreeBasis(ctx.p, s, t, layout, tuple(keys), tuple(us))
-            for s, (keys, us) in found.items()}
-
-
 def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, BidegreeBasis]:
     """The bases of every bidegree (s, t) with s_lo <= s <= s_hi, from one
     memoized depth-first walk under every pruning rule, keyed by s, each in
-    search order on the window's layout."""
+    search order on the layout of the window's universe."""
     found: dict[int, tuple[list[int], list[int]]] = {
         s: ([], []) for s in range(s_lo, s_hi + 1)}
-    search, order = _order(ctx, s_lo, s_hi, t)
+    layout, order = _order(ctx, s_lo, s_hi, t)
     if order is not None:
-        _walk(ctx, order, t, search.width, found)
-    return _bases(ctx, t, search, found)
+        _walk(ctx, order, t, layout.width, found)
+    return {s: BidegreeBasis(ctx.p, s, t, layout, tuple(keys), tuple(us))
+            for s, (keys, us) in found.items()}
 
 
 def _check(s: int, t: int) -> None:
@@ -653,6 +623,6 @@ def _enumerate_window(ctx: PrimeContext, s: int, t: int, cache) -> None:
 
 def clear_memo() -> None:
     """Drop the in-process basis memo, the block ranks kept on its bases and
-    the shared search tables (tests use this around cache checks)."""
+    the shared search tables, so that the next query starts from nothing."""
     _memo.clear()
     _shared.clear()

@@ -199,7 +199,8 @@ def tree_search(ctx, s_lo, s_hi, t):
                 us.append(u + t_rem)
 
         rec(0, s_hi, t, 0, 0)
-    return enumeration._bases(ctx, t, search, found)
+    return {s: BidegreeBasis(ctx.p, s, t, search, tuple(keys), tuple(us))
+            for s, (keys, us) in found.items()}
 
 
 def e1_tridegree(p, kind, i, j):
@@ -593,7 +594,7 @@ def block_of(monomials, ctx):
     a cache builds one."""
     s, t = monomials[0].tridegree.s, monomials[0].tridegree.t
     assert all((m.tridegree.s, m.tridegree.t) == (s, t) for m in monomials)
-    return BidegreeBasis.from_monomials(ctx.p, s, t, monomials)
+    return BidegreeBasis.from_monomials(ctx, s, t, monomials)
 
 
 def codomain_matrix(block, codomain, ctx):

@@ -245,6 +245,18 @@ def test_verify_failure_exits_one(capsys):
     assert out.endswith("result: FAIL (6 checks)\n")
 
 
+def test_verify_reps_has_no_range_gate(capsys):
+    # reps checks only degree bookkeeping, at any 1 <= m < n: below the
+    # range gate of the other scenarios it runs, and passes, with or
+    # without --permissive
+    argv = ["verify", "reps", "--prime", "5", "--m", "2", "--n", "3", "--scase", "2"]
+    for extra in ([], ["--permissive"]):
+        code, out, err = run(capsys, argv + extra)
+        assert code == 0, extra
+        assert out.endswith("result: PASS (6 checks)\n")
+        assert "warning" not in err
+
+
 def test_verify_strict_range_gate(capsys):
     code, out, err = run(capsys, ["verify", "lemma31", "--prime", "5", "--m", "3",
                                   "--n", "5", "--scase", "2"])

@@ -12,8 +12,8 @@ from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
                    monomial_from_factors, padic_profile, verify_main)
 from mayss import enumeration
 from mayss.algebra import Monomial
-from mayss.enumeration import (MAX_FILTRATION, _carry_feasible, _search, clear_memo,
-                               digit_span, generator_universe)
+from mayss.enumeration import (MAX_FILTRATION, BidegreeBasis, _carry_feasible, _search,
+                               clear_memo, digit_span, generator_universe)
 from mayss.grading import PAdicProfile
 from mayss.pages import e2_dimension
 from mayss.verify import family_degree
@@ -283,21 +283,29 @@ def test_monomials_view_is_canonical_sorted_and_built_once(ctx5, ctx7):
     clear_memo()
 
 
-def test_layout_is_the_held_generators_and_their_summands(ctx5, ctx7):
-    # At the scenario window positions most of the search universe is never
-    # held, so the stored layout is smaller; on the dense points it is not.
-    cases = [(ctx5, s, t, False) for s, t in DENSE_E2]
+def test_bases_keep_the_search_universe_which_holds_every_summand(ctx5, ctx7):
+    # the windows an e2 query searches: at the dense points and at the
+    # paper's window positions, where the monomials hold few of the
+    # universe's generators
+    cases = [(ctx5, s - 1, s, t) for s, t in DENSE_E2]
     for ctx, (m, n, s) in ((ctx5, (4, 6, 4)), (ctx5, (12, 20, 4)), (ctx7, (6, 10, 6))):
-        cases.append((ctx, s + 2, family_degree(ctx, m, n, s) + s - 2, True))
-    clear_memo()
-    for ctx, s, t, smaller in cases:
-        basis = enumerate_basis(ctx, s, t)
-        held = {g for mon in basis.monomials for g, _ in mon.factors}
-        want = held | {x for g in held for pair in unit_summand_pairs(g) for x in pair}
-        universe = basis.layout.universe
-        assert set(universe) == want and list(universe) == sorted(want, key=lambda g: g.key)
-        assert (len(universe) < len(generator_universe(ctx, t, s))) == smaller, (ctx.p, s, t)
-    clear_memo()
+        cases.append((ctx, s + 1, s + 2, family_degree(ctx, m, n, s) + s - 2))
+    for ctx, s_lo, s_hi, t in cases:
+        found = _search(ctx, s_lo, s_hi, t)
+        assert found[s_hi].dimension > 0, (ctx.p, s_hi, t)
+        universe = tuple(generator_universe(ctx, t, s_hi))
+        for basis in found.values():
+            assert basis.layout.universe == universe, (ctx.p, basis.s, t)
+            held = {g for mon in basis.monomials for g, _ in mon.factors}
+            summands = {x for g in held for pair in unit_summand_pairs(g) for x in pair}
+            assert summands <= set(universe), (ctx.p, basis.s, t)
+
+
+def test_an_empty_basis_from_monomials_builds_no_universe(ctx5):
+    # a universe at t = 10^3999 would take one step per tower index
+    basis = BidegreeBasis.from_monomials(ctx5, 4, 10**3999, [])
+    assert basis.dimension == 0 and basis.keys == ()
+    assert basis.layout.universe == () and basis.layout.width == 3
 
 
 def test_second_page_query_builds_no_monomial(ctx5, monkeypatch):
@@ -426,7 +434,7 @@ def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatc
 
 
 def test_shared_tables_hold_the_universe_of_every_degree(ctx5, ctx7):
-    # The tables are shared by (p, has b's, top degree).  Walking t upward
+    # The tables are shared by (p, min(s_hi, 2), top degree).  Walking t upward
     # through every generator degree up to 10^7 and its neighbours, with and
     # without b's at each t, a key that merged two universes would hand the
     # later one the earlier one's.
@@ -437,6 +445,14 @@ def test_shared_tables_hold_the_universe_of_every_degree(ctx5, ctx7):
             for s_hi in (1, 2):
                 universe, _ = enumeration._tables(ctx, t, s_hi)
                 assert universe == tuple(generator_universe(ctx, t, s_hi)), (ctx.p, s_hi, t)
+
+
+def test_shared_tables_keep_the_empty_universe_of_filtration_0_apart(ctx5):
+    # the universe of filtration 0 is empty, that of filtration 1 at t = 49
+    # is not, and both have the same top degree
+    assert enumeration._tables(ctx5, 49, 0)[0] == ()
+    assert enumerate_basis(ctx5, 1, 49).dimension == 1
+    assert enumeration._tables(ctx5, 49, 1)[0] == tuple(generator_universe(ctx5, 49, 1))
 
 
 def test_a_scenario_builds_its_universe_once(ctx5, monkeypatch):

@@ -1,4 +1,10 @@
-"""Persistent cache for enumerated bases and differential matrices.
+"""Persistent cache for enumerated bases.
+
+Only bases are stored and read.  pages.e2_dimension clears each weight
+block by its boundary's pivots before it builds the block's d1 matrix, and
+a cleared matrix is not the block's matrix, so no matrix is cached.
+load_matrix and store_matrix remain, unused by the engine, because the
+benchmark's tracer (bench/tracing.py) wraps them.
 
 Layout: one file per entry under <root>/<engine version>/, so a version bump
 invalidates everything at once.  Each file repeats version and query in a

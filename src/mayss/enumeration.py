@@ -137,8 +137,10 @@ when a search needs another universe, and clear_memo drops it with the
 bases, so a cycle that starts from clear_memo builds its tables again.
 The tables are tuples because every later search reads them: a search
 that wrote to one would change the next one's results.  The window fields
-(s_hi, span), the root tests and the search's layout, whose field width
-follows s_hi, stay per search.
+(s_hi, span) and the root tests stay per search.  The search's layout,
+whose field width follows s_hi, is shared too, one per width, so the
+generator positions, the exterior mask and the d1 plans kept on it are
+built once per universe and width.
 """
 
 from __future__ import annotations
@@ -158,8 +160,9 @@ from .grading import PrimeContext, Tridegree, check_degree
 MAX_FILTRATION = 512
 
 _memo: dict[tuple, "BidegreeBasis"] = {}
-# (p, min(s_hi, 2)) -> (top degree, universe, search tables); see _tables
-_shared: dict[tuple[int, int], tuple[int, tuple, "_Order"]] = {}
+# (p, min(s_hi, 2)) -> (top degree, universe, search tables, layouts by
+# width); see _tables
+_shared: dict[tuple[int, int], tuple[int, tuple, "_Order", dict[int, "Layout"]]] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +173,9 @@ class Layout:
     keys, which holds every generator of their d1 images (module
     docstring).  `plans` keeps, per canonical position, what d1_matrix
     derives from a generator, so that every block on this layout reuses
-    it."""
+    it.  Searches over one universe share its layout per width, and a
+    basis read from a cache has one of its own; repack moves keys between
+    two layouts."""
 
     universe: tuple[Generator, ...]
     width: int
@@ -183,7 +188,11 @@ class Layout:
     @cached_property
     def exterior(self) -> int:
         """The lowest bit of every exterior generator's field."""
-        return sum(1 << (k * self.width) for k, g in enumerate(self.universe) if g.is_exterior)
+        # One binary string, top field first, is linear in the universe; a
+        # sum of shifted ints is quadratic.
+        one, zero = "0" * (self.width - 1) + "1", "0" * self.width
+        return int("".join(one if g.is_exterior else zero for g in reversed(self.universe))
+                   or "0", 2)
 
     def fields(self, key: int):
         """(canonical position, exponent) of every nonzero field of a key,
@@ -207,6 +216,15 @@ class Layout:
                 return None
             key += e << (k * self.width)
         return key
+
+    def repack(self, keys, source: "Layout"):
+        """Keys of the source layout on this one, field by field, each None
+        where pack gives None; the keys themselves when the layouts are
+        one."""
+        if source is self:
+            return keys
+        universe = source.universe
+        return [self.pack([(universe[k], e) for k, e in source.fields(key)]) for key in keys]
 
 
 class BidegreeBasis:
@@ -412,18 +430,20 @@ def _top_degree(p: int, t: int) -> int:
     return top
 
 
-def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[tuple[Generator, ...], _Order]:
+def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[tuple[Generator, ...], _Order,
+                                                             dict[int, Layout]]:
     """The universe of the generators with deg <= t and filt <= s_hi, in
-    canonical order, and the tables of its search order, as an _Order whose
-    window fields (s_hi, span) are left 0 for each search to fill in.  They
-    are built once per universe and shared until a search needs another
+    canonical order, the tables of its search order, as an _Order whose
+    window fields (s_hi, span) are left 0 for each search to fill in, and
+    the layouts of the universe by field width, filled by _order.  They are
+    built once per universe and shared until a search needs another
     universe of the same (p, min(s_hi, 2)), or until clear_memo (module
     docstring)."""
     key = (ctx.p, min(s_hi, 2))
     top = _top_degree(ctx.p, t)
     kept = _shared.get(key)
     if kept is not None and kept[0] == top:
-        return kept[1], kept[2]
+        return kept[1:]
     universe = tuple(generator_universe(ctx, t, s_hi))
     tri = [g.tridegree(ctx) for g in universe]
     pos = sorted(range(len(universe)), key=lambda c: (-tri[c].t, c))
@@ -446,8 +466,8 @@ def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[tuple[Generator, ...]
                     tuple(tri[c].u for c in pos),
                     tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
                     tuple(supp), tuple(max_frac), tuple(min_frac))
-    _shared[key] = (top, universe, tables)
-    return universe, tables
+    _shared[key] = (top, universe, tables, {})
+    return _shared[key][1:]
 
 
 def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> tuple[Layout, _Order | None]:
@@ -463,12 +483,14 @@ def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> tuple[Layout, _Or
     live = [s for s in range(s_lo, s_hi + 1) if _carry_feasible(t, s, -1, ctx)]
     if not live:
         return Layout((), width), None
-    universe, tables = _tables(ctx, t, s_hi)
+    universe, tables, layouts = _tables(ctx, t, s_hi)
     # The root's lower degree bound; every node tests each child, the upper
     # degree bound in its loop where it can end the loop.
     md, mf = tables.min_frac[0]
     live = [s for s in live if t * mf >= s * md]
-    layout = Layout(universe, width)
+    layout = layouts.get(width)
+    if layout is None:
+        layout = layouts[width] = Layout(universe, width)
     if not live:
         return layout, None
     return layout, tables._replace(s_hi=live[-1], span=live[-1] - live[0])

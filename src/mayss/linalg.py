@@ -11,6 +11,12 @@ column being reduced downward.  A target in the same sparse form lies in
 the column span exactly when it reduces to zero against those pivots.
 Operations never mutate their inputs.
 
+The pivots restricted to their lead rows form a unit triangular matrix, so
+the column span projects isomorphically onto the coordinates of the lead
+rows: every vector has exactly one element of the span that agrees with it
+there.  rank reports those rows on request, which is what clearing needs
+(see pages.e2_dimension).
+
 The elimination fixes its order once, before it starts (a static order
 after Markowitz, 1957).  Rows are relabelled by ascending count of entries,
 and columns are reduced in ascending count of entries.  A pivot then leads
@@ -108,8 +114,15 @@ def _eliminate(m: MatrixFp) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
     return relabel, pivots
 
 
-def rank(m: MatrixFp) -> int:
-    return len(_eliminate(m)[1])
+def rank(m: MatrixFp, leads: set[int] | None = None) -> int:
+    """The rank of m.  When leads is given, the row of m at which each pivot
+    leads is added to it; the column span projects isomorphically onto the
+    coordinates of those rows (module docstring)."""
+    relabel, pivots = _eliminate(m)
+    if leads is not None:
+        row = list(relabel)   # relabel numbers its rows in insertion order
+        leads.update(row[k] for k in pivots)
+    return len(pivots)
 
 
 def in_span(m: MatrixFp, v: dict[int, int]) -> bool:

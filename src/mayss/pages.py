@@ -2,12 +2,25 @@
 
 The first differential restricts to May-weight blocks (it preserves t and
 drops u by one), so every computation here splits the bidegree basis by
-weight, builds the two matrices around each block, and adds up
+weight, eliminates the two maps around each block, and adds up
 
     e2 = (kernel of the outgoing map) - (rank of the incoming map).
 
 Each matrix numbers its rows by image monomial (see d1_matrix), so a query
 at filtration s reads only the bases of s - 1 and s, never s + 1.
+
+The outgoing block is cleared before it is built (the twist of Chen and
+Kerber, "Persistent homology computation with a twist", 2011).  The
+incoming map, d1 on weight w + 1 of s - 1, is eliminated first, with its
+rows numbered by the monomials of the block, weight w of s.  Its column
+span B lies in the kernel of d1 and projects isomorphically onto the
+coordinates I of its pivot rows (see linalg).  So every chain x of the
+block has one b in B with b_I = x_I, and d1(x) = d1(x - b), where x - b is
+supported off I: the monomials off I span the whole image of d1 on the
+block, and d1 is built and eliminated on those alone.  The rank is the
+block's own, so it is kept on the basis like any other.  When the incoming
+rank is already kept, there are no pivots and the block is eliminated
+whole.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from dataclasses import dataclass
 
 from .algebra import Element, element_tridegree
 from .differential import d1, d1_matrix
-from .enumeration import _check, _enumerate_window, enumerate_basis
+from .enumeration import BidegreeBasis, _check, _enumerate_window, enumerate_basis
 from .errors import ParameterError
 from .grading import PrimeContext, Tridegree
 from .linalg import in_span, rank
@@ -59,37 +72,51 @@ def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
     above = enumerate_basis(ctx, s - 1, t, None, cache) if s >= 1 else None
 
     sizes = Counter(target.weights)
-    above_sizes = Counter(above.weights) if above is not None else Counter()
-
     weights = sorted(sizes) if u is None else ([u] if u in sizes else [])
     blocks = []
     for w in weights:
-        cycles = sizes[w] - _block_rank(ctx, target, w, sizes[w], cache)
-        if above_sizes[w + 1]:
-            boundaries = _block_rank(ctx, above, w + 1, above_sizes[w + 1], cache)
-        else:
-            boundaries = 0
-        blocks.append(WeightBlock(u=w, e1_dim=sizes[w], cycle_dim=cycles,
+        cycle = target.block(w)
+        boundaries, cleared = _boundary_rank(ctx, above, w + 1, cycle)
+        r = target.ranks.get(w)
+        if r is None:
+            r = target.ranks[w] = _cleared_rank(ctx, cycle, cleared)
+        blocks.append(WeightBlock(u=w, e1_dim=sizes[w], cycle_dim=sizes[w] - r,
                                   boundary_dim=boundaries))
     return PageQueryResult(tuple(blocks))
 
 
-def _block_rank(ctx, basis, w, cols, cache) -> int:
-    """The rank of d1 on the weight-w block of a basis, which has cols
-    monomials.  It is kept on the basis, so the blocks of a memoized basis
-    are eliminated once per process.  Its matrix comes from the cache when
-    that holds one, else is built (which packs a basis read from the cache,
-    once)."""
-    r = basis.ranks.get(w)
+def _boundary_rank(ctx, above, w, cycle) -> tuple[int, set[int]]:
+    """The rank of d1 on the weight-w block of `above` (None at s = 0),
+    whose images land in the cycle block, and the positions in the cycle
+    block of its pivot rows.  The rank is kept on the basis; a kept rank
+    comes with no pivots."""
+    cleared: set[int] = set()
+    r = above.ranks.get(w) if above is not None else 0
     if r is not None:
-        return r
-    m = cache.load_matrix(ctx, basis.s, basis.t, w, cols) if cache is not None else None
-    if m is None:
-        m = d1_matrix(basis.block(w), ctx)
-        if cache is not None:
-            cache.store_matrix(ctx, basis.s, basis.t, w, m)
-    r = basis.ranks[w] = rank(m)
-    return r
+        return r, cleared
+    block = above.block(w)
+    if not block.dimension:
+        return 0, cleared
+    # The cycle block's keys on this block's layout: the two bases may come
+    # from searches of different widths, or from the cache.
+    seeds = block.layout.repack(cycle.keys, cycle.layout)
+    m = d1_matrix(block, ctx, seeds)
+    if m.rows > len(seeds):
+        raise RuntimeError("d1 of the basis of (%d, %d) at weight %d leaves the basis of "
+                           "(%d, %d) at weight %d: a basis is incomplete"
+                           % (block.s, block.t, w, cycle.s, cycle.t, w - 1))
+    r = above.ranks[w] = rank(m, cleared)
+    return r, cleared
+
+
+def _cleared_rank(ctx, cycle, cleared) -> int:
+    """The rank of d1 on a block, eliminated on the columns off the cleared
+    positions only (module docstring)."""
+    kept = tuple(key for k, key in enumerate(cycle.keys) if k not in cleared)
+    if not kept:
+        return 0
+    return rank(d1_matrix(BidegreeBasis(cycle.p, cycle.s, cycle.t, cycle.layout, kept,
+                                        cycle.weights[:len(kept)]), ctx))
 
 
 @dataclass(frozen=True)
@@ -118,6 +145,6 @@ def survives_to_e2(x: Element, ctx: PrimeContext, cache=None) -> SurvivalVerdict
             # the element's terms take the first rows, a term that the
             # source's layout cannot pack an empty one; images add the rest
             terms = x.terms
-            m = d1_matrix(source, ctx, list(terms))
+            m = d1_matrix(source, ctx, [source.layout.pack(mon.factors) for mon in terms])
             is_boundary = in_span(m, dict(enumerate(terms.values())))
     return SurvivalVerdict(position=pos, is_cycle=is_cycle, is_boundary=is_boundary)

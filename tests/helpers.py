@@ -601,7 +601,7 @@ def codomain_matrix(block, codomain, ctx):
     """d1_matrix with its rows numbered by an enumerated codomain basis: the
     matrix whose row r is codomain[r].  Fails when an image monomial lies
     outside the codomain, which would mean that basis is incomplete."""
-    m = d1_matrix(block, ctx, codomain)
+    m = d1_matrix(block, ctx, packed_seeds(block, codomain))
     if m.rows > len(codomain):
         known = set(codomain)
         outside = {out for mon in key_monomials(block, ctx)
@@ -610,6 +610,12 @@ def codomain_matrix(block, codomain, ctx):
         raise AssertionError("image monomials missing from the codomain basis: %s"
                              % sorted(out.render() for out in outside))
     return m
+
+
+def packed_seeds(block, monomials):
+    """The seeds d1_matrix takes for rows numbered by monomials: their keys
+    on the block's layout, None where it cannot pack one."""
+    return [block.layout.pack(mon.factors) for mon in monomials]
 
 
 def image_d1_matrix(block, ctx, seeds=()):

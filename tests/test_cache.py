@@ -5,9 +5,10 @@ import pytest
 
 from helpers import codomain_matrix
 from mayss import ResultCache, e2_dimension, enumerate_basis
+from mayss import enumeration
 from mayss.cache import ENGINE_VERSION
 from mayss.differential import d1_matrix
-from mayss.enumeration import Layout, clear_memo
+from mayss.enumeration import clear_memo
 from mayss.linalg import matrix_from_rows, rank
 
 
@@ -173,29 +174,27 @@ def test_second_page_query_fills_the_bases_a_cache_lacks(ctx5, tmp_path, held):
 
 
 def test_roundtrip_gives_equal_monomials_and_blocks(ctx5, tmp_path, monkeypatch):
+    # The cache holds bases only: a cleared matrix is not its block's
+    # matrix, so none is stored.  A loaded basis has a layout of its own,
+    # onto which e2_dimension maps the other basis's keys.
     s, t = 8, 130194
     cache = ResultCache(tmp_path)
-    clear_memo()
     cold = e2_dimension(ctx5, s, t, cache=cache)
     searched = {f: enumerate_basis(ctx5, f, t).monomials for f in (s - 1, s)}
+    assert sorted(entry.name for entry in (tmp_path / ENGINE_VERSION).iterdir()) == [
+        "basis_p5_s%d_t%d_uall.txt" % (f, t) for f in (s - 1, s)]
     clear_memo()
-    packed = []
-    pack = Layout.pack
-
-    def counting_pack(self, factors):
-        packed.append(factors)
-        return pack(self, factors)
-
-    monkeypatch.setattr(Layout, "pack", counting_pack)
     for f in (s - 1, s):
         assert cache.load_basis(ctx5, f, t).monomials == searched[f], f
-    # bases and matrices both come back from the cache: nothing is packed
+    # both bases from the cache
+    real_search = enumeration._search
+    monkeypatch.setattr(enumeration, "_search", None)
     assert e2_dimension(ctx5, s, t, cache=cache).blocks == cold.blocks
-    assert packed == []
-    # without the matrices, each loaded monomial is packed once to rebuild them
-    for entry in (tmp_path / ENGINE_VERSION).glob("d1mat_*"):
-        entry.unlink()
-    clear_memo()
-    assert e2_dimension(ctx5, s, t, cache=cache).blocks == cold.blocks
-    assert len(packed) == len(set(packed)) == sum(map(len, searched.values()))
-    clear_memo()
+    assert enumerate_basis(ctx5, s - 1, t).layout is not enumerate_basis(ctx5, s, t).layout
+    # one basis searched, the other from the cache
+    for f in (s - 1, s):
+        clear_memo()
+        monkeypatch.setattr(enumeration, "_search", real_search)
+        enumerate_basis(ctx5, f, t)
+        monkeypatch.setattr(enumeration, "_search", None)
+        assert e2_dimension(ctx5, s, t, cache=cache).blocks == cold.blocks, f

@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import (DENSE_E2, add, block_of, canonicalize_word, codomain_matrix, d1_generator,
-                     element_parity, image_d1_matrix, key_monomials,
+                     element_parity, image_d1_matrix, key_monomials, packed_seeds,
                      random_element, random_generator, random_monomial, scale,
                      unit_d1_monomial)
 from mayss import (a, b, d1, element_from_monomial, enumerate_basis, h,
@@ -165,7 +165,7 @@ def test_matrix_rows_are_image_monomials_in_first_seen_order(ctx5):
     unrelated = monomial_from_factors([(b(7, 0), 1)], ctx5)   # no image hits it
     assert unrelated.factors not in seen
     seeds = [unrelated, first]
-    m2 = d1_matrix(dom, ctx5, seeds)
+    m2 = d1_matrix(dom, ctx5, packed_seeds(dom, seeds))
     assert m2 == image_d1_matrix(dom, ctx5, seeds)
     assert m2.rows == len(seen) + 1
     assert any(1 in col for col in m2.columns) and not any(0 in col for col in m2.columns)
@@ -243,7 +243,7 @@ def _weight_blocks(ctx, s, t):
 
 
 def _assert_matches_tuple_path(dom, ctx, seeds=()):
-    m = d1_matrix(dom, ctx, seeds)
+    m = d1_matrix(dom, ctx, packed_seeds(dom, seeds))
     assert m == image_d1_matrix(dom, ctx, seeds)
     return m
 

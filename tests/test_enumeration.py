@@ -12,7 +12,7 @@ from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
                    monomial_from_factors, padic_profile, verify_main)
 from mayss import enumeration
 from mayss.algebra import Monomial
-from mayss.enumeration import (MAX_FILTRATION, BidegreeBasis, _carry_feasible, _search,
+from mayss.enumeration import (MAX_FILTRATION, BidegreeBasis, Layout, _carry_feasible, _search,
                                clear_memo, digit_span, generator_universe)
 from mayss.grading import PAdicProfile
 from mayss.pages import e2_dimension
@@ -443,7 +443,7 @@ def test_shared_tables_hold_the_universe_of_every_degree(ctx5, ctx7):
         ts = sorted({t for d in degrees for t in (d - 1, d, d + 1)})
         for t in ts:
             for s_hi in (1, 2):
-                universe, _ = enumeration._tables(ctx, t, s_hi)
+                universe = enumeration._tables(ctx, t, s_hi)[0]
                 assert universe == tuple(generator_universe(ctx, t, s_hi)), (ctx.p, s_hi, t)
 
 
@@ -468,6 +468,36 @@ def test_a_scenario_builds_its_universe_once(ctx5, monkeypatch):
     monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
     assert verify_main(ctx5, 4, 6, 4).passed
     assert 1 <= len(calls) <= 2, calls
+
+
+def test_a_scenario_shares_one_layout(ctx5, monkeypatch):
+    # the searches of verify main that build a universe share its layout,
+    # so its positions, exterior mask and d1 plans are built once
+    layouts = []
+    search = enumeration._search
+
+    def recording_search(ctx, s_lo, s_hi, t):
+        found = search(ctx, s_lo, s_hi, t)
+        layouts.extend(basis.layout for basis in found.values() if basis.layout.universe)
+        return found
+
+    monkeypatch.setattr(enumeration, "_search", recording_search)
+    assert verify_main(ctx5, 4, 6, 4).passed
+    assert len(layouts) >= 4 and all(layout is layouts[0] for layout in layouts)
+    # clear_memo drops it with the tables
+    clear_memo()
+    assert verify_main(ctx5, 4, 6, 4).passed
+    assert layouts[-1] is not layouts[0]
+
+
+def test_exterior_mask_is_the_sum_of_the_exterior_units(ctx5, ctx7):
+    for ctx, t in ((ctx5, 3000), (ctx5, 10**6), (ctx7, 1466)):
+        universe = tuple(generator_universe(ctx, t, 2))
+        for width in (1, 2, 3, 4, 7):
+            layout = Layout(universe, width)
+            assert layout.exterior == sum(1 << (k * width) for k, g in enumerate(universe)
+                                          if g.is_exterior), (ctx.p, t, width)
+    assert Layout((), 3).exterior == 0
 
 
 def test_clear_memo_drops_the_shared_tables(ctx5, monkeypatch):

@@ -9,7 +9,7 @@ from mayss import (ParameterError, Tridegree, a, d1, e2_dimension, element_from_
 from mayss import pages
 from mayss.algebra import Element, element_tridegree
 from mayss.differential import d1_matrix
-from mayss.enumeration import clear_memo
+from mayss.enumeration import BidegreeBasis, clear_memo
 from mayss.linalg import rank
 from mayss.verify import family_degree, product_class
 
@@ -241,3 +241,100 @@ def test_each_weight_block_is_eliminated_once_per_memoized_basis(monkeypatch):
         assert built[2:] == built[:2]
     finally:
         clear_memo()
+
+
+def _cleared_and_whole_ranks(ctx, s, t):
+    """Per weight block of (s, t): the rank of d1 on the columns clearing
+    keeps, the rank on the whole block, and how many columns it cleared,
+    one per boundary pivot."""
+    target = enumerate_basis(ctx, s, t)
+    above = enumerate_basis(ctx, s - 1, t)
+    above.ranks.clear()   # a kept boundary rank would come with no pivots
+    out = []
+    for w in sorted(set(target.weights)):
+        cycle = target.block(w)
+        boundaries, cleared = pages._boundary_rank(ctx, above, w + 1, cycle)
+        assert len(cleared) == boundaries
+        out.append((pages._cleared_rank(ctx, cycle, cleared), rank(d1_matrix(cycle, ctx)),
+                    len(cleared)))
+    return out
+
+
+def _assert_clearing_keeps_the_rank(ctx, points):
+    cleared = 0
+    for s, t in points:
+        for got, want, n in _cleared_and_whole_ranks(ctx, s, t):
+            assert got == want, (ctx.p, s, t)
+            cleared += n
+    return cleared
+
+
+def test_clearing_keeps_the_rank_of_every_dense_block(ctx5):
+    assert _assert_clearing_keeps_the_rank(ctx5, DENSE_E2) == 1051
+
+
+def test_clearing_keeps_the_rank_on_the_criterion_07_grid(ctx5):
+    points = [(s, t) for s in range(1, 5) for t in range(501)]
+    assert _assert_clearing_keeps_the_rank(ctx5, points) == 146
+
+
+def test_clearing_keeps_the_rank_on_a_p7_grid(ctx7):
+    points = [(s, t) for s in range(1, 8) for t in range(1400, 1500, 2)]
+    assert _assert_clearing_keeps_the_rank(ctx7, points) == 191
+
+
+def test_an_image_outside_the_cycle_block_raises(ctx5):
+    # a cycle block without a monomial that d1 hits: a basis is incomplete
+    s, t = 8, 130194
+    above, target = enumerate_basis(ctx5, s - 1, t), enumerate_basis(ctx5, s, t)
+    w = max(set(target.weights), key=target.weights.count)
+    cycle = target.block(w)
+    hit = min(r for col in d1_matrix(above.block(w + 1), ctx5, cycle.keys).columns for r in col)
+    short = BidegreeBasis(ctx5.p, s, t, cycle.layout, cycle.keys[:hit] + cycle.keys[hit + 1:],
+                          cycle.weights[1:])
+    with pytest.raises(RuntimeError, match="a basis is incomplete"):
+        pages._boundary_rank(ctx5, above, w + 1, short)
+
+
+def _recording_columns(monkeypatch):
+    """(filtration, column count) of every d1 matrix pages builds, as a list
+    that fills as it runs."""
+    built = []
+
+    def recording_d1_matrix(block, ctx, seeds=()):
+        built.append((block.s, block.dimension))
+        return d1_matrix(block, ctx, seeds)
+
+    monkeypatch.setattr(pages, "d1_matrix", recording_d1_matrix)
+    return built
+
+
+def _columns_at(built, s):
+    return sum(cols for f, cols in built if f == s)
+
+
+def test_clearing_builds_fewer_cycle_columns_than_e1(ctx5, monkeypatch):
+    s, t = DENSE_E2[0]
+    built = _recording_columns(monkeypatch)
+    res = e2_dimension(ctx5, s, t)
+    assert res.boundary_dim > 0
+    assert _columns_at(built, s) <= res.e1_dim - res.boundary_dim
+
+
+def test_mixed_layouts_give_the_blocks_of_fresh_bases(ctx5, monkeypatch):
+    t = 130194
+    fresh = {s: e2_dimension(ctx5, s, t).blocks for s in (7, 8)}
+    clear_memo()
+    built = _recording_columns(monkeypatch)
+    # s = 6 from a search of width 3, s = 7 from one of width 4: the cycle
+    # keys are mapped onto the boundary's layout field by field
+    enumerate_basis(ctx5, 6, t)
+    res = e2_dimension(ctx5, 7, t)
+    assert res.blocks == fresh[7]
+    assert enumerate_basis(ctx5, 6, t).layout.width != enumerate_basis(ctx5, 7, t).layout.width
+    assert res.boundary_dim > 0
+    assert _columns_at(built, 7) <= res.e1_dim - res.boundary_dim
+    # the boundary ranks of s = 7 are kept now, so s = 8 is eliminated whole
+    res = e2_dimension(ctx5, 8, t)
+    assert res.blocks == fresh[8]
+    assert _columns_at(built, 8) == res.e1_dim

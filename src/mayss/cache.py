@@ -12,6 +12,14 @@ header that loads verify.  Writes go to a temp file in the same directory
 followed by an atomic rename; unreadable or mismatched entries are treated
 as absent.  Only library callers that pass a cache use it: the command line
 keeps no disk cache.
+
+A basis entry holds one line per monomial, in search order: its packed key
+in hex (Python converts no int past 4300 digits to decimal) and its weight.
+Keys are on the shared layout of a search of the entry's filtration alone
+(enumeration._tables) and load onto that same layout object.  A key that is
+negative, runs past the universe, holds an exterior exponent above 1 or
+does not add up to (s, t, weight), or a repeated key, makes the entry a
+miss, so every key loaded is a distinct monomial of the bidegree.
 """
 
 from __future__ import annotations
@@ -21,8 +29,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .algebra import parse_element
-from .enumeration import BidegreeBasis
+from .enumeration import BidegreeBasis, Layout, _carry_feasible, _tables
 from .grading import PrimeContext
 from .linalg import MatrixFp, matrix_from_rows
 
@@ -60,7 +67,7 @@ class ResultCache:
     def _read(self, path: Path, header: str) -> list[str] | None:
         try:
             lines = path.read_text().splitlines()
-        except OSError:
+        except (OSError, UnicodeDecodeError):
             return None
         if len(lines) < 2 or lines[0] != "%s %s" % (_MAGIC, ENGINE_VERSION) or lines[1] != header:
             return None
@@ -76,26 +83,40 @@ class ResultCache:
                           self._basis_header(ctx.p, s, t))
         if body is None:
             return None
-        monomials = []
         try:
-            for line in body:
-                if not line:
-                    continue
-                terms = parse_element(line, ctx).terms
-                if len(terms) != 1:
-                    return None
-                (mon, coeff), = terms.items()
-                if coeff != 1 or (mon.tridegree.s, mon.tridegree.t) != (s, t):
-                    return None
-                monomials.append(mon)
-        except Exception:
+            rows = [line.split() for line in body]
+            keys = tuple(int(key, 16) for key, _ in rows)
+            weights = tuple(int(u) for _, u in rows)
+        except ValueError:
             return None
-        return BidegreeBasis.from_monomials(ctx, s, t, monomials)
+        if not keys:
+            return BidegreeBasis(ctx.p, s, t, Layout((), (s + 1).bit_length()), (), ())
+        if not _carry_feasible(t, s, -1, ctx):   # no monomial has this bidegree
+            return None
+        layout = _tables(ctx, t, s)[0]
+        held = 0
+        for key in keys:
+            held |= key
+        # held < 0 when a key is; an exterior exponent above 1 sets a bit
+        # above its field's lowest
+        if (held < 0 or held.bit_length() > len(layout.universe) * layout.width
+                or held & layout.exterior * ((1 << layout.width) - 2)
+                or len(set(keys)) < len(keys)):
+            return None
+        degree = {k: layout.universe[k].tridegree(ctx) for k, _ in layout.fields(held)}
+        for key, u in zip(keys, weights):
+            fields = [(degree[k], e) for k, e in layout.fields(key)]
+            if (sum(d.s * e for d, e in fields), sum(d.t * e for d, e in fields),
+                    sum(d.u * e for d, e in fields)) != (s, t, u):
+                return None
+        return BidegreeBasis(ctx.p, s, t, layout, keys, weights)
 
-    def store_basis(self, basis: BidegreeBasis) -> None:
+    def store_basis(self, ctx: PrimeContext, basis: BidegreeBasis) -> None:
+        # an empty basis builds no universe
+        keys = basis.keys and _tables(ctx, basis.t, basis.s)[0].repack(basis.keys, basis.layout)
         lines = ["%s %s" % (_MAGIC, ENGINE_VERSION),
                  self._basis_header(basis.p, basis.s, basis.t)]
-        lines.extend(mon.render() or "1" for mon in basis.monomials)
+        lines.extend("%x %d" % row for row in zip(keys, basis.weights))
         self._write(self._path("basis", basis.p, basis.s, basis.t, None), lines)
 
     # -- matrices -----------------------------------------------------------

@@ -173,9 +173,9 @@ class Layout:
     keys, which holds every generator of their d1 images (module
     docstring).  `plans` keeps, per canonical position, what d1_matrix
     derives from a generator, so that every block on this layout reuses
-    it.  Searches over one universe share its layout per width, and a
-    basis read from a cache has one of its own; repack moves keys between
-    two layouts."""
+    it.  Searches over one universe share its layout per width, and the
+    cache reads a basis back onto the one a search of its filtration
+    builds (see _tables); repack moves keys between two layouts."""
 
     universe: tuple[Generator, ...]
     width: int
@@ -232,13 +232,10 @@ class BidegreeBasis:
 
     The basis is stored packed, in search order: keys[k] holds the
     exponents of the k-th monomial in the fields of `layout`, the universe
-    of the search that found it, and weights[k] is its weight.  `monomials`,
-    the same monomials as Monomial objects sorted by render, is built from
-    the keys on its first read and kept; the second-page path never reads
-    it.
-
-    A basis read back from a cache is made by from_monomials.  It holds its
-    monomials, in the given order, and packs its keys on their first read.
+    of the search that found it (or, read from a cache, of a search of its
+    one filtration), and weights[k] is its weight.  `monomials`, the same
+    monomials as Monomial objects sorted by render, is built from the keys
+    on its first read and kept; the second-page path never reads it.
 
     `ranks` maps a weight to the rank of d1 on that block, filled by
     pages.e2_dimension; it lives and is dropped with the basis.
@@ -249,20 +246,6 @@ class BidegreeBasis:
         self.p, self.s, self.t = p, s, t
         self.layout, self.keys, self.weights = layout, keys, weights
         self.ranks: dict[int, int] = {}
-
-    @classmethod
-    def from_monomials(cls, ctx: PrimeContext, s: int, t: int, monomials) -> "BidegreeBasis":
-        """A basis of (s, t) given by monomials of that bidegree, on the
-        layout a search of (s, t) builds, or on the empty layout when there
-        are none."""
-        basis = cls.__new__(cls)
-        basis.p, basis.s, basis.t = ctx.p, s, t
-        basis.monomials = tuple(monomials)
-        basis.layout = Layout(tuple(generator_universe(ctx, t, s)) if basis.monomials else (),
-                              (s + 1).bit_length())
-        basis.weights = tuple(mon.tridegree.u for mon in basis.monomials)
-        basis.ranks = {}
-        return basis
 
     @property
     def dimension(self) -> int:
@@ -285,11 +268,6 @@ class BidegreeBasis:
                 factors.append(factor)
             out.append(Monomial(factors=tuple(factors), tridegree=degrees[u]))
         return tuple(sorted(out, key=Monomial.render))
-
-    @cached_property
-    def keys(self) -> tuple[int, ...]:
-        # reached only by a basis made from monomials
-        return tuple(self.layout.pack(mon.factors) for mon in self.monomials)
 
     @cached_property
     def _by_weight(self) -> dict[int, list[int]]:
@@ -430,44 +408,47 @@ def _top_degree(p: int, t: int) -> int:
     return top
 
 
-def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[tuple[Generator, ...], _Order,
-                                                             dict[int, Layout]]:
-    """The universe of the generators with deg <= t and filt <= s_hi, in
-    canonical order, the tables of its search order, as an _Order whose
-    window fields (s_hi, span) are left 0 for each search to fill in, and
-    the layouts of the universe by field width, filled by _order.  They are
-    built once per universe and shared until a search needs another
-    universe of the same (p, min(s_hi, 2)), or until clear_memo (module
-    docstring)."""
+def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
+    """The layout of the universe of the generators with deg <= t and
+    filt <= s_hi, in canonical order, at the field width of s_hi, and the
+    tables of its search order, as an _Order whose window fields (s_hi,
+    span) are left 0 for each search to fill in.  Searches build their keys
+    on the layout, and the cache reads keys back onto it.  Both are built
+    once per universe, the layout once per width, and shared until a search
+    needs another universe of the same (p, min(s_hi, 2)), or until
+    clear_memo (module docstring)."""
     key = (ctx.p, min(s_hi, 2))
     top = _top_degree(ctx.p, t)
     kept = _shared.get(key)
-    if kept is not None and kept[0] == top:
-        return kept[1:]
-    universe = tuple(generator_universe(ctx, t, s_hi))
-    tri = [g.tridegree(ctx) for g in universe]
-    pos = sorted(range(len(universe)), key=lambda c: (-tri[c].t, c))
-    n = len(pos)
-    order = [universe[c] for c in pos]
-    degs = [tri[c].t for c in pos]
-    filts = [tri[c].s for c in pos]
-    supp = [0] * (n + 1)
-    max_frac = [(0, 1)] * (n + 1)
-    min_frac = [(1, 0)] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        lo, hi = digit_span(order[k])   # bits lo + 1 .. hi + 1 of the mask
-        supp[k] = supp[k + 1] | ((1 << (hi - lo + 1)) - 1) << (lo + 1)
-        d, f = degs[k], filts[k]
-        md, mf = max_frac[k + 1]
-        max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
-        md, mf = min_frac[k + 1]
-        min_frac[k] = (d, f) if d * mf < md * f else (md, mf)
-    tables = _Order(0, 0, tuple(pos), tuple(degs), tuple(-d for d in degs), tuple(filts),
-                    tuple(tri[c].u for c in pos),
-                    tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
-                    tuple(supp), tuple(max_frac), tuple(min_frac))
-    _shared[key] = (top, universe, tables, {})
-    return _shared[key][1:]
+    if kept is None or kept[0] != top:
+        universe = tuple(generator_universe(ctx, t, s_hi))
+        tri = [g.tridegree(ctx) for g in universe]
+        pos = sorted(range(len(universe)), key=lambda c: (-tri[c].t, c))
+        n = len(pos)
+        order = [universe[c] for c in pos]
+        degs = [tri[c].t for c in pos]
+        filts = [tri[c].s for c in pos]
+        supp = [0] * (n + 1)
+        max_frac = [(0, 1)] * (n + 1)
+        min_frac = [(1, 0)] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            lo, hi = digit_span(order[k])   # bits lo + 1 .. hi + 1 of the mask
+            supp[k] = supp[k + 1] | ((1 << (hi - lo + 1)) - 1) << (lo + 1)
+            d, f = degs[k], filts[k]
+            md, mf = max_frac[k + 1]
+            max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
+            md, mf = min_frac[k + 1]
+            min_frac[k] = (d, f) if d * mf < md * f else (md, mf)
+        tables = _Order(0, 0, tuple(pos), tuple(degs), tuple(-d for d in degs), tuple(filts),
+                        tuple(tri[c].u for c in pos),
+                        tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
+                        tuple(supp), tuple(max_frac), tuple(min_frac))
+        kept = _shared[key] = (top, universe, tables, {})
+    _, universe, tables, layouts = kept
+    width = (s_hi + 1).bit_length()
+    if width not in layouts:
+        layouts[width] = Layout(universe, width)
+    return layouts[width], tables
 
 
 def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> tuple[Layout, _Order | None]:
@@ -483,14 +464,11 @@ def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> tuple[Layout, _Or
     live = [s for s in range(s_lo, s_hi + 1) if _carry_feasible(t, s, -1, ctx)]
     if not live:
         return Layout((), width), None
-    universe, tables, layouts = _tables(ctx, t, s_hi)
+    layout, tables = _tables(ctx, t, s_hi)
     # The root's lower degree bound; every node tests each child, the upper
     # degree bound in its loop where it can end the loop.
     md, mf = tables.min_frac[0]
     live = [s for s in live if t * mf >= s * md]
-    layout = layouts.get(width)
-    if layout is None:
-        layout = layouts[width] = Layout(universe, width)
     if not live:
         return layout, None
     return layout, tables._replace(s_hi=live[-1], span=live[-1] - live[0])
@@ -618,7 +596,7 @@ def _fill(ctx: PrimeContext, s_lo: int, s_hi: int, t: int, cache) -> None:
     for s in missing:
         _memo[ctx.p, s, t] = found[s]
         if cache is not None:
-            cache.store_basis(found[s])
+            cache.store_basis(ctx, found[s])
 
 
 def enumerate_basis(ctx: PrimeContext, s: int, t: int, u: int | None = None,

@@ -98,7 +98,7 @@ def _boundary_rank(ctx, above, w, cycle) -> tuple[int, set[int]]:
     if not block.dimension:
         return 0, cleared
     # The cycle block's keys on this block's layout: the two bases may come
-    # from searches of different widths, or from the cache.
+    # from searches of different widths (a cached basis has a search's).
     seeds = block.layout.repack(cycle.keys, cycle.layout)
     m = d1_matrix(block, ctx, seeds)
     if m.rows > len(seeds):

@@ -25,7 +25,7 @@ from mayss.algebra import (Element, Generator, Monomial, _from_accumulator, a, b
                            canonicalize, element_from_monomial, element_tridegree, h,
                            monomial_from_factors)
 from mayss.differential import d1, d1_matrix
-from mayss.enumeration import BidegreeBasis, _search, digit_span, generator_universe
+from mayss.enumeration import BidegreeBasis, Layout, _search, digit_span, generator_universe
 from mayss.errors import ParameterError
 from mayss.grading import ZERO_DEGREE, PAdicProfile, padic_profile
 from mayss.linalg import MatrixFp, matrix_from_rows
@@ -590,11 +590,14 @@ def key_monomials(basis, ctx):
 
 
 def block_of(monomials, ctx):
-    """A basis of the given monomials, of one (s, t), in the given order, as
-    a cache builds one."""
+    """A basis of the given monomials, of one (s, t), in the given order,
+    packed on a fresh layout of the universe of (t, s), shared with no
+    search."""
     s, t = monomials[0].tridegree.s, monomials[0].tridegree.t
     assert all((m.tridegree.s, m.tridegree.t) == (s, t) for m in monomials)
-    return BidegreeBasis.from_monomials(ctx, s, t, monomials)
+    layout = Layout(tuple(generator_universe(ctx, t, s)), (s + 1).bit_length())
+    return BidegreeBasis(ctx.p, s, t, layout, tuple(layout.pack(m.factors) for m in monomials),
+                         tuple(m.tridegree.u for m in monomials))
 
 
 def codomain_matrix(block, codomain, ctx):

@@ -1,10 +1,12 @@
 import os
 import threading
+import time
 
 import pytest
 
 from helpers import codomain_matrix
-from mayss import ResultCache, e2_dimension, enumerate_basis
+from mayss import ResultCache, a, b, e2_dimension, enumerate_basis, h
+from mayss import cache as cache_module
 from mayss import enumeration
 from mayss.cache import ENGINE_VERSION
 from mayss.differential import d1_matrix
@@ -48,16 +50,125 @@ def test_corrupted_entries_are_misses(ctx5, tmp_path):
     for garbage in ("", "not a cache file\n", "mayss-cache 9.9.9\nbasis p=5 s=2 t=49 u=all\n"):
         entry.write_text(garbage)
         assert cache.load_basis(ctx5, 2, 49) is None
+    entry.write_bytes(b"\xff\xfe not UTF-8\n")
+    assert cache.load_basis(ctx5, 2, 49) is None
     # mismatched header (wrong query on the second line)
     entry.write_text("mayss-cache %s\nbasis p=5 s=2 t=50 u=all\n" % ENGINE_VERSION)
     assert cache.load_basis(ctx5, 2, 49) is None
-    # unparseable body
-    entry.write_text("mayss-cache %s\nbasis p=5 s=2 t=49 u=all\nnot a monomial\n" % ENGINE_VERSION)
+    header = "mayss-cache %s\nbasis p=5 s=2 t=49 u=all\n" % ENGINE_VERSION
+    entry.write_text(header + "401 4\n104 4\n")
+    assert cache.load_basis(ctx5, 2, 49).keys == (0x401, 0x104)
+    # a line that is not a key and a weight
+    entry.write_text(header + "401 4\nnot a key\n")
     assert cache.load_basis(ctx5, 2, 49) is None
-    # a monomial of another bidegree, whose exponents could overflow a field
-    entry.write_text("mayss-cache %s\nbasis p=5 s=2 t=49 u=all\na(1) h(1,1)\na(0)^9\n"
-                     % ENGINE_VERSION)
+    # a(0)^9 on fields of width 2: the exponent overflows into a(1)'s field
+    # and reads as a(0) a(1)^2, of another bidegree
+    entry.write_text(header + "401 4\n9 9\n")
     assert cache.load_basis(ctx5, 2, 49) is None
+
+
+def _write_entry(cache, s, t, lines):
+    """A basis entry of (s, t) at p = 5 with a valid header and the given
+    body lines."""
+    path = cache._path("basis", 5, s, t, None)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("mayss-cache %s\nbasis p=5 s=%d t=%d u=all\n%s"
+                    % (ENGINE_VERSION, s, t, "".join(line + "\n" for line in lines)))
+
+
+def _hostile(ctx5, case):
+    """(s, t, body lines) of an entry: the true one of (2, 49) for "good",
+    else one that must load as a miss.  Each of those passes the checks the
+    loader runs before the one it targets, so it reaches its own check."""
+    lay = enumeration._tables(ctx5, 49, 2)[0]
+    good = ["%x 4" % lay.pack([(a(0), 1), (h(2, 0), 1)]), "%x 4" % lay.pack([(a(1), 1), (h(1, 1), 1)])]
+    if case == "good":
+        return 2, 49, good
+    if case == "exterior square":
+        # h(1,0)^2 has the tridegree (2, 16, 2) of its factors, and (2, 16)
+        # passes the root carry test
+        return 2, 16, ["%x 2" % enumeration._tables(ctx5, 16, 2)[0].pack([(h(1, 0), 2)])]
+    if case == "field past the universe":
+        return 2, 49, good + ["%x 4" % (1 << (len(lay.universe) * lay.width))]
+    if case == "key of another s":
+        # a(2), of (1, 49, 5), and a(0) a(2), of (2, 50, 6), pack on the
+        # layout of (2, 49), each with its own weight
+        return 2, 49, good + ["%x 5" % lay.pack([(a(2), 1)])]
+    if case == "key of another t":
+        return 2, 49, good + ["%x 6" % lay.pack([(a(0), 1), (a(2), 1)])]
+    if case == "weight disagrees with its key":
+        return 2, 49, good[:1] + [good[1].replace(" 4", " 5")]
+    if case == "duplicate key":
+        return 2, 49, good + good[:1]
+    if case == "negative key":
+        # minus the key of b(1,0), the last generator: read field by field,
+        # it holds b(1,0)^3 and then all-ones fields past the universe
+        return 2, 49, good + ["-%x 4" % lay.pack([(b(1, 0), 1)])]
+    if case == "non-hex token":
+        return 2, 49, good + ["4g1 4"]
+    if case == "old text format":
+        return 2, 49, ["a(0) h(2,0)", "a(1) h(1,1)"]
+    assert case == "5000-digit hex key"
+    return 2, 49, good + ["f" * 5000 + " 4"]
+
+
+@pytest.mark.parametrize("case", [
+    "exterior square", "field past the universe", "key of another s", "key of another t",
+    "weight disagrees with its key", "duplicate key", "negative key", "non-hex token",
+    "old text format", "5000-digit hex key"])
+def test_hostile_entries_are_misses(ctx5, tmp_path, case):
+    cache = ResultCache(tmp_path)
+    clear_memo()
+    _write_entry(cache, *_hostile(ctx5, "good"))
+    assert cache.load_basis(ctx5, 2, 49).keys == enumerate_basis(ctx5, 2, 49).keys
+    s, t, lines = _hostile(ctx5, case)
+    _write_entry(cache, s, t, lines)
+    start = time.perf_counter()
+    assert cache.load_basis(ctx5, s, t) is None
+    assert time.perf_counter() - start < 1.0
+    clear_memo()
+
+
+def test_huge_degree_entries_build_no_universe(ctx5, tmp_path, monkeypatch):
+    # A universe at t = 10^3999 would take one step per tower index.  An
+    # empty entry loads on the empty layout; a non-empty one of a bidegree
+    # with no monomials is a miss, both before any universe is built.  A
+    # file name cannot hold a t of 4000 digits, so the entries here live
+    # under short names.
+    cache = ResultCache(tmp_path)
+    monkeypatch.setattr(cache, "_path", lambda kind, p, s, t, u: tmp_path / ("%s_s%d" % (kind, s)))
+    clear_memo()
+
+    def refuse(*args):
+        raise AssertionError("a universe was built")
+
+    for module, name in ((enumeration, "_tables"), (cache_module, "_tables"),
+                         (enumeration, "generator_universe")):
+        monkeypatch.setattr(module, name, refuse)
+    t = 10**3999
+    _write_entry(cache, 4, t, [])
+    basis = cache.load_basis(ctx5, 4, t)
+    assert basis.dimension == 0 and basis.keys == ()
+    assert basis.layout.universe == () and basis.layout.width == 3
+    assert not enumeration._carry_feasible(t, 1, -1, ctx5)
+    _write_entry(cache, 1, t, ["1 1"])
+    assert cache.load_basis(ctx5, 1, t) is None
+
+
+def test_keys_past_4300_decimal_digits_roundtrip(ctx5, tmp_path):
+    # a(0) h(120,0) sits near the end of a universe of 14,521 generators,
+    # as wide as that of verify main at n = 120, so its key is past what
+    # Python converts to decimal; the entry holds it in hex.
+    s, t = 2, 2 * 5**120 - 1
+    cache = ResultCache(tmp_path)
+    clear_memo()
+    searched = enumerate_basis(ctx5, s, t, cache=cache)
+    assert max(searched.keys) >= 10**4300
+    clear_memo()
+    loaded = cache.load_basis(ctx5, s, t)
+    assert (loaded.keys, loaded.weights) == (searched.keys, searched.weights)
+    assert loaded.layout is enumeration._search(ctx5, s, s, t)[s].layout
+    clear_memo()
 
 
 def test_matrix_roundtrip_and_dimension_check(ctx5, tmp_path):
@@ -125,7 +236,7 @@ def test_concurrent_writers_leave_a_valid_entry(ctx5, tmp_path):
 
     def writer():
         for _ in range(30):
-            cache.store_basis(basis)
+            cache.store_basis(ctx5, basis)
 
     threads = [threading.Thread(target=writer) for _ in range(4)]
     for th in threads:
@@ -146,7 +257,7 @@ def test_failed_replace_leaves_no_temp_file(ctx5, tmp_path, monkeypatch):
         raise OSError("simulated rename failure")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    cache.store_basis(basis)  # must not raise
+    cache.store_basis(ctx5, basis)  # must not raise
     assert not list((tmp_path / ENGINE_VERSION).glob(".tmp-*"))
     assert cache.load_basis(ctx5, 2, 49) is None
 
@@ -175,26 +286,41 @@ def test_second_page_query_fills_the_bases_a_cache_lacks(ctx5, tmp_path, held):
 
 def test_roundtrip_gives_equal_monomials_and_blocks(ctx5, tmp_path, monkeypatch):
     # The cache holds bases only: a cleared matrix is not its block's
-    # matrix, so none is stored.  A loaded basis has a layout of its own,
-    # onto which e2_dimension maps the other basis's keys.
-    s, t = 8, 130194
-    cache = ResultCache(tmp_path)
-    cold = e2_dimension(ctx5, s, t, cache=cache)
-    searched = {f: enumerate_basis(ctx5, f, t).monomials for f in (s - 1, s)}
-    assert sorted(entry.name for entry in (tmp_path / ENGINE_VERSION).iterdir()) == [
-        "basis_p5_s%d_t%d_uall.txt" % (f, t) for f in (s - 1, s)]
-    clear_memo()
-    for f in (s - 1, s):
-        assert cache.load_basis(ctx5, f, t).monomials == searched[f], f
-    # both bases from the cache
+    # matrix, so none is stored.  A loaded basis holds the keys, in order,
+    # and the very layout of a search of its one filtration.  At s = 8 the
+    # two bases share one layout; at s = 7 the fields of s - 1 are narrower
+    # (3 bits against 4), so the window search's basis of 6 is repacked
+    # before it is stored, and e2_dimension maps the cycle keys onto the
+    # boundary's layout.
+    t = 130194
     real_search = enumeration._search
-    monkeypatch.setattr(enumeration, "_search", None)
-    assert e2_dimension(ctx5, s, t, cache=cache).blocks == cold.blocks
-    assert enumerate_basis(ctx5, s - 1, t).layout is not enumerate_basis(ctx5, s, t).layout
-    # one basis searched, the other from the cache
-    for f in (s - 1, s):
+    for s in (8, 7):
         clear_memo()
-        monkeypatch.setattr(enumeration, "_search", real_search)
-        enumerate_basis(ctx5, f, t)
+        cache = ResultCache(tmp_path / str(s))
+        cold = e2_dimension(ctx5, s, t, cache=cache)
+        searched = {f: enumerate_basis(ctx5, f, t).monomials for f in (s - 1, s)}
+        assert sorted(entry.name for entry in cache.root.iterdir()) == [
+            "basis_p5_s%d_t%d_uall.txt" % (f, t) for f in (s - 1, s)]
+        clear_memo()
+        for f in (s - 1, s):
+            loaded = cache.load_basis(ctx5, f, t)
+            single = real_search(ctx5, f, f, t)[f]
+            assert loaded.monomials == searched[f], (s, f)
+            assert (loaded.keys, loaded.weights) == (single.keys, single.weights), (s, f)
+            assert loaded.layout is single.layout, (s, f)
+        # both bases from the cache
         monkeypatch.setattr(enumeration, "_search", None)
-        assert e2_dimension(ctx5, s, t, cache=cache).blocks == cold.blocks, f
+        assert e2_dimension(ctx5, s, t, cache=cache).blocks == cold.blocks, s
+        widths = [enumerate_basis(ctx5, f, t).layout.width for f in (s - 1, s)]
+        assert widths == ([4, 4] if s == 8 else [3, 4]), s
+        assert (enumerate_basis(ctx5, s - 1, t).layout is enumerate_basis(ctx5, s, t).layout) \
+            == (s == 8), s
+        # one basis searched, the other from the cache
+        for f in (s - 1, s):
+            clear_memo()
+            monkeypatch.setattr(enumeration, "_search", real_search)
+            enumerate_basis(ctx5, f, t)
+            monkeypatch.setattr(enumeration, "_search", None)
+            assert e2_dimension(ctx5, s, t, cache=cache).blocks == cold.blocks, (s, f)
+        monkeypatch.setattr(enumeration, "_search", real_search)
+    clear_memo()

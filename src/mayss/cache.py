@@ -7,19 +7,22 @@ load_matrix and store_matrix remain, unused by the engine, because the
 benchmark's tracer (bench/tracing.py) wraps them.
 
 Layout: one file per entry under <root>/<engine version>/, so a version bump
-invalidates everything at once.  Each file repeats version and query in a
-header that loads verify.  Writes go to a temp file in the same directory
-followed by an atomic rename; unreadable or mismatched entries are treated
-as absent.  Only library callers that pass a cache use it: the command line
+invalidates everything at once.  A file is named by a fixed-length digest
+of its query, short whatever t, and repeats version and query in a header
+that loads verify.  Writes go to a temp file in the same directory followed
+by an atomic rename; unreadable or mismatched entries are treated as
+absent.  Only library callers that pass a cache use it: the command line
 keeps no disk cache.
 
-A basis entry holds one line per monomial, in search order: its packed key
-in hex (Python converts no int past 4300 digits to decimal) and its weight.
-Keys are on the shared layout of a search of the entry's filtration alone
-(enumeration._tables) and load onto that same layout object.  A key that is
-negative, runs past the universe, holds an exterior exponent above 1 or
-does not add up to (s, t, weight), or a repeated key, makes the entry a
-miss, so every key loaded is a distinct monomial of the bidegree.
+A basis entry records its monomial count, then holds one line per
+monomial, in search order: its packed key in hex (Python converts no int
+past 4300 digits to decimal) and its weight.  Keys are on the universe of
+the entry's degree at the field width of its filtration (enumeration.
+_tables) and load onto that same layout object.  A body of any other
+length than the count, a key that is negative, runs past the universe,
+holds an exterior exponent above 1 or does not add up to (s, t, weight),
+or a repeated key, makes the entry a miss, so every basis loaded is the
+whole basis stored.
 """
 
 from __future__ import annotations
@@ -27,15 +30,21 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
+import zlib
 from pathlib import Path
 
-from .enumeration import BidegreeBasis, Layout, _carry_feasible, _tables
+from .enumeration import EMPTY_LAYOUT, BidegreeBasis, _carry_feasible, _tables
 from .grading import PrimeContext
 from .linalg import MatrixFp, matrix_from_rows
 
 ENGINE_VERSION = "0.1.0"
 
 _MAGIC = "mayss-cache"
+
+
+def _header(kind: str, p: int, s: int, t: int, u: int | None) -> str:
+    """The query line of an entry; u is None for a whole bidegree."""
+    return "%s p=%d s=%d t=%d u=%s" % (kind, p, s, t, "all" if u is None else u)
 
 
 class ResultCache:
@@ -46,11 +55,17 @@ class ResultCache:
 
     # -- paths and atomic IO ------------------------------------------------
 
-    def _path(self, kind: str, p: int, s: int, t: int, u) -> Path:
-        uu = "all" if u is None else str(u)
-        return self.root / ("%s_p%d_s%d_t%d_u%s.txt" % (kind, p, s, t, uu))
+    def _path(self, header: str) -> Path:
+        # Two checksums make a 64-bit digest; hashlib would load OpenSSL, a
+        # few MB, into every process that imports the package.  Two queries
+        # of one name only evict each other: the header tells them apart.
+        query = header.encode()
+        return self.root / ("%s_%08x%08x.txt" % (header.split(" ", 1)[0], zlib.crc32(query),
+                                                 zlib.adler32(query)))
 
-    def _write(self, path: Path, lines: list[str]) -> None:
+    def _write(self, header: str, body: list[str]) -> None:
+        path = self._path(header)
+        lines = ["%s %s" % (_MAGIC, ENGINE_VERSION), header] + body
         tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -64,9 +79,9 @@ class ResultCache:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp)
 
-    def _read(self, path: Path, header: str) -> list[str] | None:
+    def _read(self, header: str) -> list[str] | None:
         try:
-            lines = path.read_text().splitlines()
+            lines = self._path(header).read_text().splitlines()
         except (OSError, UnicodeDecodeError):
             return None
         if len(lines) < 2 or lines[0] != "%s %s" % (_MAGIC, ENGINE_VERSION) or lines[1] != header:
@@ -75,22 +90,20 @@ class ResultCache:
 
     # -- bases --------------------------------------------------------------
 
-    def _basis_header(self, p: int, s: int, t: int) -> str:
-        return "basis p=%d s=%d t=%d u=all" % (p, s, t)
-
     def load_basis(self, ctx: PrimeContext, s: int, t: int) -> BidegreeBasis | None:
-        body = self._read(self._path("basis", ctx.p, s, t, None),
-                          self._basis_header(ctx.p, s, t))
-        if body is None:
+        body = self._read(_header("basis", ctx.p, s, t, None))
+        if not body:   # absent, or without its count
             return None
         try:
-            rows = [line.split() for line in body]
+            if int(body[0]) != len(body) - 1:   # lines lost or added
+                return None
+            rows = [line.split() for line in body[1:]]
             keys = tuple(int(key, 16) for key, _ in rows)
             weights = tuple(int(u) for _, u in rows)
         except ValueError:
             return None
         if not keys:
-            return BidegreeBasis(ctx.p, s, t, Layout((), (s + 1).bit_length()), (), ())
+            return BidegreeBasis(ctx.p, s, t, EMPTY_LAYOUT, (), ())
         if not _carry_feasible(t, s, -1, ctx):   # no monomial has this bidegree
             return None
         layout = _tables(ctx, t, s)[0]
@@ -114,15 +127,10 @@ class ResultCache:
     def store_basis(self, ctx: PrimeContext, basis: BidegreeBasis) -> None:
         # an empty basis builds no universe
         keys = basis.keys and _tables(ctx, basis.t, basis.s)[0].repack(basis.keys, basis.layout)
-        lines = ["%s %s" % (_MAGIC, ENGINE_VERSION),
-                 self._basis_header(basis.p, basis.s, basis.t)]
-        lines.extend("%x %d" % row for row in zip(keys, basis.weights))
-        self._write(self._path("basis", basis.p, basis.s, basis.t, None), lines)
+        self._write(_header("basis", basis.p, basis.s, basis.t, None),
+                    ["%d" % len(keys)] + ["%x %d" % row for row in zip(keys, basis.weights)])
 
     # -- matrices -----------------------------------------------------------
-
-    def _matrix_header(self, p: int, s: int, t: int, u: int) -> str:
-        return "d1mat p=%d s=%d t=%d u=%d" % (p, s, t, u)
 
     def load_matrix(self, ctx: PrimeContext, s: int, t: int, u: int,
                     cols: int) -> MatrixFp | None:
@@ -131,8 +139,7 @@ class ResultCache:
         Rows are image monomials, so their count is an output of the build,
         not checked here; an entry whose rows were numbered otherwise, or
         padded with zero rows, has the same rank."""
-        body = self._read(self._path("d1mat", ctx.p, s, t, u),
-                          self._matrix_header(ctx.p, s, t, u))
+        body = self._read(_header("d1mat", ctx.p, s, t, u))
         if body is None:
             return None
         try:
@@ -147,8 +154,5 @@ class ResultCache:
             return None
 
     def store_matrix(self, ctx: PrimeContext, s: int, t: int, u: int, m: MatrixFp) -> None:
-        lines = ["%s %s" % (_MAGIC, ENGINE_VERSION),
-                 self._matrix_header(ctx.p, s, t, u),
-                 "%d %d" % (m.rows, m.cols)]
-        lines.extend(" ".join(map(str, row)) for row in m.to_rows())
-        self._write(self._path("d1mat", ctx.p, s, t, u), lines)
+        self._write(_header("d1mat", ctx.p, s, t, u),
+                    ["%d %d" % (m.rows, m.cols)] + [" ".join(map(str, row)) for row in m.to_rows()])

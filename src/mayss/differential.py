@@ -29,8 +29,8 @@ what a(1) does.  d1_matrix, which differentiates whole bases, works on the
 packed keys the basis search emits (see the enumeration module): a basis's
 layout lists generators in canonical order and gives generator k the bit
 field [k*w, (k+1)*w), which holds its exponent.  The layout is the
-universe of the search that found the basis, which holds every generator
-of every summand of its generators, and an image raises an exponent by at
+universe of the basis's degree t, which holds every generator of every
+summand of its generators, and an image raises an exponent by at
 most one, within the width.  Then
 
     image key = key - unit(g) + sum of the units of the summand's factors,

@@ -1,8 +1,8 @@
 """Complete monomial bases of a tridegree, with provably safe pruning.
 
-A monomial of filtration s and internal degree t draws its factors from the
-finite universe of generators with deg <= t and filt <= s.  The search is a
-depth-first multiset selection over that universe in decreasing degree order.
+A monomial of internal degree t draws its factors from the finite universe
+of generators with deg <= t.  The search is a depth-first multiset
+selection over that universe in decreasing degree order.
 Every pruning rule here is a necessary condition on any completion of the
 partial selection, so the search runs all of them, always.  The tests hold
 each basis to an independent count of the E1-term per weight
@@ -79,9 +79,10 @@ completion, hence lossless.
 A window of one filtration is exactly the single-filtration search.
 
 The search emits packed exponent keys, not Monomials.  The universe, in
-canonical order, gives generator k the bit field [k*w, (k+1)*w) with
-w = (s_hi + 1).bit_length(), and each pick of generator k adds 1 << (k*w)
-to the key carried down the search, so a leaf's key holds its exponents.
+canonical order, gives generator k the bit field [k*w, (k+1)*w), w the bit
+length of s_hi + 1 (see _tables), and each pick of generator k adds
+1 << (k*w) to the key carried down the search, so a leaf's key holds its
+exponents.
 No exponent of a monomial of filtration at most s_hi passes s_hi, and d1
 raises one exponent by at most one, so no field ever carries into the next
 (see differential.d1_matrix).  The bases keep that layout, the search's
@@ -122,25 +123,32 @@ shares one empty result.
 
 The universe and the tables of its search order (positions, degrees,
 filtrations, weights, first child candidates, suffix supports and
-degree-per-filtration extremes) are shared by every search over the same
-universe: a verify scenario searches single filtrations at several
-neighbouring degrees, all over one universe.  The universe of (t, s_hi)
-holds the generators of degree at most t and filtration at most s_hi, so
-it is fixed by p, by min(s_hi, 2) (a universe of filtration 0 is empty,
-every a and h has filtration 1 and every b filtration 2) and by the
-largest generator degree at most t; the tables are keyed by those three.
-b(i,j) has the degree of h(i,j+1), so the b's add no degree to that key's
-thresholds: the a(i) and h(i,j) give them all.  The key is computed only
-after the root carry test has passed, since at a huge t it takes one step
-per tower index.  One table set is kept per (p, min(s_hi, 2)), replaced
-when a search needs another universe, and clear_memo drops it with the
-bases, so a cycle that starts from clear_memo builds its tables again.
-The tables are tuples because every later search reads them: a search
-that wrote to one would change the next one's results.  The window fields
-(s_hi, span) and the root tests stay per search.  The search's layout,
-whose field width follows s_hi, is shared too, one per width, so the
-generator positions, the exterior mask and the d1 plans kept on it are
-built once per universe and width.
+degree-per-filtration extremes) are shared by every search at one degree:
+a verify scenario searches single filtrations at several neighbouring
+degrees, all over one universe.  The universe of t holds every generator of
+degree at most t, whatever the window, so the tables are keyed by p and the
+largest generator degree at most t (b(i,j) has the degree of h(i,j+1), so
+the a(i) and h(i,j) give every threshold of that key).
+
+Holding the b's in every universe is exact, and moves no bit of any key.
+A search of top filtration at most 1 never picks one: every b has
+filtration 2, so a node with at most one filtration left skips it at
+f > s_rem before any bound or carry test reads the tables.  Below such a
+node a pick leaves no filtration, so the upper degree bound fails on
+any degree left and no degree left is a leaf, whatever the suffix tables
+hold; and the root's lower degree bound reads the least degree per
+filtration, a(0)'s with or without the b's.  The b's also sort after every
+a and h, so they take the last fields and every basis keeps its keys.
+
+The key is computed only after the root carry test has passed, since at a
+huge t it takes one step per tower index.  One table set is kept per p,
+replaced when a search needs another universe and dropped by clear_memo
+with the bases.  The tables are tuples because every later search reads
+them: a search that wrote to one would change the next one's results.  The
+search's layout, whose field width follows its top filtration, is shared
+too, one per width, so the generator positions, the exterior mask and the
+d1 plans kept on it are built once per universe and width; two layouts of
+one degree differ in width only.
 """
 
 from __future__ import annotations
@@ -160,22 +168,20 @@ from .grading import PrimeContext, Tridegree, check_degree
 MAX_FILTRATION = 512
 
 _memo: dict[tuple, "BidegreeBasis"] = {}
-# (p, min(s_hi, 2)) -> (top degree, universe, search tables, layouts by
-# width); see _tables
-_shared: dict[tuple[int, int], tuple[int, tuple, "_Order", dict[int, "Layout"]]] = {}
+# p -> (top degree, universe, search tables, layouts by width); see _tables
+_shared: dict[int, tuple[int, tuple, "_Order", dict[int, "Layout"]]] = {}
 
 
 @dataclass(frozen=True, eq=False)
 class Layout:
     """A generator universe in canonical order, each generator owning one
     bit field of a packed key: universe[k] holds its exponent in bits
-    [k*width, (k+1)*width).  It is the universe of the search that made the
-    keys, which holds every generator of their d1 images (module
-    docstring).  `plans` keeps, per canonical position, what d1_matrix
-    derives from a generator, so that every block on this layout reuses
-    it.  Searches over one universe share its layout per width, and the
-    cache reads a basis back onto the one a search of its filtration
-    builds (see _tables); repack moves keys between two layouts."""
+    [k*width, (k+1)*width).  It is the universe of the keys' degree t, every
+    generator of degree at most t, so it holds every generator of their d1
+    images (module docstring).  `plans` keeps, per canonical position, what
+    d1_matrix derives from a generator, so that every block on this layout
+    reuses it.  Every search and cache read at t shares its layout per
+    width (see _tables); repack moves keys between two widths."""
 
     universe: tuple[Generator, ...]
     width: int
@@ -218,13 +224,17 @@ class Layout:
         return key
 
     def repack(self, keys, source: "Layout"):
-        """Keys of the source layout on this one, field by field, each None
-        where pack gives None; the keys themselves when the layouts are
-        one."""
-        if source is self:
+        """Keys of a source layout of the same universe at this one's width,
+        each of whose exponents must fit it; the keys when the widths agree."""
+        w = self.width
+        if source.width == w:
             return keys
-        universe = source.universe
-        return [self.pack([(universe[k], e) for k, e in source.fields(key)]) for key in keys]
+        return [sum(e << (k * w) for k, e in source.fields(key)) for key in keys]
+
+
+# The layout of an empty basis that builds no universe (the root carry test
+# rejects it, or it is read from the cache); no reader needs its width.
+EMPTY_LAYOUT = Layout((), 1)
 
 
 class BidegreeBasis:
@@ -232,8 +242,8 @@ class BidegreeBasis:
 
     The basis is stored packed, in search order: keys[k] holds the
     exponents of the k-th monomial in the fields of `layout`, the universe
-    of the search that found it (or, read from a cache, of a search of its
-    one filtration), and weights[k] is its weight.  `monomials`, the same
+    of degree t at the width of the search that found it (read from a
+    cache, of its own filtration), and weights[k] is its weight.  `monomials`, the same
     monomials as Monomial objects sorted by render, is built from the keys
     on its first read and kept; the second-page path never reads it.
 
@@ -284,11 +294,9 @@ class BidegreeBasis:
                              tuple(keys[k] for k in picked), (u,) * len(picked))
 
 
-def generator_universe(ctx: PrimeContext, t_max: int, s_max: int) -> list[Generator]:
-    """All generators with deg <= t_max and filt <= s_max, canonically sorted."""
+def generator_universe(ctx: PrimeContext, t_max: int) -> list[Generator]:
+    """All generators with deg <= t_max, canonically sorted."""
     out: list[Generator] = []
-    if t_max < 1 or s_max < 1:
-        return out
     p = ctx.p
     i = 0
     while 2 * p**i - 1 <= t_max:
@@ -298,17 +306,10 @@ def generator_universe(ctx: PrimeContext, t_max: int, s_max: int) -> list[Genera
     while 2 * (p**i - 1) <= t_max:
         j = 0
         while 2 * (p**i - 1) * p**j <= t_max:
-            out.append(h(i, j))
+            # b(i,j-1) has the degree of h(i,j)
+            out += [h(i, j), b(i, j - 1)] if j else [h(i, j)]
             j += 1
         i += 1
-    if s_max >= 2:
-        i = 1
-        while 2 * (p**i - 1) * p <= t_max:
-            j = 0
-            while 2 * (p**i - 1) * p ** (j + 1) <= t_max:
-                out.append(b(i, j))
-                j += 1
-            i += 1
     out.sort(key=lambda g: g.key)
     return out
 
@@ -368,14 +369,10 @@ def _carry_feasible(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> bo
 
 
 class _Order(NamedTuple):
-    """What every node of one window's search reads: the live filtrations,
-    and per generator of the search order (decreasing degree, ties in
-    canonical order) or per suffix of it, the tables below.  The tables are
-    shared by every search over the same universe (see _tables); s_hi and
-    span are each search's own."""
+    """The tables every node of a search reads, per generator of the search
+    order (decreasing degree, ties in canonical order) or per suffix of it.
+    They are shared by every search at the same degree (see _tables)."""
 
-    s_hi: int                        # the largest live filtration
-    span: int                        # s_hi minus the smallest
     pos: tuple[int, ...]                   # canonical position
     degs: tuple[int, ...]
     neg_degs: tuple[int, ...]              # ascending, for bisect
@@ -409,19 +406,15 @@ def _top_degree(p: int, t: int) -> int:
 
 
 def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
-    """The layout of the universe of the generators with deg <= t and
-    filt <= s_hi, in canonical order, at the field width of s_hi, and the
-    tables of its search order, as an _Order whose window fields (s_hi,
-    span) are left 0 for each search to fill in.  Searches build their keys
-    on the layout, and the cache reads keys back onto it.  Both are built
-    once per universe, the layout once per width, and shared until a search
-    needs another universe of the same (p, min(s_hi, 2)), or until
-    clear_memo (module docstring)."""
-    key = (ctx.p, min(s_hi, 2))
+    """The layout of the universe of degree t, in canonical order, and the
+    tables of its search order.  s_hi sets only the layout's field width,
+    the bit length of s_hi + 1, which holds every exponent of a monomial of
+    filtration at most s_hi.  Searches build their keys on the layout, and
+    the cache reads keys back onto it.  Both are shared (module docstring)."""
     top = _top_degree(ctx.p, t)
-    kept = _shared.get(key)
+    kept = _shared.get(ctx.p)
     if kept is None or kept[0] != top:
-        universe = tuple(generator_universe(ctx, t, s_hi))
+        universe = tuple(generator_universe(ctx, t))
         tri = [g.tridegree(ctx) for g in universe]
         pos = sorted(range(len(universe)), key=lambda c: (-tri[c].t, c))
         n = len(pos)
@@ -439,11 +432,11 @@ def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
             max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
             md, mf = min_frac[k + 1]
             min_frac[k] = (d, f) if d * mf < md * f else (md, mf)
-        tables = _Order(0, 0, tuple(pos), tuple(degs), tuple(-d for d in degs), tuple(filts),
+        tables = _Order(tuple(pos), tuple(degs), tuple(-d for d in degs), tuple(filts),
                         tuple(tri[c].u for c in pos),
                         tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
                         tuple(supp), tuple(max_frac), tuple(min_frac))
-        kept = _shared[key] = (top, universe, tables, {})
+        kept = _shared[ctx.p] = (top, universe, tables, {})
     _, universe, tables, layouts = kept
     width = (s_hi + 1).bit_length()
     if width not in layouts:
@@ -451,10 +444,10 @@ def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
     return layouts[width], tables
 
 
-def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> tuple[Layout, _Order | None]:
-    """The layout of the window's universe, and its search order narrowed to
-    the filtrations that pass the root's tests, None when none does."""
-    width = (s_hi + 1).bit_length()
+def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int):
+    """The layout and search tables of the window's universe, and the top
+    and span of the window narrowed to the filtrations that pass the root's
+    tests; the tables are None when none passes."""
     # The root carry test needs no universe, so a huge t that no filtration
     # of the window admits ends before one is built or its key computed
     # (_top_degree loops once per tower index).  Supporting every column
@@ -463,27 +456,26 @@ def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> tuple[Layout, _Or
     # universe holds a(0) and h(1,j) for each of them.
     live = [s for s in range(s_lo, s_hi + 1) if _carry_feasible(t, s, -1, ctx)]
     if not live:
-        return Layout((), width), None
+        return EMPTY_LAYOUT, None, 0, 0
     layout, tables = _tables(ctx, t, s_hi)
     # The root's lower degree bound; every node tests each child, the upper
     # degree bound in its loop where it can end the loop.
     md, mf = tables.min_frac[0]
     live = [s for s in live if t * mf >= s * md]
-    if not live:
-        return layout, None
-    return layout, tables._replace(s_hi=live[-1], span=live[-1] - live[0])
+    return (layout, tables, live[-1], live[-1] - live[0]) if live else (layout, None, 0, 0)
 
 
-def _walk(ctx: PrimeContext, o: _Order, t: int, width: int, found) -> None:
-    """File every leaf of the search from the root (0, o.s_hi, t) under its
-    filtration in found, in search order: its key and its weight.
+def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int, found):
+    """File every leaf of the search of [s_hi - span, s_hi] from the root
+    (0, s_hi, t) under its filtration in found, in search order: its key
+    and its weight.
 
     leaves(idx, s_rem, t_rem) is the list of a state's leaves, each packed
     into one int: its key, its weight from bit ushift and its filtration
     left from bit sshift.  It is memoized for the duration of this walk (see
     the module docstring).
     """
-    s_hi, span, pos, degs, neg_degs, filts, weights, nidx, supp, max_frac, min_frac = o
+    pos, degs, neg_degs, filts, weights, nidx, supp, max_frac, min_frac = o
     n = len(pos)
     ushift = n * width
     # A leaf has at most s_hi factors, so its weight fits below sshift.
@@ -561,9 +553,9 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, Bidegr
     search order on the layout of the window's universe."""
     found: dict[int, tuple[list[int], list[int]]] = {
         s: ([], []) for s in range(s_lo, s_hi + 1)}
-    layout, order = _order(ctx, s_lo, s_hi, t)
+    layout, order, top, span = _order(ctx, s_lo, s_hi, t)
     if order is not None:
-        _walk(ctx, order, t, layout.width, found)
+        _walk(ctx, order, top, span, t, layout.width, found)
     return {s: BidegreeBasis(ctx.p, s, t, layout, tuple(keys), tuple(us))
             for s, (keys, us) in found.items()}
 

@@ -97,8 +97,8 @@ def _boundary_rank(ctx, above, w, cycle) -> tuple[int, set[int]]:
     block = above.block(w)
     if not block.dimension:
         return 0, cleared
-    # The cycle block's keys on this block's layout: the two bases may come
-    # from searches of different widths (a cached basis has a search's).
+    # The cycle block's keys on this block's layout: one universe, that of
+    # degree t, at a width of filtration s - 1 or more, which fits them.
     seeds = block.layout.repack(cycle.keys, cycle.layout)
     m = d1_matrix(block, ctx, seeds)
     if m.rows > len(seeds):

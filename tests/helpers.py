@@ -154,9 +154,9 @@ def tree_search(ctx, s_lo, s_hi, t):
     layout.  Its carry tests go through enumeration._carry_feasible, so a
     test that wraps that can count them."""
     found = {s: ([], []) for s in range(s_lo, s_hi + 1)}
-    search, order = enumeration._order(ctx, s_lo, s_hi, t)
+    search, order, s_hi, span = enumeration._order(ctx, s_lo, s_hi, t)
     if order is not None:
-        s_hi, span, pos, degs, neg_degs, filts, weights, nidx, supp, max_frac, min_frac = order
+        pos, degs, neg_degs, filts, weights, nidx, supp, max_frac, min_frac = order
         width = search.width
         last = len(pos) - 1
         _carry_feasible = enumeration._carry_feasible
@@ -295,6 +295,12 @@ def basis_mismatch(ctx, s, t, monomials):
     return None
 
 
+def universe_up_to(ctx, t, s):
+    """The generators of degree at most t and filtration at most s, in
+    canonical order: those a monomial of (s, t) can hold."""
+    return [g for g in generator_universe(ctx, t) if g.tridegree(ctx).s <= s]
+
+
 def reference_basis(ctx, s, t):
     """Raw multiset search over the generator universe; no feasibility
     reasoning beyond nonnegative remainders.  Returns sorted renders."""
@@ -302,7 +308,7 @@ def reference_basis(ctx, s, t):
         return []
     if s == 0:
         return [""] if t == 0 else []
-    universe = generator_universe(ctx, t, s)
+    universe = universe_up_to(ctx, t, s)
     found = []
 
     def rec(idx, s_rem, t_rem, word):
@@ -591,11 +597,11 @@ def key_monomials(basis, ctx):
 
 def block_of(monomials, ctx):
     """A basis of the given monomials, of one (s, t), in the given order,
-    packed on a fresh layout of the universe of (t, s), shared with no
-    search."""
+    packed on a fresh layout of the universe of degree t at the width of
+    s, shared with no search."""
     s, t = monomials[0].tridegree.s, monomials[0].tridegree.t
     assert all((m.tridegree.s, m.tridegree.t) == (s, t) for m in monomials)
-    layout = Layout(tuple(generator_universe(ctx, t, s)), (s + 1).bit_length())
+    layout = Layout(tuple(generator_universe(ctx, t)), (s + 1).bit_length())
     return BidegreeBasis(ctx.p, s, t, layout, tuple(layout.pack(m.factors) for m in monomials),
                          tuple(m.tridegree.u for m in monomials))
 

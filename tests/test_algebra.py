@@ -39,7 +39,7 @@ def test_generators_are_interned():
 
 
 def test_generator_attributes_match_their_formulas(ctx5, ctx7):
-    gens = generator_universe(ctx5, 130194, 9) + generator_universe(ctx7, 200000, 9)
+    gens = generator_universe(ctx5, 130194) + generator_universe(ctx7, 200000)
     assert {g.kind for g in gens} == {"a", "h", "b"}
     rank = {"a": 0, "h": 1, "b": 2}
     for g in gens:

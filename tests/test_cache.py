@@ -8,7 +8,7 @@ from helpers import codomain_matrix
 from mayss import ResultCache, a, b, e2_dimension, enumerate_basis, h
 from mayss import cache as cache_module
 from mayss import enumeration
-from mayss.cache import ENGINE_VERSION
+from mayss.cache import ENGINE_VERSION, _header
 from mayss.differential import d1_matrix
 from mayss.enumeration import clear_memo
 from mayss.linalg import matrix_from_rows, rank
@@ -56,24 +56,30 @@ def test_corrupted_entries_are_misses(ctx5, tmp_path):
     entry.write_text("mayss-cache %s\nbasis p=5 s=2 t=50 u=all\n" % ENGINE_VERSION)
     assert cache.load_basis(ctx5, 2, 49) is None
     header = "mayss-cache %s\nbasis p=5 s=2 t=49 u=all\n" % ENGINE_VERSION
-    entry.write_text(header + "401 4\n104 4\n")
+    entry.write_text(header + "2\n401 4\n104 4\n")
     assert cache.load_basis(ctx5, 2, 49).keys == (0x401, 0x104)
     # a line that is not a key and a weight
-    entry.write_text(header + "401 4\nnot a key\n")
+    entry.write_text(header + "2\n401 4\nnot a key\n")
     assert cache.load_basis(ctx5, 2, 49) is None
     # a(0)^9 on fields of width 2: the exponent overflows into a(1)'s field
     # and reads as a(0) a(1)^2, of another bidegree
-    entry.write_text(header + "401 4\n9 9\n")
+    entry.write_text(header + "2\n401 4\n9 9\n")
+    assert cache.load_basis(ctx5, 2, 49) is None
+    # no count, or a count that is not a number
+    entry.write_text(header)
+    assert cache.load_basis(ctx5, 2, 49) is None
+    entry.write_text(header + "two\n401 4\n104 4\n")
     assert cache.load_basis(ctx5, 2, 49) is None
 
 
 def _write_entry(cache, s, t, lines):
-    """A basis entry of (s, t) at p = 5 with a valid header and the given
-    body lines."""
-    path = cache._path("basis", 5, s, t, None)
+    """A basis entry of (s, t) at p = 5 with a valid header, the count of
+    the given body lines and those lines."""
+    header = _header("basis", 5, s, t, None)
+    path = cache._path(header)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("mayss-cache %s\nbasis p=5 s=%d t=%d u=all\n%s"
-                    % (ENGINE_VERSION, s, t, "".join(line + "\n" for line in lines)))
+    path.write_text("mayss-cache %s\n%s\n%d\n%s" % (
+        ENGINE_VERSION, header, len(lines), "".join(line + "\n" for line in lines)))
 
 
 def _hostile(ctx5, case):
@@ -129,14 +135,34 @@ def test_hostile_entries_are_misses(ctx5, tmp_path, case):
     clear_memo()
 
 
+@pytest.mark.parametrize("s, t", [(2, 49), (12, 3000)])
+def test_an_entry_with_a_line_removed_is_a_miss(ctx5, tmp_path, s, t):
+    # No key check can see a missing key; the recorded count does.  Before
+    # it, a dropped line loaded as a smaller basis, which failed the next
+    # query or gave it a wrong dimension.
+    cold = e2_dimension(ctx5, s, t).blocks
+    clear_memo()
+    cache = ResultCache(tmp_path)
+    enumerate_basis(ctx5, s, t, cache=cache)
+    entry = cache._path(_header("basis", 5, s, t, None))
+    lines = entry.read_text().splitlines(keepends=True)
+    assert len(lines) == 3 + enumerate_basis(ctx5, s, t).dimension
+    for k in range(len(lines)):
+        entry.write_text("".join(lines[:k] + lines[k + 1:]))
+        assert cache.load_basis(ctx5, s, t) is None, k
+    # the count line, the first and the last monomial
+    for k in (2, 3, len(lines) - 1):
+        entry.write_text("".join(lines[:k] + lines[k + 1:]))
+        clear_memo()
+        assert e2_dimension(ctx5, s, t, cache=cache).blocks == cold, k
+    clear_memo()
+
+
 def test_huge_degree_entries_build_no_universe(ctx5, tmp_path, monkeypatch):
     # A universe at t = 10^3999 would take one step per tower index.  An
     # empty entry loads on the empty layout; a non-empty one of a bidegree
-    # with no monomials is a miss, both before any universe is built.  A
-    # file name cannot hold a t of 4000 digits, so the entries here live
-    # under short names.
+    # with no monomials is a miss, both before any universe is built.
     cache = ResultCache(tmp_path)
-    monkeypatch.setattr(cache, "_path", lambda kind, p, s, t, u: tmp_path / ("%s_s%d" % (kind, s)))
     clear_memo()
 
     def refuse(*args):
@@ -149,10 +175,12 @@ def test_huge_degree_entries_build_no_universe(ctx5, tmp_path, monkeypatch):
     _write_entry(cache, 4, t, [])
     basis = cache.load_basis(ctx5, 4, t)
     assert basis.dimension == 0 and basis.keys == ()
-    assert basis.layout.universe == () and basis.layout.width == 3
+    assert basis.layout is enumeration.EMPTY_LAYOUT
     assert not enumeration._carry_feasible(t, 1, -1, ctx5)
     _write_entry(cache, 1, t, ["1 1"])
     assert cache.load_basis(ctx5, 1, t) is None
+    # named by a digest of the query, not by t's 4000 digits
+    assert all(len(entry.name) < 100 for entry in cache.root.iterdir())
 
 
 def test_keys_past_4300_decimal_digits_roundtrip(ctx5, tmp_path):
@@ -184,7 +212,7 @@ def test_matrix_roundtrip_and_dimension_check(ctx5, tmp_path):
     back = cache.load_matrix(ctx5, 1, 8, 1, 3)
     assert back is not None and back.rows == 0 and back.cols == 3
     # a ragged row, or fewer rows than the entry declares, is a miss too
-    (entry,) = list((tmp_path / ENGINE_VERSION).glob("d1mat_p5_s3_*"))
+    entry = cache._path(_header("d1mat", 5, 3, 49, 3))
     header = "mayss-cache %s\nd1mat p=5 s=3 t=49 u=3\n" % ENGINE_VERSION
     for body in ("1 2\n4\n", "2 2\n4 1\n"):
         entry.write_text(header + body)
@@ -299,8 +327,8 @@ def test_roundtrip_gives_equal_monomials_and_blocks(ctx5, tmp_path, monkeypatch)
         cache = ResultCache(tmp_path / str(s))
         cold = e2_dimension(ctx5, s, t, cache=cache)
         searched = {f: enumerate_basis(ctx5, f, t).monomials for f in (s - 1, s)}
-        assert sorted(entry.name for entry in cache.root.iterdir()) == [
-            "basis_p5_s%d_t%d_uall.txt" % (f, t) for f in (s - 1, s)]
+        assert sorted(cache.root.iterdir()) == sorted(
+            cache._path(_header("basis", 5, f, t, None)) for f in (s - 1, s))
         clear_memo()
         for f in (s - 1, s):
             loaded = cache.load_basis(ctx5, f, t)

@@ -7,7 +7,8 @@ import pytest
 from helpers import (DENSE_E2, SCENARIOS, UNIT, basis_mismatch, carry_solutions, column_sums,
                      column_sums_impossible, e1_dims, factor_count, forced_spanning_factors,
                      reference_basis, set_carry_feasible, single_search, tree_search,
-                     unit_summand_pairs, vanishes_by_digit_bound, vanishes_by_remainder_bound)
+                     unit_summand_pairs, universe_up_to, vanishes_by_digit_bound,
+                     vanishes_by_remainder_bound)
 from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
                    monomial_from_factors, padic_profile, verify_main)
 from mayss import enumeration
@@ -20,13 +21,13 @@ from mayss.verify import family_degree
 
 
 def test_universe_hand_check(ctx5):
-    got = sorted(g.render() for g in generator_universe(ctx5, t_max=50, s_max=2))
+    got = sorted(g.render() for g in generator_universe(ctx5, t_max=50))
     assert got == ["a(0)", "a(1)", "a(2)", "b(1,0)", "h(1,0)", "h(1,1)", "h(2,0)"]
-    # s_max=1 drops the b
-    got1 = sorted(g.render() for g in generator_universe(ctx5, t_max=50, s_max=1))
-    assert "b(1,0)" not in got1
+    # the tests' filtration filter drops the b at filtration 1
+    got1 = sorted(g.render() for g in universe_up_to(ctx5, 50, 1))
+    assert got1 == ["a(0)", "a(1)", "a(2)", "h(1,0)", "h(1,1)", "h(2,0)"]
     # nothing exceeds the degree bound
-    for g in generator_universe(ctx5, t_max=3000, s_max=6):
+    for g in generator_universe(ctx5, t_max=3000):
         assert g.tridegree(ctx5).t <= 3000
 
 
@@ -69,8 +70,8 @@ def test_e1_count_catches_a_generator_missing_from_the_universe(ctx5, monkeypatc
     # Every other oracle of the basis reads generator_universe too, so none
     # of them sees a generator missing from it.
     universe = enumeration.generator_universe
-    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max, s_max: [
-        g for g in universe(ctx, t_max, s_max) if g is not h(1, 1)])
+    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max: [
+        g for g in universe(ctx, t_max) if g is not h(1, 1)])
     clear_memo()
     try:
         basis = enumerate_basis(ctx5, 12, 3000).monomials
@@ -237,8 +238,8 @@ def test_filtration_limit(ctx5, monkeypatch):
     assert [m.render() for m in top.monomials] == ["a(0)^%d" % MAX_FILTRATION]
     clear_memo()
     universe = enumeration.generator_universe
-    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max, s_max: [
-        g for g in universe(ctx, t_max, s_max) if g in (a(0), a(1))])
+    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max: [
+        g for g in universe(ctx, t_max) if g in (a(0), a(1))])
     deep = _search(ctx5, MAX_FILTRATION, MAX_FILTRATION, 9 * MAX_FILTRATION)[MAX_FILTRATION]
     assert [m.render() for m in deep.monomials] == ["a(1)^%d" % MAX_FILTRATION]
 
@@ -293,7 +294,7 @@ def test_bases_keep_the_search_universe_which_holds_every_summand(ctx5, ctx7):
     for ctx, s_lo, s_hi, t in cases:
         found = _search(ctx, s_lo, s_hi, t)
         assert found[s_hi].dimension > 0, (ctx.p, s_hi, t)
-        universe = tuple(generator_universe(ctx, t, s_hi))
+        universe = tuple(generator_universe(ctx, t))
         for basis in found.values():
             assert basis.layout.universe == universe, (ctx.p, basis.s, t)
             held = {g for mon in basis.monomials for g, _ in mon.factors}
@@ -413,9 +414,9 @@ def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatc
         calls.append((t_rem, cap, support))
         return carry(t_rem, cap, support, ctx)
 
-    def recording_universe(ctx, t_max, s_max):
+    def recording_universe(ctx, t_max):
         calls.append("universe")
-        return universe(ctx, t_max, s_max)
+        return universe(ctx, t_max)
 
     monkeypatch.setattr(enumeration, "_carry_feasible", recording_carry)
     monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
@@ -427,25 +428,40 @@ def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatc
 
 
 def test_shared_tables_hold_the_universe_of_every_degree(ctx5, ctx7):
-    # The tables are shared by (p, min(s_hi, 2), top degree).  Walking t upward
-    # through every generator degree up to 10^7 and its neighbours, with and
-    # without b's at each t, a key that merged two universes would hand the
-    # later one the earlier one's.
+    # The tables are shared by (p, top degree).  Walking t upward through
+    # every generator degree up to 10^7 and its neighbours, at two widths
+    # at each t, a key that merged two universes would hand the later one
+    # the earlier one's.
     for ctx in (ctx5, ctx7):
-        degrees = {g.tridegree(ctx).t for g in generator_universe(ctx, 10**7, 2)}
+        degrees = {g.tridegree(ctx).t for g in generator_universe(ctx, 10**7)}
         ts = sorted({t for d in degrees for t in (d - 1, d, d + 1)})
         for t in ts:
             for s_hi in (1, 2):
                 universe = enumeration._tables(ctx, t, s_hi)[0].universe
-                assert universe == tuple(generator_universe(ctx, t, s_hi)), (ctx.p, s_hi, t)
+                assert universe == tuple(generator_universe(ctx, t)), (ctx.p, s_hi, t)
 
 
-def test_shared_tables_keep_the_empty_universe_of_filtration_0_apart(ctx5):
-    # the universe of filtration 0 is empty, that of filtration 1 at t = 49
-    # is not, and both have the same top degree
-    assert enumeration._tables(ctx5, 49, 0)[0].universe == ()
-    assert enumerate_basis(ctx5, 1, 49).dimension == 1
-    assert enumeration._tables(ctx5, 49, 1)[0].universe == tuple(generator_universe(ctx5, 49, 1))
+def test_filtrations_0_to_2_share_the_universe_of_their_degree(ctx5, monkeypatch):
+    # t = 40 is the degree of b(1,0), the first b: the searches of
+    # filtrations 0, 1 and 2 there build one universe, which holds it, and
+    # their layouts differ in field width only.
+    builds = []
+    universe = enumeration.generator_universe
+
+    def recording_universe(ctx, t_max):
+        builds.append(t_max)
+        return universe(ctx, t_max)
+
+    monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
+    bases = [enumerate_basis(ctx5, s, 40) for s in (0, 1, 2)]
+    assert [[m.render() for m in basis.monomials] for basis in bases] == [
+        [], ["h(1,1)"], ["b(1,0)"]]
+    layouts = [enumeration._tables(ctx5, 40, s)[0] for s in (0, 1, 2)]
+    assert builds == [40]
+    assert all(layout.universe == layouts[0].universe for layout in layouts)
+    assert layouts[0].universe[-1] == b(1, 0)
+    assert [layout.width for layout in layouts] == [1, 2, 2]
+    assert layouts[1] is layouts[2] is bases[1].layout is bases[2].layout
 
 
 def test_a_scenario_builds_its_universe_once(ctx5, monkeypatch):
@@ -454,9 +470,9 @@ def test_a_scenario_builds_its_universe_once(ctx5, monkeypatch):
     calls = []
     universe = enumeration.generator_universe
 
-    def recording_universe(ctx, t_max, s_max):
-        calls.append((t_max, s_max))
-        return universe(ctx, t_max, s_max)
+    def recording_universe(ctx, t_max):
+        calls.append(t_max)
+        return universe(ctx, t_max)
 
     monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
     assert verify_main(ctx5, 4, 6, 4).passed
@@ -485,7 +501,7 @@ def test_a_scenario_shares_one_layout(ctx5, monkeypatch):
 
 def test_exterior_mask_is_the_sum_of_the_exterior_units(ctx5, ctx7):
     for ctx, t in ((ctx5, 3000), (ctx5, 10**6), (ctx7, 1466)):
-        universe = tuple(generator_universe(ctx, t, 2))
+        universe = tuple(generator_universe(ctx, t))
         for width in (1, 2, 3, 4, 7):
             layout = Layout(universe, width)
             assert layout.exterior == sum(1 << (k * width) for k, g in enumerate(universe)
@@ -496,8 +512,8 @@ def test_exterior_mask_is_the_sum_of_the_exterior_units(ctx5, ctx7):
 def test_clear_memo_drops_the_shared_tables(ctx5, monkeypatch):
     full = _search(ctx5, 12, 12, 3000)[12]
     universe = enumeration.generator_universe
-    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max, s_max: [
-        g for g in universe(ctx, t_max, s_max) if g is not h(1, 1)])
+    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max: [
+        g for g in universe(ctx, t_max) if g is not h(1, 1)])
     # the shared tables still hold h(1,1) ...
     assert _search(ctx5, 12, 12, 3000)[12].keys == full.keys
     # ... until clear_memo drops them

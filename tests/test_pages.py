@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from helpers import DENSE_E2, SCENARIOS, add, codomain_matrix, d1_generator, scale
-from mayss import (ParameterError, Tridegree, a, d1, e2_dimension, element_from_monomial, h,
-                   enumerate_basis, make_context, monomial_from_factors, parse_element,
-                   survives_to_e2, verify_main, verify_survival)
-from mayss import pages
+from mayss import (ParameterError, ResultCache, Tridegree, a, d1, e2_dimension,
+                   element_from_monomial, h, enumerate_basis, make_context, monomial_from_factors,
+                   parse_element, survives_to_e2, verify_main, verify_survival)
+from mayss import enumeration, pages
 from mayss.algebra import Element, element_tridegree
 from mayss.differential import d1_matrix
-from mayss.enumeration import BidegreeBasis, clear_memo
+from mayss.enumeration import BidegreeBasis, Layout, clear_memo
 from mayss.linalg import rank
 from mayss.verify import family_degree, product_class
 
@@ -338,3 +338,38 @@ def test_mixed_layouts_give_the_blocks_of_fresh_bases(ctx5, monkeypatch):
     res = e2_dimension(ctx5, 8, t)
     assert res.blocks == fresh[8]
     assert _columns_at(built, 8) == res.e1_dim
+
+
+def test_the_order_of_queries_never_changes_an_answer(ctx5, rng, tmp_path, monkeypatch):
+    # The two bases a query reads come from the searches of other windows,
+    # hence of other field widths, or from a cache at the width of their
+    # own filtration.  Descending, the basis of s was searched with s + 1,
+    # that of s - 1 is searched alone, so the cycle keys change width.
+    grid = [(s, t) for t in (2988, 3000) for s in range(17)]
+    fresh = {}
+    for s, t in grid:
+        clear_memo()
+        fresh[s, t] = e2_dimension(ctx5, s, t).blocks
+    moved = []
+    repack = Layout.repack
+
+    def spy(self, keys, source):
+        if source.width != self.width:
+            moved.append((source.width, self.width))
+        return repack(self, keys, source)
+
+    monkeypatch.setattr(Layout, "repack", spy)
+    shuffled = grid[:]
+    rng.shuffle(shuffled)
+    cache = ResultCache(tmp_path)
+    for name, order, through in (("ascending", grid, None), ("descending", grid[::-1], None),
+                                 ("shuffled", shuffled, None), ("cold", grid, cache),
+                                 ("warm", grid, cache)):
+        clear_memo()
+        moved.clear()
+        if name == "warm":   # every basis from the cache
+            monkeypatch.setattr(enumeration, "_search", None)
+        for s, t in order:
+            assert e2_dimension(ctx5, s, t, cache=through).blocks == fresh[s, t], (name, s, t)
+        if name == "descending":
+            assert moved

@@ -33,7 +33,7 @@ import tempfile
 import zlib
 from pathlib import Path
 
-from .enumeration import EMPTY_LAYOUT, BidegreeBasis, _carry_feasible, _tables
+from .enumeration import EMPTY_LAYOUT, BidegreeBasis, _carry_failure, _tables
 from .grading import PrimeContext
 from .linalg import MatrixFp, matrix_from_rows
 
@@ -104,7 +104,7 @@ class ResultCache:
             return None
         if not keys:
             return BidegreeBasis(ctx.p, s, t, EMPTY_LAYOUT, (), ())
-        if not _carry_feasible(t, s, -1, ctx):   # no monomial has this bidegree
+        if _carry_failure(t, s, -1, ctx) is not None:   # no monomial has this bidegree
             return None
         layout = _tables(ctx, t, s)[0]
         held = 0

@@ -46,7 +46,32 @@ degree-per-filtration ratio of the remaining suffix never increases; so once
 the degree upper bound fails for a generator of filtration f it fails for
 every later one, and the loop stops when both filtrations are closed.  The
 lower degree bound and the carry test are not monotone along the order and
-are tested per candidate.
+are tested per candidate, but a failed carry test decides some later
+candidates of its node.  Number the columns as the support masks do, bit 0
+the remainder column and bit j+1 column j, and let lob(k) be the lowest
+support bit of generator k.  When candidate k of filtration f fails at bit
+c < lob(k), every later candidate k' of filtration f' >= f with
+lob(k') > c fails too, so the loop skips it untested:
+
+  * Below lob(k') the residual t_rem - deg(k') keeps the node's digits: the
+    degree of an h or b is q times a run of powers of p that starts at its
+    lowest column.  An a has lob 0, so it is never skipped.  The same holds
+    for k below lob(k) > c, so both residuals carry the node's digits on
+    bits 0 .. c.
+  * The cap of k', s_rem - f', is at most k's, s_rem - f.
+  * Its support supp[nidx[k']] is a subset of supp[nidx[k]]: both are
+    suffixes of the order, and nidx[k'] >= k + 1 >= nidx[k].
+  * The recurrence is monotone in the carry bound, the cap and the support,
+    so on bits 0 .. c its bound for k' stays at most k's, which is negative
+    at c.  A column fails only on a digit above its bound plus its cap, so
+    the digit at c is nonzero and the recurrence for k' reaches it.
+
+So a failure of filtration 1 cuts both filtrations and one of filtration 2
+only filtration 2: a later candidate of filtration 1 has the larger cap.
+At (3, 298), p = 5, b(2,0) fails the remainder column under cap 1, yet
+the later h(1,2) completes with a(2)^2 under cap 2.  The cuts live in one
+call for one state, so the memo below is unchanged, and they are tested
+after the upper degree bound, so a filtration closes exactly where it did.
 
 One search serves a window of filtrations [s_lo, s_hi] at one t: a
 second-page query at (s, t) reads the bases of s - 1 and s, which share
@@ -327,12 +352,15 @@ def digit_span(g: Generator) -> tuple[int, int]:
 # --- the digit-column carry system ----------------------------------------
 
 
-def _carry_feasible(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> bool:
-    """Whether the residual degree admits any column solution with sums
-    bounded by cap and restricted to the supported columns.
+def _carry_failure(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> int | None:
+    """The bit of the first column at which the residual degree admits no
+    column solution with sums bounded by cap and restricted to the
+    supported columns, or None when it admits one.
 
     support is a bitmask: bit 0 is the remainder column, bit j+1 is column
-    j.  Necessary for any completion.
+    j, and the answer numbers the columns alike.  Feasibility is necessary
+    for any completion; where a failure lies lets a search node skip later
+    candidates without testing them (module docstring).
 
     The reachable carries always form an interval [0, hi], so one integer
     follows them.  Out of the remainder column they are the lam >= 0 with
@@ -346,23 +374,26 @@ def _carry_feasible(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> bo
     column must carry out 0, which an interval from 0 holds whenever it is
     non-empty, and past the top digit d = 0 keeps hi >= 0.  So the test is
     that hi stays >= 0 through the digits of t_rem: time linear in them,
-    memory constant in cap.
+    memory constant in cap.  A column fails only on a digit d > hi + cap_j,
+    so its digit is nonzero.
     """
     p, q = ctx.p, ctx.q
     body, cm = divmod(t_rem, q)
     cap_m1 = cap if support & 1 else 0
     if cm > cap_m1:
-        return False
+        return 0
     hi = (cap_m1 - cm) // q
     cols = support >> 1
+    bit = 1
     while body:
         # body % p is this column's digit d, cols & 1 its support bit.
         hi = (hi + (cap if cols & 1 else 0) - body % p) // p
         if hi < 0:
-            return False
+            return bit
         body //= p
         cols >>= 1
-    return True
+        bit += 1
+    return None
 
 
 # --- the search ------------------------------------------------------------
@@ -379,6 +410,7 @@ class _Order(NamedTuple):
     filts: tuple[int, ...]
     weights: tuple[int, ...]
     nidx: tuple[int, ...]                  # a child's first candidate: past an exterior pick
+    lob: tuple[int, ...]                   # lowest supported column, as a support bit
     supp: tuple[int, ...]                  # per suffix: supported columns
     max_frac: tuple[tuple[int, int], ...]  # per suffix: (deg, filt) with max deg/filt
     min_frac: tuple[tuple[int, int], ...]  # per suffix: min deg/filt; (1, 0) acts as +infinity
@@ -421,11 +453,13 @@ def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
         order = [universe[c] for c in pos]
         degs = [tri[c].t for c in pos]
         filts = [tri[c].s for c in pos]
+        lob = [0] * n
         supp = [0] * (n + 1)
         max_frac = [(0, 1)] * (n + 1)
         min_frac = [(1, 0)] * (n + 1)
         for k in range(n - 1, -1, -1):
             lo, hi = digit_span(order[k])   # bits lo + 1 .. hi + 1 of the mask
+            lob[k] = lo + 1
             supp[k] = supp[k + 1] | ((1 << (hi - lo + 1)) - 1) << (lo + 1)
             d, f = degs[k], filts[k]
             md, mf = max_frac[k + 1]
@@ -435,7 +469,7 @@ def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
         tables = _Order(tuple(pos), tuple(degs), tuple(-d for d in degs), tuple(filts),
                         tuple(tri[c].u for c in pos),
                         tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
-                        tuple(supp), tuple(max_frac), tuple(min_frac))
+                        tuple(lob), tuple(supp), tuple(max_frac), tuple(min_frac))
         kept = _shared[ctx.p] = (top, universe, tables, {})
     _, universe, tables, layouts = kept
     width = (s_hi + 1).bit_length()
@@ -454,7 +488,7 @@ def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int):
     # loses nothing against the universe's own support: the recurrence reads
     # only the remainder column and the digit columns of t/q, and the
     # universe holds a(0) and h(1,j) for each of them.
-    live = [s for s in range(s_lo, s_hi + 1) if _carry_feasible(t, s, -1, ctx)]
+    live = [s for s in range(s_lo, s_hi + 1) if _carry_failure(t, s, -1, ctx) is None]
     if not live:
         return EMPTY_LAYOUT, None, 0, 0
     layout, tables = _tables(ctx, t, s_hi)
@@ -475,8 +509,9 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
     left from bit sshift.  It is memoized for the duration of this walk (see
     the module docstring).
     """
-    pos, degs, neg_degs, filts, weights, nidx, supp, max_frac, min_frac = o
+    pos, degs, neg_degs, filts, weights, nidx, lob, supp, max_frac, min_frac = o
     n = len(pos)
+    uncut = max(lob, default=0)     # a cut that skips no candidate
     ushift = n * width
     # A leaf has at most s_hi factors, so its weight fits below sshift.
     sshift = ushift + (s_hi * max(weights, default=0)).bit_length()
@@ -493,6 +528,9 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
         out = []
         # Filtrations (bit f for f in {1, 2}) whose upper bound still holds.
         open_filts = 3 if s_rem >= 2 else 1
+        # A candidate of filtration 1 (2) whose lowest support bit lies
+        # above cut1 (cut2) fails its carry test (module docstring).
+        cut1 = cut2 = uncut
         # Generators heavier than t_rem form a prefix of the order.
         for k in range(max(idx, bisect_left(neg_degs, -t_rem)), last):
             f = filts[k]
@@ -514,10 +552,18 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
                     if not open_filts:
                         return out or dead
                     continue
+                if lob[k] > (cut1 if f == 1 else cut2):
+                    continue
                 md, mf = min_frac[ni]
                 if nt * mf < ns_lo * md:
                     continue
-                if not _carry_feasible(nt, ns, supp[ni], ctx):
+                c = _carry_failure(nt, ns, supp[ni], ctx)
+                if c is not None:
+                    if c < lob[k]:
+                        if c < cut2:
+                            cut2 = c
+                        if f == 1:
+                            cut1 = c
                     continue
             else:
                 # No degree left in a filtration of the window: the pick

@@ -151,15 +151,18 @@ def tree_search(ctx, s_lo, s_hi, t):
     """The engine's search as a plain depth-first tree walk, without the
     memo over states: the oracle of enumeration._search, whose bases it
     returns from the same search order, the same pruning rules and the same
-    layout.  Its carry tests go through enumeration._carry_feasible, so a
-    test that wraps that can count them."""
+    layout.  It runs the carry test on every candidate that passes the
+    degree bounds, without the engine's skip of the candidates an earlier
+    failure in the node decides, so it is the unbounded oracle of that skip
+    too.  Its carry tests go through enumeration._carry_failure, so a test
+    that wraps that can count them."""
     found = {s: ([], []) for s in range(s_lo, s_hi + 1)}
     search, order, s_hi, span = enumeration._order(ctx, s_lo, s_hi, t)
     if order is not None:
-        pos, degs, neg_degs, filts, weights, nidx, supp, max_frac, min_frac = order
+        pos, degs, neg_degs, filts, weights, nidx, _, supp, max_frac, min_frac = order
         width = search.width
         last = len(pos) - 1
-        _carry_feasible = enumeration._carry_feasible
+        carry_failure = enumeration._carry_failure
 
         def rec(idx: int, s_rem: int, t_rem: int, u: int, key: int):
             # s_rem is the largest filtration left, s_rem - span the smallest.
@@ -189,7 +192,7 @@ def tree_search(ctx, s_lo, s_hi, t):
                     md, mf = min_frac[ni]
                     if nt * mf < ns_lo * md:
                         continue
-                    if not _carry_feasible(nt, ns, supp[ni], ctx):
+                    if carry_failure(nt, ns, supp[ni], ctx) is not None:
                         continue
                 rec(ni, ns, nt, u + weights[k], key + (1 << (pos[k] * width)))
             # The a(0) branch: its one completion is a(0)^t_rem.

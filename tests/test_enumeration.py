@@ -13,7 +13,7 @@ from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
                    monomial_from_factors, padic_profile, verify_main)
 from mayss import enumeration
 from mayss.algebra import Monomial
-from mayss.enumeration import (MAX_FILTRATION, Layout, _carry_feasible, _search,
+from mayss.enumeration import (MAX_FILTRATION, Layout, _carry_failure, _search,
                                clear_memo, digit_span, generator_universe)
 from mayss.grading import PAdicProfile
 from mayss.pages import e2_dimension
@@ -200,19 +200,94 @@ def test_search_equals_the_tree_walk_on_a_large_window(ctx5):
 def test_search_shares_the_subtrees_of_equal_states(ctx5, monkeypatch):
     # A dropped memo would leave every basis as it is; only the work shows it.
     calls = []
-    carry = enumeration._carry_feasible
+    carry = enumeration._carry_failure
 
     def counting_carry(t_rem, cap, support, ctx):
         calls.append(t_rem)
         return carry(t_rem, cap, support, ctx)
 
-    monkeypatch.setattr(enumeration, "_carry_feasible", counting_carry)
+    monkeypatch.setattr(enumeration, "_carry_failure", counting_carry)
     for s, t in DENSE_E2:
         _search(ctx5, s - 1, s, t)
     memoized = len(calls)
     for s, t in DENSE_E2:
         tree_search(ctx5, s - 1, s, t)
     assert 2 * memoized < len(calls) - memoized
+
+
+def test_search_equals_the_tree_walk_past_n_20(ctx5, monkeypatch):
+    # every window verify main searches at n = 40 and 80, where a failed
+    # carry test decides the most later candidates
+    search = enumeration._search
+    windows = []
+
+    def checked_search(ctx, s_lo, s_hi, t):
+        found = search(ctx, s_lo, s_hi, t)
+        assert same_as_tree_search(ctx, s_lo, s_hi, t, found), (ctx.p, s_lo, s_hi, t)
+        windows.append(t)
+        return found
+
+    monkeypatch.setattr(enumeration, "_search", checked_search)
+    for n in (40, 80):
+        clear_memo()
+        assert verify_main(ctx5, 4, n, 4).passed
+    assert len(windows) > 10
+
+
+def test_a_failed_carry_test_skips_the_candidates_it_decides(monkeypatch):
+    # No state repeats in the scenario searches, so the memo saves no carry
+    # test there: only the skip of the candidates that an earlier failure in
+    # the node decides makes the search run fewer than the tree walk.
+    search = enumeration._search
+    windows = []
+
+    def recording_search(ctx, s_lo, s_hi, t):
+        windows.append((ctx, s_lo, s_hi, t))
+        return search(ctx, s_lo, s_hi, t)
+
+    monkeypatch.setattr(enumeration, "_search", recording_search)
+    for p, m, n, s in SCENARIOS:
+        assert verify_main(make_context(p), m, n, s).passed
+    monkeypatch.setattr(enumeration, "_search", search)
+    calls = []
+    carry = enumeration._carry_failure
+
+    def counting_carry(t_rem, cap, support, ctx):
+        calls.append(t_rem)
+        return carry(t_rem, cap, support, ctx)
+
+    monkeypatch.setattr(enumeration, "_carry_failure", counting_carry)
+    for window in windows:
+        _search(*window)
+    memoized = len(calls)
+    for window in windows:
+        tree_search(*window)
+    assert 2 * memoized < len(calls) - memoized
+
+
+def test_a_failed_b_decides_no_later_h(ctx5, monkeypatch):
+    # At (3, 298), p = 5, the root tests b(2,0) before h(1,2): its residual
+    # 58 = 7*8 + 2 fails the remainder column under the cap 1 it leaves.
+    # h(1,2) has a larger cap, 2, and its completion a(2)^2 fills the
+    # remainder column with 2 units, so a failure of filtration 2 may cut
+    # only the later candidates of filtration 2.
+    failures = []
+    carry = enumeration._carry_failure
+
+    def recording_carry(t_rem, cap, support, ctx):
+        c = carry(t_rem, cap, support, ctx)
+        failures.append((t_rem, cap, c))
+        return c
+
+    monkeypatch.setattr(enumeration, "_carry_failure", recording_carry)
+    basis = enumerate_basis(ctx5, 3, 298)
+    assert (298 - 240, 1, 0) in failures
+    layout, order = enumeration._tables(ctx5, 298, 3)
+    rank = {layout.universe[c]: k for k, c in enumerate(order.pos)}
+    assert rank[b(2, 0)] < rank[h(1, 2)]
+    assert (order.lob[rank[b(2, 0)]], order.lob[rank[h(1, 2)]]) == (2, 3)
+    assert "a(2)^2 h(1,2)" in [m.render() for m in basis.monomials]
+    assert basis_mismatch(ctx5, 3, 298, basis.monomials) is None
 
 
 def test_trivial_bidegrees(ctx5):
@@ -402,13 +477,13 @@ def test_root_carry_test_subsumes_the_vanishing_bounds(ctx5, ctx7):
                 digit = s < ctx.p and vanishes_by_digit_bound(s, t, ctx)
                 if digit or vanishes_by_remainder_bound(s, t, ctx):
                     fired += 1
-                    assert not _carry_feasible(t, s, (1 << 64) - 1, ctx), (ctx.p, s, t)
+                    assert _carry_failure(t, s, (1 << 64) - 1, ctx) is not None, (ctx.p, s, t)
     assert fired > 1000
 
 
 def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatch):
     calls = []
-    carry, universe = enumeration._carry_feasible, enumeration.generator_universe
+    carry, universe = enumeration._carry_failure, enumeration.generator_universe
 
     def recording_carry(t_rem, cap, support, ctx):
         calls.append((t_rem, cap, support))
@@ -418,7 +493,7 @@ def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatc
         calls.append("universe")
         return universe(ctx, t_max)
 
-    monkeypatch.setattr(enumeration, "_carry_feasible", recording_carry)
+    monkeypatch.setattr(enumeration, "_carry_failure", recording_carry)
     monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
     found = _search(ctx5, 1, 3, 49)
     assert calls[:4] == [(49, 1, -1), (49, 2, -1), (49, 3, -1), "universe"]
@@ -476,7 +551,7 @@ def test_a_scenario_builds_its_universe_once(ctx5, monkeypatch):
 
     monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
     assert verify_main(ctx5, 4, 6, 4).passed
-    assert 1 <= len(calls) <= 2, calls
+    assert calls == [130194]
 
 
 def test_a_scenario_shares_one_layout(ctx5, monkeypatch):
@@ -609,20 +684,43 @@ def test_carry_recurrence_matches_the_set_oracle(ctx5, ctx7, rng):
         for t in range(1200):
             for cap in range(7):
                 for support in range(32):
-                    assert (_carry_feasible(t, cap, support, ctx)
+                    assert ((_carry_failure(t, cap, support, ctx) is None)
                             == set_carry_feasible(t, cap, support, ctx)), (ctx.p, t, cap, support)
     for _ in range(3000):
         ctx = rng.choice((ctx5, ctx7))
         t = rng.randint(0, 10**12)
         cap = rng.randint(0, 40)
         support = rng.getrandbits(rng.randint(1, 20))
-        assert (_carry_feasible(t, cap, support, ctx)
+        assert ((_carry_failure(t, cap, support, ctx) is None)
                 == set_carry_feasible(t, cap, support, ctx)), (ctx.p, t, cap, support)
+
+
+def test_carry_failure_is_the_first_failing_column(ctx5, ctx7, rng):
+    # The failing bit is the least k at which the set oracle rejects the
+    # residual cut to its remainder and first k columns, t_rem mod q*p^k:
+    # the recurrence reads the columns from the bottom, so the system of
+    # the columns below the failure is feasible and the one through it is
+    # not.
+    at = {"pass": 0, "remainder": 0, "column": 0}
+    for _ in range(3000):
+        ctx = rng.choice((ctx5, ctx7))
+        t = rng.randint(0, rng.choice((100, 10**4, 10**9)))
+        cap = rng.randint(0, 12)
+        support = rng.getrandbits(rng.randint(1, 16)) | rng.randrange(2)
+        k, first = 0, None
+        while first is None and (k == 0 or ctx.q * ctx.p ** (k - 1) <= t):
+            if not set_carry_feasible(t % (ctx.q * ctx.p**k), cap, support, ctx):
+                first = k
+            k += 1
+        got = _carry_failure(t, cap, support, ctx)
+        assert got == first, (ctx.p, t, cap, support)
+        at["pass" if got is None else "remainder" if got == 0 else "column"] += 1
+    assert min(at.values()) > 200, at
 
 
 def test_carry_recurrence_is_constant_memory_in_cap(ctx5):
     # The set oracle would hold about 10**10 carries here.
-    assert _carry_feasible(9 * 10**11, 10**11, (1 << 40) - 1, ctx5)
+    assert _carry_failure(9 * 10**11, 10**11, (1 << 40) - 1, ctx5) is None
 
 
 def test_carry_forms_agree(ctx5, ctx7):
@@ -634,4 +732,4 @@ def test_carry_forms_agree(ctx5, ctx7):
             support = (1 << (len(target.digits) + 1)) - 1
             for cap in range(9):
                 assert (bool(carry_solutions(target, cap, ctx))
-                        == _carry_feasible(t, cap, support, ctx)), (ctx.p, t, cap)
+                        == (_carry_failure(t, cap, support, ctx) is None)), (ctx.p, t, cap)

@@ -16,7 +16,7 @@ forced by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .errors import ParameterError, ParseError
@@ -29,7 +29,6 @@ _KIND_RANK = {"a": 0, "h": 1, "b": 2}
 MAX_GENERATOR_INDEX = 10_000
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Generator:
     """One multiplicative generator: kind "a" (j is None), "h", or "b".
 
@@ -37,12 +36,12 @@ class Generator:
     Generator(...), pickle and copy all return, so equality is identity and
     the hash is object.__hash__.  The constructor also sets, once per
     instance, the derived attributes that the hot paths read: text (the
-    rendered form), key (the canonical sort key) and is_exterior.
+    rendered form), key (the canonical sort key) and is_exterior.  An
+    instance is immutable: setting or deleting an attribute raises
+    AttributeError.
     """
 
-    kind: str
-    i: int
-    j: int | None
+    __slots__ = ("kind", "i", "j", "text", "key", "is_exterior")
 
     def __new__(cls, kind: str, i: int, j: int | None) -> "Generator":
         g = _INTERNED.get((kind, i, j))
@@ -56,6 +55,12 @@ class Generator:
                     ("is_exterior", kind == "h")):
                 object.__setattr__(g, name, value)
         return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot set %r: a Generator is immutable" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete %r: a Generator is immutable" % name)
 
     def __reduce__(self):
         return Generator, (self.kind, self.i, self.j)
@@ -98,12 +103,13 @@ def b(i: int, j: int) -> Generator:
     return Generator("b", i, j)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Product of generators in canonical order; exterior exponents are 1."""
+class Monomial(namedtuple("Monomial", "factors tridegree")):
+    """Product of generators in canonical order; exterior exponents are 1.
 
-    factors: tuple[tuple[Generator, int], ...]
-    tridegree: Tridegree
+    factors is a tuple of (Generator, exponent) pairs, tridegree a Tridegree.
+    """
+
+    __slots__ = ()
 
     def render(self) -> str:
         return " ".join(g.text if e == 1 else "%s^%d" % (g.text, e) for g, e in self.factors)

@@ -179,9 +179,8 @@ one degree differ in width only.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .algebra import Generator, Monomial, a, b, h
 from .errors import ParameterError
@@ -197,7 +196,6 @@ _memo: dict[tuple, "BidegreeBasis"] = {}
 _shared: dict[int, tuple[int, tuple, "_Order", dict[int, "Layout"]]] = {}
 
 
-@dataclass(frozen=True, eq=False)
 class Layout:
     """A generator universe in canonical order, each generator owning one
     bit field of a packed key: universe[k] holds its exponent in bits
@@ -206,11 +204,12 @@ class Layout:
     images (module docstring).  `plans` keeps, per canonical position, what
     d1_matrix derives from a generator, so that every block on this layout
     reuses it.  Every search and cache read at t shares its layout per
-    width (see _tables); repack moves keys between two widths."""
+    width (see _tables); repack moves keys between two widths.  Layouts
+    compare by identity."""
 
-    universe: tuple[Generator, ...]
-    width: int
-    plans: dict = field(default_factory=dict)
+    def __init__(self, universe: tuple[Generator, ...], width: int):
+        self.universe, self.width = universe, width
+        self.plans: dict = {}
 
     @cached_property
     def position(self) -> dict[Generator, int]:
@@ -399,21 +398,24 @@ def _carry_failure(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> int
 # --- the search ------------------------------------------------------------
 
 
-class _Order(NamedTuple):
+class _Order(namedtuple("_Order", (
+        "pos",        # canonical position
+        "degs",
+        "neg_degs",   # ascending, for bisect
+        "filts",
+        "weights",
+        "nidx",       # a child's first candidate: past an exterior pick
+        "lob",        # lowest supported column, as a support bit
+        "supp",       # per suffix: supported columns
+        "max_frac",   # per suffix: (deg, filt) with max deg/filt
+        "min_frac",   # per suffix: min deg/filt; (1, 0) acts as +infinity
+))):
     """The tables every node of a search reads, per generator of the search
-    order (decreasing degree, ties in canonical order) or per suffix of it.
-    They are shared by every search at the same degree (see _tables)."""
+    order (decreasing degree, ties in canonical order) or per suffix of it,
+    each a tuple.  They are shared by every search at the same degree (see
+    _tables)."""
 
-    pos: tuple[int, ...]                   # canonical position
-    degs: tuple[int, ...]
-    neg_degs: tuple[int, ...]              # ascending, for bisect
-    filts: tuple[int, ...]
-    weights: tuple[int, ...]
-    nidx: tuple[int, ...]                  # a child's first candidate: past an exterior pick
-    lob: tuple[int, ...]                   # lowest supported column, as a support bit
-    supp: tuple[int, ...]                  # per suffix: supported columns
-    max_frac: tuple[tuple[int, int], ...]  # per suffix: (deg, filt) with max deg/filt
-    min_frac: tuple[tuple[int, int], ...]  # per suffix: min deg/filt; (1, 0) acts as +infinity
+    __slots__ = ()
 
 
 def _top_degree(p: int, t: int) -> int:

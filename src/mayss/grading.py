@@ -9,7 +9,7 @@ fast vanishing tests and the enumeration pruning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError
 
@@ -37,12 +37,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(namedtuple("PrimeContext", "p q")):
     """An odd prime p >= 5 together with q = 2(p-1)."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
 
 def make_context(p: int) -> PrimeContext:
@@ -68,12 +66,10 @@ def check_power(p: int, n: int) -> None:
         raise ParameterError("internal degree exceeds 10^4000")
 
 
-@dataclass(frozen=True)
-class Tridegree:
-    s: int
-    t: int
-    u: int
+class Tridegree(namedtuple("Tridegree", "s t u")):
+    __slots__ = ()
 
+    # adds componentwise, in place of tuple concatenation
     def __add__(self, other: "Tridegree") -> "Tridegree":
         return Tridegree(self.s + other.s, self.t + other.t, self.u + other.u)
 
@@ -84,16 +80,14 @@ class Tridegree:
 ZERO_DEGREE = Tridegree(0, 0, 0)
 
 
-@dataclass(frozen=True)
-class PAdicProfile:
+class PAdicProfile(namedtuple("PAdicProfile", "c_minus1 digits")):
     """The unique expansion t = q*sum(digits[j] * p^j) + c_minus1.
 
     digits has no trailing zeros (the top digit is nonzero); t = 0 is the
     empty profile (c_minus1 = 0, digits = ()).
     """
 
-    c_minus1: int
-    digits: tuple[int, ...]
+    __slots__ = ()
 
 
 def padic_profile(t: int, ctx: PrimeContext) -> PAdicProfile:

@@ -30,18 +30,17 @@ with an entry on a row that no column touches is outside the span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class MatrixFp:
-    modulus: int
-    rows: int
-    cols: int
-    columns: tuple[dict[int, int], ...]  # column c as {row: residue in [1, modulus)}
+class MatrixFp(namedtuple("MatrixFp", "modulus rows cols columns")):
+    """An F_modulus matrix of rows x cols, stored by column: columns[c] is
+    column c as {row: residue in [1, modulus)}."""
+
+    __slots__ = ()
 
     def to_rows(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]

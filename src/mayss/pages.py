@@ -25,23 +25,18 @@ whole.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .algebra import Element, element_tridegree
 from .differential import d1, d1_matrix
 from .enumeration import BidegreeBasis, _check, _enumerate_window, enumerate_basis
 from .errors import ParameterError
-from .grading import PrimeContext, Tridegree
+from .grading import PrimeContext
 from .linalg import in_span, rank
 
 
-@dataclass(frozen=True)
-class WeightBlock:
-    u: int
-    e1_dim: int
-    cycle_dim: int
-    boundary_dim: int
+class WeightBlock(namedtuple("WeightBlock", "u e1_dim cycle_dim boundary_dim")):
+    __slots__ = ()
 
     @property
     def e2_dim(self) -> int:
@@ -52,11 +47,10 @@ def _summed(name: str) -> property:
     return property(lambda page: sum(getattr(bl, name) for bl in page.blocks))
 
 
-@dataclass(frozen=True)
-class PageQueryResult:
+class PageQueryResult(namedtuple("PageQueryResult", "blocks")):
     """The weight blocks of one query; each dimension is summed over them."""
 
-    blocks: tuple[WeightBlock, ...]
+    __slots__ = ()
     e1_dim = _summed("e1_dim")
     cycle_dim = _summed("cycle_dim")
     boundary_dim = _summed("boundary_dim")
@@ -119,11 +113,10 @@ def _cleared_rank(ctx, cycle, cleared) -> int:
                                         cycle.weights[:len(kept)]), ctx))
 
 
-@dataclass(frozen=True)
-class SurvivalVerdict:
-    position: Tridegree
-    is_cycle: bool
-    is_boundary: bool
+class SurvivalVerdict(namedtuple("SurvivalVerdict", "position is_cycle is_boundary")):
+    """position is the element's Tridegree."""
+
+    __slots__ = ()
 
     @property
     def e2_nonzero(self) -> bool:

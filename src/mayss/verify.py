@@ -16,7 +16,7 @@ n >= m+2 >= 4 with a warning, for probing where the window claims break.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .algebra import (Monomial, a, element_from_monomial, h, monomial_from_factors,
                       multiply, render_element)
@@ -27,25 +27,20 @@ from .grading import PrimeContext, Tridegree, check_degree, check_power
 from .pages import e2_dimension, survives_to_e2
 
 
-@dataclass(frozen=True)
-class Check:
-    description: str
-    expected: str
-    observed: str
-    passed: bool
+class Check(namedtuple("Check", "description expected observed passed")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"description": self.description, "expected": self.expected,
                 "observed": self.observed, "pass": self.passed}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    scenario: str
-    params: dict
-    checks: tuple[Check, ...]
-    passed: bool
-    notes: tuple[str, ...] = ()
+class VerificationReport(namedtuple("VerificationReport",
+                                     "scenario params checks passed notes", defaults=((),))):
+    """params maps "p", "m", "n" and "s" to ints; checks is a tuple of
+    Check, notes a tuple of str."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"scenario": self.scenario, "params": dict(self.params),
@@ -393,7 +388,7 @@ def verify_main(ctx: PrimeContext, m: int, n: int, s: int, cache=None,
     checks = []
     notes: list[str] = []
     for part in parts:
-        checks.extend(replace(c, description="%s: %s" % (part.scenario, c.description))
+        checks.extend(c._replace(description="%s: %s" % (part.scenario, c.description))
                       for c in part.checks)
         for note in part.notes:
             if note not in notes:

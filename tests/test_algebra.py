@@ -32,6 +32,12 @@ def test_generators_are_interned():
     assert h(2, 1) is not b(2, 1)
     assert Generator.__hash__ is object.__hash__
     assert Generator.__eq__ is object.__eq__
+    g = h(2, 1)
+    with pytest.raises(AttributeError):
+        g.i = 3
+    with pytest.raises(AttributeError):
+        del g.i
+    assert (g.i, g.key) == (2, (1, 2, 1))
     for g in (a(2), h(3, 1), b(2, 5)):
         assert pickle.loads(pickle.dumps(g)) is g
         assert copy.copy(g) is g

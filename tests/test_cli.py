@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -386,6 +387,26 @@ def test_module_runs_as_script(tmp_path):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "c[-1]=1 c0=2 c1=3\n"
+
+
+def _modules_after(code):
+    """The modules a fresh interpreter holds after running `code`, with the
+    package's source tree first on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    prelude = "import sys; sys.path.insert(0, sys.argv[1]); "
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + code + "; print(' '.join(sys.modules))", src],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_start_loads_no_dataclasses_or_inspect():
+    # against a bare start, since a host's site module may preload modules
+    bare = _modules_after("pass")
+    added = _modules_after("import mayss.cli; mayss.make_context(5)") - bare
+    assert "mayss.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):

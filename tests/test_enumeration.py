@@ -378,14 +378,16 @@ def test_bases_keep_the_search_universe_which_holds_every_summand(ctx5, ctx7):
 
 
 def test_second_page_query_builds_no_monomial(ctx5, monkeypatch):
+    # Monomial is a namedtuple, built by __new__ alone
     built = []
-    init = Monomial.__init__
+    new = Monomial.__new__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    def counting_new(cls, *args, **kwargs):
+        mon = new(cls, *args, **kwargs)
+        built.append(mon)
+        return mon
 
-    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    monkeypatch.setattr(Monomial, "__new__", counting_new)
     clear_memo()
     try:
         res = e2_dimension(ctx5, 12, 3000)

@@ -17,7 +17,7 @@ forced by it.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import ParameterError, ParseError
 from .grading import PrimeContext, Tridegree, ZERO_DEGREE, check_degree, generator_tridegree

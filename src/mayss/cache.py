@@ -2,9 +2,10 @@
 
 Only bases are stored and read.  pages.e2_dimension clears each weight
 block by its boundary's pivots before it builds the block's d1 matrix, and
-a cleared matrix is not the block's matrix, so no matrix is cached.
-load_matrix and store_matrix remain, unused by the engine, because the
-benchmark's tracer (bench/tracing.py) wraps them.
+a cleared matrix is not the block's matrix, so no matrix is cached and no
+matrix entry format exists.  load_matrix (always a miss) and store_matrix
+(writes nothing) are no-ops, kept only for the benchmark's tracer
+(bench/tracing.py), which wraps them.
 
 Layout: one file per entry under <root>/<engine version>/, so a version bump
 invalidates everything at once.  A file is named by a fixed-length digest
@@ -35,20 +36,19 @@ from pathlib import Path
 
 from .enumeration import EMPTY_LAYOUT, BidegreeBasis, _carry_failure, _tables
 from .grading import PrimeContext
-from .linalg import MatrixFp, matrix_from_rows
 
 ENGINE_VERSION = "0.1.0"
 
 _MAGIC = "mayss-cache"
 
 
-def _header(kind: str, p: int, s: int, t: int, u: int | None) -> str:
-    """The query line of an entry; u is None for a whole bidegree."""
-    return "%s p=%d s=%d t=%d u=%s" % (kind, p, s, t, "all" if u is None else u)
+def _header(p: int, s: int, t: int) -> str:
+    """The query line of the basis entry of (s, t)."""
+    return "basis p=%d s=%d t=%d u=all" % (p, s, t)
 
 
 class ResultCache:
-    """File-backed store keyed by (kind, p, s, t, weight)."""
+    """File-backed store of bases keyed by (p, s, t)."""
 
     def __init__(self, root: Path | str):
         self.root = Path(root) / ENGINE_VERSION
@@ -60,8 +60,7 @@ class ResultCache:
         # few MB, into every process that imports the package.  Two queries
         # of one name only evict each other: the header tells them apart.
         query = header.encode()
-        return self.root / ("%s_%08x%08x.txt" % (header.split(" ", 1)[0], zlib.crc32(query),
-                                                 zlib.adler32(query)))
+        return self.root / ("basis_%08x%08x.txt" % (zlib.crc32(query), zlib.adler32(query)))
 
     def _write(self, header: str, body: list[str]) -> None:
         path = self._path(header)
@@ -91,7 +90,7 @@ class ResultCache:
     # -- bases --------------------------------------------------------------
 
     def load_basis(self, ctx: PrimeContext, s: int, t: int) -> BidegreeBasis | None:
-        body = self._read(_header("basis", ctx.p, s, t, None))
+        body = self._read(_header(ctx.p, s, t))
         if not body:   # absent, or without its count
             return None
         try:
@@ -127,32 +126,13 @@ class ResultCache:
     def store_basis(self, ctx: PrimeContext, basis: BidegreeBasis) -> None:
         # an empty basis builds no universe
         keys = basis.keys and _tables(ctx, basis.t, basis.s)[0].repack(basis.keys, basis.layout)
-        self._write(_header("basis", basis.p, basis.s, basis.t, None),
+        self._write(_header(basis.p, basis.s, basis.t),
                     ["%d" % len(keys)] + ["%x %d" % row for row in zip(keys, basis.weights)])
 
-    # -- matrices -----------------------------------------------------------
+    # -- matrices: no-ops that bench/tracing.py wraps (ROADMAP item 4) ------
 
-    def load_matrix(self, ctx: PrimeContext, s: int, t: int, u: int,
-                    cols: int) -> MatrixFp | None:
-        """The stored d1 matrix of a block with `cols` domain monomials.
+    def load_matrix(self, ctx: PrimeContext, s: int, t: int, u: int, cols: int) -> None:
+        return None
 
-        Rows are image monomials, so their count is an output of the build,
-        not checked here; an entry whose rows were numbered otherwise, or
-        padded with zero rows, has the same rank."""
-        body = self._read(_header("d1mat", ctx.p, s, t, u))
-        if body is None:
-            return None
-        try:
-            nrows, ncols = (int(v) for v in body[0].split())
-            if ncols != cols:
-                return None
-            data = [[int(v) for v in line.split()] for line in body[1:1 + nrows]]
-            if len(data) != nrows or any(len(r) != ncols for r in data):
-                return None
-            return matrix_from_rows(data, ctx.p, cols=ncols)
-        except (ValueError, IndexError):
-            return None
-
-    def store_matrix(self, ctx: PrimeContext, s: int, t: int, u: int, m: MatrixFp) -> None:
-        self._write(_header("d1mat", ctx.p, s, t, u),
-                    ["%d %d" % (m.rows, m.cols)] + [" ".join(map(str, row)) for row in m.to_rows()])
+    def store_matrix(self, ctx: PrimeContext, s: int, t: int, u: int, m) -> None:
+        pass

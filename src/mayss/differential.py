@@ -45,15 +45,13 @@ generator and layout, on the first block that holds the generator.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
 
 from .algebra import Element, Generator, Monomial, _from_accumulator, a, h
+from .enumeration import BidegreeBasis, Layout
 from .grading import PrimeContext, Tridegree
 from .linalg import MatrixFp
-
-if TYPE_CHECKING:
-    from .enumeration import BidegreeBasis, Layout
 
 D1_SHIFT = Tridegree(1, 0, -1)
 

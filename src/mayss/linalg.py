@@ -2,14 +2,15 @@
 
 A MatrixFp stores only its columns, each a dict {row: residue} with residues
 in [1, p), which is the form d1 matrices are built in and eliminated on;
-to_rows() derives the dense rows, from which the disk cache writes its text
-form.  Both operations run one sparse elimination on a copy of the columns,
-reduced one by one against the pivots found so far, each pivot keyed by its
-lead (lowest) row and scaled to lead coefficient 1.  A pivot's entries all
-lie at or below its lead row, so a reduction only moves the lead of the
-column being reduced downward.  A target in the same sparse form lies in
-the column span exactly when it reduces to zero against those pivots.
-Operations never mutate their inputs.
+to_rows() derives the dense rows, which the benchmark's tracer
+(bench/tracing.py) reads for its cell and nonzero counts; no cache text is
+written from them any more.  Both operations run one sparse elimination on
+a copy of the columns, reduced one by one against the pivots found so far,
+each pivot keyed by its lead (lowest) row and scaled to lead coefficient 1.
+A pivot's entries all lie at or below its lead row, so a reduction only
+moves the lead of the column being reduced downward.  A target in the same
+sparse form lies in the column span exactly when it reduces to zero against
+those pivots.  Operations never mutate their inputs.
 
 The pivots restricted to their lead rows form a unit triangular matrix, so
 the column span projects isomorphically onto the coordinates of the lead
@@ -31,9 +32,6 @@ with an entry on a row that no column touches is outside the span.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Sequence
-
-from .errors import ParameterError
 
 
 class MatrixFp(namedtuple("MatrixFp", "modulus rows cols columns")):
@@ -48,24 +46,6 @@ class MatrixFp(namedtuple("MatrixFp", "modulus rows cols columns")):
             for r, v in col.items():
                 out[r][c] = v
         return out
-
-
-def matrix_from_rows(rows: Sequence[Sequence[int]], p: int, cols: int | None = None) -> MatrixFp:
-    if p < 2:
-        raise ParameterError("modulus must be at least 2, got %d" % p)
-    if cols is None:
-        if not rows:
-            raise ParameterError("cannot infer column count of an empty matrix")
-        cols = len(rows[0])
-    columns: list[dict[int, int]] = [{} for _ in range(cols)]
-    for r, row in enumerate(rows):
-        if len(row) != cols:
-            raise ParameterError("ragged rows: expected %d columns, got %d" % (cols, len(row)))
-        for c, v in enumerate(row):
-            v %= p
-            if v:
-                columns[c][r] = v
-    return MatrixFp(modulus=p, rows=len(rows), cols=cols, columns=tuple(columns))
 
 
 def _axpy(y: dict[int, int], f: int, x: dict[int, int], p: int) -> None:

@@ -30,7 +30,7 @@ from collections import Counter, namedtuple
 from .algebra import Element, element_tridegree
 from .differential import d1, d1_matrix
 from .enumeration import BidegreeBasis, _check, _enumerate_window, enumerate_basis
-from .errors import ParameterError
+from .errors import MayssError, ParameterError
 from .grading import PrimeContext
 from .linalg import in_span, rank
 
@@ -96,9 +96,9 @@ def _boundary_rank(ctx, above, w, cycle) -> tuple[int, set[int]]:
     seeds = block.layout.repack(cycle.keys, cycle.layout)
     m = d1_matrix(block, ctx, seeds)
     if m.rows > len(seeds):
-        raise RuntimeError("d1 of the basis of (%d, %d) at weight %d leaves the basis of "
-                           "(%d, %d) at weight %d: a basis is incomplete"
-                           % (block.s, block.t, w, cycle.s, cycle.t, w - 1))
+        raise MayssError("d1 of the basis of (%d, %d) at weight %d leaves the basis of "
+                         "(%d, %d) at weight %d: a basis is incomplete"
+                         % (block.s, block.t, w, cycle.s, cycle.t, w - 1))
     r = above.ranks[w] = rank(m, cleared)
     return r, cleared
 

@@ -9,8 +9,9 @@ column, every solution of the column system) so that engine bugs cannot
 hide in shared code paths.  The
 column-sum predicates of the spanning-factor argument, the digit and
 remainder vanishing bounds (the search's carry test subsumes them) and the
-element arithmetic the engine itself never needs (add, scale) live here
-too: only tests use them.
+element arithmetic the engine itself never needs (add, scale) and the
+dense-rows constructor of matrices (matrix_from_rows) live here too: only
+tests use them.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from mayss.differential import d1, d1_matrix
 from mayss.enumeration import BidegreeBasis, Layout, _search, digit_span, generator_universe
 from mayss.errors import ParameterError
 from mayss.grading import ZERO_DEGREE, PAdicProfile, padic_profile
-from mayss.linalg import MatrixFp, matrix_from_rows
+from mayss.linalg import MatrixFp
 
 #: The empty monomial.
 UNIT = Monomial(factors=(), tridegree=ZERO_DEGREE)
@@ -640,6 +641,24 @@ def image_d1_matrix(block, ctx, seeds=()):
                      for out, c in d1(element_from_monomial(mon, ctx), ctx).terms.items()}
                     for mon in key_monomials(block, ctx))
     return MatrixFp(modulus=ctx.p, rows=len(row_of), cols=len(columns), columns=columns)
+
+
+def matrix_from_rows(rows: Sequence[Sequence[int]], p: int, cols: int | None = None) -> MatrixFp:
+    if p < 2:
+        raise ParameterError("modulus must be at least 2, got %d" % p)
+    if cols is None:
+        if not rows:
+            raise ParameterError("cannot infer column count of an empty matrix")
+        cols = len(rows[0])
+    columns: list[dict[int, int]] = [{} for _ in range(cols)]
+    for r, row in enumerate(rows):
+        if len(row) != cols:
+            raise ParameterError("ragged rows: expected %d columns, got %d" % (cols, len(row)))
+        for c, v in enumerate(row):
+            v %= p
+            if v:
+                columns[c][r] = v
+    return MatrixFp(modulus=p, rows=len(rows), cols=cols, columns=tuple(columns))
 
 
 def transpose(m):

@@ -11,7 +11,6 @@ from mayss import ResultCache, cli, e2_dimension, enumeration, grading, make_con
 from mayss.algebra import Generator
 from mayss.cli import MACHINE_SCHEMA, main
 from mayss.enumeration import clear_memo
-from mayss.errors import MayssError
 
 #: The command-line examples of the README.
 README_EXAMPLES = (
@@ -389,13 +388,13 @@ def test_module_runs_as_script(tmp_path):
     assert proc.stdout == "c[-1]=1 c0=2 c1=3\n"
 
 
-def _modules_after(code):
-    """The modules a fresh interpreter holds after running `code`, with the
-    package's source tree first on its path."""
+def _modules_after(code, *flags):
+    """The modules a fresh interpreter, started with `flags`, holds after
+    running `code`, with the package's source tree first on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     prelude = "import sys; sys.path.insert(0, sys.argv[1]); "
     proc = subprocess.run(
-        [sys.executable, "-c", prelude + code + "; print(' '.join(sys.modules))", src],
+        [sys.executable, *flags, "-c", prelude + code + "; print(' '.join(sys.modules))", src],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
@@ -407,17 +406,32 @@ def test_cli_start_loads_no_dataclasses_or_inspect():
     added = _modules_after("import mayss.cli; mayss.make_context(5)") - bare
     assert "mayss.cli" in added
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+    # without site, which may preload typing, the package loads none of it
+    started = _modules_after("import mayss.cli; mayss.make_context(5)", "-S")
+    assert "mayss.cli" in started and "typing" not in started
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):
-    class InvariantError(MayssError):
-        """An engine invariant that failed: no usage error, so exit code 3."""
+    # a search that drops half of the cycle basis breaks the engine's own
+    # invariant in pages._boundary_rank: an image leaves the cycle block
+    search = enumeration._search
 
-    def broken(*args, **kwargs):
-        raise InvariantError("rank of a d1 block exceeds its column count")
+    def incomplete(ctx, s_lo, s_hi, t):
+        found = search(ctx, s_lo, s_hi, t)
+        full = found[s_hi]
+        half = full.dimension // 2
+        found[s_hi] = enumeration.BidegreeBasis(full.p, full.s, full.t, full.layout,
+                                                full.keys[:half], full.weights[:half])
+        return found
 
-    monkeypatch.setattr(cli, "e2_dimension", broken)
-    code, out, err = run(capsys, ["e2", "--prime", "5", "--s", "2", "--t", "49"])
+    clear_memo()
+    monkeypatch.setattr(enumeration, "_search", incomplete)
+    try:
+        code, out, err = run(capsys, ["e2", "--prime", "5", "--s", "8", "--t", "130194"])
+    finally:
+        clear_memo()   # the truncated bases must not outlive this test
     assert code == 3
     assert out == ""
-    assert err == "error: internal: rank of a d1 block exceeds its column count\n"
+    assert len(err.splitlines()) == 1 and err.startswith("error: internal: "), err
+    assert "a basis is incomplete" in err
+    assert "Traceback" not in err

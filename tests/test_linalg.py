@@ -2,9 +2,10 @@ import copy
 
 import pytest
 
-from helpers import dense_in_span, dense_rank, mat_vec, span_rank, span_vectors, transpose
+from helpers import (dense_in_span, dense_rank, mat_vec, matrix_from_rows, span_rank, span_vectors,
+                     transpose)
 from mayss.errors import ParameterError
-from mayss.linalg import MatrixFp, in_span, matrix_from_rows, rank
+from mayss.linalg import MatrixFp, in_span, rank
 
 
 def sparse(v):

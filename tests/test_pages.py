@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from helpers import DENSE_E2, SCENARIOS, add, codomain_matrix, d1_generator, scale
-from mayss import (ParameterError, ResultCache, Tridegree, a, d1, e2_dimension,
+from mayss import (MayssError, ParameterError, ResultCache, Tridegree, a, d1, e2_dimension,
                    element_from_monomial, h, enumerate_basis, make_context, monomial_from_factors,
                    parse_element, survives_to_e2, verify_main, verify_survival)
 from mayss import enumeration, pages
@@ -292,7 +292,7 @@ def test_an_image_outside_the_cycle_block_raises(ctx5):
     hit = min(r for col in d1_matrix(above.block(w + 1), ctx5, cycle.keys).columns for r in col)
     short = BidegreeBasis(ctx5.p, s, t, cycle.layout, cycle.keys[:hit] + cycle.keys[hit + 1:],
                           cycle.weights[1:])
-    with pytest.raises(RuntimeError, match="a basis is incomplete"):
+    with pytest.raises(MayssError, match="a basis is incomplete"):
         pages._boundary_rank(ctx5, above, w + 1, short)
 
 

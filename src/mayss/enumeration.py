@@ -70,8 +70,27 @@ So a failure of filtration 1 cuts both filtrations and one of filtration 2
 only filtration 2: a later candidate of filtration 1 has the larger cap.
 At (3, 298), p = 5, b(2,0) fails the remainder column under cap 1, yet
 the later h(1,2) completes with a(2)^2 under cap 2.  The cuts live in one
-call for one state, so the memo below is unchanged, and they are tested
-after the upper degree bound, so a filtration closes exactly where it did.
+call for one state, so the memo below is unchanged.
+
+The loop decides a candidate's cut, and its closed filtration, before any
+arithmetic on it.  Each filtration keeps one threshold: the lowest cut,
+or -1 once the upper degree bound has closed it.  A candidate whose lowest
+bit lies above its filtration's threshold costs one comparison.  Every b
+has lowest bit at least 2, so a threshold below 2 closes filtration 2,
+and filtration 2 starts closed when fewer than 2 filtrations are left.
+No test that runs changes:
+
+  * A cut candidate fails its carry test whether or not its bound was
+    read, and it is no leaf: its residual keeps the node's digit at the
+    failing bit, which is nonzero.
+  * The bound is monotone within a filtration, so a closure that a cut
+    candidate hides is caught at the next uncut one of its filtration.
+  * The node returns early only once the bound has closed filtration 1
+    and filtration 2 is closed.  A cut never closes filtration 1: a(0)
+    has lowest bit 0, and its branch is decided after the loop.
+
+So the search order, the leaves and the sequence of carry tests are those
+of testing the bound first.
 
 One search serves a window of filtrations [s_lo, s_hi] at one t: a
 second-page query at (s, t) reads the bases of s - 1 and s, which share
@@ -157,13 +176,14 @@ the a(i) and h(i,j) give every threshold of that key).
 
 Holding the b's in every universe is exact, and moves no bit of any key.
 A search of top filtration at most 1 never picks one: every b has
-filtration 2, so a node with at most one filtration left skips it at
-f > s_rem before any bound or carry test reads the tables.  Below such a
-node a pick leaves no filtration, so the upper degree bound fails on
-any degree left and no degree left is a leaf, whatever the suffix tables
-hold; and the root's lower degree bound reads the least degree per
-filtration, a(0)'s with or without the b's.  The b's also sort after every
-a and h, so they take the last fields and every basis keeps its keys.
+filtration 2, so a node with at most one filtration left starts with
+filtration 2 closed and skips it on its first comparison, before any
+bound or carry test reads the tables.  Below such a node a pick leaves no
+filtration, so the upper degree bound fails on any degree left and no
+degree left is a leaf, whatever the suffix tables hold; and the root's
+lower degree bound reads the least degree per filtration, a(0)'s with or
+without the b's.  The b's also sort after every a and h, so they take the
+last fields and every basis keeps its keys.
 
 The key is computed only after the root carry test has passed, since at a
 huge t it takes one step per tower index.  One table set is kept per p,
@@ -528,15 +548,16 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
         if not t_rem:
             return [s_rem << sshift] if s_rem <= span else dead
         out = []
-        # Filtrations (bit f for f in {1, 2}) whose upper bound still holds.
-        open_filts = 3 if s_rem >= 2 else 1
         # A candidate of filtration 1 (2) whose lowest support bit lies
-        # above cut1 (cut2) fails its carry test (module docstring).
-        cut1 = cut2 = uncut
+        # above lim1 (lim2) is skipped: -1 once the upper degree bound has
+        # closed its filtration, else the lowest failing bit of the cuts
+        # (module docstring).  Filtration 2 starts closed below 2 left.
+        lim1 = uncut
+        lim2 = uncut if s_rem >= 2 else -1
         # Generators heavier than t_rem form a prefix of the order.
         for k in range(max(idx, bisect_left(neg_degs, -t_rem)), last):
             f = filts[k]
-            if f > s_rem:
+            if lob[k] > (lim1 if f == 1 else lim2):
                 continue
             ns, nt = s_rem - f, t_rem - degs[k]
             ni = nidx[k]
@@ -549,12 +570,16 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
                     # and max_frac[ni] never increases (ni is k or k+1, so
                     # never decreases, and the suffix shrinks).  So the bound
                     # fails for every later generator of filtration f too,
-                    # a(0) among them when f is 1.
-                    open_filts &= ~f
-                    if not open_filts:
-                        return out or dead
-                    continue
-                if lob[k] > (cut1 if f == 1 else cut2):
+                    # a(0) among them when f is 1.  Every b has lob >= 2, so
+                    # lim2 < 2 closes filtration 2.
+                    if f == 1:
+                        lim1 = -1
+                        if lim2 < 2:
+                            return out or dead
+                    else:
+                        lim2 = -1
+                        if lim1 < 0:
+                            return out or dead
                     continue
                 md, mf = min_frac[ni]
                 if nt * mf < ns_lo * md:
@@ -562,10 +587,10 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
                 c = _carry_failure(nt, ns, supp[ni], ctx)
                 if c is not None:
                     if c < lob[k]:
-                        if c < cut2:
-                            cut2 = c
+                        if c < lim2:
+                            lim2 = c
                         if f == 1:
-                            cut1 = c
+                            lim1 = c
                     continue
             else:
                 # No degree left in a filtration of the window: the pick

@@ -265,6 +265,64 @@ def test_a_failed_carry_test_skips_the_candidates_it_decides(monkeypatch):
     assert 2 * memoized < len(calls) - memoized
 
 
+def test_a_decided_candidate_reads_no_degree_bound(ctx5, monkeypatch):
+    # A candidate that a cut or a closed filtration decides is skipped on
+    # its lowest support bit before the upper degree bound reads max_frac;
+    # the tree walk reads that bound for every candidate of an open
+    # filtration.  Equal bases and equal carry tests cannot show the order.
+    search = enumeration._search
+    windows = []
+
+    def recording_search(ctx, s_lo, s_hi, t):
+        windows.append((ctx, s_lo, s_hi, t))
+        return search(ctx, s_lo, s_hi, t)
+
+    monkeypatch.setattr(enumeration, "_search", recording_search)
+    assert verify_main(ctx5, 4, 40, 4).passed
+    monkeypatch.setattr(enumeration, "_search", search)
+    assert windows
+    reads = [0]
+
+    class CountingTuple(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    tables = enumeration._tables
+
+    def counting_tables(ctx, t, s_hi):
+        layout, order = tables(ctx, t, s_hi)
+        return layout, order._replace(max_frac=CountingTuple(order.max_frac))
+
+    monkeypatch.setattr(enumeration, "_tables", counting_tables)
+    for window in windows:
+        _search(*window)
+    searched, reads[0] = reads[0], 0
+    for window in windows:
+        tree_search(*window)
+    assert 0 < 4 * searched < reads[0]
+
+
+def test_the_benchmark_searches_run_the_same_carry_tests(ctx5, monkeypatch):
+    # The order of the tests in a node's loop sets what a candidate costs,
+    # never which carry tests run: these are the counts, root tests
+    # included, of a loop that tests the degree bounds before the cut.
+    calls = []
+    carry = enumeration._carry_failure
+
+    def counting_carry(t_rem, cap, support, ctx):
+        calls.append(t_rem)
+        return carry(t_rem, cap, support, ctx)
+
+    monkeypatch.setattr(enumeration, "_carry_failure", counting_carry)
+    for p, m, n, s in SCENARIOS:
+        assert verify_main(make_context(p), m, n, s).passed
+    scenarios = len(calls)
+    for s, t in DENSE_E2:
+        _search(ctx5, s - 1, s, t)
+    assert (scenarios, len(calls) - scenarios) == (8327, 10168)
+
+
 def test_a_failed_b_decides_no_later_h(ctx5, monkeypatch):
     # At (3, 298), p = 5, the root tests b(2,0) before h(1,2): its residual
     # 58 = 7*8 + 2 fails the remainder column under the cap 1 it leaves.

@@ -308,7 +308,9 @@ class _Tokens:
 
     def take_int(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit() also passes other scripts' digits
+        # and superscripts, which int() reads or rejects by another rule.
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
@@ -366,7 +368,7 @@ def _parse_term(tk: _Tokens, ctx: PrimeContext) -> tuple[int, list[tuple[Generat
     """One term as (coefficient, raw word of (generator, exponent) powers)."""
     coeff = 1
     tk.skip_ws()
-    if tk.peek().isdigit():
+    if "0" <= tk.peek() <= "9":
         cpos = tk.pos
         coeff = tk.take_int()
         if not 1 <= coeff <= ctx.p - 1:

@@ -167,17 +167,15 @@ def _plan(layout: Layout, g: Generator) -> list[tuple[int, int, int, int]]:
 
 
 def d1_matrix(block: BidegreeBasis, ctx: PrimeContext,
-              seeds: Sequence[int | None] = ()) -> MatrixFp:
+              seeds: Sequence[int] = ()) -> MatrixFp:
     """Matrix of d1 on a basis, usually one weight block of one; column k is
     the image of the monomial of block.keys[k].
 
     Rows are monomials of the image tridegree: the monomial of key seeds[k]
     on the block's layout is row k (the seeds are distinct), and every other
     image monomial gets the next row number, in the order the images first
-    show it.  A seed of None stands for a monomial the layout cannot pack
-    (a generator outside its universe, an exponent past its width), which
-    is no image, so its row stays empty.  The entries are those of d1() on
-    each monomial, computed on packed keys.
+    show it.  The entries are those of d1() on each monomial, computed on
+    packed keys.
     """
     p = ctx.p
     layout = block.layout
@@ -197,8 +195,7 @@ def d1_matrix(block: BidegreeBasis, ctx: PrimeContext,
         if plan:
             terms.append((k * w, 1 << (k * w), plan))
 
-    rows = {-1 - r if key is None else key: r   # image keys are never negative
-            for r, key in enumerate(seeds)}
+    rows = {key: r for r, key in enumerate(seeds)}
     columns = []
     for key in block.keys:
         accum: dict[int, int] = {}

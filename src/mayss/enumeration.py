@@ -109,16 +109,17 @@ completion, hence lossless.
     exactly as in a single search, also when no filtration is left but
     degree is.
   * The lower degree bound uses the smallest, max(0, s_lo - used - f): a
-    completion needs at least that much filtration, so at least that many
-    units of the suffix's least degree per filtration.
+    completion needs at least that much filtration, and no monomial has a
+    degree below its filtration (a(0), of degree 1 and filtration 1, has
+    the least degree per filtration), so it needs at least that much degree.
   * The carry test caps the column sums by the largest filtration left.
     A solution under a smaller cap is a solution under a larger one.
-  * The root's carry test and its lower degree bound decide per
+  * The root's lower degree bound, s <= t, and its carry test decide per
     filtration at the root, and the window shrinks to span the filtrations
     that pass.  Each is a necessary condition on one bidegree, so a
     filtration it drops has no monomials, also one left inside the shrunk
-    window.  The carry test runs first, with every column supported, before
-    any universe is built.
+    window.  Both run before any universe is built, the carry test with
+    every column supported.
 
 A window of one filtration is exactly the single-filtration search.
 
@@ -135,10 +136,11 @@ filtration 1 and of smaller degree, so the universe already holds every
 generator an image can hold.
 
 a(0) is the only generator of degree 1 (every other has degree at least
-2p - 1), so it is the last candidate of every node, and it has filtration
-1.  Once it is picked nothing else can follow, so that branch has exactly
-one completion, a(0)^t_rem, which uses filtration t_rem: a leaf exactly
-when the filtration left after it lies in the window, that is when
+2p - 1), so it is the last candidate of every node, and the universe of
+any node with degree left holds it.  It has filtration 1.  Once it is
+picked nothing else can follow, so that branch has exactly one
+completion, a(0)^t_rem, which uses filtration t_rem: a leaf exactly when
+the filtration left after it lies in the window, that is when
 t_rem <= s_rem <= t_rem + span.  The search decides that branch by this
 test and emits its one leaf directly instead of recursing once per unit;
 the test is exact, so lossless.
@@ -167,7 +169,7 @@ shares one empty result.
 
 The universe and the tables of its search order (positions, degrees,
 filtrations, weights, first child candidates, suffix supports and
-degree-per-filtration extremes) are shared by every search at one degree:
+greatest degrees per filtration) are shared by every search at one degree:
 a verify scenario searches single filtrations at several neighbouring
 degrees, all over one universe.  The universe of t holds every generator of
 degree at most t, whatever the window, so the tables are keyed by p and the
@@ -180,10 +182,9 @@ filtration 2, so a node with at most one filtration left starts with
 filtration 2 closed and skips it on its first comparison, before any
 bound or carry test reads the tables.  Below such a node a pick leaves no
 filtration, so the upper degree bound fails on any degree left and no
-degree left is a leaf, whatever the suffix tables hold; and the root's
-lower degree bound reads the least degree per filtration, a(0)'s with or
-without the b's.  The b's also sort after every a and h, so they take the
-last fields and every basis keeps its keys.
+degree left is a leaf, whatever the suffix tables hold.  The b's also sort
+after every a and h, so they take the last fields and every basis keeps its
+keys.
 
 The key is computed only after the root carry test has passed, since at a
 huge t it takes one step per tower index.  One table set is kept per p,
@@ -256,16 +257,11 @@ class Layout:
             yield shift // w, e
             key -= e << shift
 
-    def pack(self, factors) -> int | None:
-        """The key of a factor tuple, or None when a generator lies outside
-        the universe or an exponent does not fit its field."""
-        key = 0
-        for g, e in factors:
-            k = self.position.get(g)
-            if k is None or e >> self.width:
-                return None
-            key += e << (k * self.width)
-        return key
+    def pack(self, factors) -> int:
+        """The key of a factor tuple whose generators lie in the universe and
+        whose exponents fit the width."""
+        position, w = self.position, self.width
+        return sum(e << (position[g] * w) for g, e in factors)
 
     def repack(self, keys, source: "Layout"):
         """Keys of a source layout of the same universe at this one's width,
@@ -276,8 +272,8 @@ class Layout:
         return [sum(e << (k * w) for k, e in source.fields(key)) for key in keys]
 
 
-# The layout of an empty basis that builds no universe (the root carry test
-# rejects it, or it is read from the cache); no reader needs its width.
+# The layout of an empty basis that builds no universe (the root's tests
+# reject it, or it is read from the cache); no reader packs onto it.
 EMPTY_LAYOUT = Layout((), 1)
 
 
@@ -420,15 +416,13 @@ def _carry_failure(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> int
 
 class _Order(namedtuple("_Order", (
         "pos",        # canonical position
-        "degs",
-        "neg_degs",   # ascending, for bisect
+        "neg_degs",   # minus each degree: ascending, for bisect
         "filts",
         "weights",
         "nidx",       # a child's first candidate: past an exterior pick
         "lob",        # lowest supported column, as a support bit
         "supp",       # per suffix: supported columns
         "max_frac",   # per suffix: (deg, filt) with max deg/filt
-        "min_frac",   # per suffix: min deg/filt; (1, 0) acts as +infinity
 ))):
     """The tables every node of a search reads, per generator of the search
     order (decreasing degree, ties in canonical order) or per suffix of it,
@@ -478,7 +472,6 @@ def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
         lob = [0] * n
         supp = [0] * (n + 1)
         max_frac = [(0, 1)] * (n + 1)
-        min_frac = [(1, 0)] * (n + 1)
         for k in range(n - 1, -1, -1):
             lo, hi = digit_span(order[k])   # bits lo + 1 .. hi + 1 of the mask
             lob[k] = lo + 1
@@ -486,12 +479,10 @@ def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
             d, f = degs[k], filts[k]
             md, mf = max_frac[k + 1]
             max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
-            md, mf = min_frac[k + 1]
-            min_frac[k] = (d, f) if d * mf < md * f else (md, mf)
-        tables = _Order(tuple(pos), tuple(degs), tuple(-d for d in degs), tuple(filts),
+        tables = _Order(tuple(pos), tuple(-d for d in degs), tuple(filts),
                         tuple(tri[c].u for c in pos),
                         tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
-                        tuple(lob), tuple(supp), tuple(max_frac), tuple(min_frac))
+                        tuple(lob), tuple(supp), tuple(max_frac))
         kept = _shared[ctx.p] = (top, universe, tables, {})
     _, universe, tables, layouts = kept
     width = (s_hi + 1).bit_length()
@@ -504,21 +495,18 @@ def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int):
     """The layout and search tables of the window's universe, and the top
     and span of the window narrowed to the filtrations that pass the root's
     tests; the tables are None when none passes."""
-    # The root carry test needs no universe, so a huge t that no filtration
-    # of the window admits ends before one is built or its key computed
-    # (_top_degree loops once per tower index).  Supporting every column
-    # loses nothing against the universe's own support: the recurrence reads
-    # only the remainder column and the digit columns of t/q, and the
-    # universe holds a(0) and h(1,j) for each of them.
-    live = [s for s in range(s_lo, s_hi + 1) if _carry_failure(t, s, -1, ctx) is None]
+    # The root's lower degree bound and carry test need no universe, so a
+    # huge t that no filtration of the window admits ends before one is
+    # built or its key computed (_top_degree loops once per tower index).
+    # Supporting every column loses nothing against the universe's own
+    # support: the recurrence reads only the remainder column and the digit
+    # columns of t/q, and the universe holds a(0) and h(1,j) for each of them.
+    live = [s for s in range(s_lo, s_hi + 1)
+            if s <= t and _carry_failure(t, s, -1, ctx) is None]
     if not live:
         return EMPTY_LAYOUT, None, 0, 0
     layout, tables = _tables(ctx, t, s_hi)
-    # The root's lower degree bound; every node tests each child, the upper
-    # degree bound in its loop where it can end the loop.
-    md, mf = tables.min_frac[0]
-    live = [s for s in live if t * mf >= s * md]
-    return (layout, tables, live[-1], live[-1] - live[0]) if live else (layout, None, 0, 0)
+    return layout, tables, live[-1], live[-1] - live[0]
 
 
 def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int, found):
@@ -531,14 +519,14 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
     left from bit sshift.  It is memoized for the duration of this walk (see
     the module docstring).
     """
-    pos, degs, neg_degs, filts, weights, nidx, lob, supp, max_frac, min_frac = o
+    pos, neg_degs, filts, weights, nidx, lob, supp, max_frac = o
     n = len(pos)
     uncut = max(lob, default=0)     # a cut that skips no candidate
     ushift = n * width
     # A leaf has at most s_hi factors, so its weight fits below sshift.
     sshift = ushift + (s_hi * max(weights, default=0)).bit_length()
-    # a(0), when the universe is not empty: the last generator of the order,
-    # in canonical position 0, so its unit is 1 and its weight 1.
+    # a(0): the last generator of the order, in canonical position 0, so its
+    # unit is 1 and its weight 1.
     last = n - 1
     memo: dict[tuple[int, int, int], list[int] | tuple] = {}
     dead = ()   # the one result of every state without leaves
@@ -559,14 +547,14 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
             f = filts[k]
             if lob[k] > (lim1 if f == 1 else lim2):
                 continue
-            ns, nt = s_rem - f, t_rem - degs[k]
+            ns, nt = s_rem - f, t_rem + neg_degs[k]
             ni = nidx[k]
             ns_lo = ns - span         # below 0 it bounds nothing, as 0 would
             if nt or ns_lo > 0:
                 md, mf = max_frac[ni]
                 if nt * mf > ns * md:
                     # Lossless skip: within filtration f, ns is fixed, nt
-                    # never decreases along the order (degs never increases),
+                    # never decreases along the order (degrees never increase),
                     # and max_frac[ni] never increases (ni is k or k+1, so
                     # never decreases, and the suffix shrinks).  So the bound
                     # fails for every later generator of filtration f too,
@@ -581,8 +569,7 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
                         if lim1 < 0:
                             return out or dead
                     continue
-                md, mf = min_frac[ni]
-                if nt * mf < ns_lo * md:
+                if nt < ns_lo:
                     continue
                 c = _carry_failure(nt, ns, supp[ni], ctx)
                 if c is not None:
@@ -605,7 +592,7 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
                 add = (1 << (pos[k] * width)) + (weights[k] << ushift)
                 out += [leaf + add for leaf in sub]
         # The a(0) branch: its one completion is a(0)^t_rem (module docstring).
-        if last >= 0 and t_rem <= s_rem <= t_rem + span:
+        if t_rem <= s_rem <= t_rem + span:
             out.append(t_rem + (t_rem << ushift) + ((s_rem - t_rem) << sshift))
         return out or dead
 

@@ -135,8 +135,10 @@ def survives_to_e2(x: Element, ctx: PrimeContext, cache=None) -> SurvivalVerdict
     if pos.s >= 1:
         source = enumerate_basis(ctx, pos.s - 1, pos.t, pos.u + 1, cache)
         if source.dimension:
-            # the element's terms take the first rows, a term that the
-            # source's layout cannot pack an empty one; images add the rest
+            # the element's terms take the first rows, and images add the
+            # rest.  The source's layout, the universe of degree t at a width
+            # of filtration s - 1, packs every term: each term's generators
+            # have degree at most t, and its exponents at most s.
             terms = x.terms
             m = d1_matrix(source, ctx, [source.layout.pack(mon.factors) for mon in terms])
             is_boundary = in_span(m, dict(enumerate(terms.values())))

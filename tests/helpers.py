@@ -160,7 +160,7 @@ def tree_search(ctx, s_lo, s_hi, t):
     found = {s: ([], []) for s in range(s_lo, s_hi + 1)}
     search, order, s_hi, span = enumeration._order(ctx, s_lo, s_hi, t)
     if order is not None:
-        pos, degs, neg_degs, filts, weights, nidx, _, supp, max_frac, min_frac = order
+        pos, neg_degs, filts, weights, nidx, _, supp, max_frac = order
         width = search.width
         last = len(pos) - 1
         carry_failure = enumeration._carry_failure
@@ -180,7 +180,7 @@ def tree_search(ctx, s_lo, s_hi, t):
                 f = filts[k]
                 if f > s_rem:
                     continue
-                ns, nt = s_rem - f, t_rem - degs[k]
+                ns, nt = s_rem - f, t_rem + neg_degs[k]
                 ni = nidx[k]
                 ns_lo = ns - span         # below 0 it bounds nothing, as 0 would
                 if nt or ns_lo > 0:
@@ -190,14 +190,13 @@ def tree_search(ctx, s_lo, s_hi, t):
                         if not open_filts:
                             return
                         continue
-                    md, mf = min_frac[ni]
-                    if nt * mf < ns_lo * md:
+                    if nt < ns_lo:
                         continue
                     if carry_failure(nt, ns, supp[ni], ctx) is not None:
                         continue
                 rec(ni, ns, nt, u + weights[k], key + (1 << (pos[k] * width)))
             # The a(0) branch: its one completion is a(0)^t_rem.
-            if last >= 0 and t_rem <= s_rem <= t_rem + span:
+            if t_rem <= s_rem <= t_rem + span:
                 keys, us = found[s_hi - s_rem + t_rem]
                 keys.append(key + t_rem)
                 us.append(u + t_rem)
@@ -613,7 +612,10 @@ def block_of(monomials, ctx):
 def codomain_matrix(block, codomain, ctx):
     """d1_matrix with its rows numbered by an enumerated codomain basis: the
     matrix whose row r is codomain[r].  Fails when an image monomial lies
-    outside the codomain, which would mean that basis is incomplete."""
+    outside the codomain, which would mean that basis is incomplete.  An
+    empty block, whose layout may hold no universe, gives no columns."""
+    if not block.dimension:
+        return MatrixFp(modulus=ctx.p, rows=len(codomain), cols=0, columns=())
     m = d1_matrix(block, ctx, packed_seeds(block, codomain))
     if m.rows > len(codomain):
         known = set(codomain)
@@ -627,7 +629,8 @@ def codomain_matrix(block, codomain, ctx):
 
 def packed_seeds(block, monomials):
     """The seeds d1_matrix takes for rows numbered by monomials: their keys
-    on the block's layout, None where it cannot pack one."""
+    on the block's layout, which holds every generator and exponent of a
+    monomial of the block's degree and at most one filtration more."""
     return [block.layout.pack(mon.factors) for mon in monomials]
 
 

@@ -12,6 +12,15 @@ from mayss.algebra import Element, Generator, element_tridegree
 from mayss.enumeration import generator_universe
 
 
+def test_reprs_show_the_rendered_value(ctx5):
+    assert [repr(g) for g in (a(1), h(2, 0), b(1, 0))] == ["a(1)", "h(2,0)", "b(1,0)"]
+    assert repr(monomial_from_factors([(a(1), 2), (h(1, 0), 1)], ctx5)) == "a(1)^2 h(1,0)"
+    assert repr(UNIT) == "1"
+    assert repr(Element.zero()) == "Element(0)"
+    assert repr(parse_element("h(1,1) + 2*h(1,0) + 3", ctx5)) == \
+        "Element(3*1 + 2*h(1,0) + 1*h(1,1))"
+
+
 def test_generator_factories_validate():
     for call in (lambda: a(-1), lambda: h(0, 0), lambda: h(1, -1),
                  lambda: b(0, 0), lambda: b(-2, 1)):

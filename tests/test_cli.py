@@ -81,10 +81,15 @@ def test_absurd_numbers_are_rejected_before_grading(capsys, monkeypatch):
     monkeypatch.setattr(Generator, "tridegree", no_grading)
     for text, message in (
             ("h(1,100000000)", "generator index 100000000 exceeds 10000 (at position 4)"),
-            ("a(1)^" + "1" * 5000, "integer too long (at position 5)")):
+            ("a(1)^" + "1" * 5000, "integer too long (at position 5)"),
+            # str.isdigit() also passes an Arabic-Indic three and a superscript two
+            ("h(1,\u0663)", "expected an integer (at position 4)"),
+            ("\u0663*a(1)", "expected a generator (a, h, or b) (at position 0)"),
+            ("a(\u00b2)", "expected an integer (at position 2)"),
+            ("a()", "expected an integer (at position 2)")):
         code, out, err = run(capsys, ["d1", text, "--prime", "5"])
         assert (code, out) == (2, "")
-        assert err == "error: %s\n" % message
+        assert err == "error: %s\n" % message, text
 
 
 def test_filtration_beyond_the_search_depth_is_a_usage_error(capsys, monkeypatch):

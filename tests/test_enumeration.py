@@ -562,6 +562,45 @@ def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatc
     assert found[2].dimension == 2
 
 
+def test_a_filtration_deeper_than_its_degree_builds_no_universe(ctx5, monkeypatch):
+    # No monomial has a degree below its filtration, so the root drops
+    # (5, 4) before any universe is built, though its carry test passes.
+    def no_universe(*args):
+        raise AssertionError("built a universe")
+
+    monkeypatch.setattr(enumeration, "generator_universe", no_universe)
+    monkeypatch.setattr(enumeration, "_top_degree", no_universe)
+    assert _carry_failure(4, 5, -1, ctx5) is None
+    assert enumerate_basis(ctx5, 5, 4).dimension == 0
+
+
+def test_a0_ends_every_suffix_the_search_reads(ctx5, monkeypatch):
+    # The lower degree bound (nt < ns_lo) and the a(0) branch rest on these
+    # facts of every universe the benchmark searches: a(0) is the last
+    # generator of the search order, no child's first candidate lies past
+    # it, and every other generator has degree above its filtration.
+    orders = {}
+    tables = enumeration._tables
+
+    def recording_tables(ctx, t, s_hi):
+        layout, order = tables(ctx, t, s_hi)
+        orders[id(order)] = layout, order
+        return layout, order
+
+    monkeypatch.setattr(enumeration, "_tables", recording_tables)
+    for p, m, n, s in SCENARIOS:
+        verify_main(make_context(p), m, n, s)
+    for s, t in DENSE_E2:
+        _search(ctx5, s - 1, s, t)
+    assert len(orders) >= len(SCENARIOS) + 1
+    for layout, order in orders.values():
+        last = len(order.pos) - 1
+        assert layout.universe[order.pos[last]] == a(0)
+        assert max(order.nidx) == last
+        assert [k for k, (d, f) in enumerate(zip(order.neg_degs, order.filts))
+                if -d <= f] == [last]
+
+
 def test_shared_tables_hold_the_universe_of_every_degree(ctx5, ctx7):
     # The tables are shared by (p, top degree).  Walking t upward through
     # every generator degree up to 10^7 and its neighbours, at two widths

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from helpers import DENSE_E2, SCENARIOS, add, codomain_matrix, d1_generator, scale
+from helpers import (DENSE_E2, SCENARIOS, add, codomain_matrix, d1_generator, image_d1_matrix,
+                     scale)
 from mayss import (MayssError, ParameterError, ResultCache, Tridegree, a, d1, e2_dimension,
                    element_from_monomial, h, enumerate_basis, make_context, monomial_from_factors,
                    parse_element, survives_to_e2, verify_main, verify_survival)
@@ -373,3 +374,32 @@ def test_the_order_of_queries_never_changes_an_answer(ctx5, rng, tmp_path, monke
             assert e2_dimension(ctx5, s, t, cache=through).blocks == fresh[s, t], (name, s, t)
         if name == "descending":
             assert moved
+
+
+def test_every_survival_term_packs_onto_its_source_layout():
+    # survives_to_e2 packs the terms of a class of (s, t, u) onto the layout
+    # of its source block of (s - 1, t): the universe of degree t, which
+    # holds every generator of a term, at a width of filtration s - 1, which
+    # holds every exponent of filtration s.  The survival scenario's class
+    # and the CI examples each come back unchanged from their keys.
+    cases = []
+    for p, m, n, s in SCENARIOS:
+        ctx = make_context(p)
+        cases.append((ctx, element_from_monomial(product_class(ctx, m, n, s), ctx)))
+    ctx = make_context(5)
+    for text in ("h(1,0) h(1,1)", "h(1,0) h(1,2) b(1,0)",
+                 "a(2)^2 h(2,0) h(1,1) h(1,0) h(1,6) h(1,4)"):
+        cases.append((ctx, parse_element(text, ctx)))
+    seeded = 0
+    for ctx, x in cases:
+        pos = element_tridegree(x)
+        source = enumerate_basis(ctx, pos.s - 1, pos.t, pos.u + 1)
+        layout = source.layout
+        terms = list(x.terms)
+        seeds = [layout.pack(mon.factors) for mon in terms]
+        for mon, key in zip(terms, seeds):
+            assert tuple((layout.universe[k], e) for k, e in layout.fields(key)) == mon.factors
+        if source.dimension:
+            assert d1_matrix(source, ctx, seeds) == image_d1_matrix(source, ctx, terms)
+            seeded += 1
+    assert seeded >= 2

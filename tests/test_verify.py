@@ -93,6 +93,12 @@ def test_parameter_gates(ctx5):
         validate_family_params(ctx5, 3, 5, 2, strict_range=False)
     with pytest.raises(ParameterError):
         validate_family_params(ctx5, 1, 3, 2, strict_range=False)  # below any floor
+    # the command line passes ints only; a library caller may pass anything
+    for m, n in ((4.0, 6), (4, "6")):
+        with pytest.raises(ParameterError, match="m, n must be integers"):
+            validate_family_params(ctx5, m, n, 2)
+        with pytest.raises(ParameterError, match="need integers 1 <= m < n"):
+            h_triple(ctx5, m, n)
 
 
 def test_window_scenario_passes(ctx5):

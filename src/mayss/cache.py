@@ -103,7 +103,7 @@ class ResultCache:
             return None
         if not keys:
             return BidegreeBasis(ctx.p, s, t, EMPTY_LAYOUT, (), ())
-        if _carry_failure(t, s, -1, ctx) is not None:   # no monomial has this bidegree
+        if _carry_failure(t, s, 0, ctx) is not None:   # no monomial has this bidegree
             return None
         layout = _tables(ctx, t, s)[0]
         held = 0

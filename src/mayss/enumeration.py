@@ -26,11 +26,20 @@ with the target profile requires nonnegative carries lambda with
 and every cbar_j is at most the number of factors, hence at most the
 remaining filtration.  Each search node checks that system for the residual
 degree, with every column its remaining generators cannot reach capped at 0.
+Every suffix the search reads holds a(0), and h(1,c), of degree q p^c, lies
+after every generator that reaches column c, so a suffix supports the
+remainder column and columns 0 .. B-1; its tables keep reach = p^B.
 The carries that can enter a column always form an interval [0, hi]: a
 column of digit d and capacity cap passes on exactly the carries
 0 .. (hi + cap - d) // p, since d >= 0 makes the lower end 0 reachable
-whenever any carry is.  So one integer recurrence over the columns decides
-the system exactly, with the top carry hi >= 0 as its only condition.
+whenever any carry is.  With body, cm = divmod(t_rem, q), the remainder
+column passes [0, h0], h0 = (cap - cm) // q, when cm <= cap, and the
+nested floors collapse: the bound into column J is X_J // p^J, with
+
+    X_J = h0 + cap (p^min(J,B) - 1)/(p - 1) - (body mod p^J).
+
+So the system holds iff cm <= cap and every X_J >= 0, and X_J falls from
+J-1 to J only where column J-1 holds a nonzero digit.
 
 At the root, with cap s, that test also covers the two digit-wise
 vanishing bounds.  A remainder t mod q above s fails the remainder column
@@ -47,24 +56,22 @@ the degree upper bound fails for a generator of filtration f it fails for
 every later one, and the loop stops when both filtrations are closed.  The
 lower degree bound and the carry test are not monotone along the order and
 are tested per candidate, but a failed carry test decides some later
-candidates of its node.  Number the columns as the support masks do, bit 0
-the remainder column and bit j+1 column j, and let lob(k) be the lowest
-support bit of generator k.  When candidate k of filtration f fails at bit
-c < lob(k), every later candidate k' of filtration f' >= f with
+candidates of its node.  Number the columns as the carry test does, bit 0
+the remainder column and bit J column J-1, and let lob(k) be the lowest
+bit generator k contributes to.  When candidate k of filtration f fails at
+bit c < lob(k), every later candidate k' of filtration f' >= f with
 lob(k') > c fails too, so the loop skips it untested:
 
   * Below lob(k') the residual t_rem - deg(k') keeps the node's digits: the
     degree of an h or b is q times a run of powers of p that starts at its
     lowest column.  An a has lob 0, so it is never skipped.  The same holds
-    for k below lob(k) > c, so both residuals carry the node's digits on
-    bits 0 .. c.
-  * The cap of k', s_rem - f', is at most k's, s_rem - f.
-  * Its support supp[nidx[k']] is a subset of supp[nidx[k]]: both are
-    suffixes of the order, and nidx[k'] >= k + 1 >= nidx[k].
-  * The recurrence is monotone in the carry bound, the cap and the support,
-    so on bits 0 .. c its bound for k' stays at most k's, which is negative
-    at c.  A column fails only on a digit above its bound plus its cap, so
-    the digit at c is nonzero and the recurrence for k' reaches it.
+    for k below lob(k) > c, so both residuals have the node's cm and its
+    body mod p^c.
+  * The cap of k', s_rem - f', is at most k's, s_rem - f, and so is its h0.
+  * reach[nidx[k']] <= reach[nidx[k]]: both are suffixes of the order, and
+    nidx[k'] >= k + 1 >= nidx[k].
+  * So k' fails the remainder column if k does, and otherwise its X_c is
+    at most k's, which is negative.  Either way k' fails at a bit <= c.
 
 So a failure of filtration 1 cuts both filtrations and one of filtration 2
 only filtration 2: a later candidate of filtration 1 has the larger cap.
@@ -82,7 +89,7 @@ No test that runs changes:
 
   * A cut candidate fails its carry test whether or not its bound was
     read, and it is no leaf: its residual keeps the node's digit at the
-    failing bit, which is nonzero.
+    failing bit, which is nonzero (cm > cap at bit 0, X_c < X_{c-1} above).
   * The bound is monotone within a filtration, so a closure that a cut
     candidate hides is caught at the next uncut one of its filtration.
   * The node returns early only once the bound has closed filtration 1
@@ -168,7 +175,7 @@ memo costs a dictionary probe per child, and every state without leaves
 shares one empty result.
 
 The universe and the tables of its search order (positions, degrees,
-filtrations, weights, first child candidates, suffix supports and
+filtrations, weights, first child candidates, suffix reaches and
 greatest degrees per filtration) are shared by every search at one degree:
 a verify scenario searches single filtrations at several neighbouring
 degrees, all over one universe.  The universe of t holds every generator of
@@ -202,6 +209,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property
+from math import log
 
 from .algebra import Generator, Monomial, a, b, h
 from .errors import ParameterError
@@ -367,48 +375,38 @@ def digit_span(g: Generator) -> tuple[int, int]:
 # --- the digit-column carry system ----------------------------------------
 
 
-def _carry_failure(t_rem: int, cap: int, support: int, ctx: PrimeContext) -> int | None:
-    """The bit of the first column at which the residual degree admits no
-    column solution with sums bounded by cap and restricted to the
-    supported columns, or None when it admits one.
+def _carry_failure(t_rem: int, cap: int, reach: int, ctx: PrimeContext) -> int | None:
+    """The first failing bit of the carry system (module docstring) of
+    t_rem under cap, or None when it holds: 0 when cm > cap, else the least
+    J with X_J < 0.  reach = p^B supports columns 0 .. B-1, 0 every column.
 
-    support is a bitmask: bit 0 is the remainder column, bit j+1 is column
-    j, and the answer numbers the columns alike.  Feasibility is necessary
-    for any completion; where a failure lies lets a search node skip later
-    candidates without testing them (module docstring).
-
-    The reachable carries always form an interval [0, hi], so one integer
-    follows them.  Out of the remainder column they are the lam >= 0 with
-    cm + lam*q <= cap_m1, that is [0, (cap_m1 - cm) // q], which holds 0
-    once cm <= cap_m1 (and never passes cap, since cap_m1 <= cap).  Into
-    column j with digit d and capacity cap_j, a carry out lam >= 0 is
-    reachable iff some carry in c in [0, hi] gives
-    0 <= d + lam*p - c <= cap_j; as d >= 0 that holds iff
-    d + lam*p - cap_j <= hi.  So the carries out are
-    [0, (hi + cap_j - d) // p], empty when that bound is negative.  The top
-    column must carry out 0, which an interval from 0 holds whenever it is
-    non-empty, and past the top digit d = 0 keeps hi >= 0.  So the test is
-    that hi stays >= 0 through the digits of t_rem: time linear in them,
-    memory constant in cap.  A column fails only on a digit d > hi + cap_j,
-    so its digit is nonzero.
+    For cap >= p - 1 every X_J with J <= B holds, as cap (p^J - 1)/(p - 1)
+    >= p^J - 1 >= body mod p^J, and past B X_J only falls: one comparison
+    decides, and a failure lies past B.  For cap <= p - 2, h0 = 0 and no
+    carry is positive: a column passes iff its digit is at most its cap.
     """
     p, q = ctx.p, ctx.q
     body, cm = divmod(t_rem, q)
-    cap_m1 = cap if support & 1 else 0
-    if cm > cap_m1:
+    if cm > cap:
         return 0
-    hi = (cap_m1 - cm) // q
-    cols = support >> 1
-    bit = 1
-    while body:
-        # body % p is this column's digit d, cols & 1 its support bit.
-        hi = (hi + (cap if cols & 1 else 0) - body % p) // p
-        if hi < 0:
-            return bit
-        body //= p
-        cols >>= 1
-        bit += 1
-    return None
+    h0, bit, pw = (cap - cm) // q, 1, p
+    if cap >= p - 1:
+        if not reach or body <= h0 + cap * (reach - 1) // (p - 1):
+            return None
+        bit, pw = round(log(reach, p)) + 1, reach * p   # ValueError if reach < 0
+    elif not reach or body < reach:
+        while body:
+            if body % p > cap:
+                return bit
+            body //= p
+            bit += 1
+        return None
+    elif reach < 0:
+        raise ValueError(f"reach {reach} is neither p^B nor 0")
+    # The system fails: find the least J with X_J < 0.
+    while h0 + cap * (min(pw, reach) - 1) // (p - 1) >= body % pw:
+        bit, pw = bit + 1, pw * p
+    return bit
 
 
 # --- the search ------------------------------------------------------------
@@ -420,8 +418,8 @@ class _Order(namedtuple("_Order", (
         "filts",
         "weights",
         "nidx",       # a child's first candidate: past an exterior pick
-        "lob",        # lowest supported column, as a support bit
-        "supp",       # per suffix: supported columns
+        "lob",        # lowest column it contributes to, as a carry-test bit
+        "reach",      # per suffix: p^B, B its number of supported columns
         "max_frac",   # per suffix: (deg, filt) with max deg/filt
 ))):
     """The tables every node of a search reads, per generator of the search
@@ -470,19 +468,22 @@ def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
         degs = [tri[c].t for c in pos]
         filts = [tri[c].s for c in pos]
         lob = [0] * n
-        supp = [0] * (n + 1)
+        reach = [0] * n
         max_frac = [(0, 1)] * (n + 1)
+        cols, pw = 0, 1                     # columns 0 .. cols-1 supported, pw = p^cols
         for k in range(n - 1, -1, -1):
-            lo, hi = digit_span(order[k])   # bits lo + 1 .. hi + 1 of the mask
+            lo, hi = digit_span(order[k])   # bits lo + 1 .. hi + 1
             lob[k] = lo + 1
-            supp[k] = supp[k + 1] | ((1 << (hi - lo + 1)) - 1) << (lo + 1)
+            while cols <= hi:
+                cols, pw = cols + 1, pw * ctx.p
+            reach[k] = pw
             d, f = degs[k], filts[k]
             md, mf = max_frac[k + 1]
             max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
         tables = _Order(tuple(pos), tuple(-d for d in degs), tuple(filts),
                         tuple(tri[c].u for c in pos),
                         tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
-                        tuple(lob), tuple(supp), tuple(max_frac))
+                        tuple(lob), tuple(reach), tuple(max_frac))
         kept = _shared[ctx.p] = (top, universe, tables, {})
     _, universe, tables, layouts = kept
     width = (s_hi + 1).bit_length()
@@ -498,11 +499,10 @@ def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int):
     # The root's lower degree bound and carry test need no universe, so a
     # huge t that no filtration of the window admits ends before one is
     # built or its key computed (_top_degree loops once per tower index).
-    # Supporting every column loses nothing against the universe's own
-    # support: the recurrence reads only the remainder column and the digit
-    # columns of t/q, and the universe holds a(0) and h(1,j) for each of them.
+    # Testing every column (reach 0) loses nothing: the universe holds a(0)
+    # and h(1,j) for every digit column j of t/q.
     live = [s for s in range(s_lo, s_hi + 1)
-            if s <= t and _carry_failure(t, s, -1, ctx) is None]
+            if s <= t and _carry_failure(t, s, 0, ctx) is None]
     if not live:
         return EMPTY_LAYOUT, None, 0, 0
     layout, tables = _tables(ctx, t, s_hi)
@@ -519,7 +519,7 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
     left from bit sshift.  It is memoized for the duration of this walk (see
     the module docstring).
     """
-    pos, neg_degs, filts, weights, nidx, lob, supp, max_frac = o
+    pos, neg_degs, filts, weights, nidx, lob, reach, max_frac = o
     n = len(pos)
     uncut = max(lob, default=0)     # a cut that skips no candidate
     ushift = n * width
@@ -571,7 +571,7 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
                     continue
                 if nt < ns_lo:
                     continue
-                c = _carry_failure(nt, ns, supp[ni], ctx)
+                c = _carry_failure(nt, ns, reach[ni], ctx)
                 if c is not None:
                     if c < lob[k]:
                         if c < lim2:

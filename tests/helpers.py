@@ -160,7 +160,7 @@ def tree_search(ctx, s_lo, s_hi, t):
     found = {s: ([], []) for s in range(s_lo, s_hi + 1)}
     search, order, s_hi, span = enumeration._order(ctx, s_lo, s_hi, t)
     if order is not None:
-        pos, neg_degs, filts, weights, nidx, _, supp, max_frac = order
+        pos, neg_degs, filts, weights, nidx, _, reach, max_frac = order
         width = search.width
         last = len(pos) - 1
         carry_failure = enumeration._carry_failure
@@ -192,7 +192,7 @@ def tree_search(ctx, s_lo, s_hi, t):
                         continue
                     if nt < ns_lo:
                         continue
-                    if carry_failure(nt, ns, supp[ni], ctx) is not None:
+                    if carry_failure(nt, ns, reach[ni], ctx) is not None:
                         continue
                 rec(ni, ns, nt, u + weights[k], key + (1 << (pos[k] * width)))
             # The a(0) branch: its one completion is a(0)^t_rem.

@@ -174,7 +174,7 @@ def test_huge_degree_entries_build_no_universe(ctx5, tmp_path, monkeypatch):
     basis = cache.load_basis(ctx5, 4, t)
     assert basis.dimension == 0 and basis.keys == ()
     assert basis.layout is enumeration.EMPTY_LAYOUT
-    assert enumeration._carry_failure(t, 1, -1, ctx5) is not None
+    assert enumeration._carry_failure(t, 1, 0, ctx5) is not None
     _write_entry(cache, 1, t, ["1 1"])
     assert cache.load_basis(ctx5, 1, t) is None
     # named by a digest of the query, not by t's 4000 digits

@@ -202,9 +202,9 @@ def test_search_shares_the_subtrees_of_equal_states(ctx5, monkeypatch):
     calls = []
     carry = enumeration._carry_failure
 
-    def counting_carry(t_rem, cap, support, ctx):
+    def counting_carry(t_rem, cap, reach, ctx):
         calls.append(t_rem)
-        return carry(t_rem, cap, support, ctx)
+        return carry(t_rem, cap, reach, ctx)
 
     monkeypatch.setattr(enumeration, "_carry_failure", counting_carry)
     for s, t in DENSE_E2:
@@ -216,8 +216,9 @@ def test_search_shares_the_subtrees_of_equal_states(ctx5, monkeypatch):
 
 
 def test_search_equals_the_tree_walk_past_n_20(ctx5, monkeypatch):
-    # every window verify main searches at n = 40 and 80, where a failed
-    # carry test decides the most later candidates
+    # every window verify main searches at n = 40, 80 and 120, where a
+    # failed carry test decides the most later candidates and the residuals
+    # run to 120 digits
     search = enumeration._search
     windows = []
 
@@ -228,7 +229,7 @@ def test_search_equals_the_tree_walk_past_n_20(ctx5, monkeypatch):
         return found
 
     monkeypatch.setattr(enumeration, "_search", checked_search)
-    for n in (40, 80):
+    for n in (40, 80, 120):
         clear_memo()
         assert verify_main(ctx5, 4, n, 4).passed
     assert len(windows) > 10
@@ -252,9 +253,9 @@ def test_a_failed_carry_test_skips_the_candidates_it_decides(monkeypatch):
     calls = []
     carry = enumeration._carry_failure
 
-    def counting_carry(t_rem, cap, support, ctx):
+    def counting_carry(t_rem, cap, reach, ctx):
         calls.append(t_rem)
-        return carry(t_rem, cap, support, ctx)
+        return carry(t_rem, cap, reach, ctx)
 
     monkeypatch.setattr(enumeration, "_carry_failure", counting_carry)
     for window in windows:
@@ -310,9 +311,9 @@ def test_the_benchmark_searches_run_the_same_carry_tests(ctx5, monkeypatch):
     calls = []
     carry = enumeration._carry_failure
 
-    def counting_carry(t_rem, cap, support, ctx):
+    def counting_carry(t_rem, cap, reach, ctx):
         calls.append(t_rem)
-        return carry(t_rem, cap, support, ctx)
+        return carry(t_rem, cap, reach, ctx)
 
     monkeypatch.setattr(enumeration, "_carry_failure", counting_carry)
     for p, m, n, s in SCENARIOS:
@@ -332,8 +333,8 @@ def test_a_failed_b_decides_no_later_h(ctx5, monkeypatch):
     failures = []
     carry = enumeration._carry_failure
 
-    def recording_carry(t_rem, cap, support, ctx):
-        c = carry(t_rem, cap, support, ctx)
+    def recording_carry(t_rem, cap, reach, ctx):
+        c = carry(t_rem, cap, reach, ctx)
         failures.append((t_rem, cap, c))
         return c
 
@@ -537,7 +538,7 @@ def test_root_carry_test_subsumes_the_vanishing_bounds(ctx5, ctx7):
                 digit = s < ctx.p and vanishes_by_digit_bound(s, t, ctx)
                 if digit or vanishes_by_remainder_bound(s, t, ctx):
                     fired += 1
-                    assert _carry_failure(t, s, (1 << 64) - 1, ctx) is not None, (ctx.p, s, t)
+                    assert _carry_failure(t, s, 0, ctx) is not None, (ctx.p, s, t)
     assert fired > 1000
 
 
@@ -545,9 +546,9 @@ def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatc
     calls = []
     carry, universe = enumeration._carry_failure, enumeration.generator_universe
 
-    def recording_carry(t_rem, cap, support, ctx):
-        calls.append((t_rem, cap, support))
-        return carry(t_rem, cap, support, ctx)
+    def recording_carry(t_rem, cap, reach, ctx):
+        calls.append((t_rem, cap, reach))
+        return carry(t_rem, cap, reach, ctx)
 
     def recording_universe(ctx, t_max):
         calls.append("universe")
@@ -556,7 +557,7 @@ def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatc
     monkeypatch.setattr(enumeration, "_carry_failure", recording_carry)
     monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
     found = _search(ctx5, 1, 3, 49)
-    assert calls[:4] == [(49, 1, -1), (49, 2, -1), (49, 3, -1), "universe"]
+    assert calls[:4] == [(49, 1, 0), (49, 2, 0), (49, 3, 0), "universe"]
     # every later carry test is a child's, on a smaller residual degree
     assert all(call[0] < 49 for call in calls[4:])
     assert found[2].dimension == 2
@@ -570,21 +571,21 @@ def test_a_filtration_deeper_than_its_degree_builds_no_universe(ctx5, monkeypatc
 
     monkeypatch.setattr(enumeration, "generator_universe", no_universe)
     monkeypatch.setattr(enumeration, "_top_degree", no_universe)
-    assert _carry_failure(4, 5, -1, ctx5) is None
+    assert _carry_failure(4, 5, 0, ctx5) is None
     assert enumerate_basis(ctx5, 5, 4).dimension == 0
 
 
-def test_a0_ends_every_suffix_the_search_reads(ctx5, monkeypatch):
-    # The lower degree bound (nt < ns_lo) and the a(0) branch rest on these
-    # facts of every universe the benchmark searches: a(0) is the last
-    # generator of the search order, no child's first candidate lies past
-    # it, and every other generator has degree above its filtration.
+def recorded_orders(monkeypatch):
+    """(ctx, layout, search tables) of every universe the eight scenarios,
+    the four dense-e2 windows and verify main at p=5, m=4, s=4 at n = 40, 80
+    and 120 build."""
+    ctx5 = make_context(5)
     orders = {}
     tables = enumeration._tables
 
     def recording_tables(ctx, t, s_hi):
         layout, order = tables(ctx, t, s_hi)
-        orders[id(order)] = layout, order
+        orders[id(order)] = ctx, layout, order
         return layout, order
 
     monkeypatch.setattr(enumeration, "_tables", recording_tables)
@@ -592,13 +593,34 @@ def test_a0_ends_every_suffix_the_search_reads(ctx5, monkeypatch):
         verify_main(make_context(p), m, n, s)
     for s, t in DENSE_E2:
         _search(ctx5, s - 1, s, t)
-    assert len(orders) >= len(SCENARIOS) + 1
-    for layout, order in orders.values():
+    ns = (40, 80, 120)
+    for n in ns:
+        verify_main(ctx5, 4, n, 4)
+    assert len(orders) >= len(SCENARIOS) + len(ns) + 1
+    return orders.values()
+
+
+def test_a0_ends_every_suffix_the_search_reads(monkeypatch):
+    # The lower degree bound (nt < ns_lo) and the a(0) branch rest on these
+    # facts of every universe the benchmark and verify main at n = 40, 80
+    # and 120 search: a(0) is the last generator of the search order, no
+    # child's first candidate lies past it, and every other generator has
+    # degree above its filtration.  The carry test reads a suffix's support
+    # as reach = p^B alone: the remainder column and columns 0 .. B-1, the
+    # oracle's mask (2 << B) - 1, which is the union of the digit_span of
+    # its generators.
+    for ctx, layout, order in recorded_orders(monkeypatch):
         last = len(order.pos) - 1
         assert layout.universe[order.pos[last]] == a(0)
         assert max(order.nidx) == last
         assert [k for k, (d, f) in enumerate(zip(order.neg_degs, order.filts))
                 if -d <= f] == [last]
+        mask = 0
+        for k in range(last, -1, -1):
+            lo, hi = digit_span(layout.universe[order.pos[k]])
+            mask |= ((2 << (hi - lo)) - 1) << (lo + 1)
+            cols = mask.bit_length() - 1
+            assert mask == (2 << cols) - 1 and ctx.p**cols == order.reach[k], (ctx.p, k)
 
 
 def test_shared_tables_hold_the_universe_of_every_degree(ctx5, ctx7):
@@ -778,48 +800,137 @@ def test_carry_solutions_satisfy_the_column_equations(ctx5, ctx7):
                     assert sol.cbar[1 + j] == digits[j] + carry_out * ctx.p - carry_in
 
 
+def oracle_mask(ctx, t, reach):
+    """The set oracle's support mask of the columns the carry test supports
+    under reach: the remainder column and columns 0 .. B-1 for reach = p^B,
+    and for reach = 0 every column of t, with one to spare."""
+    cols = _columns(reach, ctx.p) - 1 if reach else _columns(t // ctx.q, ctx.p) + 1
+    return (2 << cols) - 1
+
+
+def _columns(x, p):
+    """The number of base-p digits of x: B for x = p^B - 1, B + 1 for p^B."""
+    n = 0
+    while x:
+        x //= p
+        n += 1
+    return n
+
+
 def test_carry_recurrence_matches_the_set_oracle(ctx5, ctx7, rng):
+    # The searches only pass a reach p^B (the remainder column and columns
+    # 0 .. B-1) or 0 (every column); these are the oracle's masks
+    # (2 << B) - 1.
     for ctx in (ctx5, ctx7):
         for t in range(1200):
             for cap in range(7):
-                for support in range(32):
-                    assert ((_carry_failure(t, cap, support, ctx) is None)
-                            == set_carry_feasible(t, cap, support, ctx)), (ctx.p, t, cap, support)
+                for reach in [0] + [ctx.p**B for B in range(6)]:
+                    assert ((_carry_failure(t, cap, reach, ctx) is None)
+                            == set_carry_feasible(t, cap, oracle_mask(ctx, t, reach), ctx)), (
+                        ctx.p, t, cap, reach)
     for _ in range(3000):
         ctx = rng.choice((ctx5, ctx7))
         t = rng.randint(0, 10**12)
         cap = rng.randint(0, 40)
-        support = rng.getrandbits(rng.randint(1, 20))
-        assert ((_carry_failure(t, cap, support, ctx) is None)
-                == set_carry_feasible(t, cap, support, ctx)), (ctx.p, t, cap, support)
+        reach = rng.choice((0, ctx.p ** rng.randint(0, 19)))
+        assert ((_carry_failure(t, cap, reach, ctx) is None)
+                == set_carry_feasible(t, cap, oracle_mask(ctx, t, reach), ctx)), (
+            ctx.p, t, cap, reach)
 
 
 def test_carry_failure_is_the_first_failing_column(ctx5, ctx7, rng):
     # The failing bit is the least k at which the set oracle rejects the
     # residual cut to its remainder and first k columns, t_rem mod q*p^k:
-    # the recurrence reads the columns from the bottom, so the system of
-    # the columns below the failure is feasible and the one through it is
-    # not.
+    # the system of the columns below the failure is feasible and the one
+    # through it is not.
     at = {"pass": 0, "remainder": 0, "column": 0}
     for _ in range(3000):
         ctx = rng.choice((ctx5, ctx7))
         t = rng.randint(0, rng.choice((100, 10**4, 10**9)))
         cap = rng.randint(0, 12)
-        support = rng.getrandbits(rng.randint(1, 16)) | rng.randrange(2)
+        reach = rng.choice((0, ctx.p ** rng.randint(0, 15)))
+        mask = oracle_mask(ctx, t, reach)
         k, first = 0, None
         while first is None and (k == 0 or ctx.q * ctx.p ** (k - 1) <= t):
-            if not set_carry_feasible(t % (ctx.q * ctx.p**k), cap, support, ctx):
+            if not set_carry_feasible(t % (ctx.q * ctx.p**k), cap, mask, ctx):
                 first = k
             k += 1
-        got = _carry_failure(t, cap, support, ctx)
-        assert got == first, (ctx.p, t, cap, support)
+        got = _carry_failure(t, cap, reach, ctx)
+        assert got == first, (ctx.p, t, cap, reach)
         at["pass" if got is None else "remainder" if got == 0 else "column"] += 1
     assert min(at.values()) > 200, at
 
 
+def long_residuals(rng, ctx, n, cap):
+    """Five residual degrees of n base-p digits: one of digits and
+    remainder at most 2, which narrow caps pass; one of long runs of one
+    digit, like the search's residuals, with remainder 0 or 1; one of
+    uniform digits and remainder; and, with remainder 0, the wide bound of
+    cap under reach p^(n-1), cap (p^(n-1) - 1)/(p - 1) + h0 with
+    h0 = cap // q, as the body of the fourth, and that plus one as the
+    body of the fifth."""
+    p, q = ctx.p, ctx.q
+    small = [rng.randrange(3) for _ in range(n)]
+    runs = []
+    while len(runs) < n:
+        runs += [rng.randrange(p)] * rng.randint(1, n // 3)
+    uniform = [rng.randrange(p) for _ in range(n)]
+    out = []
+    for digits, cm in ((small, rng.randrange(3)), (runs[:n], rng.choice((0, 1))),
+                       (uniform, rng.randrange(q))):
+        digits[-1] = digits[-1] or 1
+        out.append(sum(d * p**j for j, d in enumerate(digits)) * q + cm)
+    bound = cap * (p ** (n - 1) - 1) // (p - 1) + cap // q
+    return out + [bound * q, (bound + 1) * q]
+
+
+def test_carry_test_matches_the_set_oracle_on_long_residuals(rng):
+    # Every reach p^B from B = 0 (a suffix of a(0) alone) to past the digit
+    # count, and 0.  At 50 digits every cap from 0 to 2q runs, so h0 =
+    # (cap - cm) // q reaches 2.  At 400 digits, where the oracle's time
+    # grows with B, the largest narrow cap p - 2 runs on the small digits
+    # and the cap q on its two bound residuals.  A feasible prefix through
+    # bit got - 1 and an infeasible one through bit got make got the first
+    # failing bit, since a prefix's feasibility only falls as it grows: a
+    # solution carries an interval [0, hi] out of each column, and such an
+    # interval holds 0.
+    seen = {"pass": 0, "remainder": 0, "column": 0}
+    for p in (5, 7, 11):
+        ctx = make_context(p)
+        q = ctx.q
+        cases = [(t, range(2 * q + 1)) for t in long_residuals(rng, ctx, 50, 2 * q)]
+        small, _, _, edge, past = long_residuals(rng, ctx, 400, q)
+        cases += [(small, (p - 2,)), (edge, (q,)), (past, (q,))]
+        for t, caps in cases:
+            digits = _columns(t // q, p)
+            for reach in [0] + [p**B for B in range(digits + 3)]:
+                mask = oracle_mask(ctx, t, reach)
+                for cap in caps:
+                    got = _carry_failure(t, cap, reach, ctx)
+                    where = (p, t, cap, reach, got)
+                    if got is None:
+                        assert set_carry_feasible(t, cap, mask, ctx), where
+                        seen["pass"] += 1
+                        continue
+                    if got:
+                        assert set_carry_feasible(t % (q * p ** (got - 1)), cap, mask, ctx), where
+                    assert not set_carry_feasible(t % (q * p**got), cap, mask, ctx), where
+                    seen["remainder" if got == 0 else "column"] += 1
+    assert min(seen.values()) > 500, seen
+
+
 def test_carry_recurrence_is_constant_memory_in_cap(ctx5):
     # The set oracle would hold about 10**10 carries here.
-    assert _carry_failure(9 * 10**11, 10**11, (1 << 40) - 1, ctx5) is None
+    assert _carry_failure(9 * 10**11, 10**11, 5**39, ctx5) is None
+
+
+def test_a_negative_reach_is_refused(ctx5):
+    # The support is reach = p^B or 0.  A negative one, such as a stale
+    # all-columns bitmask -1, would otherwise fail every system with
+    # cm <= cap, under a narrow cap (1) and a wide one (4) alike.
+    for cap in (1, 4):
+        with pytest.raises(ValueError):
+            _carry_failure(8 * 5**40, cap, -1, ctx5)
 
 
 def test_carry_forms_agree(ctx5, ctx7):
@@ -828,7 +939,8 @@ def test_carry_forms_agree(ctx5, ctx7):
     for ctx in (ctx5, ctx7, make_context(11)):
         for t in range(4000):
             target = padic_profile(t, ctx)
-            support = (1 << (len(target.digits) + 1)) - 1
             for cap in range(9):
-                assert (bool(carry_solutions(target, cap, ctx))
-                        == (_carry_failure(t, cap, support, ctx) is None)), (ctx.p, t, cap)
+                lemma = bool(carry_solutions(target, cap, ctx))
+                for reach in (0, ctx.p ** len(target.digits)):
+                    assert lemma == (_carry_failure(t, cap, reach, ctx) is None), (
+                        ctx.p, t, cap, reach)

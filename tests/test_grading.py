@@ -22,6 +22,17 @@ def test_context_rejects_primes_above_the_bound_without_trial_division(monkeypat
             make_context(big)
 
 
+def test_is_prime_agrees_with_a_sieve():
+    # make_context rejects p < 5 before it asks, so only this reaches n < 2.
+    limit = 3000
+    sieve = [False, False] + [True] * (limit - 2)
+    for d in range(2, limit):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, limit, d))
+    for n in range(-2, limit):
+        assert grading._is_prime(n) == (n >= 0 and sieve[n]), n
+
+
 def test_context_accepts_odd_primes_from_five():
     for p in (5, 7, 11, 13, 101):
         ctx = make_context(p)

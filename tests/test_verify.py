@@ -1,9 +1,13 @@
+import re
+
 import pytest
 
+from helpers import basis_mismatch
 from mayss import (ParameterError, Tridegree, d1, element_from_monomial, make_context,
                    multiply, verify_critical_differential, verify_main,
                    verify_representatives, verify_survival, verify_upper_window_vanishing,
                    verify_window)
+from mayss import enumeration
 from mayss.verify import (critical_leading_terms, critical_monomials, family_degree,
                           h_triple, product_class, s_rep, validate_family_params)
 
@@ -184,3 +188,59 @@ def test_other_prime_smoke():
     ctx7 = make_context(7)
     rep = verify_representatives(ctx7, 4, 6, 5)
     assert rep.passed, rep.to_dict()
+
+
+# A generator and its indices, or a bare number.
+_TOKEN = re.compile(r"([abh])\((\d+)(?:,(\d+))?\)|(\d+)")
+
+
+def normal_form(report, ctx, m, n, s):
+    """The report with every number that moves with n written relative to
+    it: a generator index from n - m up as n - c, a degree at least p^(n-1)
+    as t(s) + c and a number within 20 of the top weight (2n+1)p - 2n - 3
+    as w + c.  The fixed indices stay at most m + 1, below n - m for n >= 10
+    at m = 4.  Lists joined by "; " compare as sets."""
+    t_s = family_degree(ctx, m, n, s)
+    w_top = (2 * n + 1) * ctx.p - 2 * n - 3
+
+    def index(i):
+        return "n-%d" % (n - int(i)) if int(i) >= n - m else i
+
+    def token(match):
+        kind, i, j, number = match.groups()
+        if number is None:
+            return "%s(%s)" % (kind, ",".join(index(x) for x in (i, j) if x is not None))
+        x = int(number)
+        if x >= ctx.p ** (n - 1):
+            return "t(s)%+d" % (x - t_s)
+        if abs(x - w_top) <= 20:
+            return "w%+d" % (x - w_top)
+        return number
+
+    def text(field):
+        return tuple(sorted(_TOKEN.sub(token, field).split("; ")))
+
+    return (report.scenario, dict(report.params, n="n"), report.passed, report.notes,
+            [(text(c.description), text(c.expected), text(c.observed), c.passed)
+             for c in report.checks])
+
+
+def test_main_report_at_large_n_equals_the_report_at_n_10(ctx5, monkeypatch):
+    # The paper's argument is uniform in n, and so is the report: at n = 40,
+    # 80 and 120 it equals, in normal form, the one at n = 10, whose every
+    # basis the E1 count checks here.  So a defect that shows only at large
+    # n (t has 29, 57 and 85 digits) fails tier-1, not only the CI digests.
+    fill, bidegrees = enumeration._fill, set()
+
+    def recording_fill(ctx, s_lo, s_hi, t, cache):
+        bidegrees.update((s, t) for s in range(s_lo, s_hi + 1))
+        return fill(ctx, s_lo, s_hi, t, cache)
+
+    monkeypatch.setattr(enumeration, "_fill", recording_fill)
+    small = normal_form(verify_main(ctx5, 4, 10, 4), ctx5, 4, 10, 4)
+    assert small[2] and len(bidegrees) > 5
+    for s, t in bidegrees:
+        assert basis_mismatch(ctx5, s, t, enumeration.enumerate_basis(ctx5, s, t).monomials) \
+            is None, (s, t)
+    for n in (40, 80, 120):
+        assert normal_form(verify_main(ctx5, 4, n, 4), ctx5, 4, n, 4) == small, n

@@ -41,6 +41,19 @@ nested floors collapse: the bound into column J is X_J // p^J, with
 So the system holds iff cm <= cap and every X_J >= 0, and X_J falls from
 J-1 to J only where column J-1 holds a nonzero digit.
 
+Under a narrow cap, at most p - 2, the test also counts runs.  There
+h0 = 0 and every bound X_J // p^J is 0, so no carry is positive and the
+column sums are exactly cm at bit 0 and then the base-p digits of body,
+bit J holding column J-1.  Each factor adds one unit to one run of bits:
+a(i) to bits 0 .. i, h(i,j) to bits j+1 .. i+j and b(i,j) to bits
+j+2 .. i+j+1, and g^e adds e runs.  A sum of N runs c_0, c_1, .. rises by
+at most N in all, so N >= sum_b (c_b - c_{b-1})^+ with c_{-1} = 0, and a
+completion has at most cap factors, each of filtration at least 1.  So the
+test fails at the first bit where cm plus the rises of the digits so far
+passes cap.  That count is at least the largest digit so far, so it
+subsumes each column's own bound, and it fails only at a rise, a nonzero
+digit.  A wide cap is decided by the system alone.
+
 At the root, with cap s, that test also covers the two digit-wise
 vanishing bounds.  A remainder t mod q above s fails the remainder column
 outright.  For s < p the carries stay in [0, 0], so any digit of t/q above
@@ -72,6 +85,10 @@ lob(k') > c fails too, so the loop skips it untested:
     nidx[k'] >= k + 1 >= nidx[k].
   * So k' fails the remainder column if k does, and otherwise its X_c is
     at most k's, which is negative.  Either way k' fails at a bit <= c.
+  * Under a narrow cap k's cap bounds k''s, so k' is narrow too.  If k
+    failed on the run count at c, k''s count at c is k's, above its cap,
+    unless it failed sooner.  If k failed past its B at c, the digit at c
+    is nonzero and c > B >= B', so k' fails at a bit <= c too.
 
 So a failure of filtration 1 cuts both filtrations and one of filtration 2
 only filtration 2: a later candidate of filtration 1 has the larger cap.
@@ -89,7 +106,8 @@ No test that runs changes:
 
   * A cut candidate fails its carry test whether or not its bound was
     read, and it is no leaf: its residual keeps the node's digit at the
-    failing bit, which is nonzero (cm > cap at bit 0, X_c < X_{c-1} above).
+    failing bit, which is nonzero (cm > cap at bit 0, and above it
+    X_c < X_{c-1} or a rise of the run count).
   * The bound is monotone within a filtration, so a closure that a cut
     candidate hides is caught at the next uncut one of its filtration.
   * The node returns early only once the bound has closed filtration 1
@@ -378,33 +396,43 @@ def digit_span(g: Generator) -> tuple[int, int]:
 def _carry_failure(t_rem: int, cap: int, reach: int, ctx: PrimeContext) -> int | None:
     """The first failing bit of the carry system (module docstring) of
     t_rem under cap, or None when it holds: 0 when cm > cap, else the least
-    J with X_J < 0.  reach = p^B supports columns 0 .. B-1, 0 every column.
+    J with X_J < 0 or, under a narrow cap, with more runs than cap through
+    bit J.  reach = p^B supports columns 0 .. B-1, 0 every column.
 
     For cap >= p - 1 every X_J with J <= B holds, as cap (p^J - 1)/(p - 1)
     >= p^J - 1 >= body mod p^J, and past B X_J only falls: one comparison
     decides, and a failure lies past B.  For cap <= p - 2, h0 = 0 and no
-    carry is positive: a column passes iff its digit is at most its cap.
+    carry is positive, so the column sums are cm and then the digits of
+    body.  Each factor covers one run of bits and there are at most cap of
+    them, so the runs that start, cm plus every rise d - prev from one
+    digit to the next, number at most cap: the test fails at the first bit
+    where they pass it, a nonzero digit.  That subsumes each digit being at
+    most cap, and past B every digit must be 0.
     """
     p, q = ctx.p, ctx.q
     body, cm = divmod(t_rem, q)
     if cm > cap:
         return 0
-    h0, bit, pw = (cap - cm) // q, 1, p
+    h0 = (cap - cm) // q
     if cap >= p - 1:
         if not reach or body <= h0 + cap * (reach - 1) // (p - 1):
             return None
-        bit, pw = round(log(reach, p)) + 1, reach * p   # ValueError if reach < 0
-    elif not reach or body < reach:
-        while body:
-            if body % p > cap:
-                return bit
-            body //= p
+    elif reach >= 0:
+        starts = prev = cm
+        bit, rest = 1, body % reach if reach else body
+        while rest:
+            rest, d = divmod(rest, p)
+            if d > prev:
+                starts += d - prev
+                if starts > cap:
+                    return bit
+            prev = d
             bit += 1
-        return None
-    elif reach < 0:
-        raise ValueError(f"reach {reach} is neither p^B nor 0")
-    # The system fails: find the least J with X_J < 0.
-    while h0 + cap * (min(pw, reach) - 1) // (p - 1) >= body % pw:
+        if not reach or body < reach:
+            return None
+    # The system fails past B: find the least J > B with X_J < 0.
+    bit, pw = round(log(reach, p)) + 1, reach * p   # ValueError if reach < 0
+    while h0 + cap * (reach - 1) // (p - 1) >= body % pw:
         bit, pw = bit + 1, pw * p
     return bit
 

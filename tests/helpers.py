@@ -7,7 +7,8 @@ generators' degree formulas, span counting for ranks, d1 of every expanded
 unit, dense Gauss-Jordan, the set of every reachable carry per digit
 column, every solution of the column system) so that engine bugs cannot
 hide in shared code paths.  The
-column-sum predicates of the spanning-factor argument, the digit and
+column-sum predicates of the spanning-factor argument and of the run count
+(interval_starts, the carry test's bound under narrow caps), the digit and
 remainder vanishing bounds (the search's carry test subsumes them) and the
 element arithmetic the engine itself never needs (add, scale) and the
 dense-rows constructor of matrices (matrix_from_rows) live here too: only
@@ -382,6 +383,35 @@ def column_sums_impossible(cbar: Sequence[int], mprime: int) -> bool:
             if any(cbar[y] < need for y in range(x + 1, z)):
                 return True
     return False
+
+
+def bit_run(g):
+    """The bits a generator adds one unit to, from its (kind, i, j) formula
+    rather than enumeration.digit_span: bit 0 is the remainder column and
+    bit J column J-1, so a(i) covers bits 0 .. i, h(i,j) bits j+1 .. i+j
+    and b(i,j) bits j+2 .. i+j+1."""
+    if g.kind == "a":
+        return range(g.i + 1)
+    if g.kind == "h":
+        return range(g.j + 1, g.i + g.j + 1)
+    return range(g.j + 2, g.i + g.j + 2)
+
+
+def run_profile(factors):
+    """The column sums of a factor tuple, remainder column first, summed
+    run by run over bit_run; a factor g^e adds its run e times."""
+    sums = Counter()
+    for g, e in factors:
+        for bit in bit_run(g):
+            sums[bit] += e
+    return tuple(sums[bit] for bit in range(max(sums, default=-1) + 1))
+
+
+def interval_starts(cbar: Sequence[int]) -> int:
+    """The least number of runs of bits whose indicators sum to cbar:
+    cbar[0] plus every rise cbar[b] - cbar[b-1] > 0.  Each run adds one to
+    that sum, so a monomial has at least this many factors."""
+    return sum(max(c - prev, 0) for prev, c in zip((0, *cbar), cbar))
 
 
 @dataclass(frozen=True)

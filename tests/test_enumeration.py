@@ -6,9 +6,9 @@ import pytest
 
 from helpers import (DENSE_E2, SCENARIOS, UNIT, basis_mismatch, carry_solutions, column_sums,
                      column_sums_impossible, e1_dims, factor_count, forced_spanning_factors,
-                     reference_basis, set_carry_feasible, single_search, tree_search,
-                     unit_summand_pairs, universe_up_to, vanishes_by_digit_bound,
-                     vanishes_by_remainder_bound)
+                     interval_starts, random_monomial, reference_basis, run_profile,
+                     set_carry_feasible, single_search, tree_search, unit_summand_pairs,
+                     universe_up_to, vanishes_by_digit_bound, vanishes_by_remainder_bound)
 from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
                    monomial_from_factors, padic_profile, verify_main)
 from mayss import enumeration
@@ -321,7 +321,7 @@ def test_the_benchmark_searches_run_the_same_carry_tests(ctx5, monkeypatch):
     scenarios = len(calls)
     for s, t in DENSE_E2:
         _search(ctx5, s - 1, s, t)
-    assert (scenarios, len(calls) - scenarios) == (8327, 10168)
+    assert (scenarios, len(calls) - scenarios) == (4423, 9675)
 
 
 def test_a_failed_b_decides_no_later_h(ctx5, monkeypatch):
@@ -735,6 +735,42 @@ def test_every_enumerated_monomial_passes_triple_inequality(ctx5):
                 assert not column_sums_impossible(column_sums(mon), factor_count(mon))
 
 
+def test_no_monomial_needs_more_runs_than_factors(ctx5, ctx7, rng, monkeypatch):
+    # The carry test's bound under narrow caps: the column sums of a
+    # monomial, each factor's run taken from its (kind, i, j) formula, rise
+    # by at most its factor count in all.  Every basis the benchmark
+    # scenarios and dense windows search, and random monomials ...
+    search, bases = enumeration._search, []
+
+    def recording_search(ctx, s_lo, s_hi, t):
+        found = search(ctx, s_lo, s_hi, t)
+        bases.extend(found.values())
+        return found
+
+    monkeypatch.setattr(enumeration, "_search", recording_search)
+    for p, m, n, s in SCENARIOS:
+        assert verify_main(make_context(p), m, n, s).passed
+    for s, t in DENSE_E2:
+        recording_search(ctx5, s - 1, s, t)
+    monomials = [mon for basis in bases for mon in basis.monomials]
+    assert len(monomials) > 4000
+    for _ in range(2000):
+        mon = random_monomial(rng, rng.choice((ctx5, ctx7)))
+        assert run_profile(mon.factors) == column_sums(mon), mon.render()
+        monomials.append(mon)
+    for mon in monomials:
+        assert interval_starts(run_profile(mon.factors)) <= factor_count(mon), mon.render()
+    # ... and the valley rule of the spanning-factor argument is a case of it.
+    flagged = 0
+    for _ in range(3000):
+        cbar = [rng.randrange(5) for _ in range(rng.randint(1, 7))]
+        mprime = rng.randrange(8)
+        if column_sums_impossible(cbar, mprime):
+            assert interval_starts(cbar) > mprime, (cbar, mprime)
+            flagged += 1
+    assert flagged > 300, flagged
+
+
 def test_forced_spanning_factors_cases(ctx5):
     none = forced_spanning_factors((1, 1, 1), 2, -1, 0, 1)
     assert none.count == 0 and none.generator is None and not none.vanishes
@@ -808,6 +844,17 @@ def oracle_mask(ctx, t, reach):
     return (2 << cols) - 1
 
 
+def carry_oracle(t, cap, mask, ctx):
+    """The carry test's verdict by the set oracle over the columns of mask,
+    and under a narrow cap, at most p - 2, where no carry is positive and
+    the column sums are t mod q and then the digits of t/q, also by the run
+    count of those sums: at most cap runs."""
+    if not set_carry_feasible(t, cap, mask, ctx):
+        return False
+    profile = padic_profile(t, ctx)
+    return cap > ctx.p - 2 or interval_starts((profile.c_minus1, *profile.digits)) <= cap
+
+
 def _columns(x, p):
     """The number of base-p digits of x: B for x = p^B - 1, B + 1 for p^B."""
     n = 0
@@ -820,13 +867,14 @@ def _columns(x, p):
 def test_carry_recurrence_matches_the_set_oracle(ctx5, ctx7, rng):
     # The searches only pass a reach p^B (the remainder column and columns
     # 0 .. B-1) or 0 (every column); these are the oracle's masks
-    # (2 << B) - 1.
+    # (2 << B) - 1.  Caps up to 6 are narrow at p = 7 up to 5, and at p = 5
+    # up to 3.
     for ctx in (ctx5, ctx7):
         for t in range(1200):
             for cap in range(7):
                 for reach in [0] + [ctx.p**B for B in range(6)]:
                     assert ((_carry_failure(t, cap, reach, ctx) is None)
-                            == set_carry_feasible(t, cap, oracle_mask(ctx, t, reach), ctx)), (
+                            == carry_oracle(t, cap, oracle_mask(ctx, t, reach), ctx)), (
                         ctx.p, t, cap, reach)
     for _ in range(3000):
         ctx = rng.choice((ctx5, ctx7))
@@ -834,15 +882,16 @@ def test_carry_recurrence_matches_the_set_oracle(ctx5, ctx7, rng):
         cap = rng.randint(0, 40)
         reach = rng.choice((0, ctx.p ** rng.randint(0, 19)))
         assert ((_carry_failure(t, cap, reach, ctx) is None)
-                == set_carry_feasible(t, cap, oracle_mask(ctx, t, reach), ctx)), (
+                == carry_oracle(t, cap, oracle_mask(ctx, t, reach), ctx)), (
             ctx.p, t, cap, reach)
 
 
 def test_carry_failure_is_the_first_failing_column(ctx5, ctx7, rng):
-    # The failing bit is the least k at which the set oracle rejects the
+    # The failing bit is the least k at which the oracle rejects the
     # residual cut to its remainder and first k columns, t_rem mod q*p^k:
     # the system of the columns below the failure is feasible and the one
-    # through it is not.
+    # through it is not.  Under a narrow cap the run count of the cut
+    # residual only grows with k, as the set oracle's verdict only falls.
     at = {"pass": 0, "remainder": 0, "column": 0}
     for _ in range(3000):
         ctx = rng.choice((ctx5, ctx7))
@@ -852,7 +901,7 @@ def test_carry_failure_is_the_first_failing_column(ctx5, ctx7, rng):
         mask = oracle_mask(ctx, t, reach)
         k, first = 0, None
         while first is None and (k == 0 or ctx.q * ctx.p ** (k - 1) <= t):
-            if not set_carry_feasible(t % (ctx.q * ctx.p**k), cap, mask, ctx):
+            if not carry_oracle(t % (ctx.q * ctx.p**k), cap, mask, ctx):
                 first = k
             k += 1
         got = _carry_failure(t, cap, reach, ctx)
@@ -893,7 +942,7 @@ def test_carry_test_matches_the_set_oracle_on_long_residuals(rng):
     # bit got - 1 and an infeasible one through bit got make got the first
     # failing bit, since a prefix's feasibility only falls as it grows: a
     # solution carries an interval [0, hi] out of each column, and such an
-    # interval holds 0.
+    # interval holds 0, and a prefix's run count only grows.
     seen = {"pass": 0, "remainder": 0, "column": 0}
     for p in (5, 7, 11):
         ctx = make_context(p)
@@ -909,12 +958,12 @@ def test_carry_test_matches_the_set_oracle_on_long_residuals(rng):
                     got = _carry_failure(t, cap, reach, ctx)
                     where = (p, t, cap, reach, got)
                     if got is None:
-                        assert set_carry_feasible(t, cap, mask, ctx), where
+                        assert carry_oracle(t, cap, mask, ctx), where
                         seen["pass"] += 1
                         continue
                     if got:
-                        assert set_carry_feasible(t % (q * p ** (got - 1)), cap, mask, ctx), where
-                    assert not set_carry_feasible(t % (q * p**got), cap, mask, ctx), where
+                        assert carry_oracle(t % (q * p ** (got - 1)), cap, mask, ctx), where
+                    assert not carry_oracle(t % (q * p**got), cap, mask, ctx), where
                     seen["remainder" if got == 0 else "column"] += 1
     assert min(seen.values()) > 500, seen
 
@@ -936,11 +985,18 @@ def test_a_negative_reach_is_refused(ctx5):
 def test_carry_forms_agree(ctx5, ctx7):
     # The lemma form (every solution, carries bounded too) and the search
     # form (feasibility over all columns of t) decide the same systems.
+    # Under a narrow cap the lemma form also counts runs: some solution's
+    # column sums need at most cap of them.  A wide cap's lemma form is
+    # implied by that stricter one, and is the search form.
     for ctx in (ctx5, ctx7, make_context(11)):
         for t in range(4000):
             target = padic_profile(t, ctx)
             for cap in range(9):
-                lemma = bool(carry_solutions(target, cap, ctx))
+                sols = carry_solutions(target, cap, ctx)
+                if cap <= ctx.p - 2:
+                    lemma = any(interval_starts(sol.cbar) <= cap for sol in sols)
+                else:
+                    lemma = bool(sols)
                 for reach in (0, ctx.p ** len(target.digits)):
                     assert lemma == (_carry_failure(t, cap, reach, ctx) is None), (
                         ctx.p, t, cap, reach)

@@ -197,11 +197,14 @@ _TOKEN = re.compile(r"([abh])\((\d+)(?:,(\d+))?\)|(\d+)")
 def normal_form(report, ctx, m, n, s):
     """The report with every number that moves with n written relative to
     it: a generator index from n - m up as n - c, a degree at least p^(n-1)
-    as t(s) + c and a number within 20 of the top weight (2n+1)p - 2n - 3
-    as w + c.  The fixed indices stay at most m + 1, below n - m for n >= 10
-    at m = 4.  Lists joined by "; " compare as sets."""
+    as t(s) + c, a number within 20 of the top weight (2n+1)p - 2n - 3 as
+    w + c, and else one within 20 of the top page index r = w - u,
+    (2n+1)p - 2n - 3 - (5s - 3), as r_top + c.  The fixed indices stay at
+    most m + 1, below n - m for n >= 10 at m = 4.  Lists joined by "; "
+    compare as sets."""
     t_s = family_degree(ctx, m, n, s)
     w_top = (2 * n + 1) * ctx.p - 2 * n - 3
+    r_top = w_top - (5 * s - 3)
 
     def index(i):
         return "n-%d" % (n - int(i)) if int(i) >= n - m else i
@@ -215,6 +218,8 @@ def normal_form(report, ctx, m, n, s):
             return "t(s)%+d" % (x - t_s)
         if abs(x - w_top) <= 20:
             return "w%+d" % (x - w_top)
+        if abs(x - r_top) <= 20:
+            return "r_top%+d" % (x - r_top)
         return number
 
     def text(field):
@@ -225,11 +230,13 @@ def normal_form(report, ctx, m, n, s):
              for c in report.checks])
 
 
-def test_main_report_at_large_n_equals_the_report_at_n_10(ctx5, monkeypatch):
-    # The paper's argument is uniform in n, and so is the report: at n = 40,
-    # 80 and 120 it equals, in normal form, the one at n = 10, whose every
-    # basis the E1 count checks here.  So a defect that shows only at large
-    # n (t has 29, 57 and 85 digits) fails tier-1, not only the CI digests.
+def test_main_report_at_large_n_equals_the_report_at_n_10(monkeypatch):
+    # The paper's argument is uniform in n, and so is the report: at large n
+    # it equals, in normal form, the one at n = 10, whose every basis the E1
+    # count checks here.  So a defect that shows only at large n (at p = 5,
+    # t has 29, 57 and 85 digits at n = 40, 80 and 120) fails tier-1, not
+    # only the CI digests.  It runs at every prime of the benchmark
+    # scenarios, with s = p - 1.
     fill, bidegrees = enumeration._fill, set()
 
     def recording_fill(ctx, s_lo, s_hi, t, cache):
@@ -237,10 +244,13 @@ def test_main_report_at_large_n_equals_the_report_at_n_10(ctx5, monkeypatch):
         return fill(ctx, s_lo, s_hi, t, cache)
 
     monkeypatch.setattr(enumeration, "_fill", recording_fill)
-    small = normal_form(verify_main(ctx5, 4, 10, 4), ctx5, 4, 10, 4)
-    assert small[2] and len(bidegrees) > 5
-    for s, t in bidegrees:
-        assert basis_mismatch(ctx5, s, t, enumeration.enumerate_basis(ctx5, s, t).monomials) \
-            is None, (s, t)
-    for n in (40, 80, 120):
-        assert normal_form(verify_main(ctx5, 4, n, 4), ctx5, 4, n, 4) == small, n
+    for p, ns in ((5, (40, 80, 120)), (7, (40, 80)), (11, (40, 80)), (13, (40, 80))):
+        ctx, s = make_context(p), p - 1
+        bidegrees.clear()
+        small = normal_form(verify_main(ctx, 4, 10, s), ctx, 4, 10, s)
+        assert small[2] and len(bidegrees) > 5, p
+        for b_s, t in bidegrees:
+            assert basis_mismatch(ctx, b_s, t, enumeration.enumerate_basis(ctx, b_s, t).monomials) \
+                is None, (p, b_s, t)
+        for n in ns:
+            assert normal_form(verify_main(ctx, 4, n, s), ctx, 4, n, s) == small, (p, n)

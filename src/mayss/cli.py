@@ -53,15 +53,13 @@ _PROGRESS_T = 200000  # above this internal degree, say what is being computed
 _DIMS = ("e1_dim", "cycle_dim", "boundary_dim", "e2_dim")
 
 
-def _scenarios() -> dict:
-    """Each verify scenario and the function that runs it, read from the
-    verify module at call time, so a wrapped function is the one that runs."""
-    return {"lemma31": scenarios.verify_window,
-            "eq34": scenarios.verify_critical_differential,
-            "thm32": scenarios.verify_survival,
-            "thm33": scenarios.verify_upper_window_vanishing,
-            "reps": scenarios.verify_representatives,
-            "main": scenarios.verify_main}
+# Each verify scenario and the function that runs it.
+_SCENARIOS = {"lemma31": scenarios.verify_window,
+              "eq34": scenarios.verify_critical_differential,
+              "thm32": scenarios.verify_survival,
+              "thm33": scenarios.verify_upper_window_vanishing,
+              "reps": scenarios.verify_representatives,
+              "main": scenarios.verify_main}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run one named verification scenario")
-    p.add_argument("scenario", choices=tuple(_scenarios()))
+    p.add_argument("scenario", choices=tuple(_SCENARIOS))
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--scase", type=int, default=None,
@@ -184,7 +182,7 @@ def _cmd_verify(args, ctx) -> tuple[dict, dict, str, int]:
         raise ParameterError("scenario %r needs %s" % (args.scenario, ", ".join(missing)))
     print("running scenario %s (p=%d)..." % (args.scenario, ctx.p), file=sys.stderr)
     t0 = time.perf_counter()
-    run = _scenarios()[args.scenario]
+    run = _SCENARIOS[args.scenario]
     if args.scenario == "reps":
         report = run(ctx, args.m, args.n, args.scase)
     else:

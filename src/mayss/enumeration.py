@@ -186,20 +186,22 @@ list; the root files each leaf under its filtration, so every basis keeps
 the depth-first order.  The candidate loop, every pruning rule, the early
 close of filtrations and the a(0) leaf run once per state, not once per
 path to it.  On the four dense second-page windows of the benchmark a plain
-tree walk makes 25,938 calls, whose states with degree left number only
-4,641, and most repeated work lies below states that have leaves, which a
-memo of empty results alone would not share.  Where no state repeats, the
-memo costs a dictionary probe per child, and every state without leaves
-shares one empty result.
+tree walk makes 25,083 calls, while the memoized search computes the
+leaves of only 4,332 states, and most repeated work lies below states that
+have leaves, which a memo of empty results alone would not share.  Where
+no state repeats, the memo costs a dictionary probe per child, and every
+state without leaves shares one empty result.
 
 The universe and the tables of its search order (positions, degrees,
 filtrations, weights, first child candidates, suffix reaches and
 greatest degrees per filtration) are shared by every search at one degree:
 a verify scenario searches single filtrations at several neighbouring
 degrees, all over one universe.  The universe of t holds every generator of
-degree at most t, whatever the window, so the tables are keyed by p and the
-largest generator degree at most t (b(i,j) has the degree of h(i,j+1), so
-the a(i) and h(i,j) give every threshold of that key).
+degree at most t, whatever the window, so the tables kept for p serve
+every t from the largest generator degree at most t to the least one above
+it, one interval per universe.  _generator_rows, the walk over the
+generator rows that lists the universe, also finds both ends (b(i,j) has
+the degree of h(i,j+1), so the a(i) and h(i,j) give every end).
 
 Holding the b's in every universe is exact, and moves no bit of any key.
 A search of top filtration at most 1 never picks one: every b has
@@ -207,13 +209,13 @@ filtration 2, so a node with at most one filtration left starts with
 filtration 2 closed and skips it on its first comparison, before any
 bound or carry test reads the tables.  Below such a node a pick leaves no
 filtration, so the upper degree bound fails on any degree left and no
-degree left is a leaf, whatever the suffix tables hold.  The b's also sort
+degree left is a leaf, whatever the suffix tables hold.  The b's also come
 after every a and h, so they take the last fields and every basis keeps its
 keys.
 
-The key is computed only after the root carry test has passed, since at a
-huge t it takes one step per tower index.  One table set is kept per p,
-replaced when a search needs another universe and dropped by clear_memo
+The rows are walked only after the root carry test has passed, since at a
+huge t the walk takes one step per tower index.  One table set is kept per
+p, replaced when a search needs another universe and dropped by clear_memo
 with the bases.  The tables are tuples because every later search reads
 them: a search that wrote to one would change the next one's results.  The
 search's layout, whose field width follows its top filtration, is shared
@@ -239,8 +241,9 @@ from .grading import PrimeContext, Tridegree, check_degree
 MAX_FILTRATION = 512
 
 _memo: dict[tuple, "BidegreeBasis"] = {}
-# p -> (top degree, universe, search tables, layouts by width); see _tables
-_shared: dict[int, tuple[int, tuple, "_Order", dict[int, "Layout"]]] = {}
+# p -> (top, above, universe, search tables, layouts by width): shared by
+# every t with top <= t < above; see _tables
+_shared: dict[int, tuple[int, int, tuple, "_Order", dict[int, "Layout"]]] = {}
 
 
 class Layout:
@@ -361,23 +364,39 @@ class BidegreeBasis:
 
 
 def generator_universe(ctx: PrimeContext, t_max: int) -> list[Generator]:
-    """All generators with deg <= t_max, canonically sorted."""
-    out: list[Generator] = []
-    p = ctx.p
-    i = 0
-    while 2 * p**i - 1 <= t_max:
-        out.append(a(i))
-        i += 1
-    i = 1
-    while 2 * (p**i - 1) <= t_max:
-        j = 0
-        while 2 * (p**i - 1) * p**j <= t_max:
-            # b(i,j-1) has the degree of h(i,j)
-            out += [h(i, j), b(i, j - 1)] if j else [h(i, j)]
-            j += 1
-        i += 1
-    out.sort(key=lambda g: g.key)
-    return out
+    """All generators with deg <= t_max, in canonical order: the a's, the
+    h's and the b's, each by (i, j)."""
+    last_a, last_h, _, _ = _generator_rows(ctx.p, t_max)
+    return ([a(i) for i in range(last_a + 1)]
+            + [h(i, j) for i, last in enumerate(last_h, 1) for j in range(last + 1)]
+            + [b(i, j) for i, last in enumerate(last_h, 1) for j in range(last)])
+
+
+def _generator_rows(p: int, t: int) -> tuple[int, list[int], int, int]:
+    """The generators of degree at most t as rows: the last index of the
+    a's (-1 when there is none) and, for i = 1, 2, .., the last j of
+    h(i, .).  b(i,j) has the degree of h(i,j+1), so the row of b(i, .) ends
+    one before.  Also the largest generator degree at most t (0 when there
+    is none) and the least one above t: the next of some row, or the first
+    h of the next i.
+
+    Within one i the last h(i,j) has j >= 0 and its p^j only shrinks as i
+    grows, so one pass down the powers of p serves every i."""
+    last_a, top, pw = -1, 0, 1
+    while 2 * pw - 1 <= t:              # a(i), of degree 2 p^i - 1
+        last_a, top, pw = last_a + 1, 2 * pw - 1, pw * p
+    above = 2 * pw - 1
+    last_h = []
+    base, j, pw = 2 * (p - 1), 0, 1     # h(i,j), of degree base * p^j with base = 2 (p^i - 1)
+    while base * pw * p <= t:
+        j, pw = j + 1, pw * p
+    while base <= t:
+        while base * pw > t:
+            j, pw = j - 1, pw // p
+        last_h.append(j)
+        top, above = max(top, base * pw), min(above, base * pw * p)
+        base = base * p + 2 * (p - 1)
+    return last_a, last_h, top, min(above, base)
 
 
 def digit_span(g: Generator) -> tuple[int, int]:
@@ -458,36 +477,14 @@ class _Order(namedtuple("_Order", (
     __slots__ = ()
 
 
-def _top_degree(p: int, t: int) -> int:
-    """The largest degree of a generator at most t, 0 when there is none.
-
-    b(i,j) has the degree of h(i,j+1), so the a(i) and h(i,j) give every
-    generator degree.  Within one i the largest h(i,j) that fits has
-    j >= 0 and its p^j only shrinks as i grows, so one pass down the powers
-    of p serves every i."""
-    top, pw = 0, 1
-    while 2 * pw - 1 <= t:          # a(i), of degree 2 p^i - 1
-        top, pw = 2 * pw - 1, pw * p
-    base, pw = 2 * (p - 1), 1       # h(i,j), of degree base * p^j with base = 2 (p^i - 1)
-    while base * pw * p <= t:
-        pw *= p
-    while base <= t:
-        while base * pw > t:
-            pw //= p
-        top = max(top, base * pw)
-        base = base * p + 2 * (p - 1)
-    return top
-
-
 def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
     """The layout of the universe of degree t, in canonical order, and the
     tables of its search order.  s_hi sets only the layout's field width,
     the bit length of s_hi + 1, which holds every exponent of a monomial of
     filtration at most s_hi.  Searches build their keys on the layout, and
     the cache reads keys back onto it.  Both are shared (module docstring)."""
-    top = _top_degree(ctx.p, t)
     kept = _shared.get(ctx.p)
-    if kept is None or kept[0] != top:
+    if kept is None or not kept[0] <= t < kept[1]:
         universe = tuple(generator_universe(ctx, t))
         tri = [g.tridegree(ctx) for g in universe]
         pos = sorted(range(len(universe)), key=lambda c: (-tri[c].t, c))
@@ -512,29 +509,13 @@ def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
                         tuple(tri[c].u for c in pos),
                         tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
                         tuple(lob), tuple(reach), tuple(max_frac))
-        kept = _shared[ctx.p] = (top, universe, tables, {})
-    _, universe, tables, layouts = kept
+        top, above = _generator_rows(ctx.p, t)[2:]
+        kept = _shared[ctx.p] = (top, above, universe, tables, {})
+    _, _, universe, tables, layouts = kept
     width = (s_hi + 1).bit_length()
     if width not in layouts:
         layouts[width] = Layout(universe, width)
     return layouts[width], tables
-
-
-def _order(ctx: PrimeContext, s_lo: int, s_hi: int, t: int):
-    """The layout and search tables of the window's universe, and the top
-    and span of the window narrowed to the filtrations that pass the root's
-    tests; the tables are None when none passes."""
-    # The root's lower degree bound and carry test need no universe, so a
-    # huge t that no filtration of the window admits ends before one is
-    # built or its key computed (_top_degree loops once per tower index).
-    # Testing every column (reach 0) loses nothing: the universe holds a(0)
-    # and h(1,j) for every digit column j of t/q.
-    live = [s for s in range(s_lo, s_hi + 1)
-            if s <= t and _carry_failure(t, s, 0, ctx) is None]
-    if not live:
-        return EMPTY_LAYOUT, None, 0, 0
-    layout, tables = _tables(ctx, t, s_hi)
-    return layout, tables, live[-1], live[-1] - live[0]
 
 
 def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int, found):
@@ -641,9 +622,16 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, Bidegr
     search order on the layout of the window's universe."""
     found: dict[int, tuple[list[int], list[int]]] = {
         s: ([], []) for s in range(s_lo, s_hi + 1)}
-    layout, order, top, span = _order(ctx, s_lo, s_hi, t)
-    if order is not None:
-        _walk(ctx, order, top, span, t, layout.width, found)
+    # The root's lower degree bound and carry test need no universe, so a
+    # huge t that no filtration of the window admits ends before one is
+    # built (its rows take one step per tower index).  Testing every column
+    # (reach 0) loses nothing: the universe holds a(0) and h(1,j) for every
+    # digit column j of t/q.  The walk spans the filtrations that pass.
+    live = [s for s in found if s <= t and _carry_failure(t, s, 0, ctx) is None]
+    layout = EMPTY_LAYOUT
+    if live:
+        layout, tables = _tables(ctx, t, s_hi)
+        _walk(ctx, tables, live[-1], live[-1] - live[0], t, layout.width, found)
     return {s: BidegreeBasis(ctx.p, s, t, layout, tuple(keys), tuple(us))
             for s, (keys, us) in found.items()}
 

@@ -22,11 +22,12 @@ The elimination fixes its order once, before it starts (a static order
 after Markowitz, 1957).  Rows are relabelled by ascending count of entries,
 and columns are reduced in ascending count of entries.  A pivot then leads
 at its sparsest row, so the rows it adds to a later column are rows that few
-columns share, and short columns become pivots before long ones.  On the d1
-blocks of the dense second-page benchmark, a few percent nonzero, the pivots
-hold 22,384 nonzeros in this order and 40,402 in the given one, from 25,098
-input nonzeros.  in_span maps its target through the same relabel; a target
-with an entry on a row that no column touches is outside the span.
+columns share, and short columns become pivots before long ones.  On the
+cleared d1 blocks of the four dense second-page queries of the benchmark, a
+few percent nonzero, the pivots hold 20,674 nonzeros in this order and
+38,987 in the given one, from 20,720 input nonzeros.  in_span maps its
+target through the same relabel; a target with an entry on a row that no
+column touches is outside the span.
 """
 
 from __future__ import annotations

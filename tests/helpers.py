@@ -156,11 +156,17 @@ def tree_search(ctx, s_lo, s_hi, t):
     layout.  It runs the carry test on every candidate that passes the
     degree bounds, without the engine's skip of the candidates an earlier
     failure in the node decides, so it is the unbounded oracle of that skip
-    too.  Its carry tests go through enumeration._carry_failure, so a test
-    that wraps that can count them."""
+    too.  Its root keeps a filtration s when s <= t and carry_oracle admits
+    t under cap s over every column of t/q, so it is the oracle of the
+    engine's root tests as well.  Its carry tests below the root go through
+    enumeration._carry_failure, so a test that wraps that can count them."""
     found = {s: ([], []) for s in range(s_lo, s_hi + 1)}
-    search, order, s_hi, span = enumeration._order(ctx, s_lo, s_hi, t)
-    if order is not None:
+    every_column = (4 << (t // ctx.q).bit_length()) - 1   # every column of t/q, and more
+    live = [s for s in found if s <= t and carry_oracle(t, s, every_column, ctx)]
+    search = enumeration.EMPTY_LAYOUT
+    if live:
+        search, order = enumeration._tables(ctx, t, s_hi)
+        s_hi, span = live[-1], live[-1] - live[0]
         pos, neg_degs, filts, weights, nidx, _, reach, max_frac = order
         width = search.width
         last = len(pos) - 1
@@ -560,6 +566,17 @@ def set_carry_feasible(t_rem, cap, support, ctx):
     while carries and 0 not in carries:
         carries = {lam // p for lam in carries if lam % p == 0}
     return 0 in carries
+
+
+def carry_oracle(t, cap, mask, ctx):
+    """The carry test's verdict by the set oracle over the columns of mask,
+    and under a narrow cap, at most p - 2, where no carry is positive and
+    the column sums are t mod q and then the digits of t/q, also by the run
+    count of those sums: at most cap runs."""
+    if not set_carry_feasible(t, cap, mask, ctx):
+        return False
+    profile = padic_profile(t, ctx)
+    return cap > ctx.p - 2 or interval_starts((profile.c_minus1, *profile.digits)) <= cap
 
 
 def span_vectors(rows, p):

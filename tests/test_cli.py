@@ -141,17 +141,17 @@ def test_rejected_query_writes_its_error_line_alone(capsys):
 
 def test_huge_degree_at_small_filtration_ends_before_the_universe(capsys, monkeypatch):
     # at t = 10^3999 the generator universe alone holds millions of
-    # generators, and the key of the shared search tables takes a step per
+    # generators, and the walk over its generator rows takes a step per
     # tower index, thousands of them; the carry test with every column
     # supported rejects s = 0 and s = 1 without either
     def no_universe(*args):
         raise AssertionError("built the generator universe")
 
     def no_key(*args):
-        raise AssertionError("computed the key of the search tables")
+        raise AssertionError("walked the generator rows")
 
     monkeypatch.setattr(enumeration, "generator_universe", no_universe)
-    monkeypatch.setattr(enumeration, "_top_degree", no_key)
+    monkeypatch.setattr(enumeration, "_generator_rows", no_key)
     t = str(10 ** 3999)
     for command in ("basis", "e2"):
         code, out, _ = run(capsys, [command, "--prime", "5", "--s", "1", "--t", t,

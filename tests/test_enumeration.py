@@ -1,14 +1,16 @@
 import inspect
 import random
 import sys
+from collections import Counter
 
 import pytest
 
-from helpers import (DENSE_E2, SCENARIOS, UNIT, basis_mismatch, carry_solutions, column_sums,
-                     column_sums_impossible, e1_dims, factor_count, forced_spanning_factors,
-                     interval_starts, random_monomial, reference_basis, run_profile,
-                     set_carry_feasible, single_search, tree_search, unit_summand_pairs,
-                     universe_up_to, vanishes_by_digit_bound, vanishes_by_remainder_bound)
+from helpers import (DENSE_E2, SCENARIOS, UNIT, basis_mismatch, carry_oracle, carry_solutions,
+                     column_sums, column_sums_impossible, e1_dims, e1_generators, factor_count,
+                     forced_spanning_factors, interval_starts, random_monomial, reference_basis,
+                     run_profile, set_carry_feasible, single_search, tree_search,
+                     unit_summand_pairs, universe_up_to, vanishes_by_digit_bound,
+                     vanishes_by_remainder_bound)
 from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
                    monomial_from_factors, padic_profile, verify_main)
 from mayss import enumeration
@@ -570,7 +572,7 @@ def test_a_filtration_deeper_than_its_degree_builds_no_universe(ctx5, monkeypatc
         raise AssertionError("built a universe")
 
     monkeypatch.setattr(enumeration, "generator_universe", no_universe)
-    monkeypatch.setattr(enumeration, "_top_degree", no_universe)
+    monkeypatch.setattr(enumeration, "_generator_rows", no_universe)
     assert _carry_failure(4, 5, 0, ctx5) is None
     assert enumerate_basis(ctx5, 5, 4).dimension == 0
 
@@ -623,18 +625,60 @@ def test_a0_ends_every_suffix_the_search_reads(monkeypatch):
             assert mask == (2 << cols) - 1 and ctx.p**cols == order.reach[k], (ctx.p, k)
 
 
-def test_shared_tables_hold_the_universe_of_every_degree(ctx5, ctx7):
-    # The tables are shared by (p, top degree).  Walking t upward through
-    # every generator degree up to 10^7 and its neighbours, at two widths
-    # at each t, a key that merged two universes would hand the later one
-    # the earlier one's.
-    for ctx in (ctx5, ctx7):
-        degrees = {g.tridegree(ctx).t for g in generator_universe(ctx, 10**7)}
-        ts = sorted({t for d in degrees for t in (d - 1, d, d + 1)})
-        for t in ts:
+def test_shared_tables_hold_the_universe_of_every_degree():
+    # The tables kept for p serve every t in [top, above).  At every
+    # generator degree d up to 10^7 and at d - 1 and d + 1, walked upward,
+    # downward and in a shuffled order, at two widths at each t, the kept
+    # universe holds the tridegrees the degree formulas list at t, and its
+    # interval is bounded by their largest degree at most t and their least
+    # one above it.  A key that merged two universes, or kept one past
+    # either end of its interval, would hand a later t the wrong one.
+    rng = random.Random(0x534)
+    for p in (5, 7, 11, 13):
+        ctx = make_context(p)
+        degrees = sorted({g[1] for g in e1_generators(p, p * 10**7)})
+        ts = sorted({t for d in degrees if d <= 10**7 for t in (d - 1, d, d + 1)})
+        shuffled = rng.sample(ts, len(ts))
+        for t in ts + ts[::-1] + shuffled:
+            want = Counter(g[:3] for g in e1_generators(p, t))
             for s_hi in (1, 2):
                 universe = enumeration._tables(ctx, t, s_hi)[0].universe
-                assert universe == tuple(generator_universe(ctx, t)), (ctx.p, s_hi, t)
+                got = Counter(tuple(g.tridegree(ctx)) for g in universe)
+                assert got == want, (p, s_hi, t)
+            top, above = enumeration._shared[p][:2]
+            assert top == max((d for d in degrees if d <= t), default=0), (p, t)
+            assert above == min(d for d in degrees if d > t), (p, t)
+    clear_memo()
+
+
+def test_a_table_hit_walks_no_generator_rows(ctx5, monkeypatch):
+    # The generator rows are walked twice per universe built, once to list
+    # it and once to find the ends of its interval; every other table read
+    # of verify main is one comparison.
+    rows, builds, reads = [], [], []
+    walk, universe, tables = (enumeration._generator_rows, enumeration.generator_universe,
+                              enumeration._tables)
+
+    def recording_rows(p, t):
+        rows.append(t)
+        return walk(p, t)
+
+    def recording_universe(ctx, t_max):
+        builds.append(t_max)
+        return universe(ctx, t_max)
+
+    def recording_tables(ctx, t, s_hi):
+        reads.append(t)
+        return tables(ctx, t, s_hi)
+
+    monkeypatch.setattr(enumeration, "_generator_rows", recording_rows)
+    monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
+    monkeypatch.setattr(enumeration, "_tables", recording_tables)
+    clear_memo()
+    assert verify_main(ctx5, 4, 40, 4).passed
+    clear_memo()
+    assert builds and rows == [t for t in builds for _ in range(2)]
+    assert len(reads) > len(builds)
 
 
 def test_filtrations_0_to_2_share_the_universe_of_their_degree(ctx5, monkeypatch):
@@ -844,17 +888,6 @@ def oracle_mask(ctx, t, reach):
     return (2 << cols) - 1
 
 
-def carry_oracle(t, cap, mask, ctx):
-    """The carry test's verdict by the set oracle over the columns of mask,
-    and under a narrow cap, at most p - 2, where no carry is positive and
-    the column sums are t mod q and then the digits of t/q, also by the run
-    count of those sums: at most cap runs."""
-    if not set_carry_feasible(t, cap, mask, ctx):
-        return False
-    profile = padic_profile(t, ctx)
-    return cap > ctx.p - 2 or interval_starts((profile.c_minus1, *profile.digits)) <= cap
-
-
 def _columns(x, p):
     """The number of base-p digits of x: B for x = p^B - 1, B + 1 for p^B."""
     n = 0
@@ -864,7 +897,7 @@ def _columns(x, p):
     return n
 
 
-def test_carry_recurrence_matches_the_set_oracle(ctx5, ctx7, rng):
+def test_carry_closed_form_matches_the_set_oracle(ctx5, ctx7, rng):
     # The searches only pass a reach p^B (the remainder column and columns
     # 0 .. B-1) or 0 (every column); these are the oracle's masks
     # (2 << B) - 1.  Caps up to 6 are narrow at p = 7 up to 5, and at p = 5
@@ -968,7 +1001,7 @@ def test_carry_test_matches_the_set_oracle_on_long_residuals(rng):
     assert min(seen.values()) > 500, seen
 
 
-def test_carry_recurrence_is_constant_memory_in_cap(ctx5):
+def test_carry_closed_form_is_constant_memory_in_cap(ctx5):
     # The set oracle would hold about 10**10 carries here.
     assert _carry_failure(9 * 10**11, 10**11, 5**39, ctx5) is None
 

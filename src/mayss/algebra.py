@@ -16,6 +16,7 @@ forced by it.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -257,15 +258,20 @@ def element_tridegree(x: Element) -> Tridegree | None:
 
 # --- text form -------------------------------------------------------------
 #
-# element := "0" | ["-"] term { " + " term | " - " term }
-# term    := [coeff "*"] factor { " " factor } | coeff
-# factor  := gen ["^" exponent]
+# element := "0" | {blank} ["-"] term { {blank} ("+" | "-") term } {blank}
+# term    := {blank} ([coeff "*"] factor { blank {blank} factor } | coeff)
+# factor  := gen ["^" int]
 # gen     := "a(" int ")" | "h(" int "," int ")" | "b(" int "," int ")"
+# int     := ASCII digits "0"-"9", at least one
+# blank   := " " | "\t"
 #
-# coeff is a residue in [1, p-1]; a bare coeff denotes a multiple of the unit
-# monomial.  Rendering emits the balanced representative (|v| <= (p-1)/2),
-# putting the sign into the separator and keeping "1*" for negative unit
-# coefficients, e.g. "-1*h(1,0) h(1,1)".
+# Blanks are spaces and tabs: at least one separates two factors, any number
+# may lead the text or surround "+" and "-", and none may stand inside a
+# generator or around "^" and "*".  Only a lone "0" may carry any whitespace
+# str.strip() removes.  coeff is a residue in [1, p-1]; a bare coeff denotes
+# a multiple of the unit monomial.  Rendering emits the balanced
+# representative (|v| <= (p-1)/2), putting the sign into the separator and
+# keeping "1*" for negative unit coefficients, e.g. "-1*h(1,0) h(1,1)".
 
 
 def _balanced(c: int, p: int) -> int:
@@ -294,128 +300,102 @@ def render_element(x: Element, ctx: PrimeContext) -> str:
     return "".join(pieces)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_int(self) -> int:
-        start = self.pos
-        # ASCII digits only: str.isdigit() also passes other scripts' digits
-        # and superscripts, which int() reads or rejects by another rule.
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError as exc:  # more digits than int() converts
-            raise ParseError("integer too long", start) from exc
-
-    def take_index(self) -> int:
-        start = self.pos
-        value = self.take_int()
-        if value > MAX_GENERATOR_INDEX:
-            raise ParseError("generator index %d exceeds %d" % (value, MAX_GENERATOR_INDEX),
-                             start)
-        return value
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError("expected %r" % ch, self.pos)
-        self.pos += 1
+# Each scanner takes (text, pos) and returns (value, end).  Digits are ASCII
+# only: str.isdigit() also passes other scripts' digits and superscripts,
+# which int() reads or rejects by another rule.
+_BLANKS = re.compile(r"[ \t]*").match
+_DIGITS = re.compile(r"[0-9]*").match
 
 
-def _parse_generator(tk: _Tokens) -> Generator:
-    start = tk.pos
-    kind = tk.peek()
-    if kind not in ("a", "h", "b"):
-        raise ParseError("expected a generator (a, h, or b)", tk.pos)
-    tk.pos += 1
-    tk.expect("(")
-    i = tk.take_index()
-    j = None
-    if tk.peek() == ",":
-        tk.pos += 1
-        j = tk.take_index()
-    tk.expect(")")
+def _int(text: str, pos: int) -> tuple[int, int]:
+    end = _DIGITS(text, pos).end()
+    if end == pos:
+        raise ParseError("expected an integer", pos)
     try:
-        return Generator(kind, i, j)
+        return int(text[pos:end]), end
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError("integer too long", pos) from exc
+
+
+def _index(text: str, pos: int) -> tuple[int, int]:
+    value, end = _int(text, pos)
+    if value > MAX_GENERATOR_INDEX:
+        raise ParseError("generator index %d exceeds %d" % (value, MAX_GENERATOR_INDEX), pos)
+    return value, end
+
+
+def _expect(text: str, pos: int, ch: str) -> int:
+    if text[pos:pos + 1] != ch:
+        raise ParseError("expected %r" % ch, pos)
+    return pos + 1
+
+
+def _power(text: str, pos: int) -> tuple[tuple[Generator, int], int]:
+    """One factor g^e, the exponent 1 when no "^" follows."""
+    kind = text[pos:pos + 1]
+    if kind not in ("a", "h", "b"):
+        raise ParseError("expected a generator (a, h, or b)", pos)
+    i, end = _index(text, _expect(text, pos + 1, "("))
+    j = None
+    if text[end:end + 1] == ",":
+        j, end = _index(text, end + 1)
+    end = _expect(text, end, ")")
+    try:
+        g = Generator(kind, i, j)
     except ParameterError as exc:
-        raise ParseError(str(exc), start) from exc
+        raise ParseError(str(exc), pos) from exc
+    if text[end:end + 1] != "^":
+        return (g, 1), end
+    e, after = _int(text, end + 1)
+    if e < 1:
+        raise ParseError("exponent must be >= 1", end + 1)
+    return (g, e), after
 
 
-def _parse_factor(tk: _Tokens) -> tuple[Generator, int]:
-    g = _parse_generator(tk)
-    e = 1
-    if tk.peek() == "^":
-        tk.pos += 1
-        epos = tk.pos
-        e = tk.take_int()
-        if e < 1:
-            raise ParseError("exponent must be >= 1", epos)
-    return g, e
-
-
-def _parse_term(tk: _Tokens, ctx: PrimeContext) -> tuple[int, list[tuple[Generator, int]]]:
-    """One term as (coefficient, raw word of (generator, exponent) powers)."""
+def _term(text: str, pos: int, ctx: PrimeContext) -> tuple[tuple[int, list], int]:
+    """One term, after its leading blanks, as (coefficient, raw word of
+    (generator, exponent) powers)."""
+    pos = _BLANKS(text, pos).end()
     coeff = 1
-    tk.skip_ws()
-    if "0" <= tk.peek() <= "9":
-        cpos = tk.pos
-        coeff = tk.take_int()
+    if "0" <= text[pos:pos + 1] <= "9":
+        coeff, end = _int(text, pos)
         if not 1 <= coeff <= ctx.p - 1:
-            raise ParseError("coefficient %d out of range [1, %d]" % (coeff, ctx.p - 1), cpos)
-        if tk.peek() == "*":
-            tk.pos += 1
-        else:
-            return coeff, []  # bare coefficient: a multiple of the unit monomial
-    word = [_parse_factor(tk)]
+            raise ParseError("coefficient %d out of range [1, %d]" % (coeff, ctx.p - 1), pos)
+        if text[end:end + 1] != "*":
+            return (coeff, []), end  # bare coefficient: a multiple of the unit monomial
+        pos = end + 1
+    power, end = _power(text, pos)
+    word = [power]
     while True:
-        save = tk.pos
-        tk.skip_ws()
-        if tk.peek() in ("a", "h", "b") and tk.pos > save:
-            word.append(_parse_factor(tk))
-        else:
-            tk.pos = save
-            return coeff, word
+        nxt = _BLANKS(text, end).end()
+        if nxt == end or text[nxt:nxt + 1] not in ("a", "h", "b"):
+            return (coeff, word), end
+        power, end = _power(text, nxt)
+        word.append(power)
 
 
 def parse_element(text: str, ctx: PrimeContext) -> Element:
     """Parse the text form back into an element (inverse of render_element)."""
-    stripped = text.strip()
-    if stripped == "0":
+    if text.strip() == "0":
         return Element.zero()
-    tk = _Tokens(text)
-    tk.skip_ws()
-    accum: dict[Monomial, int] = {}
+    pos = _BLANKS(text, 0).end()
     sign = 1
-    if tk.peek() == "-":
-        tk.pos += 1
+    if text[pos:pos + 1] == "-":
+        pos += 1
         sign = -1
+    accum: dict[Monomial, int] = {}
     while True:
-        coeff, word = _parse_term(tk, ctx)
+        # each term is canonicalized, and its degree checked, before the next is read
+        (coeff, word), end = _term(text, pos, ctx)
         res = canonicalize(word, ctx)
         if res is not None:
             csign, mon = res
             accum[mon] = accum.get(mon, 0) + sign * csign * coeff
-        tk.skip_ws()
-        nxt = tk.peek()
-        if nxt == "":
-            break
-        if nxt == "+":
-            sign = 1
-        elif nxt == "-":
-            sign = -1
-        else:
-            raise ParseError("expected '+', '-', or end of input", tk.pos)
-        tk.pos += 1
-        tk.skip_ws()
-    return _from_accumulator(accum, ctx)
+        end = _BLANKS(text, end).end()
+        nxt = text[end:end + 1]
+        if not nxt:
+            return _from_accumulator(accum, ctx)
+        if nxt not in ("+", "-"):
+            raise ParseError("expected '+', '-', or end of input", end)
+        sign = 1 if nxt == "+" else -1
+        pos = end + 1

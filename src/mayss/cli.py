@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 import warnings
@@ -62,16 +63,28 @@ _SCENARIOS = {"lemma31": scenarios.verify_window,
               "main": scenarios.verify_main}
 
 
+def _integer(text: str) -> int:
+    """The type of every integer option: an optional "-" and ASCII digits, as
+    in element text.  int() alone would also take other scripts' digits, "_",
+    "+" and surrounding whitespace."""
+    if re.fullmatch(r"-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, required=True, metavar="P",
+    common.add_argument("--prime", type=_integer, required=True, metavar="P",
                         help="odd prime p >= 5")
     common.add_argument("--format", choices=("text", "machine"), default="text",
                         help="result stream format (default: text)")
     position = argparse.ArgumentParser(add_help=False)
-    position.add_argument("--s", type=int, required=True)
-    position.add_argument("--t", type=int, required=True)
-    position.add_argument("--u", type=int, default=None, help="restrict to one weight")
+    position.add_argument("--s", type=_integer, required=True)
+    position.add_argument("--t", type=_integer, required=True)
+    position.add_argument("--u", type=_integer, default=None, help="restrict to one weight")
 
     parser = argparse.ArgumentParser(
         prog="mayss",
@@ -81,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", parents=[common],
                        help="p-adic digit profile of an internal degree")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_integer, required=True)
 
     sub.add_parser("basis", parents=[common, position],
                    help="monomial basis of one (filtration, degree) position")
@@ -100,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run one named verification scenario")
     p.add_argument("scenario", choices=tuple(_SCENARIOS))
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--scase", type=int, default=None,
+    p.add_argument("--m", type=_integer, default=None)
+    p.add_argument("--n", type=_integer, default=None)
+    p.add_argument("--scase", type=_integer, default=None,
                    help="the family index s of the scenario")
     p.add_argument("--permissive", action="store_true",
                    help="relax the parameter gate to n >= m+2 >= 4 (with a warning)")

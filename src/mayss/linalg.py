@@ -3,10 +3,10 @@
 A MatrixFp stores only its columns, each a dict {row: residue} with residues
 in [1, p), which is the form d1 matrices are built in and eliminated on;
 to_rows() derives the dense rows, which the benchmark's tracer
-(bench/tracing.py) reads for its cell and nonzero counts; no cache text is
-written from them any more.  Both operations run one sparse elimination on
-a copy of the columns, reduced one by one against the pivots found so far,
-each pivot keyed by its lead (lowest) row and scaled to lead coefficient 1.
+(bench/tracing.py) reads for its cell and nonzero counts.  Both operations
+run one sparse elimination on a copy of the columns, reduced one by one
+against the pivots found so far, each pivot keyed by its lead (lowest) row
+and scaled to lead coefficient 1.
 A pivot's entries all lie at or below its lead row, so a reduction only
 moves the lead of the column being reduced downward.  A target in the same
 sparse form lies in the column span exactly when it reduces to zero against

@@ -127,6 +127,27 @@ def random_element(rng, ctx, max_terms=3, **kw):
     return out
 
 
+#: Characters of element text: the grammar's own, plus a non-ASCII digit, a
+#: superscript, a newline and a letter that names no generator.
+TEXT_ALPHABET = "ahb(),^*+- \t0123456789" + "\u0663\u00b2\nx"
+
+#: Thirty-two pieces of element text, whole and partial, valid and not:
+#: indices at and past MAX_GENERATOR_INDEX, a 5,000-digit run (past the
+#: digits int() converts) and a degree past 10^4000 (h(1,9000)).
+TEXT_TOKENS = ("a(0)", "a(1)", "a(2)^2", "h(1,0)", "h(1,1)", "h(2,0)", "b(1,0)", "b(1,1)^3",
+               "h(1,9000)", "a(10000)", "a(10001)", "h(1,10001)", "a(", "h(1,", ")", ",",
+               "^", "^0", "*", "2*", "3", "0", " ", "  ", "\t", " + ", " - ", "-", "+",
+               "1" * 5000, "\u0663", "\n")
+
+
+def random_element_text(rng):
+    """Random element text: half free strings over TEXT_ALPHABET, half joins
+    of up to eight TEXT_TOKENS."""
+    if rng.random() < 0.5:
+        return "".join(rng.choice(TEXT_ALPHABET) for _ in range(rng.randint(0, 16)))
+    return "".join(rng.choice(TEXT_TOKENS) for _ in range(rng.randint(1, 8)))
+
+
 def brute_sign(word, ctx):
     """Koszul sign by selection-sorting the exterior subsequence, or None on
     a repeated exterior factor."""

@@ -3,8 +3,8 @@ import pickle
 
 import pytest
 
-from helpers import (UNIT, add, brute_sign, canonicalize_word, random_element, random_monomial,
-                     random_word, scale, units)
+from helpers import (UNIT, add, brute_sign, canonicalize_word, random_element,
+                     random_element_text, random_monomial, random_word, scale, units)
 from mayss import (ParameterError, ParseError, Tridegree, a, b, element_from_monomial,
                    enumerate_basis, h, monomial_from_factors, multiply, parse_element,
                    render_element)
@@ -229,19 +229,67 @@ def test_parse_render_roundtrip(rng, ctx5, ctx7):
 
 
 def test_parse_errors_carry_positions(ctx5):
+    # (message, position) of every rejection branch, at p = 5
+    gen_rule = "; the generators are a(i), h(i,j) and b(i,j)"
     cases = {
-        "h(2,0": 5,            # missing close paren
-        "x(1)": 0,             # unknown generator letter
-        "h(0,1)": 0,           # invalid index, flagged at the factor start
-        "a(1)^0": 5,           # exponent below one
-        "6*a(0)": 0,           # coefficient out of range [1, p-1]
-        "a(0) + ": 7,          # dangling separator
-        "a(0) % a(1)": 5,      # junk separator
+        "h(2,0": ("expected ')'", 5),           # missing close paren
+        "b(1,0": ("expected ')'", 5),
+        "h(1 ,2)": ("expected ')'", 3),         # no blank inside a generator
+        "h(1, 2)": ("expected an integer", 4),
+        "a (1)": ("expected '('", 1),
+        "a()": ("expected an integer", 2),
+        "a(1)^": ("expected an integer", 5),
+        "a(1)^0": ("exponent must be >= 1", 5),  # flagged at its first digit
+        "a(1)^00": ("exponent must be >= 1", 5),
+        "a(1) ^2": ("expected '+', '-', or end of input", 5),  # no blank around ^
+        "0*a(1)": ("coefficient 0 out of range [1, 4]", 0),
+        "5*a(1)": ("coefficient 5 out of range [1, 4]", 0),
+        "6*a(0)": ("coefficient 6 out of range [1, 4]", 0),
+        "2 a(1)": ("expected '+', '-', or end of input", 2),  # no blank around *
+        "2 *a(1)": ("expected '+', '-', or end of input", 2),
+        "2* a(1)": ("expected a generator (a, h, or b)", 2),
+        "a(1)a(2)": ("expected '+', '-', or end of input", 4),  # factors need a blank
+        "a(0) + ": ("expected a generator (a, h, or b)", 7),  # dangling separator
+        "- -a(1)": ("expected a generator (a, h, or b)", 2),
+        "a(0) % a(1)": ("expected '+', '-', or end of input", 5),  # junk separator
+        "a(1)^3 %": ("expected '+', '-', or end of input", 7),
+        "h(1,10001)": ("generator index 10001 exceeds 10000", 4),
+        "a(10001)": ("generator index 10001 exceeds 10000", 2),
+        # invalid indices, flagged at the factor start
+        "a(1,2)": ("no generator a with indices (1, 2)" + gen_rule, 0),
+        "h(1)": ("no generator h with indices (1, None)" + gen_rule, 0),
+        "b(0,0)": ("b requires i >= 1 and j >= 0, got (0, 0)", 0),
+        "h(0,1)": ("h requires i >= 1 and j >= 0, got (0, 1)", 0),
+        "": ("expected a generator (a, h, or b)", 0),
+        "   ": ("expected a generator (a, h, or b)", 3),
+        "1" * 4400 + "*a(1)": ("integer too long", 0),  # past int()'s digit limit
+        "a(1)^" + "1" * 4400: ("integer too long", 5),
+        "q": ("expected a generator (a, h, or b)", 0),
+        "x(1)": ("expected a generator (a, h, or b)", 0),  # unknown generator letter
+        # only space and tab are blanks, though strip() takes "\n0" as zero
+        "\na(1)": ("expected a generator (a, h, or b)", 0),
+        "a(1)\n": ("expected '+', '-', or end of input", 4),
     }
-    for text, pos in cases.items():
+    for text, (message, pos) in cases.items():
         with pytest.raises(ParseError) as err:
             parse_element(text, ctx5)
-        assert err.value.position == pos, text
+        assert (str(err.value), err.value.position) == (
+            "%s (at position %d)" % (message, pos), pos), text[:20]
+    assert parse_element("\n0", ctx5).is_zero
+
+
+def test_parse_ends_in_an_element_or_a_located_error(rng, ctx5, ctx7):
+    # every text parses, raises a ParseError at a position inside it, or names
+    # a degree past 10^4000; no other exception escapes
+    for k in range(10_000):
+        ctx = (ctx5, ctx7)[k % 2]
+        text = random_element_text(rng)
+        try:
+            assert isinstance(parse_element(text, ctx), Element), text
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text), text
+        except ParameterError as exc:
+            assert str(exc) == "internal degree exceeds 10^4000", text
 
 
 def test_parse_rejects_exterior_exponent_via_zero(ctx5):

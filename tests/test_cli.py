@@ -335,6 +335,33 @@ def test_argparse_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_integer_options_take_ascii_digits_only(capsys):
+    # int() alone also reads other scripts' digits, "_", "+" and blanks
+    commands = {"--prime": ["profile", "--t=7"], "--t": ["profile", "--prime=5"],
+                "--s": ["basis", "--prime=5", "--t=49"], "--u": ["basis", "--prime=5", "--s=2",
+                                                               "--t=49"],
+                "--m": ["verify", "main", "--prime=5", "--n=6", "--scase=4"],
+                "--n": ["verify", "main", "--prime=5", "--m=4", "--scase=4"],
+                "--scase": ["verify", "main", "--prime=5", "--m=4", "--n=6"]}
+    for option, argv in commands.items():
+        for value in ("\u0664", "4_9", "+4", " 4", "4 ", "4.0", "", "--4", "1" * 5000):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["%s=%s" % (option, value)])
+            assert exc.value.code == 2, (option, value)
+            err = capsys.readouterr().err
+            assert err.endswith("error: argument %s: invalid int value: %r\n" % (option, value))
+    # README's example in other digits: int() would print the basis at (2, 49)
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--prime", "\u0665", "--s", "\u0662", "--t", "\u0664\u0669"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    # a negative value still reaches the engine's own check
+    assert run(capsys, ["profile", "--prime", "5", "--t", "-1"]) == (
+        2, "", "error: internal degree must be nonnegative, got -1\n")
+    assert run(capsys, ["basis", "--prime", "5", "--s", "02", "--t", "049"])[:2] == (
+        0, "a(0) h(2,0)  (2, 49, 4)\na(1) h(1,1)  (2, 49, 4)\n")
+
+
 def test_cache_transparency(capsys, tmp_path):
     # The library cache, cold, warm and off, gives what the CLI prints.
     ctx = make_context(5)

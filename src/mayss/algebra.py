@@ -21,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .errors import ParameterError, ParseError
-from .grading import PrimeContext, Tridegree, ZERO_DEGREE, check_degree, generator_tridegree
+from .grading import PrimeContext, Tridegree, check_degree, generator_tridegree
 
 _KIND_RANK = {"a": 0, "h": 1, "b": 2}
 
@@ -148,11 +148,12 @@ def canonicalize(factors: Iterable[tuple[Generator, int]],
             elif kx == ext[y]:
                 return None
     canon = tuple(sorted(counts.items(), key=lambda it: it[0].key))
-    deg = ZERO_DEGREE
+    s = t = u = 0
     for g, e in canon:
-        deg = deg + g.tridegree(ctx).scaled(e)
-    check_degree(deg.t)
-    return (-1 if inv % 2 else 1, Monomial(factors=canon, tridegree=deg))
+        gs, gt, gu = g.tridegree(ctx)
+        s, t, u = s + e * gs, t + e * gt, u + e * gu
+    check_degree(t)
+    return (-1 if inv % 2 else 1, Monomial(factors=canon, tridegree=Tridegree(s, t, u)))
 
 
 def monomial_from_factors(factors: Iterable[tuple[Generator, int]], ctx: PrimeContext) -> Monomial:
@@ -258,7 +259,7 @@ def element_tridegree(x: Element) -> Tridegree | None:
 
 # --- text form -------------------------------------------------------------
 #
-# element := "0" | {blank} ["-"] term { {blank} ("+" | "-") term } {blank}
+# element := {blank} "0" {blank} | {blank} ["-"] term { {blank} ("+" | "-") term } {blank}
 # term    := {blank} ([coeff "*"] factor { blank {blank} factor } | coeff)
 # factor  := gen ["^" int]
 # gen     := "a(" int ")" | "h(" int "," int ")" | "b(" int "," int ")"
@@ -266,12 +267,12 @@ def element_tridegree(x: Element) -> Tridegree | None:
 # blank   := " " | "\t"
 #
 # Blanks are spaces and tabs: at least one separates two factors, any number
-# may lead the text or surround "+" and "-", and none may stand inside a
-# generator or around "^" and "*".  Only a lone "0" may carry any whitespace
-# str.strip() removes.  coeff is a residue in [1, p-1]; a bare coeff denotes
-# a multiple of the unit monomial.  Rendering emits the balanced
-# representative (|v| <= (p-1)/2), putting the sign into the separator and
-# keeping "1*" for negative unit coefficients, e.g. "-1*h(1,0) h(1,1)".
+# may lead or end the text or surround "+" and "-", and none may stand inside
+# a generator or around "^" and "*"; the lone "0" follows the same rule.
+# coeff is a residue in [1, p-1]; a bare coeff denotes a multiple of the unit
+# monomial.  Rendering emits the balanced representative (|v| <= (p-1)/2),
+# putting the sign into the separator and keeping "1*" for negative unit
+# coefficients, e.g. "-1*h(1,0) h(1,1)".
 
 
 def _balanced(c: int, p: int) -> int:
@@ -376,9 +377,9 @@ def _term(text: str, pos: int, ctx: PrimeContext) -> tuple[tuple[int, list], int
 
 def parse_element(text: str, ctx: PrimeContext) -> Element:
     """Parse the text form back into an element (inverse of render_element)."""
-    if text.strip() == "0":
-        return Element.zero()
     pos = _BLANKS(text, 0).end()
+    if text[pos:pos + 1] == "0" and _BLANKS(text, pos + 1).end() == len(text):
+        return Element.zero()
     sign = 1
     if text[pos:pos + 1] == "-":
         pos += 1

@@ -111,11 +111,11 @@ class ResultCache:
             held |= key
         # held < 0 when a key is; an exterior exponent above 1 sets a bit
         # above its field's lowest
-        if (held < 0 or held.bit_length() > len(layout.universe) * layout.width
+        if (held < 0 or held.bit_length() > layout.size * layout.width
                 or held & layout.exterior * ((1 << layout.width) - 2)
                 or len(set(keys)) < len(keys)):
             return None
-        degree = {k: layout.universe[k].tridegree(ctx) for k, _ in layout.fields(held)}
+        degree = {k: layout.generator(k).tridegree(ctx) for k, _ in layout.fields(held)}
         for key, u in zip(keys, weights):
             fields = [(degree[k], e) for k, e in layout.fields(key)]
             if (sum(d.s * e for d, e in fields), sum(d.t * e for d, e in fields),

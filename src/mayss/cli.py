@@ -75,6 +75,14 @@ def _integer(text: str) -> int:
     raise argparse.ArgumentTypeError("invalid int value: %r" % text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes a usage error, here and in every subcommand, as the one line
+    "error: <message>" to stderr, as the engine's rejections, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime", type=_integer, required=True, metavar="P",
@@ -86,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     position.add_argument("--t", type=_integer, required=True)
     position.add_argument("--u", type=_integer, default=None, help="restrict to one weight")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mayss",
         description="Exact first-page/second-page computations for the "
                     "mod-p spectral sequence algebra (p >= 5).")
@@ -193,7 +201,7 @@ def _cmd_verify(args, ctx) -> tuple[dict, dict, str, int]:
     missing = ["--" + name for name in needed if getattr(args, name) is None]
     if missing:
         raise ParameterError("scenario %r needs %s" % (args.scenario, ", ".join(missing)))
-    print("running scenario %s (p=%d)..." % (args.scenario, ctx.p), file=sys.stderr)
+    # no progress line before the run, whose parameter errors print alone
     t0 = time.perf_counter()
     run = _SCENARIOS[args.scenario]
     if args.scenario == "reps":

@@ -27,11 +27,11 @@ its rows by the image monomials themselves and needs no enumerated codomain.
 d1() on elements works on factor tuples, so a word like a(1)^1000000 costs
 what a(1) does.  d1_matrix, which differentiates whole bases, works on the
 packed keys the basis search emits (see the enumeration module): a basis's
-layout lists generators in canonical order and gives generator k the bit
-field [k*w, (k+1)*w), which holds its exponent.  The layout is the
-universe of the basis's degree t, which holds every generator of every
-summand of its generators, and an image raises an exponent by at
-most one, within the width.  Then
+layout numbers the generators of degree at most its t in canonical order,
+by arithmetic on their rows, and gives generator k the bit field
+[k*w, (k+1)*w), which holds its exponent.  Those generators include every
+generator of every summand of a basis generator, and an image raises an
+exponent by at most one, within the width.  Then
 
     image key = key - unit(g) + sum of the units of the summand's factors,
 
@@ -151,7 +151,7 @@ def _plan(layout: Layout, g: Generator) -> list[tuple[int, int, int, int]]:
     exterior = layout.exterior
 
     def unit(x):
-        return 1 << (layout.position[x] * layout.width)
+        return 1 << (layout.index(x) * layout.width)
 
     def below(x):   # the exterior fields before x's
         return exterior & (unit(x) - 1)
@@ -191,7 +191,7 @@ def d1_matrix(block: BidegreeBasis, ctx: PrimeContext,
     for k, _ in layout.fields(held):
         plan = plans.get(k)
         if plan is None:
-            plan = plans[k] = _plan(layout, layout.universe[k])
+            plan = plans[k] = _plan(layout, layout.generator(k))
         if plan:
             terms.append((k * w, 1 << (k * w), plan))
 

@@ -192,16 +192,21 @@ have leaves, which a memo of empty results alone would not share.  Where
 no state repeats, the memo costs a dictionary probe per child, and every
 state without leaves shares one empty result.
 
-The universe and the tables of its search order (positions, degrees,
-filtrations, weights, first child candidates, suffix reaches and
-greatest degrees per filtration) are shared by every search at one degree:
-a verify scenario searches single filtrations at several neighbouring
-degrees, all over one universe.  The universe of t holds every generator of
-degree at most t, whatever the window, so the tables kept for p serve
+The universe is held as its generator rows (_generator_rows): the last
+index of the a's and of each row h(i, .), the row b(i, .) ending one
+before.  Each position's degree, filtration, weight and bits are formulas
+in its row and index, so the tables of the search order (positions,
+degrees, filtrations, weights, first child candidates, suffix reaches and
+greatest degrees per filtration) come from lists of ints and one stable
+sort by degree (_order), with no Generator or Tridegree per position; the
+layout maps positions to generators and back by arithmetic on the row
+starts.  The rows and tables are shared by every search at one degree: a
+verify scenario searches single filtrations at several neighbouring
+degrees, all over one universe.  The universe of t holds every generator
+of degree at most t, whatever the window, so the tables kept for p serve
 every t from the largest generator degree at most t to the least one above
-it, one interval per universe.  _generator_rows, the walk over the
-generator rows that lists the universe, also finds both ends (b(i,j) has
-the degree of h(i,j+1), so the a(i) and h(i,j) give every end).
+it, one interval per universe.  The row walk also finds both ends (b(i,j)
+has the degree of h(i,j+1), so the a(i) and h(i,j) give every end).
 
 Holding the b's in every universe is exact, and moves no bit of any key.
 A search of top filtration at most 1 never picks one: every b has
@@ -219,17 +224,19 @@ p, replaced when a search needs another universe and dropped by clear_memo
 with the bases.  The tables are tuples because every later search reads
 them: a search that wrote to one would change the next one's results.  The
 search's layout, whose field width follows its top filtration, is shared
-too, one per width, so the generator positions, the exterior mask and the
-d1 plans kept on it are built once per universe and width; two layouts of
-one degree differ in width only.
+too, one per width, so the exterior mask and the d1 plans kept on it are
+built once per universe and width; two layouts of one degree differ in
+width only.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
+from itertools import accumulate
 from math import log
+from operator import add
 
 from .algebra import Generator, Monomial, a, b, h
 from .errors import ParameterError
@@ -241,38 +248,59 @@ from .grading import PrimeContext, Tridegree, check_degree
 MAX_FILTRATION = 512
 
 _memo: dict[tuple, "BidegreeBasis"] = {}
-# p -> (top, above, universe, search tables, layouts by width): shared by
-# every t with top <= t < above; see _tables
+# p -> (top, above, generator rows, search tables, layouts by width): shared
+# by every t with top <= t < above; see _tables
 _shared: dict[int, tuple[int, int, tuple, "_Order", dict[int, "Layout"]]] = {}
 
 
 class Layout:
-    """A generator universe in canonical order, each generator owning one
-    bit field of a packed key: universe[k] holds its exponent in bits
-    [k*width, (k+1)*width).  It is the universe of the keys' degree t, every
-    generator of degree at most t, so it holds every generator of their d1
-    images (module docstring).  `plans` keeps, per canonical position, what
-    d1_matrix derives from a generator, so that every block on this layout
-    reuses it.  Every search and cache read at t shares its layout per
-    width (see _tables); repack moves keys between two widths.  Layouts
-    compare by identity."""
+    """The universe of degree t, every generator of degree at most t, as the
+    rows of _generator_rows: a(0) .. a(last_a), each h(i,0) .. h(i,last_h[i-1])
+    and then each b(i,0) .. b(i,last_h[i-1]-1), in canonical order.
+    generator(k) holds its exponent in bits [k*width, (k+1)*width);
+    generator and index map positions by arithmetic on the row starts.  The
+    universe holds every generator of the keys' d1 images (module
+    docstring).  `plans` keeps, per canonical position, what d1_matrix
+    derives from a generator, so that every block on this layout reuses it.
+    Every search and cache read at t shares its layout per width (see
+    _tables); repack moves keys between two widths.  Layouts compare by
+    identity."""
 
-    def __init__(self, universe: tuple[Generator, ...], width: int):
-        self.universe, self.width = universe, width
+    def __init__(self, last_a: int, last_h: list[int], width: int):
+        self.last_a, self.last_h, self.width = last_a, last_h, width
         self.plans: dict = {}
+        # the first position of each row and one past the last row
+        self._h = list(accumulate((last + 1 for last in last_h), initial=last_a + 1))
+        self._b = list(accumulate(last_h, initial=self._h[-1]))
+        self.size = self._b[-1]
 
-    @cached_property
-    def position(self) -> dict[Generator, int]:
-        return {g: k for k, g in enumerate(self.universe)}
+    def generator(self, k: int) -> Generator:
+        """The generator at canonical position k."""
+        if not 0 <= k < self.size:
+            raise IndexError(k)
+        if k <= self.last_a:
+            return a(k)
+        starts, make = (self._h, h) if k < self._h[-1] else (self._b, b)
+        i = bisect_right(starts, k)     # past the start of an empty b row
+        return make(i, k - starts[i - 1])
+
+    def index(self, g: Generator) -> int:
+        """The canonical position of g; a KeyError when g lies outside."""
+        if g.kind == "a":
+            if g.i <= self.last_a:
+                return g.i
+        elif g.i <= len(self.last_h):
+            starts = self._h if g.kind == "h" else self._b
+            k = starts[g.i - 1] + g.j
+            if k < starts[g.i]:
+                return k
+        raise KeyError(g)
 
     @cached_property
     def exterior(self) -> int:
-        """The lowest bit of every exterior generator's field."""
-        # One binary string, top field first, is linear in the universe; a
-        # sum of shifted ints is quadratic.
-        one, zero = "0" * (self.width - 1) + "1", "0" * self.width
-        return int("".join(one if g.is_exterior else zero for g in reversed(self.universe))
-                   or "0", 2)
+        """The lowest bit of every exterior generator's field, the h block."""
+        w = self.width
+        return ((1 << (self._h[-1] - self._h[0]) * w) - 1) // ((1 << w) - 1) << self._h[0] * w
 
     def fields(self, key: int):
         """(canonical position, exponent) of every nonzero field of a key,
@@ -287,10 +315,10 @@ class Layout:
             key -= e << shift
 
     def pack(self, factors) -> int:
-        """The key of a factor tuple whose generators lie in the universe and
+        """The key of a factor tuple whose generators lie in the layout and
         whose exponents fit the width."""
-        position, w = self.position, self.width
-        return sum(e << (position[g] * w) for g, e in factors)
+        index, w = self.index, self.width
+        return sum(e << (index(g) * w) for g, e in factors)
 
     def repack(self, keys, source: "Layout"):
         """Keys of a source layout of the same universe at this one's width,
@@ -301,9 +329,9 @@ class Layout:
         return [sum(e << (k * w) for k, e in source.fields(key)) for key in keys]
 
 
-# The layout of an empty basis that builds no universe (the root's tests
+# The layout of an empty basis that builds no tables (the root's tests
 # reject it, or it is read from the cache); no reader packs onto it.
-EMPTY_LAYOUT = Layout((), 1)
+EMPTY_LAYOUT = Layout(-1, [], 1)
 
 
 class BidegreeBasis:
@@ -343,7 +371,7 @@ class BidegreeBasis:
             for run in layout.fields(key):
                 factor = factor_of.get(run)
                 if factor is None:
-                    factor = factor_of[run] = (layout.universe[run[0]], run[1])
+                    factor = factor_of[run] = (layout.generator(run[0]), run[1])
                 factors.append(factor)
             out.append(Monomial(factors=tuple(factors), tridegree=degrees[u]))
         return tuple(sorted(out, key=Monomial.render))
@@ -361,15 +389,6 @@ class BidegreeBasis:
         keys = self.keys
         return BidegreeBasis(self.p, self.s, self.t, self.layout,
                              tuple(keys[k] for k in picked), (u,) * len(picked))
-
-
-def generator_universe(ctx: PrimeContext, t_max: int) -> list[Generator]:
-    """All generators with deg <= t_max, in canonical order: the a's, the
-    h's and the b's, each by (i, j)."""
-    last_a, last_h, _, _ = _generator_rows(ctx.p, t_max)
-    return ([a(i) for i in range(last_a + 1)]
-            + [h(i, j) for i, last in enumerate(last_h, 1) for j in range(last + 1)]
-            + [b(i, j) for i, last in enumerate(last_h, 1) for j in range(last)])
 
 
 def _generator_rows(p: int, t: int) -> tuple[int, list[int], int, int]:
@@ -397,16 +416,6 @@ def _generator_rows(p: int, t: int) -> tuple[int, list[int], int, int]:
         top, above = max(top, base * pw), min(above, base * pw * p)
         base = base * p + 2 * (p - 1)
     return last_a, last_h, top, min(above, base)
-
-
-def digit_span(g: Generator) -> tuple[int, int]:
-    """Inclusive column range [lo, hi] a generator contributes to; -1 is the
-    remainder column.  a(0) contributes to the remainder column only."""
-    if g.kind == "a":
-        return (-1, g.i - 1)
-    if g.kind == "h":
-        return (g.j, g.i + g.j - 1)
-    return (g.j + 1, g.i + g.j)
 
 
 # --- the digit-column carry system ----------------------------------------
@@ -478,44 +487,64 @@ class _Order(namedtuple("_Order", (
 
 
 def _tables(ctx: PrimeContext, t: int, s_hi: int) -> tuple[Layout, _Order]:
-    """The layout of the universe of degree t, in canonical order, and the
+    """The layout of the generators of degree t, in canonical order, and the
     tables of its search order.  s_hi sets only the layout's field width,
     the bit length of s_hi + 1, which holds every exponent of a monomial of
     filtration at most s_hi.  Searches build their keys on the layout, and
     the cache reads keys back onto it.  Both are shared (module docstring)."""
     kept = _shared.get(ctx.p)
     if kept is None or not kept[0] <= t < kept[1]:
-        universe = tuple(generator_universe(ctx, t))
-        tri = [g.tridegree(ctx) for g in universe]
-        pos = sorted(range(len(universe)), key=lambda c: (-tri[c].t, c))
-        n = len(pos)
-        order = [universe[c] for c in pos]
-        degs = [tri[c].t for c in pos]
-        filts = [tri[c].s for c in pos]
-        lob = [0] * n
-        reach = [0] * n
-        max_frac = [(0, 1)] * (n + 1)
-        cols, pw = 0, 1                     # columns 0 .. cols-1 supported, pw = p^cols
-        for k in range(n - 1, -1, -1):
-            lo, hi = digit_span(order[k])   # bits lo + 1 .. hi + 1
-            lob[k] = lo + 1
-            while cols <= hi:
-                cols, pw = cols + 1, pw * ctx.p
-            reach[k] = pw
-            d, f = degs[k], filts[k]
-            md, mf = max_frac[k + 1]
-            max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
-        tables = _Order(tuple(pos), tuple(-d for d in degs), tuple(filts),
-                        tuple(tri[c].u for c in pos),
-                        tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
-                        tuple(lob), tuple(reach), tuple(max_frac))
-        top, above = _generator_rows(ctx.p, t)[2:]
-        kept = _shared[ctx.p] = (top, above, universe, tables, {})
-    _, _, universe, tables, layouts = kept
+        last_a, last_h, top, above = _generator_rows(ctx.p, t)
+        kept = _shared[ctx.p] = (top, above, (last_a, last_h),
+                                 _order(ctx, last_a, last_h), {})
+    _, _, rows, tables, layouts = kept
     width = (s_hi + 1).bit_length()
     if width not in layouts:
-        layouts[width] = Layout(universe, width)
+        layouts[width] = Layout(*rows, width)
     return layouts[width], tables
+
+
+def _order(ctx: PrimeContext, last_a: int, last_h: list[int]) -> _Order:
+    """The search tables of the generator rows, from the degree formulas:
+    a(i) has tridegree (1, 2p^i - 1, 2i + 1), h(i,j) (1, c_i p^j, 2i - 1)
+    with c_i = 2(p^i - 1), and b(i,j) (2, c_i p^(j+1), (2i - 1) p), the
+    degree of h(i,j+1).  A generator adds to the carry-test bits lob .. top:
+    a(i) to 0 .. i, h(i,j) to j+1 .. i+j and b(i,j) to j+2 .. i+j+1."""
+    p, q = ctx.p, ctx.q
+    # Per canonical position: minus the degree, the filtration, the weight,
+    # 1 for an exterior generator, and the lowest and top bits.
+    na = last_a + 1
+    neg = [1 - 2 * p**i for i in range(na)]
+    filt, ext, lob = [1] * na, [0] * na, [0] * na
+    weight, top = list(range(1, 2 * na, 2)), list(range(na))
+    rows, c = [], q
+    for last in last_h:                 # minus the degrees of h(i, 0 .. last)
+        rows.append(list(accumulate([p] * last, int.__mul__, initial=-c)))
+        c = c * p + q
+    for b_row in (0, 1):    # b(i,j): the degree of h(i,j+1), the bits of h(i,j) plus 1
+        for i, row in enumerate(rows, 1):
+            n = len(row) - b_row
+            neg += row[b_row:]
+            filt += [1 + b_row] * n
+            weight += [(2 * i - 1) * p**b_row] * n
+            ext += [1 - b_row] * n
+            lob += range(1 + b_row, 1 + b_row + n)
+            top += range(i + b_row, i + b_row + n)
+    # Decreasing degree, ties in canonical order: the sort is stable.
+    pos = sorted(range(len(neg)), key=neg.__getitem__)
+    neg_degs, filts = tuple(map(neg.__getitem__, pos)), tuple(map(filt.__getitem__, pos))
+    powers = list(accumulate([p] * max(top, default=0), int.__mul__, initial=1))
+    reach = list(map(powers.__getitem__, accumulate(map(top.__getitem__, reversed(pos)), max)))
+    best = (0, 1)
+    max_frac = [best]
+    for nd, f in zip(reversed(neg_degs), reversed(filts)):
+        if -nd * best[1] > best[0] * f:
+            best = (-nd, f)
+        max_frac.append(best)
+    return _Order(tuple(pos), neg_degs, filts, tuple(map(weight.__getitem__, pos)),
+                  tuple(map(add, range(len(pos)), map(ext.__getitem__, pos))),
+                  tuple(map(lob.__getitem__, pos)), tuple(reversed(reach)),
+                  tuple(reversed(max_frac)))
 
 
 def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int, found):

@@ -77,9 +77,6 @@ class Tridegree(namedtuple("Tridegree", "s t u")):
         return Tridegree(e * self.s, e * self.t, e * self.u)
 
 
-ZERO_DEGREE = Tridegree(0, 0, 0)
-
-
 class PAdicProfile(namedtuple("PAdicProfile", "c_minus1 digits")):
     """The unique expansion t = q*sum(digits[j] * p^j) + c_minus1.
 

@@ -35,7 +35,7 @@ def time_limit(request):
 @pytest.fixture(autouse=True)
 def fresh_memo():
     # The basis memo and the shared search tables outlive a test; a test that
-    # patches generator_universe would otherwise leave its mutant tables to
+    # patches _generator_rows would otherwise leave its mutant tables to
     # later tests, and a test that counts universe builds would see none.
     clear_memo()
     yield

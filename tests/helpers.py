@@ -27,13 +27,13 @@ from mayss.algebra import (Element, Generator, Monomial, _from_accumulator, a, b
                            canonicalize, element_from_monomial, element_tridegree, h,
                            monomial_from_factors)
 from mayss.differential import d1, d1_matrix
-from mayss.enumeration import BidegreeBasis, Layout, _search, digit_span, generator_universe
+from mayss.enumeration import BidegreeBasis, Layout, _Order, _search
 from mayss.errors import ParameterError
-from mayss.grading import ZERO_DEGREE, PAdicProfile, padic_profile
+from mayss.grading import PAdicProfile, Tridegree, padic_profile
 from mayss.linalg import MatrixFp
 
 #: The empty monomial.
-UNIT = Monomial(factors=(), tridegree=ZERO_DEGREE)
+UNIT = Monomial(factors=(), tridegree=Tridegree(0, 0, 0))
 
 #: The (s, t) points of the dense second-page benchmark, all at p = 5.
 DENSE_E2 = ((12, 3000), (8, 130194), (11, 2988), (12, 3012))
@@ -324,6 +324,69 @@ def basis_mismatch(ctx, s, t, monomials):
         return "dimensions per weight %s, E1 count %s" % (sorted(dims.items()),
                                                            sorted(want.items()))
     return None
+
+
+def generator_universe(ctx, t_max):
+    """All generators with deg <= t_max, in canonical order: the a's, the
+    h's and the b's, each by (i, j), one Generator per position of the
+    engine's generator rows."""
+    last_a, last_h, _, _ = enumeration._generator_rows(ctx.p, t_max)
+    return ([a(i) for i in range(last_a + 1)]
+            + [h(i, j) for i, last in enumerate(last_h, 1) for j in range(last + 1)]
+            + [b(i, j) for i, last in enumerate(last_h, 1) for j in range(last)])
+
+
+def digit_span(g):
+    """Inclusive column range [lo, hi] a generator contributes to; -1 is the
+    remainder column.  a(0) contributes to the remainder column only."""
+    if g.kind == "a":
+        return (-1, g.i - 1)
+    if g.kind == "h":
+        return (g.j, g.i + g.j - 1)
+    return (g.j + 1, g.i + g.j)
+
+
+def object_tables(ctx, t):
+    """(universe, search tables) of degree t, built from one Generator and
+    one Tridegree per position of generator_universe, sorted by
+    (-degree, position), with the suffix reach from digit_span.  The oracle
+    of enumeration._tables, which builds neither."""
+    universe = tuple(generator_universe(ctx, t))
+    tri = [g.tridegree(ctx) for g in universe]
+    pos = sorted(range(len(universe)), key=lambda c: (-tri[c].t, c))
+    n = len(pos)
+    order = [universe[c] for c in pos]
+    degs = [tri[c].t for c in pos]
+    filts = [tri[c].s for c in pos]
+    lob = [0] * n
+    reach = [0] * n
+    max_frac = [(0, 1)] * (n + 1)
+    cols, pw = 0, 1                     # columns 0 .. cols-1 supported, pw = p^cols
+    for k in range(n - 1, -1, -1):
+        lo, hi = digit_span(order[k])   # bits lo + 1 .. hi + 1
+        lob[k] = lo + 1
+        while cols <= hi:
+            cols, pw = cols + 1, pw * ctx.p
+        reach[k] = pw
+        d, f = degs[k], filts[k]
+        md, mf = max_frac[k + 1]
+        max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
+    return universe, _Order(tuple(pos), tuple(-d for d in degs), tuple(filts),
+                            tuple(tri[c].u for c in pos),
+                            tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
+                            tuple(lob), tuple(reach), tuple(max_frac))
+
+
+def object_exterior(universe, width):
+    """The exterior mask of a layout, one binary string built from the
+    universe's generators, top field first."""
+    one, zero = "0" * (width - 1) + "1", "0" * width
+    return int("".join(one if g.is_exterior else zero for g in reversed(universe)) or "0", 2)
+
+
+def layout_universe(layout):
+    """The generators of a layout in canonical order, one per position."""
+    return tuple(layout.generator(k) for k in range(layout.size))
 
 
 def universe_up_to(ctx, t, s):
@@ -655,12 +718,14 @@ def unit_d1_monomial(mon, ctx):
 
 def key_monomials(basis, ctx):
     """The monomials of a basis in its own column order, decoded from each
-    packed key by reading every field of its layout in turn."""
+    packed key by reading every field of its layout in turn, each the field
+    of one generator of generator_universe of the basis's degree."""
     layout = basis.layout
     mask = (1 << layout.width) - 1
+    universe = generator_universe(ctx, basis.t) if basis.keys else ()
     out = []
     for key in basis.keys:
-        fields = [(g, key >> (k * layout.width) & mask) for k, g in enumerate(layout.universe)]
+        fields = [(g, key >> (k * layout.width) & mask) for k, g in enumerate(universe)]
         assert key >> (len(fields) * layout.width) == 0, "bits past the universe"
         out.append(monomial_from_factors([(g, e) for g, e in fields if e], ctx))
     return out
@@ -672,7 +737,7 @@ def block_of(monomials, ctx):
     s, shared with no search."""
     s, t = monomials[0].tridegree.s, monomials[0].tridegree.t
     assert all((m.tridegree.s, m.tridegree.t) == (s, t) for m in monomials)
-    layout = Layout(tuple(generator_universe(ctx, t)), (s + 1).bit_length())
+    layout = Layout(*enumeration._generator_rows(ctx.p, t)[:2], (s + 1).bit_length())
     return BidegreeBasis(ctx.p, s, t, layout, tuple(layout.pack(m.factors) for m in monomials),
                          tuple(m.tridegree.u for m in monomials))
 

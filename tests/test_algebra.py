@@ -3,13 +3,13 @@ import pickle
 
 import pytest
 
-from helpers import (UNIT, add, brute_sign, canonicalize_word, random_element,
-                     random_element_text, random_monomial, random_word, scale, units)
+from helpers import (UNIT, add, brute_sign, canonicalize_word, generator_universe,
+                     random_element, random_element_text, random_monomial, random_word, scale,
+                     units)
 from mayss import (ParameterError, ParseError, Tridegree, a, b, element_from_monomial,
                    enumerate_basis, h, monomial_from_factors, multiply, parse_element,
                    render_element)
 from mayss.algebra import Element, Generator, element_tridegree
-from mayss.enumeration import generator_universe
 
 
 def test_reprs_show_the_rendered_value(ctx5):
@@ -266,16 +266,17 @@ def test_parse_errors_carry_positions(ctx5):
         "a(1)^" + "1" * 4400: ("integer too long", 5),
         "q": ("expected a generator (a, h, or b)", 0),
         "x(1)": ("expected a generator (a, h, or b)", 0),  # unknown generator letter
-        # only space and tab are blanks, though strip() takes "\n0" as zero
+        # only space and tab are blanks, around the lone zero too
         "\na(1)": ("expected a generator (a, h, or b)", 0),
         "a(1)\n": ("expected '+', '-', or end of input", 4),
+        "\n0": ("expected a generator (a, h, or b)", 0),
     }
     for text, (message, pos) in cases.items():
         with pytest.raises(ParseError) as err:
             parse_element(text, ctx5)
         assert (str(err.value), err.value.position) == (
             "%s (at position %d)" % (message, pos), pos), text[:20]
-    assert parse_element("\n0", ctx5).is_zero
+    assert parse_element(" \t0\t ", ctx5).is_zero
 
 
 def test_parse_ends_in_an_element_or_a_located_error(rng, ctx5, ctx7):

@@ -93,7 +93,7 @@ def _hostile(ctx5, case):
         # passes the root carry test
         return 2, 16, ["%x 2" % enumeration._tables(ctx5, 16, 2)[0].pack([(h(1, 0), 2)])]
     if case == "field past the universe":
-        return 2, 49, good + ["%x 4" % (1 << (len(lay.universe) * lay.width))]
+        return 2, 49, good + ["%x 4" % (1 << (lay.size * lay.width))]
     if case == "key of another s":
         # a(2), of (1, 49, 5), and a(0) a(2), of (2, 50, 6), pack on the
         # layout of (2, 49), each with its own weight
@@ -167,7 +167,7 @@ def test_huge_degree_entries_build_no_universe(ctx5, tmp_path, monkeypatch):
         raise AssertionError("a universe was built")
 
     for module, name in ((enumeration, "_tables"), (cache_module, "_tables"),
-                         (enumeration, "generator_universe")):
+                         (enumeration, "_generator_rows")):
         monkeypatch.setattr(module, name, refuse)
     t = 10**3999
     _write_entry(cache, 4, t, [])

@@ -6,18 +6,18 @@ from collections import Counter
 import pytest
 
 from helpers import (DENSE_E2, SCENARIOS, UNIT, basis_mismatch, carry_oracle, carry_solutions,
-                     column_sums, column_sums_impossible, e1_dims, e1_generators, factor_count,
-                     forced_spanning_factors, interval_starts, random_monomial, reference_basis,
-                     run_profile, set_carry_feasible, single_search, tree_search,
-                     unit_summand_pairs, universe_up_to, vanishes_by_digit_bound,
+                     column_sums, column_sums_impossible, digit_span, e1_dims, e1_generators,
+                     factor_count, forced_spanning_factors, generator_universe, interval_starts,
+                     layout_universe, object_exterior, object_tables, random_monomial,
+                     reference_basis, run_profile, set_carry_feasible, single_search,
+                     tree_search, unit_summand_pairs, universe_up_to, vanishes_by_digit_bound,
                      vanishes_by_remainder_bound)
 from mayss import (ParameterError, a, b, enumerate_basis, h, make_context,
                    monomial_from_factors, padic_profile, verify_main)
 from mayss import enumeration
-from mayss.algebra import Monomial
-from mayss.enumeration import (MAX_FILTRATION, Layout, _carry_failure, _search,
-                               clear_memo, digit_span, generator_universe)
-from mayss.grading import PAdicProfile
+from mayss.algebra import Generator, Monomial
+from mayss.enumeration import MAX_FILTRATION, Layout, _carry_failure, _search, clear_memo
+from mayss.grading import PAdicProfile, Tridegree
 from mayss.pages import e2_dimension
 from mayss.verify import family_degree
 
@@ -68,12 +68,23 @@ def test_e1_count_hand_cases():
     assert e1_dims(5, 1, 5) == e1_dims(5, -1, 0) == {}
 
 
+def shorten_the_first_h_row(monkeypatch):
+    """Patch the generator rows to end the row of h(1, .) one generator
+    early: at t = 3000, p = 5, the universe loses h(1,3) and b(1,2)."""
+    rows = enumeration._generator_rows
+
+    def shortened(p, t):
+        last_a, last_h, top, above = rows(p, t)
+        return last_a, [last_h[0] - 1] + last_h[1:], top, above
+
+    monkeypatch.setattr(enumeration, "_generator_rows", shortened)
+
+
 def test_e1_count_catches_a_generator_missing_from_the_universe(ctx5, monkeypatch):
-    # Every other oracle of the basis reads generator_universe too, so none
-    # of them sees a generator missing from it.
-    universe = enumeration.generator_universe
-    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max: [
-        g for g in universe(ctx, t_max) if g is not h(1, 1)])
+    # Every other oracle of the basis reads the generator rows too (through
+    # generator_universe), so none of them sees a generator missing from
+    # them.
+    shorten_the_first_h_row(monkeypatch)
     clear_memo()
     try:
         basis = enumerate_basis(ctx5, 12, 3000).monomials
@@ -152,8 +163,8 @@ def same_as_tree_search(ctx, s_lo, s_hi, t, found=None):
     tree = tree_search(ctx, s_lo, s_hi, t)
     if sorted(found) != sorted(tree):
         return False
-    return all((x.keys, x.weights, x.layout.universe, x.layout.width)
-               == (y.keys, y.weights, y.layout.universe, y.layout.width)
+    return all((x.keys, x.weights, x.layout.last_a, x.layout.last_h, x.layout.width)
+               == (y.keys, y.weights, y.layout.last_a, y.layout.last_h, y.layout.width)
                for x, y in ((found[s], tree[s]) for s in found))
 
 
@@ -344,7 +355,7 @@ def test_a_failed_b_decides_no_later_h(ctx5, monkeypatch):
     basis = enumerate_basis(ctx5, 3, 298)
     assert (298 - 240, 1, 0) in failures
     layout, order = enumeration._tables(ctx5, 298, 3)
-    rank = {layout.universe[c]: k for k, c in enumerate(order.pos)}
+    rank = {layout.generator(c): k for k, c in enumerate(order.pos)}
     assert rank[b(2, 0)] < rank[h(1, 2)]
     assert (order.lob[rank[b(2, 0)]], order.lob[rank[h(1, 2)]]) == (2, 3)
     assert "a(2)^2 h(1,2)" in [m.render() for m in basis.monomials]
@@ -367,15 +378,14 @@ def test_filtration_limit(ctx5, monkeypatch):
     # The deepest allowed filtration ends: its only monomial at t = s is the
     # a(0) tail, one leaf.  The deepest allowed search recurses
     # MAX_FILTRATION levels without reaching the interpreter's recursion
-    # limit: over a universe of a(0) and a(1) alone, a(1)^s takes one level
-    # per factor ...
+    # limit: over a universe of a(0) and a(1) alone, the rows (1, []),
+    # a(1)^s takes one level per factor ...
     clear_memo()
     top = enumerate_basis(ctx5, MAX_FILTRATION, MAX_FILTRATION)
     assert [m.render() for m in top.monomials] == ["a(0)^%d" % MAX_FILTRATION]
     clear_memo()
-    universe = enumeration.generator_universe
-    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max: [
-        g for g in universe(ctx, t_max) if g in (a(0), a(1))])
+    rows = enumeration._generator_rows
+    monkeypatch.setattr(enumeration, "_generator_rows", lambda p, t: (1, []) + rows(p, t)[2:])
     deep = _search(ctx5, MAX_FILTRATION, MAX_FILTRATION, 9 * MAX_FILTRATION)[MAX_FILTRATION]
     assert [m.render() for m in deep.monomials] == ["a(1)^%d" % MAX_FILTRATION]
 
@@ -432,7 +442,7 @@ def test_bases_keep_the_search_universe_which_holds_every_summand(ctx5, ctx7):
         assert found[s_hi].dimension > 0, (ctx.p, s_hi, t)
         universe = tuple(generator_universe(ctx, t))
         for basis in found.values():
-            assert basis.layout.universe == universe, (ctx.p, basis.s, t)
+            assert layout_universe(basis.layout) == universe, (ctx.p, basis.s, t)
             held = {g for mon in basis.monomials for g, _ in mon.factors}
             summands = {x for g in held for pair in unit_summand_pairs(g) for x in pair}
             assert summands <= set(universe), (ctx.p, basis.s, t)
@@ -546,18 +556,18 @@ def test_root_carry_test_subsumes_the_vanishing_bounds(ctx5, ctx7):
 
 def test_one_root_carry_test_per_filtration_before_the_universe(ctx5, monkeypatch):
     calls = []
-    carry, universe = enumeration._carry_failure, enumeration.generator_universe
+    carry, rows = enumeration._carry_failure, enumeration._generator_rows
 
     def recording_carry(t_rem, cap, reach, ctx):
         calls.append((t_rem, cap, reach))
         return carry(t_rem, cap, reach, ctx)
 
-    def recording_universe(ctx, t_max):
+    def recording_rows(p, t):
         calls.append("universe")
-        return universe(ctx, t_max)
+        return rows(p, t)
 
     monkeypatch.setattr(enumeration, "_carry_failure", recording_carry)
-    monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
+    monkeypatch.setattr(enumeration, "_generator_rows", recording_rows)
     found = _search(ctx5, 1, 3, 49)
     assert calls[:4] == [(49, 1, 0), (49, 2, 0), (49, 3, 0), "universe"]
     # every later carry test is a child's, on a smaller residual degree
@@ -571,7 +581,6 @@ def test_a_filtration_deeper_than_its_degree_builds_no_universe(ctx5, monkeypatc
     def no_universe(*args):
         raise AssertionError("built a universe")
 
-    monkeypatch.setattr(enumeration, "generator_universe", no_universe)
     monkeypatch.setattr(enumeration, "_generator_rows", no_universe)
     assert _carry_failure(4, 5, 0, ctx5) is None
     assert enumerate_basis(ctx5, 5, 4).dimension == 0
@@ -613,13 +622,13 @@ def test_a0_ends_every_suffix_the_search_reads(monkeypatch):
     # its generators.
     for ctx, layout, order in recorded_orders(monkeypatch):
         last = len(order.pos) - 1
-        assert layout.universe[order.pos[last]] == a(0)
+        assert layout.generator(order.pos[last]) == a(0)
         assert max(order.nidx) == last
         assert [k for k, (d, f) in enumerate(zip(order.neg_degs, order.filts))
                 if -d <= f] == [last]
         mask = 0
         for k in range(last, -1, -1):
-            lo, hi = digit_span(layout.universe[order.pos[k]])
+            lo, hi = digit_span(layout.generator(order.pos[k]))
             mask |= ((2 << (hi - lo)) - 1) << (lo + 1)
             cols = mask.bit_length() - 1
             assert mask == (2 << cols) - 1 and ctx.p**cols == order.reach[k], (ctx.p, k)
@@ -642,7 +651,7 @@ def test_shared_tables_hold_the_universe_of_every_degree():
         for t in ts + ts[::-1] + shuffled:
             want = Counter(g[:3] for g in e1_generators(p, t))
             for s_hi in (1, 2):
-                universe = enumeration._tables(ctx, t, s_hi)[0].universe
+                universe = layout_universe(enumeration._tables(ctx, t, s_hi)[0])
                 got = Counter(tuple(g.tridegree(ctx)) for g in universe)
                 assert got == want, (p, s_hi, t)
             top, above = enumeration._shared[p][:2]
@@ -651,33 +660,82 @@ def test_shared_tables_hold_the_universe_of_every_degree():
     clear_memo()
 
 
+def check_tables_against_the_objects(ctx, t):
+    """The tables and the layout of t against object_tables, the object-built
+    oracle: equal tables, the same generator at every position both ways,
+    the exterior mask and a KeyError for a generator just past a row."""
+    enumeration.clear_memo()
+    layout, order = enumeration._tables(ctx, t, 3)
+    universe, want = object_tables(ctx, t)
+    assert order == want, (ctx.p, t)
+    assert layout_universe(layout) == universe, (ctx.p, t)
+    assert all(layout.index(layout.generator(k)) == k for k in range(layout.size)), (ctx.p, t)
+    assert layout.exterior == object_exterior(universe, layout.width), (ctx.p, t)
+    with pytest.raises(IndexError):
+        layout.generator(layout.size)
+    outside = [a(layout.last_a + 1), h(len(layout.last_h) + 1, 0)]
+    outside += [g for i, last in enumerate(layout.last_h, 1) for g in (h(i, last + 1), b(i, last))]
+    for g in outside:
+        with pytest.raises(KeyError):
+            layout.index(g)
+
+
+def test_tables_and_layout_equal_the_object_built_ones():
+    # Every t below 4000 and, as in the test above, every generator degree
+    # d up to 10^7 and d - 1 and d + 1.
+    for p in (5, 7, 11, 13):
+        ctx = make_context(p)
+        degrees = {g[1] for g in e1_generators(p, 10**7)}
+        ts = set(range(4000)) | {t for d in degrees for t in (d - 1, d, d + 1)}
+        for t in sorted(ts):
+            check_tables_against_the_objects(ctx, t)
+
+
+def test_the_tables_build_no_generator_and_no_tridegree(ctx5, monkeypatch):
+    # At the critical degree of verify main at n = 120, 14,523 positions.
+    t = family_degree(ctx5, 4, 120, 4) + 2
+    built = []
+
+    def counting(cls):
+        new = cls.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+        return counting_new
+
+    for cls in (Generator, Tridegree):
+        monkeypatch.setattr(cls, "__new__", counting(cls))
+    layout, order = enumeration._tables(ctx5, t, 6)
+    monkeypatch.undo()
+    assert len(order.pos) == layout.size == 14523 and built == []
+
+
 def test_a_table_hit_walks_no_generator_rows(ctx5, monkeypatch):
-    # The generator rows are walked twice per universe built, once to list
-    # it and once to find the ends of its interval; every other table read
+    # The generator rows are walked once per universe built, which gives
+    # both its tables and the ends of its interval; every other table read
     # of verify main is one comparison.
     rows, builds, reads = [], [], []
-    walk, universe, tables = (enumeration._generator_rows, enumeration.generator_universe,
-                              enumeration._tables)
+    walk, tables = enumeration._generator_rows, enumeration._tables
 
     def recording_rows(p, t):
         rows.append(t)
         return walk(p, t)
 
-    def recording_universe(ctx, t_max):
-        builds.append(t_max)
-        return universe(ctx, t_max)
-
     def recording_tables(ctx, t, s_hi):
         reads.append(t)
-        return tables(ctx, t, s_hi)
+        kept = enumeration._shared.get(ctx.p)
+        out = tables(ctx, t, s_hi)
+        if enumeration._shared[ctx.p] is not kept:
+            builds.append(t)
+        return out
 
     monkeypatch.setattr(enumeration, "_generator_rows", recording_rows)
-    monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
     monkeypatch.setattr(enumeration, "_tables", recording_tables)
     clear_memo()
     assert verify_main(ctx5, 4, 40, 4).passed
     clear_memo()
-    assert builds and rows == [t for t in builds for _ in range(2)]
+    assert builds and rows == builds
     assert len(reads) > len(builds)
 
 
@@ -686,20 +744,21 @@ def test_filtrations_0_to_2_share_the_universe_of_their_degree(ctx5, monkeypatch
     # filtrations 0, 1 and 2 there build one universe, which holds it, and
     # their layouts differ in field width only.
     builds = []
-    universe = enumeration.generator_universe
+    rows = enumeration._generator_rows
 
-    def recording_universe(ctx, t_max):
-        builds.append(t_max)
-        return universe(ctx, t_max)
+    def recording_rows(p, t):
+        builds.append(t)
+        return rows(p, t)
 
-    monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
+    monkeypatch.setattr(enumeration, "_generator_rows", recording_rows)
     bases = [enumerate_basis(ctx5, s, 40) for s in (0, 1, 2)]
     assert [[m.render() for m in basis.monomials] for basis in bases] == [
         [], ["h(1,1)"], ["b(1,0)"]]
     layouts = [enumeration._tables(ctx5, 40, s)[0] for s in (0, 1, 2)]
     assert builds == [40]
-    assert all(layout.universe == layouts[0].universe for layout in layouts)
-    assert layouts[0].universe[-1] == b(1, 0)
+    universes = [layout_universe(layout) for layout in layouts]
+    assert all(universe == universes[0] for universe in universes)
+    assert universes[0][-1] == b(1, 0)
     assert [layout.width for layout in layouts] == [1, 2, 2]
     assert layouts[1] is layouts[2] is bases[1].layout is bases[2].layout
 
@@ -708,13 +767,13 @@ def test_a_scenario_builds_its_universe_once(ctx5, monkeypatch):
     # verify main searches one filtration at each of several neighbouring
     # degrees, all over one universe.
     calls = []
-    universe = enumeration.generator_universe
+    rows = enumeration._generator_rows
 
-    def recording_universe(ctx, t_max):
-        calls.append(t_max)
-        return universe(ctx, t_max)
+    def recording_rows(p, t):
+        calls.append(t)
+        return rows(p, t)
 
-    monkeypatch.setattr(enumeration, "generator_universe", recording_universe)
+    monkeypatch.setattr(enumeration, "_generator_rows", recording_rows)
     assert verify_main(ctx5, 4, 6, 4).passed
     assert calls == [130194]
 
@@ -727,7 +786,7 @@ def test_a_scenario_shares_one_layout(ctx5, monkeypatch):
 
     def recording_search(ctx, s_lo, s_hi, t):
         found = search(ctx, s_lo, s_hi, t)
-        layouts.extend(basis.layout for basis in found.values() if basis.layout.universe)
+        layouts.extend(basis.layout for basis in found.values() if basis.layout.size)
         return found
 
     monkeypatch.setattr(enumeration, "_search", recording_search)
@@ -743,18 +802,16 @@ def test_exterior_mask_is_the_sum_of_the_exterior_units(ctx5, ctx7):
     for ctx, t in ((ctx5, 3000), (ctx5, 10**6), (ctx7, 1466)):
         universe = tuple(generator_universe(ctx, t))
         for width in (1, 2, 3, 4, 7):
-            layout = Layout(universe, width)
+            layout = Layout(*enumeration._generator_rows(ctx.p, t)[:2], width)
             assert layout.exterior == sum(1 << (k * width) for k, g in enumerate(universe)
                                           if g.is_exterior), (ctx.p, t, width)
-    assert Layout((), 3).exterior == 0
+    assert Layout(-1, [], 3).exterior == 0
 
 
 def test_clear_memo_drops_the_shared_tables(ctx5, monkeypatch):
     full = _search(ctx5, 12, 12, 3000)[12]
-    universe = enumeration.generator_universe
-    monkeypatch.setattr(enumeration, "generator_universe", lambda ctx, t_max: [
-        g for g in universe(ctx, t_max) if g is not h(1, 1)])
-    # the shared tables still hold h(1,1) ...
+    shorten_the_first_h_row(monkeypatch)
+    # the shared tables still hold h(1,3) ...
     assert _search(ctx5, 12, 12, 3000)[12].keys == full.keys
     # ... until clear_memo drops them
     clear_memo()

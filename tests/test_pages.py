@@ -398,7 +398,7 @@ def test_every_survival_term_packs_onto_its_source_layout():
         terms = list(x.terms)
         seeds = [layout.pack(mon.factors) for mon in terms]
         for mon, key in zip(terms, seeds):
-            assert tuple((layout.universe[k], e) for k, e in layout.fields(key)) == mon.factors
+            assert tuple((layout.generator(k), e) for k, e in layout.fields(key)) == mon.factors
         if source.dimension:
             assert d1_matrix(source, ctx, seeds) == image_d1_matrix(source, ctx, terms)
             seeded += 1

@@ -228,8 +228,8 @@ def _from_accumulator(accum: dict[Monomial, int], ctx: PrimeContext) -> Element:
     return Element(cleaned)
 
 
-def element_from_monomial(mon: Monomial, ctx: PrimeContext, coeff: int = 1) -> Element:
-    return _from_accumulator({mon: coeff}, ctx)
+def element_from_monomial(mon: Monomial, ctx: PrimeContext) -> Element:
+    return _from_accumulator({mon: 1}, ctx)
 
 
 def multiply(x: Element, y: Element, ctx: PrimeContext) -> Element:

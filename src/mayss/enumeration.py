@@ -25,26 +25,16 @@ with the target profile requires nonnegative carries lambda with
 
 and every cbar_j is at most the number of factors, hence at most the
 remaining filtration.  Each search node checks that system for the residual
-degree, with every column its remaining generators cannot reach capped at 0.
-Every suffix the search reads holds a(0), and h(1,c), of degree q p^c, lies
-after every generator that reaches column c, so a suffix supports the
-remainder column and columns 0 .. B-1; its tables keep reach = p^B.
-The carries that can enter a column always form an interval [0, hi]: a
-column of digit d and capacity cap passes on exactly the carries
-0 .. (hi + cap - d) // p, since d >= 0 makes the lower end 0 reachable
-whenever any carry is.  With body, cm = divmod(t_rem, q), the remainder
-column passes [0, h0], h0 = (cap - cm) // q, when cm <= cap, and the
-nested floors collapse: the bound into column J is X_J // p^J, with
+degree t_rem under that cap, with body, cm = divmod(t_rem, q), over every
+column.  Under a wide cap, at least p - 1, zero carries solve it whenever
+the remainder column's sum cm is at most cap, as every digit of body is at
+most p - 1; so the test fails only at bit 0.
 
-    X_J = h0 + cap (p^min(J,B) - 1)/(p - 1) - (body mod p^J).
-
-So the system holds iff cm <= cap and every X_J >= 0, and X_J falls from
-J-1 to J only where column J-1 holds a nonzero digit.
-
-Under a narrow cap, at most p - 2, the test also counts runs.  There
-h0 = 0 and every bound X_J // p^J is 0, so no carry is positive and the
-column sums are exactly cm at bit 0 and then the base-p digits of body,
-bit J holding column J-1.  Each factor adds one unit to one run of bits:
+Under a narrow cap, at most p - 2 < q, the test also counts runs.  There
+no carry is positive: up from the remainder column, a carry out of a
+column with no carry in adds at least p > cap to its sum.  So the column
+sums are exactly cm at bit 0 and then the base-p digits of body, bit J
+holding column J-1.  Each factor adds one unit to one run of bits:
 a(i) to bits 0 .. i, h(i,j) to bits j+1 .. i+j and b(i,j) to bits
 j+2 .. i+j+1, and g^e adds e runs.  A sum of N runs c_0, c_1, .. rises by
 at most N in all, so N >= sum_b (c_b - c_{b-1})^+ with c_{-1} = 0, and a
@@ -52,12 +42,25 @@ completion has at most cap factors, each of filtration at least 1.  So the
 test fails at the first bit where cm plus the rises of the digits so far
 passes cap.  That count is at least the largest digit so far, so it
 subsumes each column's own bound, and it fails only at a rise, a nonzero
-digit.  A wide cap is decided by the system alone.
+digit.
+
+Capping at 0 the columns that the node's remaining generators do not cover
+would change no verdict and no failing bit, within the upper degree bound
+below, which every candidate passes before its carry test.  A suffix of the
+search order whose largest top bit is B covers the remainder column and
+columns 0 .. B-1, and each of its generators g has
+deg(g) <= filt(g) (2p^B - 1).  So a residual within the suffix's bound
+under cap ns has q body <= 2 ns p^B - ns - cm = q X_B + ((ns - cm) mod q),
+hence body <= X_B = h0 + ns (p^B - 1)/(p - 1), h0 = (ns - cm) // q: the
+capped system's own bound under a wide cap.  Under a narrow cap h0 = 0, so
+body < p^B.  Losslessness does not rest on this, since the system over
+every column is the weaker necessary condition; the lemma keeps the carry
+tests, and so the cuts below, those of the capped system.
 
 At the root, with cap s, that test also covers the two digit-wise
 vanishing bounds.  A remainder t mod q above s fails the remainder column
-outright.  For s < p the carries stay in [0, 0], so any digit of t/q above
-s fails its column.
+outright.  For s < p the carries stay 0, so any digit of t/q above s fails
+its column.
 
 The search order also lets a node skip, without testing them, the
 candidates that cannot pass.  Generators heavier than the remaining degree
@@ -80,15 +83,12 @@ lob(k') > c fails too, so the loop skips it untested:
     lowest column.  An a has lob 0, so it is never skipped.  The same holds
     for k below lob(k) > c, so both residuals have the node's cm and its
     body mod p^c.
-  * The cap of k', s_rem - f', is at most k's, s_rem - f, and so is its h0.
-  * reach[nidx[k']] <= reach[nidx[k]]: both are suffixes of the order, and
-    nidx[k'] >= k + 1 >= nidx[k].
-  * So k' fails the remainder column if k does, and otherwise its X_c is
-    at most k's, which is negative.  Either way k' fails at a bit <= c.
-  * Under a narrow cap k's cap bounds k''s, so k' is narrow too.  If k
-    failed on the run count at c, k''s count at c is k's, above its cap,
-    unless it failed sooner.  If k failed past its B at c, the digit at c
-    is nonzero and c > B >= B', so k' fails at a bit <= c too.
+  * The cap of k', s_rem - f', is at most k's, s_rem - f.
+  * If k failed at bit 0, cm is above k's cap, so above k''s.  Otherwise
+    k's cap is narrow, since a wide cap fails only at bit 0, and so is
+    k''s.  Its run count through bit c reads only cm and body mod p^c, so
+    it is k's, above the cap, unless k' failed sooner.  Either way k' fails
+    at a bit <= c.
 
 So a failure of filtration 1 cuts both filtrations and one of filtration 2
 only filtration 2: a later candidate of filtration 1 has the larger cap.
@@ -106,8 +106,8 @@ No test that runs changes:
 
   * A cut candidate fails its carry test whether or not its bound was
     read, and it is no leaf: its residual keeps the node's digit at the
-    failing bit, which is nonzero (cm > cap at bit 0, and above it
-    X_c < X_{c-1} or a rise of the run count).
+    failing bit, which is nonzero (cm > cap at bit 0, and above it a rise
+    of the run count).
   * The bound is monotone within a filtration, so a closure that a cut
     candidate hides is caught at the next uncut one of its filtration.
   * The node returns early only once the bound has closed filtration 1
@@ -143,8 +143,7 @@ completion, hence lossless.
     filtration at the root, and the window shrinks to span the filtrations
     that pass.  Each is a necessary condition on one bidegree, so a
     filtration it drops has no monomials, also one left inside the shrunk
-    window.  Both run before any universe is built, the carry test with
-    every column supported.
+    window.  Both run before any universe is built.
 
 A window of one filtration is exactly the single-filtration search.
 
@@ -181,7 +180,7 @@ of the universe, its weight in the bits past the last field and its
 filtration left above that.  A state's list is, in loop order, each passing
 candidate's leaf or its child state's list with the candidate's unit and
 weight added, then the a(0) leaf.  That is exactly the order in which a
-depth-first walk reaches them, since the walk below a child is the child's
+depth-first walk visits them, since the walk below a child is the child's
 list; the root files each leaf under its filtration, so every basis keeps
 the depth-first order.  The candidate loop, every pruning rule, the early
 close of filtrations and the a(0) leaf run once per state, not once per
@@ -196,7 +195,7 @@ The universe is held as its generator rows (_generator_rows): the last
 index of the a's and of each row h(i, .), the row b(i, .) ending one
 before.  Each position's degree, filtration, weight and bits are formulas
 in its row and index, so the tables of the search order (positions,
-degrees, filtrations, weights, first child candidates, suffix reaches and
+degrees, filtrations, weights, first child candidates, lowest bits and
 greatest degrees per filtration) come from lists of ints and one stable
 sort by degree (_order), with no Generator or Tridegree per position; the
 layout maps positions to generators and back by arithmetic on the row
@@ -235,7 +234,6 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
-from math import log
 from operator import add
 
 from .algebra import Generator, Monomial, a, b, h
@@ -421,48 +419,29 @@ def _generator_rows(p: int, t: int) -> tuple[int, list[int], int, int]:
 # --- the digit-column carry system ----------------------------------------
 
 
-def _carry_failure(t_rem: int, cap: int, reach: int, ctx: PrimeContext) -> int | None:
+def _carry_failure(t_rem: int, cap: int, ctx: PrimeContext) -> int | None:
     """The first failing bit of the carry system (module docstring) of
-    t_rem under cap, or None when it holds: 0 when cm > cap, else the least
-    J with X_J < 0 or, under a narrow cap, with more runs than cap through
-    bit J.  reach = p^B supports columns 0 .. B-1, 0 every column.
-
-    For cap >= p - 1 every X_J with J <= B holds, as cap (p^J - 1)/(p - 1)
-    >= p^J - 1 >= body mod p^J, and past B X_J only falls: one comparison
-    decides, and a failure lies past B.  For cap <= p - 2, h0 = 0 and no
-    carry is positive, so the column sums are cm and then the digits of
-    body.  Each factor covers one run of bits and there are at most cap of
-    them, so the runs that start, cm plus every rise d - prev from one
-    digit to the next, number at most cap: the test fails at the first bit
-    where they pass it, a nonzero digit.  That subsumes each digit being at
-    most cap, and past B every digit must be 0.
-    """
+    t_rem under cap over every column, or None when it holds: 0 when
+    cm > cap, else, under a narrow cap, the first bit where the runs that
+    start, cm plus every rise d - prev from one digit of body to the next,
+    outnumber cap."""
     p, q = ctx.p, ctx.q
     body, cm = divmod(t_rem, q)
     if cm > cap:
         return 0
-    h0 = (cap - cm) // q
     if cap >= p - 1:
-        if not reach or body <= h0 + cap * (reach - 1) // (p - 1):
-            return None
-    elif reach >= 0:
-        starts = prev = cm
-        bit, rest = 1, body % reach if reach else body
-        while rest:
-            rest, d = divmod(rest, p)
-            if d > prev:
-                starts += d - prev
-                if starts > cap:
-                    return bit
-            prev = d
-            bit += 1
-        if not reach or body < reach:
-            return None
-    # The system fails past B: find the least J > B with X_J < 0.
-    bit, pw = round(log(reach, p)) + 1, reach * p   # ValueError if reach < 0
-    while h0 + cap * (reach - 1) // (p - 1) >= body % pw:
-        bit, pw = bit + 1, pw * p
-    return bit
+        return None
+    starts = prev = cm
+    bit = 1
+    while body:
+        body, d = divmod(body, p)
+        if d > prev:
+            starts += d - prev
+            if starts > cap:
+                return bit
+        prev = d
+        bit += 1
+    return None
 
 
 # --- the search ------------------------------------------------------------
@@ -475,7 +454,6 @@ class _Order(namedtuple("_Order", (
         "weights",
         "nidx",       # a child's first candidate: past an exterior pick
         "lob",        # lowest column it contributes to, as a carry-test bit
-        "reach",      # per suffix: p^B, B its number of supported columns
         "max_frac",   # per suffix: (deg, filt) with max deg/filt
 ))):
     """The tables every node of a search reads, per generator of the search
@@ -508,15 +486,15 @@ def _order(ctx: PrimeContext, last_a: int, last_h: list[int]) -> _Order:
     """The search tables of the generator rows, from the degree formulas:
     a(i) has tridegree (1, 2p^i - 1, 2i + 1), h(i,j) (1, c_i p^j, 2i - 1)
     with c_i = 2(p^i - 1), and b(i,j) (2, c_i p^(j+1), (2i - 1) p), the
-    degree of h(i,j+1).  A generator adds to the carry-test bits lob .. top:
-    a(i) to 0 .. i, h(i,j) to j+1 .. i+j and b(i,j) to j+2 .. i+j+1."""
+    degree of h(i,j+1).  The lowest carry-test bit a generator adds to, lob,
+    is 0 for a(i), j+1 for h(i,j) and j+2 for b(i,j)."""
     p, q = ctx.p, ctx.q
     # Per canonical position: minus the degree, the filtration, the weight,
-    # 1 for an exterior generator, and the lowest and top bits.
+    # 1 for an exterior generator, and the lowest bit.
     na = last_a + 1
     neg = [1 - 2 * p**i for i in range(na)]
     filt, ext, lob = [1] * na, [0] * na, [0] * na
-    weight, top = list(range(1, 2 * na, 2)), list(range(na))
+    weight = list(range(1, 2 * na, 2))
     rows, c = [], q
     for last in last_h:                 # minus the degrees of h(i, 0 .. last)
         rows.append(list(accumulate([p] * last, int.__mul__, initial=-c)))
@@ -529,12 +507,9 @@ def _order(ctx: PrimeContext, last_a: int, last_h: list[int]) -> _Order:
             weight += [(2 * i - 1) * p**b_row] * n
             ext += [1 - b_row] * n
             lob += range(1 + b_row, 1 + b_row + n)
-            top += range(i + b_row, i + b_row + n)
     # Decreasing degree, ties in canonical order: the sort is stable.
     pos = sorted(range(len(neg)), key=neg.__getitem__)
     neg_degs, filts = tuple(map(neg.__getitem__, pos)), tuple(map(filt.__getitem__, pos))
-    powers = list(accumulate([p] * max(top, default=0), int.__mul__, initial=1))
-    reach = list(map(powers.__getitem__, accumulate(map(top.__getitem__, reversed(pos)), max)))
     best = (0, 1)
     max_frac = [best]
     for nd, f in zip(reversed(neg_degs), reversed(filts)):
@@ -543,8 +518,7 @@ def _order(ctx: PrimeContext, last_a: int, last_h: list[int]) -> _Order:
         max_frac.append(best)
     return _Order(tuple(pos), neg_degs, filts, tuple(map(weight.__getitem__, pos)),
                   tuple(map(add, range(len(pos)), map(ext.__getitem__, pos))),
-                  tuple(map(lob.__getitem__, pos)), tuple(reversed(reach)),
-                  tuple(reversed(max_frac)))
+                  tuple(map(lob.__getitem__, pos)), tuple(reversed(max_frac)))
 
 
 def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int, found):
@@ -557,7 +531,7 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
     left from bit sshift.  It is memoized for the duration of this walk (see
     the module docstring).
     """
-    pos, neg_degs, filts, weights, nidx, lob, reach, max_frac = o
+    pos, neg_degs, filts, weights, nidx, lob, max_frac = o
     n = len(pos)
     uncut = max(lob, default=0)     # a cut that skips no candidate
     ushift = n * width
@@ -609,7 +583,7 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
                     continue
                 if nt < ns_lo:
                     continue
-                c = _carry_failure(nt, ns, reach[ni], ctx)
+                c = _carry_failure(nt, ns, ctx)
                 if c is not None:
                     if c < lob[k]:
                         if c < lim2:
@@ -634,12 +608,12 @@ def _walk(ctx: PrimeContext, o: _Order, s_hi: int, span: int, t: int, width: int
             out.append(t_rem + (t_rem << ushift) + ((s_rem - t_rem) << sshift))
         return out or dead
 
-    top = leaves(0, s_hi, t)
-    # leaves reaches itself and the memo through its closure; unbinding it
+    root = leaves(0, s_hi, t)
+    # leaves holds itself and the memo through its closure; unbinding it
     # frees them now instead of at the next full garbage collection.
     leaves = None
     mask, umask = (1 << ushift) - 1, (1 << (sshift - ushift)) - 1
-    for leaf in top:
+    for leaf in root:
         keys, us = found[s_hi - (leaf >> sshift)]
         keys.append(leaf & mask)
         us.append(leaf >> ushift & umask)
@@ -653,10 +627,9 @@ def _search(ctx: PrimeContext, s_lo: int, s_hi: int, t: int) -> dict[int, Bidegr
         s: ([], []) for s in range(s_lo, s_hi + 1)}
     # The root's lower degree bound and carry test need no universe, so a
     # huge t that no filtration of the window admits ends before one is
-    # built (its rows take one step per tower index).  Testing every column
-    # (reach 0) loses nothing: the universe holds a(0) and h(1,j) for every
-    # digit column j of t/q.  The walk spans the filtrations that pass.
-    live = [s for s in found if s <= t and _carry_failure(t, s, 0, ctx) is None]
+    # built (its rows take one step per tower index).  The walk spans the
+    # filtrations that pass.
+    live = [s for s in found if s <= t and _carry_failure(t, s, ctx) is None]
     layout = EMPTY_LAYOUT
     if live:
         layout, tables = _tables(ctx, t, s_hi)

@@ -73,9 +73,6 @@ class Tridegree(namedtuple("Tridegree", "s t u")):
     def __add__(self, other: "Tridegree") -> "Tridegree":
         return Tridegree(self.s + other.s, self.t + other.t, self.u + other.u)
 
-    def scaled(self, e: int) -> "Tridegree":
-        return Tridegree(e * self.s, e * self.t, e * self.u)
-
 
 class PAdicProfile(namedtuple("PAdicProfile", "c_minus1 digits")):
     """The unique expansion t = q*sum(digits[j] * p^j) + c_minus1.

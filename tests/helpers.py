@@ -17,7 +17,7 @@ tests use them.
 
 import itertools
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -123,7 +123,7 @@ def random_element(rng, ctx, max_terms=3, **kw):
     out = Element.zero()
     for _ in range(rng.randint(1, max_terms)):
         mon = random_monomial(rng, ctx, **kw)
-        out = add(out, element_from_monomial(mon, ctx, rng.randint(1, ctx.p - 1)), ctx)
+        out = add(out, Element({mon: rng.randint(1, ctx.p - 1)}), ctx)
     return out
 
 
@@ -188,7 +188,7 @@ def tree_search(ctx, s_lo, s_hi, t):
     if live:
         search, order = enumeration._tables(ctx, t, s_hi)
         s_hi, span = live[-1], live[-1] - live[0]
-        pos, neg_degs, filts, weights, nidx, _, reach, max_frac = order
+        pos, neg_degs, filts, weights, nidx, _, max_frac = order
         width = search.width
         last = len(pos) - 1
         carry_failure = enumeration._carry_failure
@@ -220,7 +220,7 @@ def tree_search(ctx, s_lo, s_hi, t):
                         continue
                     if nt < ns_lo:
                         continue
-                    if carry_failure(nt, ns, reach[ni], ctx) is not None:
+                    if carry_failure(nt, ns, ctx) is not None:
                         continue
                 rec(ni, ns, nt, u + weights[k], key + (1 << (pos[k] * width)))
             # The a(0) branch: its one completion is a(0)^t_rem.
@@ -244,20 +244,27 @@ def e1_tridegree(p, kind, i, j):
     return 1, 2 * p**i - 1, 2 * i + 1
 
 
+#: A generator by its (kind, i, j), which digit_span reads, without the
+#: engine's Generator.
+Name = namedtuple("Name", "kind i j")
+
+
 def e1_generators(p, t):
     """Every generator of degree at most t as (filtration, degree, weight,
-    exterior), listed from the degree formulas alone, in decreasing degree."""
+    exterior, Name), listed from the degree formulas alone, in decreasing
+    degree, ties in canonical order (the a's, the h's and the b's, each by
+    (i, j)), as the search orders them."""
     gens = []
     i = 0
     while 2 * p**i - 1 <= t:
-        gens.append(e1_tridegree(p, "a", i, None) + (False,))
+        gens.append(e1_tridegree(p, "a", i, None) + (False, Name("a", i, None)))
         i += 1
     for kind in "hb":
         i = 1
         while e1_tridegree(p, kind, i, 0)[1] <= t:
             j = 0
             while e1_tridegree(p, kind, i, j)[1] <= t:
-                gens.append(e1_tridegree(p, kind, i, j) + (kind == "h",))
+                gens.append(e1_tridegree(p, kind, i, j) + (kind == "h", Name(kind, i, j)))
                 j += 1
             i += 1
     gens.sort(key=lambda g: -g[1])
@@ -286,7 +293,7 @@ def e1_dims(p, s, t):
         bd, bf = best[k]
         if t_rem * bf > s_rem * bd:
             return {}
-        f, d, w, exterior = gens[k]
+        f, d, w, exterior, _ = gens[k]
         top = min(s_rem // f, t_rem // d)
         if exterior:
             top = min(top, 1)
@@ -349,7 +356,7 @@ def digit_span(g):
 def object_tables(ctx, t):
     """(universe, search tables) of degree t, built from one Generator and
     one Tridegree per position of generator_universe, sorted by
-    (-degree, position), with the suffix reach from digit_span.  The oracle
+    (-degree, position), with the lowest bits from digit_span.  The oracle
     of enumeration._tables, which builds neither."""
     universe = tuple(generator_universe(ctx, t))
     tri = [g.tridegree(ctx) for g in universe]
@@ -358,23 +365,16 @@ def object_tables(ctx, t):
     order = [universe[c] for c in pos]
     degs = [tri[c].t for c in pos]
     filts = [tri[c].s for c in pos]
-    lob = [0] * n
-    reach = [0] * n
+    lob = [digit_span(g)[0] + 1 for g in order]
     max_frac = [(0, 1)] * (n + 1)
-    cols, pw = 0, 1                     # columns 0 .. cols-1 supported, pw = p^cols
     for k in range(n - 1, -1, -1):
-        lo, hi = digit_span(order[k])   # bits lo + 1 .. hi + 1
-        lob[k] = lo + 1
-        while cols <= hi:
-            cols, pw = cols + 1, pw * ctx.p
-        reach[k] = pw
         d, f = degs[k], filts[k]
         md, mf = max_frac[k + 1]
         max_frac[k] = (d, f) if d * mf > md * f else (md, mf)
     return universe, _Order(tuple(pos), tuple(-d for d in degs), tuple(filts),
                             tuple(tri[c].u for c in pos),
                             tuple(k + 1 if g.is_exterior else k for k, g in enumerate(order)),
-                            tuple(lob), tuple(reach), tuple(max_frac))
+                            tuple(lob), tuple(max_frac))
 
 
 def object_exterior(universe, width):
@@ -659,8 +659,10 @@ def carry_oracle(t, cap, mask, ctx):
     count of those sums: at most cap runs."""
     if not set_carry_feasible(t, cap, mask, ctx):
         return False
+    if cap > ctx.p - 2:
+        return True
     profile = padic_profile(t, ctx)
-    return cap > ctx.p - 2 or interval_starts((profile.c_minus1, *profile.digits)) <= cap
+    return interval_starts((profile.c_minus1, *profile.digits)) <= cap
 
 
 def span_vectors(rows, p):

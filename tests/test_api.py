@@ -3,7 +3,8 @@
 A name exported from mayss/__init__.py must be referenced, as code, in a
 src/mayss module other than the one that defines it, or in bench/*.py.  A
 helper that only tests call belongs in tests/helpers.py instead.  The
-README's library example runs as written.
+README's library example runs as written.  The engine is integer
+arithmetic: no module but the command line imports math.
 """
 
 import ast
@@ -54,6 +55,21 @@ def test_every_export_has_a_caller_outside_tests():
         if not callers and name not in bench_used:
             orphans.append("%s (defined in %s)" % (name, owners[0].name))
     assert not orphans, "exported but used only by tests: " + ", ".join(orphans)
+
+
+def test_only_the_command_line_imports_math():
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "math" in names and path.name != "cli.py":
+                importers.append(path.name)
+    assert not importers, importers
 
 
 def test_readme_library_example_runs(capsys):

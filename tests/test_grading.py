@@ -111,4 +111,3 @@ def test_generator_tridegree_validates():
 def test_tridegree_arithmetic():
     d = Tridegree(1, 2, 3) + Tridegree(4, 5, 6)
     assert d == Tridegree(5, 7, 9)
-    assert Tridegree(1, 2, 3).scaled(3) == Tridegree(3, 6, 9)

@@ -171,7 +171,7 @@ def _combination(coeffs, monomials, ctx):
     out = Element.zero()
     for c, mon in zip(coeffs, monomials):
         if c % ctx.p:
-            out = add(out, element_from_monomial(mon, ctx, c), ctx)
+            out = add(out, scale(c, element_from_monomial(mon, ctx), ctx), ctx)
     return out
 
 

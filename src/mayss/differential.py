@@ -19,6 +19,15 @@ to one already present is an exterior square, so the term is zero.  No
 word is expanded or re-sorted, so the cost is linear in the number of
 factors, not in the total exponent.
 
+The d1 of a canonical monomial m never gives one monomial twice.  Each
+image is m - g + S, for a factor g and a summand S of d1(g).  Two pairs
+with g != g' would need g in S, but no generator of d1(g) is g (those of
+its kind have a smaller first index), and the summands of one generator
+are distinct multisets.  So each term of d1(m) is one pair's, at +-e with
+p not dividing e: nonzero mod p.  Hence _d1_factors and d1_matrix write
+each image once, with no accumulator.  d1() on an element still sums: the
+images of two of its monomials can meet.
+
 d1 shifts tridegrees by (+1, 0, -1): it raises filtration, preserves internal
 degree, and drops the weight by one, so it restricts to weight blocks.  The
 monomials of the target tridegree form a basis of it, so a d1 matrix numbers
@@ -87,16 +96,15 @@ def _multiply_in(out: list, keys: list, g: Generator) -> None:
         keys.insert(j, g.key)
 
 
-def _d1_factors(mon: Monomial, p: int) -> dict[Factors, int]:
-    """d1 of one canonical monomial as canonical factor tuples -> coefficient.
-
-    Coefficients are not reduced mod p.  Every key has the tridegree
-    mon.tridegree + D1_SHIFT.
+def _d1_factors(mon: Monomial, p: int) -> list[tuple[Factors, int]]:
+    """d1 of one canonical monomial as (canonical factor tuple, coefficient)
+    pairs, each tuple once (module docstring), the coefficients +-e and not
+    reduced mod p.  Every tuple has the tridegree mon.tridegree + D1_SHIFT.
     """
     factors = mon.factors
     keys = [g.key for g, _ in factors]
     ext = [k for (g, _), k in zip(factors, keys) if g.is_exterior]
-    accum: dict[Factors, int] = {}
+    image = []
     before = 0  # exterior factors ahead of the current one
     for i, (g, e) in enumerate(factors):
         here = before
@@ -124,9 +132,8 @@ def _d1_factors(mon: Monomial, p: int) -> dict[Factors, int]:
                 out, out_keys = list(rest), list(rest_keys)
                 for x in new_h + ((poly,) if poly else ()):
                     _multiply_in(out, out_keys, x)
-                term = tuple(out)
-                accum[term] = accum.get(term, 0) + (-e if parity % 2 else e)
-    return accum
+                image.append((tuple(out), -e if parity % 2 else e))
+    return image
 
 
 def d1(x: Element, ctx: PrimeContext) -> Element:
@@ -134,7 +141,7 @@ def d1(x: Element, ctx: PrimeContext) -> Element:
     accum: dict[Monomial, int] = {}
     for mon, c in x.terms.items():
         deg = mon.tridegree + D1_SHIFT
-        for factors, c2 in _d1_factors(mon, ctx.p).items():
+        for factors, c2 in _d1_factors(mon, ctx.p):
             out = Monomial(factors=factors, tridegree=deg)
             accum[out] = accum.get(out, 0) + c * c2
     return _from_accumulator(accum, ctx)
@@ -198,22 +205,17 @@ def d1_matrix(block: BidegreeBasis, ctx: PrimeContext,
     rows = {key: r for r, key in enumerate(seeds)}
     columns = []
     for key in block.keys:
-        accum: dict[int, int] = {}
+        col = {}
         for shift, unit, plan in terms:
             e = key >> shift & mask
             if not e % p:   # absent, or a p-th power
                 continue
             rest = key - unit
+            plus, minus = e % p, -e % p
             for hmask, delta, parity, moves in plan:
                 if rest & hmask:   # a new h already present: an exterior square
                     continue
-                img = rest + delta
-                c = -e if (parity + (rest & moves).bit_count()) & 1 else e
-                accum[img] = accum.get(img, 0) + c
-        col = {}
-        for img, c in accum.items():
-            c %= p
-            if c:
-                col[rows.setdefault(img, len(rows))] = c
+                col[rows.setdefault(rest + delta, len(rows))] = (
+                    minus if (parity + (rest & moves).bit_count()) & 1 else plus)
         columns.append(col)
     return MatrixFp(modulus=p, rows=len(rows), cols=len(columns), columns=tuple(columns))

@@ -5,18 +5,19 @@ in [1, p), which is the form d1 matrices are built in and eliminated on;
 to_rows() derives the dense rows, which the benchmark's tracer
 (bench/tracing.py) reads for its cell and nonzero counts.  Both operations
 run one sparse elimination on a copy of the columns, reduced one by one
-against the pivots found so far, each pivot keyed by its lead (lowest) row
-and scaled to lead coefficient 1.
-A pivot's entries all lie at or below its lead row, so a reduction only
-moves the lead of the column being reduced downward.  A target in the same
-sparse form lies in the column span exactly when it reduces to zero against
+against the pivots found so far.  A pivot is keyed by its lead (lowest) row
+and kept unscaled, as its entries below the lead and the inverse of its
+lead entry: a reduction drops the lead, which cancels, and subtracts the
+rest times (entry at the lead) * inverse.  So a reduction only moves the
+lead of the column being reduced downward.  A target in the same sparse
+form lies in the column span exactly when it reduces to zero against
 those pivots.  Operations never mutate their inputs.
 
-The pivots restricted to their lead rows form a unit triangular matrix, so
-the column span projects isomorphically onto the coordinates of the lead
-rows: every vector has exactly one element of the span that agrees with it
-there.  rank reports those rows on request, which is what clearing needs
-(see pages.e2_dimension).
+The pivots restricted to their lead rows form an invertible triangular
+matrix, so the column span projects isomorphically onto the coordinates of
+the lead rows: every vector has exactly one element of the span that agrees
+with it there.  rank reports those rows on request, which is what clearing
+needs (see pages.e2_dimension).
 
 The elimination fixes its order once, before it starts (a static order
 after Markowitz, 1957).  Rows are relabelled by ascending count of entries,
@@ -24,15 +25,18 @@ and columns are reduced in ascending count of entries.  A pivot then leads
 at its sparsest row, so the rows it adds to a later column are rows that few
 columns share, and short columns become pivots before long ones.  On the
 cleared d1 blocks of the four dense second-page queries of the benchmark, a
-few percent nonzero, the pivots hold 20,674 nonzeros in this order and
-38,987 in the given one, from 20,720 input nonzeros.  in_span maps its
-target through the same relabel; a target with an entry on a row that no
-column touches is outside the span.
+few percent nonzero, the pivots hold 20,674 nonzeros, leads included, in
+this order and 38,987 in the given one, from 20,720 input nonzeros.
+in_span maps its target through the same relabel; a target with an entry
+on a row that no column touches is outside the span.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
+from itertools import chain
+
+Pivots = dict[int, tuple[dict[int, int], int]]   # lead: (entries below it, 1 / lead entry)
 
 
 class MatrixFp(namedtuple("MatrixFp", "modulus rows cols columns")):
@@ -49,48 +53,41 @@ class MatrixFp(namedtuple("MatrixFp", "modulus rows cols columns")):
         return out
 
 
-def _axpy(y: dict[int, int], f: int, x: dict[int, int], p: int) -> None:
-    """y -= f * x in place, dropping entries that cancel."""
-    for k, v in x.items():
-        w = (y.get(k, 0) - f * v) % p
-        if w:
-            y[k] = w
-        else:
-            y.pop(k, None)
-
-
-def _reduce(vec: dict[int, int], pivots: dict[int, dict[int, int]], p: int) -> int | None:
+def _reduce(vec: dict[int, int], pivots: Pivots, p: int) -> int | None:
     """Reduce vec in place against the pivots; its lead row left, or None."""
     while vec:
         lead = min(vec)
         piv = pivots.get(lead)
         if piv is None:
             return lead
-        _axpy(vec, vec[lead], piv, p)
+        col, inv = piv
+        f = vec.pop(lead) * inv % p   # the lead cancels exactly
+        for k, v in col.items():
+            w = (vec.get(k, 0) - f * v) % p
+            if w:
+                vec[k] = w
+            else:
+                vec.pop(k, None)
     return None
 
 
-def _eliminate(m: MatrixFp) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
+def _eliminate(m: MatrixFp) -> tuple[dict[int, int], Pivots]:
     """The row relabel {row: new row} of the rows some column touches, and
-    the pivots {lead new row: column scaled to lead coefficient 1}.
+    the pivots, keyed by their leads' new rows.
 
     Rows are relabelled by ascending count of entries, ties in the order the
     columns first touch them, and columns are reduced in ascending count of
     entries, ties in the given order.
     """
     p = m.modulus
-    count: dict[int, int] = {}
-    for col in m.columns:
-        for r in col:
-            count[r] = count.get(r, 0) + 1
+    count = Counter(chain.from_iterable(m.columns))
     relabel = {r: k for k, r in enumerate(sorted(count, key=count.__getitem__))}
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: Pivots = {}
     for col in sorted(m.columns, key=len):
         col = {relabel[r]: v for r, v in col.items()}   # a copy: _reduce works in place
         lead = _reduce(col, pivots, p)
         if lead is not None:
-            inv = pow(col[lead], -1, p)
-            pivots[lead] = {k: v * inv % p for k, v in col.items()}
+            pivots[lead] = (col, pow(col.pop(lead), -1, p))
     return relabel, pivots
 
 

@@ -1,16 +1,16 @@
 import pytest
 
-from helpers import (DENSE_E2, add, block_of, canonicalize_word, codomain_matrix, d1_generator,
-                     element_parity, image_d1_matrix, key_monomials, layout_universe,
-                     packed_seeds, random_element, random_generator, random_monomial, scale,
-                     unit_d1_monomial)
+from helpers import (DENSE_E2, SCENARIOS, add, block_of, canonicalize_word, codomain_matrix,
+                     d1_generator, element_parity, image_d1_matrix, key_monomials,
+                     layout_universe, packed_seeds, random_element, random_generator,
+                     random_monomial, scale, unit_d1_monomial, unit_summand_pairs, units)
 from mayss import (a, b, d1, element_from_monomial, enumerate_basis, h,
                    make_context, monomial_from_factors, multiply, parse_element,
                    render_element)
 from mayss.algebra import Element, _from_accumulator, element_tridegree
 from mayss.differential import d1_matrix
 from mayss.pages import e2_dimension
-from mayss.verify import family_degree
+from mayss.verify import _window, family_degree
 
 D1_SHIFT = (1, 0, -1)
 
@@ -278,3 +278,50 @@ def test_packed_matrix_matches_tuple_path_on_scenario_blocks(p, m, n, s):
     for f in (s + 1, s + 2):
         for dom in _weight_blocks(ctx, f, t):
             _assert_matches_tuple_path(dom, ctx)
+
+
+def _summand_pairs(mon, ctx):
+    """(image monomial, e) for each pair of a factor g^e of mon with p not
+    dividing e and a summand pair of d1(g) whose new h's mon does not hold."""
+    word = units(mon)
+    held = set(word)
+    out = []
+    for g, e in mon.factors:
+        if e % ctx.p == 0:
+            continue
+        pos = word.index(g)
+        for pair in unit_summand_pairs(g):
+            if any(x.is_exterior and x in held for x in pair):
+                continue
+            out.append((canonicalize_word(word[:pos] + list(pair) + word[pos + 1:], ctx)[1], e))
+    return out
+
+
+def _assert_one_term_per_pair(mon, ctx):
+    # the fact d1_matrix and _d1_factors rest on: the pairs give distinct
+    # monomials, so each nonzero term of the image is one pair's, at +-e
+    p = ctx.p
+    pairs = _summand_pairs(mon, ctx)
+    want = dict(pairs)
+    terms = {out: c % p for out, c in unit_d1_monomial(mon, ctx).items() if c % p}
+    assert len(want) == len(pairs) and terms.keys() == want.keys(), mon.render()
+    assert all(c in (want[out] % p, -want[out] % p) for out, c in terms.items()), mon.render()
+
+
+def test_one_monomial_d1_never_repeats_a_term(rng, ctx5):
+    # every monomial of the bases the dense second-page queries search and
+    # of the scenarios' windows, and random monomials at four primes
+    dense = [mon for s, t in DENSE_E2 for f in (s, s - 1)
+             for mon in enumerate_basis(ctx5, f, t).monomials]
+    assert len(dense) == 4682
+    for mon in dense:
+        _assert_one_term_per_pair(mon, ctx5)
+    for p, m, n, s in SCENARIOS:
+        ctx = make_context(p)
+        for _, fs, ft in _window(ctx, m, n, s, 1):
+            for mon in enumerate_basis(ctx, fs, ft).monomials:
+                _assert_one_term_per_pair(mon, ctx)
+    for p in (5, 7, 11, 13):
+        ctx = make_context(p)
+        for _ in range(500):
+            _assert_one_term_per_pair(random_monomial(rng, ctx, max_factors=8), ctx)

@@ -226,3 +226,35 @@ def test_target_on_a_row_no_column_touches(rng):
     m = matrix_from_rows([[1, 0], [0, 1], [0, 0]], p)
     assert in_span(m, {0: 2, 1: 3}) and not in_span(m, {0: 2, 2: 1})
     assert not in_span(m, {5: 1})
+
+
+def _scaled(m, rng):
+    """m with each column multiplied by a random residue other than 0 and 1,
+    so that few pivots lead with 1."""
+    p = m.modulus
+    columns = []
+    for col in m.columns:
+        f = rng.randrange(2, p)
+        columns.append({r: v * f % p for r, v in col.items()})
+    return m._replace(columns=tuple(columns))
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_rank_reports_pivot_rows_that_carry_the_rank(rng, p):
+    # the rows rank reports are those clearing reads: as many as the rank,
+    # and the rows of m there already have full rank
+    for base in _oracle_cases(rng, p):
+        row_perm = rng.sample(range(base.rows), base.rows)
+        col_perm = rng.sample(range(base.cols), base.cols)
+        for m in (base, _permuted(base, row_perm, col_perm)):
+            m = _scaled(m, rng)
+            want = dense_rank(m)
+            leads = {-1}   # rank adds to the set it is given
+            assert rank(m, leads) == want
+            assert len(leads) == want + 1 and all(0 <= r < m.rows for r in leads - {-1})
+            rows = m.to_rows()
+            at_leads = matrix_from_rows([rows[r] for r in sorted(leads - {-1})], p, cols=m.cols)
+            assert dense_rank(at_leads) == want
+            for v in (list(mat_vec(m, [rng.randrange(p) for _ in range(m.cols)])),
+                      [rng.randrange(p) for _ in range(m.rows)]):
+                assert in_span(m, sparse(v)) == (dense_in_span(m, v) is not None)

@@ -342,7 +342,7 @@ class BidegreeBasis:
     monomials as Monomial objects sorted by render, is built from the keys
     on its first read and kept; the second-page path never reads it.
 
-    `ranks` maps a weight to the rank of d1 on that block, filled by
+    `e2_blocks` maps a weight to that block's pages.WeightBlock, filled by
     pages.e2_dimension; it lives and is dropped with the basis.
     """
 
@@ -350,7 +350,7 @@ class BidegreeBasis:
                  keys: tuple[int, ...], weights: tuple[int, ...]):
         self.p, self.s, self.t = p, s, t
         self.layout, self.keys, self.weights = layout, keys, weights
-        self.ranks: dict[int, int] = {}
+        self.e2_blocks: dict[int, tuple] = {}
 
     @property
     def dimension(self) -> int:
@@ -692,7 +692,7 @@ def _enumerate_window(ctx: PrimeContext, s: int, t: int, cache) -> None:
 
 
 def clear_memo() -> None:
-    """Drop the in-process basis memo, the block ranks kept on its bases and
+    """Drop the in-process basis memo, the e2 blocks kept on its bases and
     the shared search tables, so that the next query starts from nothing."""
     _memo.clear()
     _shared.clear()

@@ -17,15 +17,14 @@ span B lies in the kernel of d1 and projects isomorphically onto the
 coordinates I of its pivot rows (see linalg).  So every chain x of the
 block has one b in B with b_I = x_I, and d1(x) = d1(x - b), where x - b is
 supported off I: the monomials off I span the whole image of d1 on the
-block, and d1 is built and eliminated on those alone.  The rank is the
-block's own, so it is kept on the basis like any other.  When the incoming
-rank is already kept, there are no pivots and the block is eliminated
-whole.
+block, and d1 is built and eliminated on those alone.  Each block's
+answer is kept on its target basis (BidegreeBasis.e2_blocks), so a
+repeated query of one block builds nothing.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .algebra import Element, element_tridegree
 from .differential import d1, d1_matrix
@@ -65,52 +64,41 @@ def e2_dimension(ctx: PrimeContext, s: int, t: int, u: int | None = None,
     target = enumerate_basis(ctx, s, t, None, cache)
     above = enumerate_basis(ctx, s - 1, t, None, cache) if s >= 1 else None
 
-    sizes = Counter(target.weights)
-    weights = sorted(sizes) if u is None else ([u] if u in sizes else [])
+    present = set(target.weights)
+    weights = sorted(present) if u is None else ([u] if u in present else [])
     blocks = []
     for w in weights:
-        cycle = target.block(w)
-        boundaries, cleared = _boundary_rank(ctx, above, w + 1, cycle)
-        r = target.ranks.get(w)
-        if r is None:
-            r = target.ranks[w] = _cleared_rank(ctx, cycle, cleared)
-        blocks.append(WeightBlock(u=w, e1_dim=sizes[w], cycle_dim=sizes[w] - r,
-                                  boundary_dim=boundaries))
+        block = target.e2_blocks.get(w)
+        if block is None:
+            block = target.e2_blocks[w] = _block(ctx, above, target.block(w))
+        blocks.append(block)
     return PageQueryResult(tuple(blocks))
 
 
-def _boundary_rank(ctx, above, w, cycle) -> tuple[int, set[int]]:
-    """The rank of d1 on the weight-w block of `above` (None at s = 0),
-    whose images land in the cycle block, and the positions in the cycle
-    block of its pivot rows.  The rank is kept on the basis; a kept rank
-    comes with no pivots."""
+def _block(ctx, above, cycle) -> WeightBlock:
+    """The weight block of a nonempty cycle block of weight w.  d1 on weight
+    w + 1 of `above` (None at s = 0), whose images land in the cycle block,
+    is eliminated first; then d1 on the cycle columns off its pivot rows
+    (module docstring)."""
+    w = cycle.weights[0]
     cleared: set[int] = set()
-    r = above.ranks.get(w) if above is not None else 0
-    if r is not None:
-        return r, cleared
-    block = above.block(w)
-    if not block.dimension:
-        return 0, cleared
-    # The cycle block's keys on this block's layout: one universe, that of
-    # degree t, at a width of filtration s - 1 or more, which fits them.
-    seeds = block.layout.repack(cycle.keys, cycle.layout)
-    m = d1_matrix(block, ctx, seeds)
-    if m.rows > len(seeds):
-        raise MayssError("d1 of the basis of (%d, %d) at weight %d leaves the basis of "
-                         "(%d, %d) at weight %d: a basis is incomplete"
-                         % (block.s, block.t, w, cycle.s, cycle.t, w - 1))
-    r = above.ranks[w] = rank(m, cleared)
-    return r, cleared
-
-
-def _cleared_rank(ctx, cycle, cleared) -> int:
-    """The rank of d1 on a block, eliminated on the columns off the cleared
-    positions only (module docstring)."""
+    boundaries = 0
+    source = above.block(w + 1) if above is not None else None
+    if source is not None and source.dimension:
+        # The cycle block's keys on the source's layout: one universe, that
+        # of degree t, at a width of filtration s - 1 or more, which fits them.
+        seeds = source.layout.repack(cycle.keys, cycle.layout)
+        m = d1_matrix(source, ctx, seeds)
+        if m.rows > len(seeds):
+            raise MayssError("d1 of the basis of (%d, %d) at weight %d leaves the basis of "
+                             "(%d, %d) at weight %d: a basis is incomplete"
+                             % (source.s, source.t, w + 1, cycle.s, cycle.t, w))
+        boundaries = rank(m, cleared)
     kept = tuple(key for k, key in enumerate(cycle.keys) if k not in cleared)
-    if not kept:
-        return 0
-    return rank(d1_matrix(BidegreeBasis(cycle.p, cycle.s, cycle.t, cycle.layout, kept,
-                                        cycle.weights[:len(kept)]), ctx))
+    r = rank(d1_matrix(BidegreeBasis(cycle.p, cycle.s, cycle.t, cycle.layout, kept,
+                                     cycle.weights[:len(kept)]), ctx)) if kept else 0
+    return WeightBlock(u=w, e1_dim=cycle.dimension, cycle_dim=cycle.dimension - r,
+                       boundary_dim=boundaries)
 
 
 class SurvivalVerdict(namedtuple("SurvivalVerdict", "position is_cycle is_boundary")):

@@ -474,7 +474,7 @@ def test_cli_start_loads_no_dataclasses_or_inspect():
 
 def test_internal_error_exits_three(capsys, monkeypatch):
     # a search that drops half of the cycle basis breaks the engine's own
-    # invariant in pages._boundary_rank: an image leaves the cycle block
+    # invariant in pages._block: an image leaves the cycle block
     search = enumeration._search
 
     def incomplete(ctx, s_lo, s_hi, t):

@@ -221,7 +221,7 @@ def test_cycle_outside_a_nonzero_image_is_no_boundary(ctx5):
 
 def test_each_weight_block_is_eliminated_once_per_memoized_basis(monkeypatch):
     # The critical differential and the survival check read the same blocks
-    # of (s + 2, t); the second reads their ranks off the memoized bases.
+    # of (s + 2, t); the second reads their answers off the memoized bases.
     built = []
 
     def recording_d1_matrix(block, ctx, seeds=()):
@@ -236,7 +236,7 @@ def test_each_weight_block_is_eliminated_once_per_memoized_basis(monkeypatch):
         assert len(built) == len(set(built)) == 2
         assert verify_main(ctx, 4, 6, 4).passed
         assert len(built) == 2
-        # the ranks go with the bases
+        # the blocks go with the bases
         clear_memo()
         assert verify_main(ctx, 4, 6, 4).passed
         assert built[2:] == built[:2]
@@ -245,19 +245,17 @@ def test_each_weight_block_is_eliminated_once_per_memoized_basis(monkeypatch):
 
 
 def _cleared_and_whole_ranks(ctx, s, t):
-    """Per weight block of (s, t): the rank of d1 on the columns clearing
-    keeps, the rank on the whole block, and how many columns it cleared,
-    one per boundary pivot."""
+    """Per weight block of (s, t): the rank of d1 that pages._block finds on
+    the columns clearing keeps, the rank on the whole block, and how many
+    columns it cleared, one per boundary pivot."""
     target = enumerate_basis(ctx, s, t)
     above = enumerate_basis(ctx, s - 1, t)
-    above.ranks.clear()   # a kept boundary rank would come with no pivots
     out = []
     for w in sorted(set(target.weights)):
         cycle = target.block(w)
-        boundaries, cleared = pages._boundary_rank(ctx, above, w + 1, cycle)
-        assert len(cleared) == boundaries
-        out.append((pages._cleared_rank(ctx, cycle, cleared), rank(d1_matrix(cycle, ctx)),
-                    len(cleared)))
+        block = pages._block(ctx, above, cycle)
+        out.append((block.e1_dim - block.cycle_dim, rank(d1_matrix(cycle, ctx)),
+                    block.boundary_dim))
     return out
 
 
@@ -294,7 +292,7 @@ def test_an_image_outside_the_cycle_block_raises(ctx5):
     short = BidegreeBasis(ctx5.p, s, t, cycle.layout, cycle.keys[:hit] + cycle.keys[hit + 1:],
                           cycle.weights[1:])
     with pytest.raises(MayssError, match="a basis is incomplete"):
-        pages._boundary_rank(ctx5, above, w + 1, short)
+        pages._block(ctx5, above, short)
 
 
 def _recording_columns(monkeypatch):
@@ -335,10 +333,31 @@ def test_mixed_layouts_give_the_blocks_of_fresh_bases(ctx5, monkeypatch):
     assert enumerate_basis(ctx5, 6, t).layout.width != enumerate_basis(ctx5, 7, t).layout.width
     assert res.boundary_dim > 0
     assert _columns_at(built, 7) <= res.e1_dim - res.boundary_dim
-    # the boundary ranks of s = 7 are kept now, so s = 8 is eliminated whole
+    # s = 8 after s = 7, whose basis it reads as its boundary source, is
+    # cleared too
     res = e2_dimension(ctx5, 8, t)
     assert res.blocks == fresh[8]
-    assert _columns_at(built, 8) == res.e1_dim
+    assert res.boundary_dim > 0
+    assert _columns_at(built, 8) <= res.e1_dim - res.boundary_dim
+
+
+def test_a_repeated_block_query_builds_nothing(ctx5, monkeypatch):
+    # verify_survival asks for single weights of a bidegree that
+    # verify_critical_differential has asked for whole; each block's answer
+    # is kept on its basis, nonempty boundary included, until clear_memo.
+    s, t = DENSE_E2[0]
+    built = _recording_columns(monkeypatch)
+    res = e2_dimension(ctx5, s, t)
+    assert res.boundary_dim > 0
+    n = len(built)
+    assert _columns_at(built, s - 1) > 0
+    for bl in res.blocks:
+        assert e2_dimension(ctx5, s, t, u=bl.u).blocks == (bl,)
+    assert e2_dimension(ctx5, s, t) == res
+    assert len(built) == n
+    clear_memo()
+    assert e2_dimension(ctx5, s, t) == res
+    assert built[n:] == built[:n]
 
 
 def test_the_order_of_queries_never_changes_an_answer(ctx5, rng, tmp_path, monkeypatch):

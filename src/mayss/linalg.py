@@ -4,39 +4,39 @@ A MatrixFp stores only its columns, each a dict {row: residue} with residues
 in [1, p), which is the form d1 matrices are built in and eliminated on;
 to_rows() derives the dense rows, which the benchmark's tracer
 (bench/tracing.py) reads for its cell and nonzero counts.  Both operations
-run one sparse elimination on a copy of the columns, reduced one by one
-against the pivots found so far.  A pivot is keyed by its lead (lowest) row
-and kept unscaled, as its entries below the lead and the inverse of its
-lead entry: a reduction drops the lead, which cancels, and subtracts the
-rest times (entry at the lead) * inverse.  So a reduction only moves the
-lead of the column being reduced downward.  A target in the same sparse
-form lies in the column span exactly when it reduces to zero against
-those pivots.  Operations never mutate their inputs.
+run one sparse elimination on a copy of the columns, reduced one by one in
+the given order against the pivots found so far.  A pivot is keyed by its
+lead (highest) row and kept unscaled, as its entries on earlier rows and
+the inverse of its lead entry: a reduction drops the lead, which cancels,
+and subtracts the rest times (entry at the lead) * inverse.  So a reduction
+only moves the lead of the column being reduced to an earlier row.
+Operations never mutate their inputs.
 
-The pivots restricted to their lead rows form an invertible triangular
-matrix, so the column span projects isomorphically onto the coordinates of
-the lead rows: every vector has exactly one element of the span that agrees
+Each pivot is nonzero at its lead and zero on every later row, so the
+pivots restricted to their lead rows form an invertible triangular matrix,
+and the column span projects isomorphically onto the coordinates of the
+lead rows: every vector has exactly one element of the span that agrees
 with it there.  rank reports those rows on request, which is what clearing
-needs (see pages.e2_dimension).
+needs (see pages.e2_dimension).  A nonzero vector of the span has its
+highest row at a lead, the highest among the pivots in its combination, so
+a target lies in the span exactly when it reduces to zero; a target with an
+entry on a row that no column touches stops there, as no pivot leads there.
 
-The elimination fixes its order once, before it starts (a static order
-after Markowitz, 1957).  Rows are relabelled by ascending count of entries,
-and columns are reduced in ascending count of entries.  A pivot then leads
-at its sparsest row, so the rows it adds to a later column are rows that few
-columns share, and short columns become pivots before long ones.  On the
-cleared d1 blocks of the four dense second-page queries of the benchmark, a
-few percent nonzero, the pivots hold 20,674 nonzeros, leads included, in
-this order and 38,987 in the given one, from 20,720 input nonzeros.
-in_span maps its target through the same relabel; a target with an entry
-on a row that no column touches is outside the span.
+The order costs nothing to fix: past its seeded rows, d1_matrix numbers
+rows in the order its columns first touch them, so the highest row of a
+column is often one that no earlier column touches (1,579 of the 1,978
+nonzero cycle columns of the blocks below), and the pivots stay sparse.
+On the cleared d1 blocks of the four dense second-page queries of the
+benchmark, a few percent nonzero, the pivots hold 21,416 nonzeros, leads
+included, from 20,994 input nonzeros, against 42,800 with the lead at the
+lowest row.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from itertools import chain
+from collections import namedtuple
 
-Pivots = dict[int, tuple[dict[int, int], int]]   # lead: (entries below it, 1 / lead entry)
+Pivots = dict[int, tuple[dict[int, int], int]]   # lead: (entries on earlier rows, 1 / lead entry)
 
 
 class MatrixFp(namedtuple("MatrixFp", "modulus rows cols columns")):
@@ -56,7 +56,7 @@ class MatrixFp(namedtuple("MatrixFp", "modulus rows cols columns")):
 def _reduce(vec: dict[int, int], pivots: Pivots, p: int) -> int | None:
     """Reduce vec in place against the pivots; its lead row left, or None."""
     while vec:
-        lead = min(vec)
+        lead = max(vec)
         piv = pivots.get(lead)
         if piv is None:
             return lead
@@ -71,41 +71,30 @@ def _reduce(vec: dict[int, int], pivots: Pivots, p: int) -> int | None:
     return None
 
 
-def _eliminate(m: MatrixFp) -> tuple[dict[int, int], Pivots]:
-    """The row relabel {row: new row} of the rows some column touches, and
-    the pivots, keyed by their leads' new rows.
-
-    Rows are relabelled by ascending count of entries, ties in the order the
-    columns first touch them, and columns are reduced in ascending count of
-    entries, ties in the given order.
-    """
+def _eliminate(m: MatrixFp) -> Pivots:
+    """The pivots of m's columns, reduced in the given order, keyed by their
+    leads."""
     p = m.modulus
-    count = Counter(chain.from_iterable(m.columns))
-    relabel = {r: k for k, r in enumerate(sorted(count, key=count.__getitem__))}
     pivots: Pivots = {}
-    for col in sorted(m.columns, key=len):
-        col = {relabel[r]: v for r, v in col.items()}   # a copy: _reduce works in place
+    for col in m.columns:
+        col = dict(col)   # a copy: _reduce works in place
         lead = _reduce(col, pivots, p)
         if lead is not None:
             pivots[lead] = (col, pow(col.pop(lead), -1, p))
-    return relabel, pivots
+    return pivots
 
 
 def rank(m: MatrixFp, leads: set[int] | None = None) -> int:
     """The rank of m.  When leads is given, the row of m at which each pivot
     leads is added to it; the column span projects isomorphically onto the
     coordinates of those rows (module docstring)."""
-    relabel, pivots = _eliminate(m)
+    pivots = _eliminate(m)
     if leads is not None:
-        row = list(relabel)   # relabel numbers its rows in insertion order
-        leads.update(row[k] for k in pivots)
+        leads.update(pivots)
     return len(pivots)
 
 
 def in_span(m: MatrixFp, v: dict[int, int]) -> bool:
     """Whether the sparse target {row: residue in [1, p)} is a combination
     of the columns of m."""
-    relabel, pivots = _eliminate(m)
-    if any(r not in relabel for r in v):   # a row no column touches
-        return False
-    return _reduce({relabel[r]: x for r, x in v.items()}, pivots, m.modulus) is None
+    return _reduce(dict(v), _eliminate(m), m.modulus) is None

@@ -176,8 +176,9 @@ def _permuted(m, row_perm, col_perm, extra_cols=0):
 
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_elimination_order_does_not_change_rank_or_membership(rng, p):
-    # the elimination relabels rows and reorders columns by their counts; the
-    # answers must not depend on how the input numbers its rows and columns
+    # the elimination leads each pivot at its column's highest row and takes
+    # the columns in the given order, which d1_matrix's numbering decides;
+    # the answers must not depend on how the input numbers its rows and columns
     for m in _oracle_cases(rng, p):
         want = dense_rank(m)
         targets = [list(mat_vec(m, [rng.randrange(p) for _ in range(m.cols)])),
@@ -195,8 +196,9 @@ def test_elimination_order_does_not_change_rank_or_membership(rng, p):
 
 
 def test_elimination_with_tied_counts(rng):
-    # every row and every column holds the same number of entries: the
-    # order is decided by ties alone
+    # every row and every column holds the same number of entries, in a band
+    # that wraps round: the first column already touches the last rows, so
+    # the rows are not numbered in the order the columns first touch them
     p = 7
     for n in range(1, 9):
         for width in range(1, min(n, 3) + 1):

@@ -7,7 +7,7 @@ from helpers import (DENSE_E2, SCENARIOS, add, codomain_matrix, d1_generator, im
 from mayss import (MayssError, ParameterError, ResultCache, Tridegree, a, d1, e2_dimension,
                    element_from_monomial, h, enumerate_basis, make_context, monomial_from_factors,
                    parse_element, survives_to_e2, verify_main, verify_survival)
-from mayss import enumeration, pages
+from mayss import enumeration, linalg, pages
 from mayss.algebra import Element, element_tridegree
 from mayss.differential import d1_matrix
 from mayss.enumeration import BidegreeBasis, Layout, clear_memo
@@ -318,6 +318,28 @@ def test_clearing_builds_fewer_cycle_columns_than_e1(ctx5, monkeypatch):
     res = e2_dimension(ctx5, s, t)
     assert res.boundary_dim > 0
     assert _columns_at(built, s) <= res.e1_dim - res.boundary_dim
+
+
+def test_dense_blocks_eliminate_with_little_fill(ctx5, monkeypatch):
+    # d1_matrix numbers rows as its columns first touch them, so a pivot led
+    # at its column's highest row adds little to later columns.  Led at the
+    # lowest row, the same matrices give exactly as many pivots, but they
+    # hold 42,800 nonzeros: the answers alone cannot tell the two apart.
+    eliminated = []
+
+    def recording_rank(m, leads=None):
+        eliminated.append(m)
+        return rank(m, leads)
+
+    monkeypatch.setattr(pages, "rank", recording_rank)
+    for s, t in DENSE_E2:
+        e2_dimension(ctx5, s, t)
+    pivots = [linalg._eliminate(m) for m in eliminated]
+    assert len(eliminated) == 134
+    assert sum(len(piv) for piv in pivots) == 3028
+    assert sum(len(col) for m in eliminated for col in m.columns) == 20994
+    # each pivot's lead and its entries on earlier rows
+    assert sum(1 + len(rest) for piv in pivots for rest, _ in piv.values()) == 21416
 
 
 def test_mixed_layouts_give_the_blocks_of_fresh_bases(ctx5, monkeypatch):
